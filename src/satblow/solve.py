@@ -5,10 +5,28 @@ count m, starting from a proven lower bound, and run a complete search over
 edge sets of size m up to symmetry before moving to m + 1.  The symmetry
 group combines index permutations within each part with automorphisms of the
 pattern; a candidate edge set is kept only when it is the lexicographically
-least member of its orbit, slots being numbered in lexicographic endpoint
-order.  Appending slots in increasing order preserves that canonical form
-under prefix removal, so each orbit is expanded exactly once and levels are
+least member of its orbit (its lex leader), slots being numbered in
+lexicographic endpoint order and a set being compared as its sorted tuple.
+Appending slots in increasing order preserves that canonical form under
+prefix removal, so each orbit is expanded exactly once and levels are
 carried over between deepening steps instead of being rebuilt.
+
+One lex-leader rule serves both this search and m_value.  Let P be a lex
+leader and C = P + (s,) with s > max P.  For a group element g, the
+threshold t_g of P is the first slot of P missing from g(P), or s when g
+fixes P as a set.  Then g maps C below C exactly when g(s) < t_g, and only
+g(s) == t_g < s leaves a sorted comparison to make.  Proof: P[:i] lies in
+g(P) for t_g = P[i], and every other slot of g(P) exceeds t_g (g(P) sorts
+no lower than P, and differs from it first at position i), so g(s) < t_g
+puts g(s) into the shared prefix ahead of a larger slot of C, g(s) > t_g
+leaves position i of the image above t_g = C[i], and when g fixes P the
+image is P + (g(s),) up to sorting.  A slot s whose orbit minimum lies
+below P[0] is rejected at once.  For the rest, t_g = P[0] unless some
+slot of P maps onto P[0] (the rows U), and g(s) >= P[0], with equality
+exactly when s itself maps onto P[0] (the rows W).  So outside U and W the
+whole child maps above P[0] = C[0] and cannot give a smaller image; the
+exact search tests U rows by their thresholds and W rows by comparing
+sorted(g(P)) with P[1:] + (s,), and never reads any other row.
 
 Two facts prune the tree without losing any optimum:
 
@@ -121,12 +139,6 @@ class _SlotSystem:
         self.ends0 = tuple(
             (x.part - 1, x.index - 1, y.part - 1, y.index - 1) for x, y in self.slots
         )
-        self.u_vid = np.fromiter(
-            ((x.part - 1) * n + x.index - 1 for x, _ in self.slots), dtype=np.int64
-        )
-        self.v_vid = np.fromiter(
-            ((y.part - 1) * n + y.index - 1 for _, y in self.slots), dtype=np.int64
-        )
         # vertices that may never end up isolated, and the slot index after
         # which each vertex's adjacency is settled for good
         needy_parts = {p for p in range(v) if len(pattern._adj0[p]) >= 2}
@@ -160,27 +172,85 @@ class _SlotSystem:
 
 
 def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
+    """Every automorphism of the pattern as a 0-based vertex map, in
+    lexicographic order, found by backtracking over partial maps.  Vertices
+    are mapped in breadth-first order, so a vertex with a neighbour mapped
+    earlier may only go to a neighbour of that neighbour's image; each
+    choice must also match degrees and agree on adjacency with every vertex
+    mapped before it."""
     v = pattern.vertex_count
-    edges0 = {(min(i, j) - 1, max(i, j) - 1) for i, j in pattern.edges}
-    auts = []
-    degs = tuple(len(pattern._adj0[i]) for i in range(v))
-    for perm in itertools.permutations(range(v)):
-        if any(degs[i] != degs[perm[i]] for i in range(v)):
+    adj = [frozenset(a) for a in pattern._adj0]
+    order: list[int] = []
+    anchor = [-1] * v
+    seen: set[int] = set()
+    for root in range(v):
+        queue = [] if root in seen else [root]
+        seen.update(queue)
+        for u in queue:  # grows as it is walked: breadth-first
+            for w in pattern._adj0[u]:
+                if w not in seen:
+                    seen.add(w)
+                    anchor[w] = u
+                    queue.append(w)
+        order += queue
+
+    image = [-1] * v
+    used = [False] * v
+
+    def choices(depth: int) -> Iterator[int]:
+        # lazy: each candidate is checked against the map as it stands when
+        # drawn, which is the map above this depth once deeper ones unwind
+        x = order[depth]
+        pool = adj[image[anchor[x]]] if anchor[x] >= 0 else range(v)
+        return (
+            t
+            for t in pool
+            if not used[t]
+            and len(adj[t]) == len(adj[x])
+            and all((y in adj[x]) == (image[y] in adj[t]) for y in order[:depth])
+        )
+
+    auts: list[tuple[int, ...]] = []
+    stack = [choices(0)]
+    while stack:
+        x = order[len(stack) - 1]
+        if image[x] >= 0:
+            used[image[x]] = False
+            image[x] = -1
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
             continue
-        if all(
-            (min(perm[i], perm[j]), max(perm[i], perm[j])) in edges0 for i, j in edges0
-        ):
-            auts.append(perm)
-    return auts
+        image[x] = t
+        used[t] = True
+        if len(stack) == v:
+            auts.append(tuple(image))
+        else:
+            stack.append(choices(len(stack)))
+    return sorted(auts)
 
 
 _GROUP_ROW_CAP = 200_000
 _GROUP_ENTRY_CAP = 8_000_000
 
 
-def _symmetry_perms(sys: _SlotSystem) -> Optional[np.ndarray]:
-    """Slot permutations of the symmetry group, transposed to (L, rows), or
-    None when only the identity fits the tabulation caps."""
+@dataclass(frozen=True)
+class _SlotGroup:
+    """A tabulated group of slot permutations, one column per element g:
+    image[x, g] = g(x) and preimage[y, g] = g^-1(y).  orbit_min[x] is the
+    least slot in the orbit of x."""
+
+    image: np.ndarray
+    preimage: np.ndarray
+    orbit_min: list[int]
+
+
+def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
+    """The slot permutations of the symmetry group, or None when only the
+    identity fits the tabulation caps.  The rows are written one pattern
+    automorphism at a time straight into an int16 table (int32 past 32767
+    slots), then deduplicated: the action is not faithful when n = 1 or
+    the pattern has an isolated vertex."""
     pattern, n, L = sys.pattern, sys.n, sys.L
     v = pattern.vertex_count
     auts = _pattern_automorphisms(pattern)
@@ -200,73 +270,110 @@ def _symmetry_perms(sys: _SlotSystem) -> Optional[np.ndarray]:
     if len(full_pool) == 1 and len(auts) == 1:
         return None
 
-    pool = np.array(full_pool, dtype=np.int64)
-    P = len(full_pool)
-    combos = np.array(list(itertools.product(range(P), repeat=v)), dtype=np.int64)
+    dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
+    pool = np.array(full_pool, dtype=np.intp)
+    combos = np.array(list(itertools.product(range(len(pool)), repeat=v)), dtype=np.intp)
     vtot = v * n
-    slot_id = np.full((vtot, vtot), -1, dtype=np.int64)
-    for k in range(L):
-        p, a, q, b = sys.ends0[k]
+    slot_id = np.full((vtot, vtot), -1, dtype=dtype)
+    for k, (p, a, q, b) in enumerate(sys.ends0):
         slot_id[p * n + a, q * n + b] = k
         slot_id[q * n + b, p * n + a] = k
 
-    blocks = []
-    for g in auts:
-        F = np.empty((len(combos), vtot), dtype=np.int64)
+    R = len(combos)
+    table = np.empty((len(auts) * R, L), dtype=dtype)
+    F = np.empty((R, vtot), dtype=np.intp)
+    for j, g in enumerate(auts):
+        # F[:, vertex] is where each group element of this coset sends it
         for i in range(v):
-            tgt = g[i]
-            F[:, i * n : (i + 1) * n] = tgt * n + pool[combos[:, tgt]]
-        X = F[:, sys.u_vid]
-        Y = F[:, sys.v_vid]
-        blocks.append(slot_id[np.minimum(X, Y), np.maximum(X, Y)])
-    perm = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    assert (perm >= 0).all()
-    if len(perm) == 1:
+            F[:, i * n : (i + 1) * n] = g[i] * n + pool[combos[:, g[i]]]
+        block = table[j * R : (j + 1) * R]
+        for k, (p, a, q, b) in enumerate(sys.ends0):
+            block[:, k] = slot_id[F[:, p * n + a], F[:, q * n + b]]
+    rows = np.unique(table.view(np.dtype((np.void, table.itemsize * L))))
+    del table  # before the transposed copies, so they do not raise the peak
+    if len(rows) == 1:
         return None
-    return np.ascontiguousarray(perm.T.astype(np.int32))
+    image = np.ascontiguousarray(rows.view(dtype).reshape(len(rows), L).T)
+    del rows
+    assert (image >= 0).all()
+    preimage = np.empty_like(image)
+    cols = np.arange(image.shape[1])
+    for x in range(L):
+        preimage[image[x], cols] = x
+    return _SlotGroup(image, preimage, image.min(axis=1).tolist())
 
 
 def _canonical_extensions(
-    permT: Optional[np.ndarray], parent: tuple[int, ...], exts: list[int]
+    group: Optional[_SlotGroup], parent: tuple[int, ...], exts: list[int]
 ) -> list[int]:
-    """Filter extension slots so that parent + (s,) stays the least member
-    of its orbit.  parent is sorted and every ext exceeds its maximum."""
-    if permT is None or not exts:
+    """The extension slots s for which parent + (s,) is still the lex leader
+    of its orbit.  parent must be a lex leader, sorted, and every ext must
+    exceed its maximum.
+
+    This applies the rule of the module docstring to all of exts at once.
+    A slot whose orbit minimum lies below parent[0] (below s itself at the
+    root) is rejected first.  One gather of the preimage of parent[0] under
+    every group element then picks the rows that can matter: U, where a
+    parent slot maps onto parent[0], and W, where an ext does.  On these
+    rows s is rejected when g(s) < t_g, and where g(s) == t_g the sorted
+    image of the child is compared with the child.  A W row has
+    t_g = parent[0] = g(s), so there that comparison is sorted(g(parent))
+    against parent[1:] + (s,), and most W rows are settled by its first
+    slot alone."""
+    if group is None or not exts:
         return exts
-    k = len(parent)
-    ext_arr = np.asarray(exts, dtype=np.int64)
-    E = permT[ext_arr]  # (m, rows)
-    if k == 0:
-        mins = E.min(axis=1)
-        return [s for s, mn in zip(exts, mins.tolist()) if mn >= s]
-    p_arr = np.asarray(parent, dtype=np.int64)
-    M = permT[p_arr]  # (k, rows)
-    mn_pref = M.min(axis=0)
-    lo = parent[0]
-    child_min = np.minimum(mn_pref, E)  # (m, rows)
-    keep: list[int] = []
-    row_min = child_min.min(axis=1)
-    for t, s in enumerate(exts):
-        if row_min[t] < lo:
-            continue
-        cols = np.nonzero(child_min[t] == lo)[0]
-        if len(cols) <= 1:
-            keep.append(s)
-            continue
-        C = np.vstack((M[:, cols], E[t, cols]))
-        C.sort(axis=0)
-        child = np.append(p_arr, s)
-        diff = C != child[:, None]
-        anyd = diff.any(axis=0)
-        if not anyd.any():
-            keep.append(s)
-            continue
-        first = diff.argmax(axis=0)
-        idx = np.nonzero(anyd)[0]
-        if (C[first[idx], idx] < child[first[idx]]).any():
-            continue
-        keep.append(s)
-    return keep
+    omin = group.orbit_min
+    if not parent:
+        return [s for s in exts if omin[s] >= s]
+    p0 = parent[0]
+    exts = [s for s in exts if omin[s] >= p0]
+    if not exts:
+        return exts
+    image, preimage = group.image, group.preimage
+    L, m = len(omin), len(exts)
+    P = np.asarray(parent, dtype=np.intp)
+    S = np.asarray(exts, dtype=np.intp)
+    code = np.zeros(L, dtype=np.intp)  # -1 in parent, 1 + position in exts
+    code[P] = -1
+    code[S] = np.arange(1, m + 1)
+    who = code.take(preimage[p0])
+    U = np.flatnonzero(who < 0)
+    W = np.flatnonzero(who > 0)
+
+    # held[i, j]: parent[i] lies in the image of the parent under row U[j]
+    held = code.take(preimage.take(P, axis=0).take(U, axis=1)) < 0
+    first = held.argmin(axis=0)
+    thr = np.where(held[first, np.arange(len(U))], L, P.take(first))
+    gs = image.take(S, axis=0).take(U, axis=1)
+    rejected = (gs < np.minimum(thr, S[:, None])).any(axis=1)
+    ti, tj = np.nonzero(gs == thr)
+
+    # a W row pairs with the one ext it maps onto parent[0]
+    img_parent = image.take(P, axis=0)
+    e = who.take(W) - 1
+    low = img_parent.take(W, axis=1).min(axis=0)
+    second = P[1] if len(P) > 1 else S.take(e)
+    rejected[e[low < second]] = True
+    tie = low == second
+
+    ties = np.concatenate((ti, e[tie]))
+    if len(ties):
+        cols = np.concatenate((U.take(tj), W[tie]))
+        s_tie = S.take(ties)
+        img = np.vstack(
+            (
+                img_parent.take(cols, axis=1),
+                image.ravel().take(s_tie * image.shape[1] + cols),
+            )
+        )
+        img.sort(axis=0)
+        child = np.empty_like(img)
+        child[:-1] = P[:, None]
+        child[-1] = s_tie
+        first = (img != child).argmax(axis=0)  # 0 where the two are equal
+        at = np.arange(len(ties))
+        rejected[ties[img[first, at] < child[first, at]]] = True
+    return [s for s, r in zip(exts, rejected.tolist()) if not r]
 
 
 def _covers_every_non_edge(sys: _SlotSystem, chosen: set[int], masks) -> bool:
@@ -325,7 +432,7 @@ def _exact_minimum(
         return SolveResult(0, ub_graph, nodes, time.monotonic() - start, False, 0)
 
     sys_ = _SlotSystem(host)
-    permT = _symmetry_perms(sys_) if use_symmetry else None
+    group = _symmetry_group(sys_) if use_symmetry else None
 
     frontier: list[tuple[int, ...]] = [()]
     for m in range(1, ub + 1):
@@ -348,7 +455,7 @@ def _exact_minimum(
                 # extension; a needy vertex left isolated there kills them all
                 if any(degs[vid] == 0 for vid in sys_.needy_final[s]):
                     break
-            for s in _canonical_extensions(permT, parent, exts):
+            for s in _canonical_extensions(group, parent, exts):
                 nodes += 1
                 child = parent + (s,)
                 if testing:
@@ -474,6 +581,41 @@ def _partitions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int,
             yield (first,) + rest
 
 
+def _child_thresholds(
+    perms: list[tuple[int, ...]],
+    thresholds: list[int],
+    child: tuple[int, ...],
+    fixed: int,
+) -> Optional[list[int]]:
+    """The lex-leader rule of the module docstring, one group element at a
+    time.  thresholds holds t_g of the lex-leader parent child[:-1] under
+    each g in perms, with fixed (above every slot) where g fixes the parent
+    as a set.  Returns the thresholds of child, or None when some g maps
+    child below itself.  Only where g(s) == t_g < s is the image sorted."""
+    s = child[-1]
+    out = []
+    for g, t in zip(perms, thresholds):
+        gs = g[s]
+        if t > s:
+            if gs < s:
+                return None
+            out.append(fixed if gs == s else s)
+        elif gs > t:
+            out.append(t)
+        elif gs < t:
+            return None
+        else:
+            for c, d in zip(child, sorted(g[k] for k in child)):
+                if c != d:
+                    if d < c:
+                        return None
+                    out.append(c)
+                    break
+            else:
+                out.append(fixed)
+    return out
+
+
 class _BudgetExceeded(Exception):
     pass
 
@@ -558,14 +700,9 @@ def _m_search_partition(
                 return False
         return True
 
-    def canonical(S: tuple[int, ...]) -> bool:
-        for sp in slot_perms:
-            image = sorted(sp[k] for k in S)
-            if tuple(image) < S:
-                return False
-        return True
-
-    def dfs(S: tuple[int, ...], last: int) -> Optional[tuple[int, ...]]:
+    def dfs(
+        S: tuple[int, ...], last: int, thresholds: list[int]
+    ) -> Optional[tuple[int, ...]]:
         counter[0] += 1
         if deadline is not None and counter[0] % 256 == 0 and time.monotonic() > deadline:
             raise _BudgetExceeded
@@ -576,18 +713,19 @@ def _m_search_partition(
             if creates_clique(x, y, s - 2, adj[x] & adj[y]):
                 continue
             child = S + (k,)
-            if not canonical(child):
+            child_thresholds = _child_thresholds(slot_perms, thresholds, child, L)
+            if child_thresholds is None:
                 continue
             adj[x] |= 1 << y
             adj[y] |= 1 << x
-            got = dfs(child, k)
+            got = dfs(child, k, child_thresholds)
             adj[x] &= ~(1 << y)
             adj[y] &= ~(1 << x)
             if got is not None:
                 return got
         return None
 
-    witness = dfs((), -1)
+    witness = dfs((), -1, [L] * len(slot_perms))
     if witness is None:
         return None
     edges = []
@@ -609,7 +747,16 @@ def m_value(
     budget: Optional[float] = None,
 ) -> MResult:
     """Search vertex counts upward for the smallest K_s-free r-partite graph
-    whose every (s-1)-subset of parts holds a transversal K_{s-1}."""
+    whose every (s-1)-subset of parts holds a transversal K_{s-1}.
+
+    Each split of the vertex count into part sizes is searched depth-first
+    over slot sets, up to index permutations within each part.  A child set
+    is kept only when it is the lex leader of its orbit, by the threshold
+    rule of the module docstring: every DFS node hands each group element's
+    threshold down to its children, so a child costs one comparison per
+    element, and its image is sorted only where g(s) meets the threshold.
+    The root's thresholds are all "fixed", which makes the first level the
+    orbit-minimum test g(s) >= s."""
     if s < 3:
         raise ValueError("m_value needs s >= 3")
     if r < s:
@@ -633,18 +780,21 @@ def m_value(
     return MResult(r, s, None, None, counter[0], time.monotonic() - start, False)
 
 
-_M_CACHE: dict[tuple[int, int], MResult] = {}
+# keyed on the vertex cap as well: a value found under one cap says nothing
+# about a search held to a smaller one
+_M_CACHE: dict[tuple[int, int, Optional[int]], MResult] = {}
 
 
 def _cached_m_value(
     r: int, s: int, max_vertices: Optional[int], budget: Optional[float]
 ) -> MResult:
-    hit = _M_CACHE.get((r, s))
-    if hit is not None and hit.value is not None:
+    key = (r, s, max_vertices)
+    hit = _M_CACHE.get(key)
+    if hit is not None:
         return hit
     got = m_value(r, s, max_vertices, budget)
     if got.value is not None:
-        _M_CACHE[(r, s)] = got
+        _M_CACHE[key] = got
     return got
 
 

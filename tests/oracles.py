@@ -65,3 +65,46 @@ def brute_min_exsat(pattern, n):
     from satblow import is_extra_saturated
 
     return _brute_minimum(pattern, n, is_extra_saturated)
+
+
+def brute_automorphisms(pattern):
+    """Every vertex permutation (0-based) that maps edges onto edges."""
+    v = pattern.vertex_count
+    edges = {frozenset((i - 1, j - 1)) for i, j in pattern.edges}
+    return [
+        perm
+        for perm in itertools.permutations(range(v))
+        if all(frozenset((perm[i], perm[j])) in edges for i, j in map(tuple, edges))
+    ]
+
+
+def brute_slot_group(pattern, n):
+    """The set of slot permutations of S_n wr Aut(pattern), each a tuple
+    listing the image of every slot, built from vertex maps."""
+    from satblow import BlowupHost
+
+    slots = BlowupHost(pattern, n).slots()
+    index = {
+        frozenset(((x.part, x.index), (y.part, y.index))): k
+        for k, (x, y) in enumerate(slots)
+    }
+    v = pattern.vertex_count
+    rows = set()
+    for aut in brute_automorphisms(pattern):
+        for shuffles in itertools.product(
+            itertools.permutations(range(1, n + 1)), repeat=v
+        ):
+            def image(x):
+                part = aut[x.part - 1] + 1
+                return (part, shuffles[part - 1][x.index - 1])
+
+            rows.add(
+                tuple(index[frozenset((image(x), image(y)))] for x, y in slots)
+            )
+    return rows
+
+
+def brute_is_lex_leader(rows, chosen):
+    """Is the sorted tuple `chosen` no greater than its sorted image under
+    every slot permutation in rows?"""
+    return all(tuple(sorted(g[k] for k in chosen)) >= tuple(chosen) for g in rows)

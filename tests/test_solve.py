@@ -1,10 +1,14 @@
 import itertools
+import random
+import time
 
+import numpy as np
 import pytest
 
 from satblow import (
     BlowupHost,
     PartiteGraph,
+    PartiteVertex,
     PatternGraph,
     clique_exsat_edges,
     greedy_extra_saturate,
@@ -19,7 +23,15 @@ from satblow import (
     star_saturation_edges,
     tree_exsat_edges,
 )
-from oracles import brute_min_exsat, brute_min_sat
+from satblow import solve
+from satblow.formats import parse_pattern
+from oracles import (
+    brute_automorphisms,
+    brute_is_lex_leader,
+    brute_min_exsat,
+    brute_min_sat,
+    brute_slot_group,
+)
 
 
 def _empty(pattern, n):
@@ -164,6 +176,158 @@ def test_isomorph_rejection_changes_nothing(H):
     assert c.witness == d.witness
 
 
+def _group(H, n):
+    return solve._symmetry_group(solve._SlotSystem(BlowupHost(H, n)))
+
+
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.path(3), 2),
+        (PatternGraph.cycle(4), 2),
+        (PatternGraph.star(3), 2),
+        (PatternGraph(4, [(1, 2), (2, 3)]), 2),  # vertex 4 isolated
+        (PatternGraph(3, [(1, 2)]), 2),
+        (PatternGraph.complete(3), 1),
+        (PatternGraph.complete(4), 1),
+        (PatternGraph.path(3), 1),
+        (PatternGraph.complete(2), 1),
+        (PatternGraph(3, [(1, 2)]), 1),
+    ],
+)
+def test_group_table_is_the_symmetry_group(H, n):
+    want = brute_slot_group(H, n)
+    group = _group(H, n)
+    if len(want) == 1:
+        assert group is None
+        return
+    image = group.image
+    assert {tuple(row) for row in image.T.tolist()} == want
+    assert image.shape[1] == len(want)  # no row twice
+    cols = np.arange(image.shape[1])
+    assert (group.preimage[image, cols] == np.arange(image.shape[0])[:, None]).all()
+    assert group.orbit_min == image.min(axis=1).tolist()
+
+
+def test_group_table_past_int16_slot_numbers():
+    # 33 800 slots: only the pattern automorphisms fit the caps
+    H, n = PatternGraph.path(3), 130
+    slots = BlowupHost(H, n).slots()
+    index = {slot: k for k, slot in enumerate(slots)}
+    flip = tuple(
+        index[tuple(sorted(PartiteVertex(4 - w.part, w.index) for w in slot))]
+        for slot in slots
+    )
+    group = _group(H, n)
+    assert group.image.dtype == np.int32
+    assert {tuple(row) for row in group.image.T.tolist()} == {
+        tuple(range(len(slots))),
+        flip,
+    }
+
+
+def _random_lex_leader(rows, L, k, rng):
+    chosen = rng.sample(range(L), k)
+    return min(tuple(sorted(g[x] for x in chosen)) for g in rows)
+
+
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.complete(3), 3),
+        (PatternGraph.path(4), 2),
+        (PatternGraph.cycle(4), 2),
+        (PatternGraph.complete(4), 2),
+        (PatternGraph.star(3), 2),
+        (PatternGraph.complete(3), 5),  # the full group is too big: cyclic shifts
+    ],
+)
+def test_canonical_extensions_match_brute_force(H, n):
+    group = _group(H, n)
+    rows = [tuple(row) for row in group.image.T.tolist()]
+    L = group.image.shape[0]
+    rng = random.Random(L)
+    for trial in range(60):
+        parent = _random_lex_leader(rows, L, rng.randrange(min(L, 9)), rng)
+        exts = list(range(parent[-1] + 1 if parent else 0, L))
+        want = [s for s in exts if brute_is_lex_leader(rows, parent + (s,))]
+        assert solve._canonical_extensions(group, parent, exts) == want, parent
+
+
+def test_child_thresholds_match_brute_force():
+    group = _group(PatternGraph.complete(3), 2)
+    rows = [tuple(row) for row in group.image.T.tolist()]
+    L = len(rows[0])
+    rng = random.Random(3)
+
+    def threshold(g, chosen):
+        held = {g[x] for x in chosen}
+        return next((x for x in chosen if x not in held), L)
+
+    for trial in range(80):
+        parent = _random_lex_leader(rows, L, rng.randrange(L - 1), rng)
+        thresholds = [threshold(g, parent) for g in rows]
+        for s in range(parent[-1] + 1 if parent else 0, L):
+            child = parent + (s,)
+            got = solve._child_thresholds(rows, thresholds, child, L)
+            if brute_is_lex_leader(rows, child):
+                assert got == [threshold(g, child) for g in rows]
+            else:
+                assert got is None
+
+
+@pytest.mark.parametrize(
+    "kind, H, n, value, nodes, witness",
+    [
+        (
+            "sat",
+            PatternGraph.complete(3),
+            2,
+            6,
+            53,
+            "11-21 11-31 12-22 12-32 21-32 22-31",
+        ),
+        (
+            "sat",
+            PatternGraph.cycle(4),
+            2,
+            8,
+            318,
+            "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
+        ),
+        (
+            "exsat",
+            PatternGraph.path(3),
+            3,
+            6,
+            128,
+            "11-21 11-22 11-23 21-31 22-31 23-31",
+        ),
+        (
+            "sat",
+            PatternGraph.complete(4),
+            2,
+            16,
+            38678,
+            "11-21 11-22 11-31 11-41 12-21 12-22 12-32 12-42"
+            " 21-31 21-42 22-32 22-41 31-41 31-42 32-41 32-42",
+        ),
+    ],
+)
+def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
+    """The same canonical sets, hence the same node count and the same
+    least witness, whatever form the lex-leader test takes."""
+    solver = min_sat_exact if kind == "sat" else min_exsat_exact
+    r = solver(H, n)
+    assert (r.value, r.nodes_explored) == (value, nodes)
+    got = " ".join(
+        f"{u.part}{u.index}-{v.part}{v.index}" for u, v in sorted(r.witness.edges)
+    )
+    assert got == witness
+
+
 def test_value_and_witness_ignore_the_greedy_seed():
     H = PatternGraph.complete(3)
     a = min_sat_exact(H, 2, seed=0)
@@ -205,6 +369,14 @@ def test_m_3_3():
 def test_m_4_3():
     result = m_value(4, 3)
     assert result.value == 6
+    assert result.nodes_explored == 622
+    _check_m_witness(result)
+
+
+def test_m_4_4():
+    result = m_value(4, 4)
+    assert result.value == 6
+    assert result.nodes_explored == 387
     _check_m_witness(result)
 
 
@@ -237,8 +409,52 @@ def test_kr_sat_bounds_k4():
     assert kr_sat_bounds(4, 1).upper == 18
 
 
+def test_kr_sat_bounds_cache_respects_max_vertices():
+    kr_sat_bounds(4, 10)
+    capped = kr_sat_bounds(4, 10, max_vertices=5)
+    assert capped.upper is None  # m(4,3) = 6 exceeds the cap
+    assert capped.m_upper.value is None
+    assert capped.lower == 80
+
+
 def test_kr_sat_bounds_validation():
     with pytest.raises(ValueError):
         kr_sat_bounds(3, 5)
     with pytest.raises(ValueError):
         kr_sat_bounds(4, 0)
+
+
+# ---------------------------------------------------------------------------
+# pattern automorphisms
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        PatternGraph.complete(1),
+        PatternGraph.complete(2),
+        PatternGraph.complete(4),
+        PatternGraph.path(4),
+        PatternGraph.cycle(5),
+        PatternGraph.star(3),
+        PatternGraph(4, [(1, 2), (3, 4)]),
+        PatternGraph(5, [(1, 3), (3, 5), (2, 4)]),
+        PatternGraph(4, [(2, 3)]),
+        PatternGraph(6, [(1, 4), (4, 6), (6, 1), (2, 5)]),
+        # a map keeping the breadth-first tree and degrees need not be one
+        PatternGraph(5, [(1, 2), (1, 4), (1, 5), (2, 4), (3, 4), (3, 5)]),
+    ],
+)
+def test_pattern_automorphisms_match_brute_force(H):
+    assert solve._pattern_automorphisms(H) == brute_automorphisms(H)
+
+
+@pytest.mark.parametrize("shape, count", [("path", 2), ("cycle", 20)])
+def test_pattern_automorphisms_of_ten_vertices_are_quick(shape, count):
+    edges = [(i, i + 1) for i in range(1, 10)] + ([(1, 10)] if shape == "cycle" else [])
+    text = f"pattern 10 {len(edges)}\n" + "".join(f"e {i} {j}\n" for i, j in edges)
+    H = parse_pattern(text)
+    start = time.perf_counter()
+    auts = solve._pattern_automorphisms(H)
+    assert time.perf_counter() - start < 0.5
+    assert len(auts) == count
