@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 class PatternGraph:
     """A small simple graph on vertices 1..vertex_count, used as a blow-up pattern."""
 
-    __slots__ = ("vertex_count", "edges", "_adj0", "_prev0")
+    __slots__ = ("vertex_count", "edges", "_adj0", "_plans")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -50,7 +50,10 @@ class PatternGraph:
             adj[i - 1].append(j - 1)
             adj[j - 1].append(i - 1)
         self._adj0 = tuple(tuple(sorted(a)) for a in adj)
-        self._prev0 = tuple(tuple(j for j in a if j < i) for i, a in enumerate(self._adj0))
+        # pinned-search plans, one per pattern edge, keyed p * v + q for both
+        # orientations; filled by _plan on first use, since building all of
+        # them costs O(e * (v + e)) and a scan may stop at its first slot
+        self._plans: dict[int, tuple] = {}
 
     # -- constructors for the usual suspects ---------------------------------
 
@@ -113,6 +116,15 @@ class PatternGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.vertex_count - 1
 
+    def _plan(self, p: int, q: int) -> tuple:
+        """The search plan of pattern edge (p, q), 0-based; see _search_plan."""
+        key = p * self.vertex_count + q
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = _search_plan(self._adj0, min(p, q), max(p, q))
+            self._plans[key] = self._plans[q * self.vertex_count + p] = plan
+        return plan
+
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.vertex_count):
             raise ValueError(f"vertex {v} out of range 1..{self.vertex_count}")
@@ -144,7 +156,7 @@ class BlowupHost:
     bundles along pattern edges.  Carries no edge set of its own; subgraphs
     live in PartiteGraph."""
 
-    __slots__ = ("pattern", "n", "_slots")
+    __slots__ = ("pattern", "n", "_slots", "_ends0")
 
     def __init__(self, pattern: PatternGraph, n: int):
         if n < 1:
@@ -152,6 +164,7 @@ class BlowupHost:
         self.pattern = pattern
         self.n = n
         self._slots: Optional[tuple[Slot, ...]] = None
+        self._ends0: Optional[tuple[tuple[int, int, int, int], ...]] = None
 
     @property
     def total_vertices(self) -> int:
@@ -178,15 +191,25 @@ class BlowupHost:
     def slots(self) -> tuple[Slot, ...]:
         """All edge slots in lexicographic order on (part, index) endpoint pairs."""
         if self._slots is None:
-            out = []
             rng = range(1, self.n + 1)
-            for i, j in self.pattern.edges:
-                for a in rng:
-                    for b in rng:
-                        out.append((PartiteVertex(i, a), PartiteVertex(j, b)))
-            out.sort()
-            self._slots = tuple(out)
+            vertex = [[PartiteVertex(p, a) for a in rng] for p in self.pattern.vertices]
+            self._slots = tuple((vertex[p][a], vertex[q][b]) for p, a, q, b in self.ends0())
         return self._slots
+
+    def ends0(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The slots as 0-based (p, a, q, b) endpoint tuples, in slot order.
+        Generated in that order (p < q), so nothing is sorted."""
+        if self._ends0 is None:
+            adj0, rng = self.pattern._adj0, range(self.n)
+            self._ends0 = tuple(
+                (p, a, q, b)
+                for p in range(len(adj0))
+                for a in rng
+                for q in adj0[p]
+                if q > p
+                for b in rng
+            )
+        return self._ends0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlowupHost):
@@ -309,12 +332,17 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 
 
 # --------------------------------------------------------------------------
-# The copy engine.  Parts are filled in ascending order; the candidate set
-# for a part is the intersection of the bitmask rows of its already-placed
-# neighbors.  `fixed` pins some parts to specific indices and implicitly
-# treats any pattern edge between two fixed parts as carried, which is
-# exactly the "count copies through this slot as if it were present"
+# The copy engine.  Unpinned searches fill parts in ascending order; the
+# candidate set for a part is the intersection of the bitmask rows of its
+# already-placed neighbors.  `fixed` pins some parts to specific indices and
+# implicitly treats any pattern edge between two fixed parts as carried,
+# which is exactly the "count copies through this slot as if it were present"
 # semantics needed for saturation checks.
+#
+# Coverage questions (does adding this slot close a copy?) only ever ask for
+# existence with the two ends of one pattern edge pinned, so they run on a
+# plan compiled once per pattern edge instead: _closes_copy for one slot,
+# first_uncovered_slot for a whole graph.
 # --------------------------------------------------------------------------
 
 
@@ -339,6 +367,10 @@ def _free_parts(v: int, fixed) -> list[int]:
 def _count(pattern: PatternGraph, n: int, masks, fixed=None) -> int:
     v = pattern.vertex_count
     free = _free_parts(v, fixed)
+    pinned = fixed or ()
+    # a free part that no later free part consults is multiplied out, not
+    # enumerated
+    leaf = [not any(q > p and q not in pinned for q in pattern._adj0[p]) for p in free]
     chosen = [-1] * v
 
     def rec(k: int) -> int:
@@ -348,10 +380,8 @@ def _count(pattern: PatternGraph, n: int, masks, fixed=None) -> int:
         cand = _candidates(pattern, n, masks, p, chosen, fixed)
         if not cand:
             return 0
-        if not any(q > p and q not in (fixed or ()) for q in pattern._adj0[p]):
-            # no later free neighbor consults this choice, so just multiply
-            total = rec(k + 1)
-            return total * cand.bit_count()
+        if leaf[k]:
+            return rec(k + 1) * cand.bit_count()
         total = 0
         while cand:
             bit = cand & -cand
@@ -364,30 +394,115 @@ def _count(pattern: PatternGraph, n: int, masks, fixed=None) -> int:
     return rec(0)
 
 
-def _find(pattern: PatternGraph, n: int, masks, fixed=None) -> Optional[tuple[int, ...]]:
+def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
+    """The lexicographically least copy, as 0-based indices by part."""
     v = pattern.vertex_count
-    free = _free_parts(v, fixed)
     chosen = [-1] * v
-    if fixed:
-        for p, a in fixed.items():
-            chosen[p] = a
 
-    def rec(k: int) -> bool:
-        if k == len(free):
+    def rec(p: int) -> bool:
+        if p == v:
             return True
-        p = free[k]
-        cand = _candidates(pattern, n, masks, p, chosen, fixed)
+        cand = _candidates(pattern, n, masks, p, chosen, None)
         while cand:
             bit = cand & -cand
             cand ^= bit
             chosen[p] = bit.bit_length() - 1
-            if rec(k + 1):
+            if rec(p + 1):
                 return True
         chosen[p] = -1
         return False
 
     if rec(0):
         return tuple(chosen)
+    return None
+
+
+def _search_plan(adj0, p: int, q: int) -> tuple[tuple[tuple[int, tuple[int, ...], bool], ...], ...]:
+    """How a search pinned at pattern edge (p, q) places the other parts.
+
+    With p and q pinned, the components of the pattern minus p and q share
+    no edge, so each is searched on its own and a component with no
+    placement ends the search at once.  The plan lists those components,
+    each in breadth-first order from a root: its least neighbour of p, else
+    its least neighbour of q, else its least part.  So every part but a
+    root is bounded by a placed neighbour as soon as it is placed.  A part is a step (part, nbrs, branch): nbrs are the
+    earlier placed neighbour parts, p and q included, whose mask rows bound
+    the part's candidates (the edge p-q counts as carried, so no step checks
+    it), and branch says whether a later step reads this part's index.  A
+    part that no later step reads needs some candidate, not a particular
+    one, so its candidates are not tried in turn."""
+    rank = {p: 0, q: 1}
+    components = []
+    for root in itertools.chain(adj0[p], adj0[q], range(len(adj0))):
+        if root not in rank:
+            rank[root] = len(rank)
+            component = [root]
+            for x in component:  # the list grows as it is read: breadth-first
+                for y in adj0[x]:
+                    if y not in rank:
+                        rank[y] = len(rank)
+                        component.append(y)
+            components.append(component)
+    nbrs = {x: tuple(y for y in adj0[x] if rank[y] < rank[x]) for x in rank}
+    read = {y for ys in nbrs.values() for y in ys}
+    return tuple(tuple((x, nbrs[x], x in read) for x in c) for c in components)
+
+
+def _extend(masks, steps, k: int, chosen: list[int], full: int) -> bool:
+    """Can steps k.. of one plan component be placed, given the indices of
+    the parts already placed in `chosen`?"""
+    while k < len(steps):
+        x, nbrs, branch = steps[k]
+        cand = full
+        for y in nbrs:
+            cand &= masks[y][chosen[y]][x]
+        if not cand:
+            return False
+        k += 1
+        if branch:
+            while cand:
+                bit = cand & -cand
+                chosen[x] = bit.bit_length() - 1
+                if _extend(masks, steps, k, chosen, full):
+                    return True
+                cand ^= bit
+            return False
+    return True
+
+
+def _closes_copy(pattern: PatternGraph, n: int, masks, p: int, a: int, q: int, b: int) -> bool:
+    """Does a partite copy run through slot (p, a)-(q, b), the slot being
+    treated as present?  0-based; p and q must be adjacent in the pattern.
+    Existence only, on the plan of pattern edge (p, q): one index list per
+    call and nothing per search node."""
+    chosen = [0] * pattern.vertex_count
+    chosen[p] = a
+    chosen[q] = b
+    full = (1 << n) - 1
+    for steps in pattern._plan(p, q):
+        if not _extend(masks, steps, 0, chosen, full):
+            return False
+    return True
+
+
+def first_uncovered_slot(pattern: PatternGraph, n: int, masks, ends0) -> Optional[int]:
+    """The first k such that slot ends0[k] is not an edge (its mask bit is
+    clear) and closes no copy when added, or None if every non-edge closes
+    one.  ends0 holds 0-based (p, a, q, b) slots; with host.ends0() the
+    answer indexes host.slots(), so the slot found is the lex-least one.
+    Saturation and extra-saturation verdicts and the exact search's
+    coverage test are all this one scan."""
+    full = (1 << n) - 1
+    chosen = [0] * pattern.vertex_count
+    plan = pattern._plan
+    for k, (p, a, q, b) in enumerate(ends0):
+        if masks[p][a][q] >> b & 1:
+            continue
+        chosen[p] = a
+        chosen[q] = b
+        for steps in plan(p, q):
+            if not _extend(masks, steps, 0, chosen, full):
+                return k
     return None
 
 
@@ -422,24 +537,25 @@ def selection_carries_pattern(G: PartiteGraph, sel: PartiteSelection) -> bool:
     return True
 
 
-def _through_fixed(G: PartiteGraph, u, v) -> dict[int, int]:
+def _through_ends(G: PartiteGraph, u, v) -> tuple[int, int, int, int]:
     u = PartiteVertex(*u)
     v = PartiteVertex(*v)
     if not G.host.is_allowed_slot(u, v):
         raise ValueError(f"{u}-{v} is not an allowed slot of this host")
-    return {u.part - 1: u.index - 1, v.part - 1: v.index - 1}
+    return u.part - 1, u.index - 1, v.part - 1, v.index - 1
 
 
 def count_copies_through(G: PartiteGraph, u, v) -> int:
     """Copies that would run through slot (u, v), with that slot treated as
     present whether or not it is an edge of G.  On a non-edge this equals the
     copy-count increase caused by adding it."""
-    return _count(G.host.pattern, G.host.n, G._masks, _through_fixed(G, u, v))
+    p, a, q, b = _through_ends(G, u, v)
+    return _count(G.host.pattern, G.host.n, G._masks, {p: a, q: b})
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:
     """Existence version of count_copies_through, short-circuiting."""
-    return _find(G.host.pattern, G.host.n, G._masks, _through_fixed(G, u, v)) is not None
+    return _closes_copy(G.host.pattern, G.host.n, G._masks, *_through_ends(G, u, v))
 
 
 # --------------------------------------------------------------------------

@@ -61,7 +61,8 @@ from .core import (
     PartiteVertex,
     PatternGraph,
     _build_masks,
-    _find,
+    _closes_copy,
+    first_uncovered_slot,
     has_partite_copy,
     is_two_connected,
 )
@@ -77,17 +78,17 @@ def _greedy_fill(G: PartiteGraph, seed: int) -> PartiteGraph:
     copies), so a single pass reaches the fixpoint."""
     host = G.host
     pattern, n = host.pattern, host.n
-    rng = random.Random(seed)
-    candidates = list(G.allowed_non_edges())
-    rng.shuffle(candidates)
+    slots, ends0 = host.slots(), host.ends0()
     masks = [[list(row) for row in part] for part in G._masks]
+    candidates = [k for k, (p, a, q, b) in enumerate(ends0) if not masks[p][a][q] >> b & 1]
+    random.Random(seed).shuffle(candidates)
     edges = set(G.edges)
-    for u, v in candidates:
-        p, a, q, b = u.part - 1, u.index - 1, v.part - 1, v.index - 1
-        if _find(pattern, n, masks, {p: a, q: b}) is None:
+    for k in candidates:
+        p, a, q, b = ends0[k]
+        if not _closes_copy(pattern, n, masks, p, a, q, b):
             masks[p][a][q] |= 1 << b
             masks[q][b][p] |= 1 << a
-            edges.add((u, v))
+            edges.add(slots[k])
     return PartiteGraph(host, edges)
 
 
@@ -136,9 +137,7 @@ class _SlotSystem:
         self.n = n
         self.slots = host.slots()
         self.L = len(self.slots)
-        self.ends0 = tuple(
-            (x.part - 1, x.index - 1, y.part - 1, y.index - 1) for x, y in self.slots
-        )
+        self.ends0 = host.ends0()
         # vertices that may never end up isolated, and the slot index after
         # which each vertex's adjacency is settled for good
         needy_parts = {p for p in range(v) if len(pattern._adj0[p]) >= 2}
@@ -376,19 +375,6 @@ def _canonical_extensions(
     return [s for s, r in zip(exts, rejected.tolist()) if not r]
 
 
-def _covers_every_non_edge(sys: _SlotSystem, chosen: set[int], masks) -> bool:
-    """Does every unused slot close a copy when added?  This is saturation
-    when the graph is free and extra-saturation in general."""
-    pattern, n = sys.pattern, sys.n
-    for k in range(sys.L):
-        if k in chosen:
-            continue
-        p, a, q, b = sys.ends0[k]
-        if _find(pattern, n, masks, {p: a, q: b}) is None:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact search.
@@ -449,7 +435,7 @@ def _exact_minimum(
             exts: list[int] = []
             for s in range(top + 1, sys_.L):
                 p, a, q, b = sys_.ends0[s]
-                if not require_free or _find(pattern, n, masks, {p: a, q: b}) is None:
+                if not require_free or not _closes_copy(pattern, n, masks, p, a, q, b):
                     exts.append(s)
                 # slots at or below s are now settled for every later
                 # extension; a needy vertex left isolated there kills them all
@@ -462,7 +448,7 @@ def _exact_minimum(
                     p, a, q, b = sys_.ends0[s]
                     masks[p][a][q] |= 1 << b
                     masks[q][b][p] |= 1 << a
-                    good = _covers_every_non_edge(sys_, set(child), masks)
+                    good = first_uncovered_slot(pattern, n, masks, sys_.ends0) is None
                     masks[p][a][q] &= ~(1 << b)
                     masks[q][b][p] &= ~(1 << a)
                     if good:

@@ -2,12 +2,19 @@
 
 A subgraph G of H[n] is partite-saturated when it has no partite copy of H
 but adding any allowed non-edge creates one, and extra-saturated when adding
-any allowed non-edge strictly increases the copy count.  Both scans localize
-the effect of an added slot: since a new copy must run through the new edge,
-it suffices to search for copies with both endpoints of that slot pinned.
+any allowed non-edge strictly increases the copy count.  Both verdicts
+localize the effect of an added slot: since a new copy must run through the
+new edge, it suffices to search for copies with both endpoints of that slot
+pinned.  So both are one question, "does every non-edge close a copy?", and
+both ask it of core.first_uncovered_slot, the scan that greedy fill and the
+exact search share.  It runs an existence search compiled once per pattern
+edge, and it never counts.
 
-Verdicts are deterministic.  Non-edges are scanned in lexicographic order,
-so a failing verdict always carries the least witness.
+Verdicts are deterministic.  The scan walks host.ends0(), which lists the
+slots in the order of host.slots(): lexicographic on (part, index) endpoint
+pairs.  It skips the edges of G, so the first slot it reports is the least
+non-edge that closes no copy, and a failing verdict always carries that
+witness.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from .core import (
     PartiteVertex,
     PatternGraph,
     count_partite_copies,
-    creates_copy_through,
     degree,
     find_partite_copy,
+    first_uncovered_slot,
     min_degree_per_part,
 )
 
@@ -64,14 +71,20 @@ def is_partite_free(G: PartiteGraph) -> Verdict:
     return Verdict(VerdictStatus.NOT_FREE, witness=copy)
 
 
+def _first_uncovered_non_edge(G: PartiteGraph) -> Optional[NonEdge]:
+    host = G.host
+    k = first_uncovered_slot(host.pattern, host.n, G._masks, host.ends0())
+    return None if k is None else host.slots()[k]
+
+
 def is_partite_saturated(G: PartiteGraph) -> Verdict:
     """OK iff G is partite-free and every allowed non-edge closes a copy."""
     free = is_partite_free(G)
     if not free.ok:
         return free
-    for u, v in G.allowed_non_edges():
-        if not creates_copy_through(G, u, v):
-            return Verdict(VerdictStatus.NOT_SATURATED, witness=(u, v), baseline_count=0)
+    witness = _first_uncovered_non_edge(G)
+    if witness is not None:
+        return Verdict(VerdictStatus.NOT_SATURATED, witness=witness, baseline_count=0)
     return Verdict(VerdictStatus.OK, baseline_count=0)
 
 
@@ -82,11 +95,11 @@ def is_extra_saturated(G: PartiteGraph) -> Verdict:
     increase equals the number of copies pinned at its two endpoints.
     """
     baseline = count_partite_copies(G)
-    for u, v in G.allowed_non_edges():
-        if not creates_copy_through(G, u, v):
-            return Verdict(
-                VerdictStatus.NOT_EXTRA_SATURATED, witness=(u, v), baseline_count=baseline
-            )
+    witness = _first_uncovered_non_edge(G)
+    if witness is not None:
+        return Verdict(
+            VerdictStatus.NOT_EXTRA_SATURATED, witness=witness, baseline_count=baseline
+        )
     return Verdict(VerdictStatus.OK, baseline_count=baseline)
 
 

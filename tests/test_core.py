@@ -22,6 +22,7 @@ from satblow import (
     min_degree_per_part,
     selection_carries_pattern,
 )
+from satblow.core import _closes_copy
 from oracles import brute_count, brute_count_through
 
 
@@ -192,6 +193,70 @@ def test_find_has_and_carry_agree(G):
     assert (count_partite_copies(G) > 0) == (copy is not None)
     if copy is not None:
         assert selection_carries_pattern(G, copy)
+
+
+# The patterns the pinned search is checked on: K2 (an empty plan), paths,
+# a cycle, a clique, a star, an isolated part, and two components.
+PINNED_PATTERNS = [
+    PatternGraph.complete(2),
+    PatternGraph.path(3),
+    PatternGraph.path(4),
+    PatternGraph.cycle(4),
+    PatternGraph.complete(4),
+    PatternGraph.star(3),
+    PatternGraph(4, [(1, 2), (2, 3), (1, 3)]),
+    PatternGraph(5, [(1, 2), (3, 4), (4, 5)]),
+]
+
+
+@st.composite
+def pinned_graphs(draw):
+    pattern = draw(st.sampled_from(PINNED_PATTERNS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    host = BlowupHost(pattern, n)
+    chosen = draw(
+        st.lists(st.sampled_from(host.slots()), unique=True, max_size=len(host.slots()))
+    )
+    return PartiteGraph(host, chosen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pinned_graphs())
+def test_closes_copy_matches_brute_force_on_every_slot(G):
+    host = G.host
+    for (u, v), (p, a, q, b) in zip(host.slots(), host.ends0()):
+        want = brute_count_through(G, u, v) > 0
+        assert _closes_copy(host.pattern, host.n, G._masks, p, a, q, b) == want
+        assert _closes_copy(host.pattern, host.n, G._masks, q, b, p, a) == want
+
+
+@pytest.mark.parametrize("H", PINNED_PATTERNS, ids=repr)
+def test_search_plans_place_every_part_and_check_every_edge_once(H):
+    for i, j in H.edges:
+        p, q = i - 1, j - 1
+        plan = H._plan(p, q)
+        assert H._plan(q, p) is plan
+        assert all(plan)  # no empty component, so K2's plan is empty
+        steps = [step for component in plan for step in component]
+        assert sorted(x for x, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
+        placed = {p, q}
+        checked = set()
+        for component in plan:
+            for x, nbrs, branch in component:
+                assert set(nbrs) <= placed and set(nbrs) == placed & set(H._adj0[x])
+                checked |= {frozenset((x, y)) for y in nbrs}
+                placed.add(x)
+        assert checked | {frozenset((p, q))} == {frozenset((a - 1, b - 1)) for a, b in H.edges}
+        for k, (x, _, branch) in enumerate(steps):
+            assert branch == any(x in nbrs for _, nbrs, _ in steps[k + 1 :])
+
+
+def test_host_ends0_follow_the_slots():
+    host = BlowupHost(PatternGraph(4, [(3, 4), (1, 3), (1, 2)]), 2)
+    assert host.slots() == tuple(sorted(host.slots()))
+    assert host.ends0() == tuple(
+        (u.part - 1, u.index - 1, v.part - 1, v.index - 1) for u, v in host.slots()
+    )
 
 
 def test_find_returns_least_selection():

@@ -75,6 +75,69 @@ def test_greedy_extends_its_input():
     assert set(seedling.edges) <= set(G.edges)
 
 
+def _edge_string(G):
+    return " ".join(f"{u.part}{u.index}-{v.part}{v.index}" for u, v in sorted(G.edges))
+
+
+@pytest.mark.parametrize(
+    "kind, H, n, seed, edges",
+    [
+        (
+            "sat",
+            PatternGraph.complete(3),
+            3,
+            0,
+            "11-21 11-23 11-31 11-33 12-22 12-32 13-21 13-23 13-31 13-33"
+            " 21-32 22-31 22-33 23-32",
+        ),
+        (
+            "sat",
+            PatternGraph.path(4),
+            3,
+            7,
+            "11-22 11-23 12-22 12-23 13-22 13-23 21-31 21-32 21-33"
+            " 31-41 31-42 31-43 32-41 32-42 32-43 33-41 33-42 33-43",
+        ),
+        (
+            "sat",
+            PatternGraph.cycle(4),
+            2,
+            1,
+            "11-21 11-22 11-41 11-42 12-21 12-22 12-41 12-42 21-31 22-31 32-41 32-42",
+        ),
+        ("sat", PatternGraph(4, [(1, 2), (2, 3)]), 2, 4, "11-22 12-22 21-31 21-32"),
+        (
+            "exsat",
+            PatternGraph.star(3),
+            2,
+            5,
+            "11-21 11-22 11-31 11-32 12-21 12-22 12-41 12-42",
+        ),
+        (
+            "exsat",
+            PatternGraph.path(3),
+            4,
+            3,
+            "11-21 11-22 12-21 12-22 13-21 13-22 14-21 14-22"
+            " 23-31 23-32 23-33 23-34 24-31 24-32 24-33 24-34",
+        ),
+        (
+            "exsat",
+            PatternGraph.complete(3),
+            3,
+            11,
+            "11-21 11-22 11-23 11-31 12-31 12-32 12-33 13-21 13-22 13-23 13-31"
+            " 21-32 21-33 22-32 22-33 23-32 23-33",
+        ),
+    ],
+)
+def test_greedy_graphs_are_pinned(kind, H, n, seed, edges):
+    """The exact search's upper bound is the edge set greedy fill builds
+    for a seed, so these edge sets must not drift."""
+    greedy = greedy_saturate if kind == "sat" else greedy_extra_saturate
+    assert _edge_string(greedy(_empty(H, n), seed)) == edges
+
+
 def test_greedy_fixpoint_on_saturated_input():
     G = greedy_saturate(_empty(PatternGraph.complete(3), 2), 0)
     assert greedy_saturate(G, 123) == G

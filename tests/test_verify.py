@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satblow import (
     BlowupHost,
     PartiteGraph,
     PartiteSelection,
     PatternGraph,
+    Verdict,
     VerdictStatus,
     all_applicable_pass,
     blow_up,
@@ -16,6 +19,7 @@ from satblow import (
     is_extra_saturated,
     is_partite_free,
     is_partite_saturated,
+    greedy_extra_saturate,
     k4_construction,
     selection_carries_pattern,
     star_construction,
@@ -85,6 +89,58 @@ def test_extra_saturated_tolerates_copies():
     G = clique_exsat_construction(3, 3)
     verdict = is_extra_saturated(G)
     assert verdict.ok and verdict.baseline_count >= 1
+
+
+VERDICT_PATTERNS = [
+    PatternGraph.complete(2),
+    PatternGraph.path(3),
+    PatternGraph.path(4),
+    PatternGraph.cycle(4),
+    PatternGraph.complete(4),
+    PatternGraph.star(3),
+    PatternGraph(4, [(1, 2), (2, 3), (1, 3)]),
+]
+
+
+@st.composite
+def verdict_graphs(draw):
+    """Random subgraphs, some grown by greedy fill until every non-edge
+    closes a copy, some of those with one edge taken out again, so that
+    both verdicts meet ok, not-free and failing inputs."""
+    pattern = draw(st.sampled_from(VERDICT_PATTERNS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    host = BlowupHost(pattern, n)
+    slots = host.slots()
+    G = PartiteGraph(host, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
+    mode = draw(st.sampled_from(["raw", "filled", "filled minus one"]))
+    if mode != "raw":
+        G = greedy_extra_saturate(G, draw(st.integers(0, 99)))
+    if mode == "filled minus one" and G.edges:
+        G = G.without_edge(*draw(st.sampled_from(G.sorted_edges())))
+    return G
+
+
+def _verdict_slot_by_slot(G, saturation):
+    """Both verdicts written out as a loop over the non-edges in order, each
+    asked through the public per-slot creates_copy_through."""
+    if saturation:
+        free = is_partite_free(G)
+        if not free.ok:
+            return free
+        baseline, failing = 0, VerdictStatus.NOT_SATURATED
+    else:
+        baseline, failing = count_partite_copies(G), VerdictStatus.NOT_EXTRA_SATURATED
+    for u, v in G.allowed_non_edges():
+        if not creates_copy_through(G, u, v):
+            return Verdict(failing, witness=(u, v), baseline_count=baseline)
+    return Verdict(VerdictStatus.OK, baseline_count=baseline)
+
+
+@settings(max_examples=120, deadline=None)
+@given(verdict_graphs())
+def test_verdicts_match_the_slot_by_slot_scan(G):
+    assert is_partite_saturated(G) == _verdict_slot_by_slot(G, True)
+    assert is_extra_saturated(G) == _verdict_slot_by_slot(G, False)
 
 
 def test_localization_identity_on_a_fixed_graph():
