@@ -264,11 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, verify and exactly solve partite saturation "
         "problems in blown-up pattern graphs.",
     )
-    default_threads = int(os.environ.get("SATBLOW_THREADS", "1"))
     parser.add_argument(
         "--threads",
         type=int,
-        default=default_threads,
         help="reserved for future use; execution is single threaded "
         "(default from SATBLOW_THREADS, else 1)",
     )
@@ -355,6 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        env = os.environ.get("SATBLOW_THREADS", "1")
+        try:
+            args.threads = int(env)
+        except ValueError:
+            print(f"error: SATBLOW_THREADS must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2

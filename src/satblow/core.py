@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 class PatternGraph:
     """A small simple graph on vertices 1..vertex_count, used as a blow-up pattern."""
 
-    __slots__ = ("vertex_count", "edges", "_adj0", "_plans")
+    __slots__ = ("vertex_count", "edges", "_adj0", "_plans", "_count_plans")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -54,6 +54,8 @@ class PatternGraph:
         # orientations; filled by _plan on first use, since building all of
         # them costs O(e * (v + e)) and a scan may stop at its first slot
         self._plans: dict[int, tuple] = {}
+        # the same plans with the memo keys counting needs; see _count_plan
+        self._count_plans: dict[int, tuple] = {}
 
     # -- constructors for the usual suspects ---------------------------------
 
@@ -123,6 +125,15 @@ class PatternGraph:
         if plan is None:
             plan = _search_plan(self._adj0, min(p, q), max(p, q))
             self._plans[key] = self._plans[q * self.vertex_count + p] = plan
+        return plan
+
+    def _count_plan(self, p: int, q: int) -> tuple:
+        """The counting plan of pattern edge (p, q), 0-based; see _counting_steps."""
+        key = p * self.vertex_count + q
+        plan = self._count_plans.get(key)
+        if plan is None:
+            plan = tuple(_counting_steps(steps) for steps in self._plan(p, q))
+            self._count_plans[key] = self._count_plans[q * self.vertex_count + p] = plan
         return plan
 
     def _check_vertex(self, v: int) -> None:
@@ -332,83 +343,54 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 
 
 # --------------------------------------------------------------------------
-# The copy engine.  Unpinned searches fill parts in ascending order; the
-# candidate set for a part is the intersection of the bitmask rows of its
-# already-placed neighbors.  `fixed` pins some parts to specific indices and
-# implicitly treats any pattern edge between two fixed parts as carried,
-# which is exactly the "count copies through this slot as if it were present"
-# semantics needed for saturation checks.
+# The copy engine.  Every question but one is answered on a plan compiled once
+# per pattern edge (p, q): the other parts, split into the components of the
+# pattern minus p and q, each in breadth-first order (_search_plan).
 #
-# Coverage questions (does adding this slot close a copy?) only ever ask for
-# existence with the two ends of one pattern edge pinned, so they run on a
-# plan compiled once per pattern edge instead: _closes_copy for one slot,
-# first_uncovered_slot for a whole graph.
+# Existence, with the two ends of one slot pinned (does adding this slot close
+# a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
+# Counting, pinned the same way (count_copies_through): the product of the
+# counts of the plan's components, each counted by _tally.  An unpinned count
+# is the sum of pinned counts over the present slots of one bundle, since
+# every copy uses exactly one slot of each bundle.
+#
+# The one exception is the unpinned lex-least copy (_find), which fills parts
+# in ascending order so that the first copy it meets is the least.
 # --------------------------------------------------------------------------
 
 
-def _candidates(pattern: PatternGraph, n: int, masks, part0: int, chosen, fixed) -> int:
+def _candidates(pattern: PatternGraph, n: int, masks, part0: int, chosen) -> int:
+    """Indices of part0 adjacent to the chosen index of every lower neighbour part."""
     cand = (1 << n) - 1
     for q in pattern._adj0[part0]:
-        if fixed is not None and q in fixed:
-            cand &= masks[q][fixed[q]][part0]
-        elif q < part0 and chosen[q] >= 0 and (fixed is None or q not in fixed):
-            cand &= masks[q][chosen[q]][part0]
+        if q > part0:
+            break
+        cand &= masks[q][chosen[q]][part0]
         if not cand:
             break
     return cand
 
 
-def _free_parts(v: int, fixed) -> list[int]:
-    if fixed is None:
-        return list(range(v))
-    return [p for p in range(v) if p not in fixed]
-
-
-def _count(pattern: PatternGraph, n: int, masks, fixed=None) -> int:
-    v = pattern.vertex_count
-    free = _free_parts(v, fixed)
-    pinned = fixed or ()
-    # a free part that no later free part consults is multiplied out, not
-    # enumerated
-    leaf = [not any(q > p and q not in pinned for q in pattern._adj0[p]) for p in free]
-    chosen = [-1] * v
-
-    def rec(k: int) -> int:
-        if k == len(free):
-            return 1
-        p = free[k]
-        cand = _candidates(pattern, n, masks, p, chosen, fixed)
-        if not cand:
-            return 0
-        if leaf[k]:
-            return rec(k + 1) * cand.bit_count()
-        total = 0
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            chosen[p] = bit.bit_length() - 1
-            total += rec(k + 1)
-        chosen[p] = -1
-        return total
-
-    return rec(0)
-
-
 def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
     """The lexicographically least copy, as 0-based indices by part."""
     v = pattern.vertex_count
+    # a part that no later part reads needs some candidate, not a particular
+    # one: if its least candidate leads nowhere, none does
+    unread = [all(q < p for q in pattern._adj0[p]) for p in range(v)]
     chosen = [-1] * v
 
     def rec(p: int) -> bool:
         if p == v:
             return True
-        cand = _candidates(pattern, n, masks, p, chosen, None)
+        cand = _candidates(pattern, n, masks, p, chosen)
         while cand:
             bit = cand & -cand
             cand ^= bit
             chosen[p] = bit.bit_length() - 1
             if rec(p + 1):
                 return True
+            if unread[p]:
+                break
         chosen[p] = -1
         return False
 
@@ -506,9 +488,101 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, ends0) -> Optiona
     return None
 
 
+def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]:
+    """One component of a search plan as _tally reads it: each step
+    (part, nbrs, branch) gains a memo key, the free part whose index alone
+    decides how many ways this step and the later ones can be placed, or -1.
+
+    Those placements depend on the free parts placed before the step that it
+    or a later step reads (p and q are fixed for a whole count).  When that
+    is one part y, the count of the suffix is a function of y's index and is
+    remembered by it.  Only branching steps get a key, and only after at
+    least two branching steps, y and another: otherwise each index of y
+    reaches the step once and the memo could never hit."""
+    last = {y: k for k, (_, nbrs, _) in enumerate(steps) for y in nbrs}
+    live: set[int] = set()  # free parts placed so far that a later step reads
+    branching = 0
+    out = []
+    for k, (x, nbrs, branch) in enumerate(steps):
+        key = next(iter(live)) if branch and len(live) == 1 and branching > 1 else -1
+        out.append((x, nbrs, branch, key))
+        live.difference_update(y for y in nbrs if last[y] == k)
+        if branch:
+            live.add(x)
+            branching += 1
+    return tuple(out)
+
+
+def _tally(masks, steps, k: int, chosen: list[int], full: int, memo: dict) -> int:
+    """In how many ways can steps k.. of one counting-plan component be
+    placed, given the indices of the parts already placed in `chosen`?
+    A step that no later step reads is multiplied out by its candidate count,
+    not enumerated.  `memo` belongs to one count and maps a keyed step and
+    its key part's index to the result (see _counting_steps)."""
+    total = 1
+    while k < len(steps):
+        x, nbrs, branch, key = steps[k]
+        if key >= 0:
+            token = chosen[key] * len(steps) + k
+            known = memo.get(token)
+            if known is not None:
+                return total * known
+        cand = full
+        for y in nbrs:
+            cand &= masks[y][chosen[y]][x]
+        if not cand:
+            return 0
+        k += 1
+        if branch:
+            ways = 0
+            while cand:
+                bit = cand & -cand
+                chosen[x] = bit.bit_length() - 1
+                ways += _tally(masks, steps, k, chosen, full, memo)
+                cand ^= bit
+            if key >= 0:
+                memo[token] = ways
+            return total * ways
+        total *= cand.bit_count()
+    return total
+
+
+def _through(masks, plan, chosen: list[int], full: int) -> int:
+    """Copies through the pinned slot in `chosen`: the product of the
+    counts of the plan's components, which share no edge."""
+    total = 1
+    for steps in plan:
+        total *= _tally(masks, steps, 0, chosen, full, {})
+        if not total:
+            return 0
+    return total
+
+
 def count_partite_copies(G: PartiteGraph) -> int:
     """Exact number of partite copies of the pattern inside G."""
-    return _count(G.host.pattern, G.host.n, G._masks)
+    pattern, n, masks = G.host.pattern, G.host.n, G._masks
+    if not pattern.edges:
+        return n ** pattern.vertex_count
+    # every copy uses exactly one slot of each bundle, so the through-counts
+    # of the present slots of any one bundle sum to the total; the sparsest
+    # bundle has the fewest slots to pin
+    p, q = min(
+        ((i - 1, j - 1) for i, j in sorted(pattern.edges)),
+        key=lambda e: sum(row[e[1]].bit_count() for row in masks[e[0]]),
+    )
+    plan = pattern._count_plan(p, q)
+    chosen = [0] * pattern.vertex_count
+    full = (1 << n) - 1
+    total = 0
+    for a, row in enumerate(masks[p]):
+        chosen[p] = a
+        bits = row[q]
+        while bits:
+            bit = bits & -bits
+            chosen[q] = bit.bit_length() - 1
+            total += _through(masks, plan, chosen, full)
+            bits ^= bit
+    return total
 
 
 def has_partite_copy(G: PartiteGraph) -> bool:
@@ -550,7 +624,10 @@ def count_copies_through(G: PartiteGraph, u, v) -> int:
     present whether or not it is an edge of G.  On a non-edge this equals the
     copy-count increase caused by adding it."""
     p, a, q, b = _through_ends(G, u, v)
-    return _count(G.host.pattern, G.host.n, G._masks, {p: a, q: b})
+    chosen = [0] * G.host.pattern.vertex_count
+    chosen[p] = a
+    chosen[q] = b
+    return _through(G._masks, G.host.pattern._count_plan(p, q), chosen, (1 << G.host.n) - 1)
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:

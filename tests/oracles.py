@@ -30,6 +30,15 @@ def brute_count(G):
     return sum(1 for combo in all_selections(pattern, n) if selection_carries(G, combo))
 
 
+def brute_find(G):
+    """The lexicographically least carrying selection, as 1-based indices by
+    part, or None."""
+    return next(
+        (combo for combo in all_selections(G.host.pattern, G.host.n) if selection_carries(G, combo)),
+        None,
+    )
+
+
 def brute_count_through(G, u, v):
     """Copies through the slot u-v, the slot being treated as present."""
     present = G if G.has_edge(u, v) else G.with_edge(u, v)

@@ -197,6 +197,15 @@ def test_threads_env_default(capsys, monkeypatch):
     assert code == 2
 
 
+def test_malformed_threads_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SATBLOW_THREADS", "abc")
+    code, out, err = run_cli(capsys, "table", "k4", "--n-range", "3:3")
+    assert code == 2 and out == ""
+    assert err == "error: SATBLOW_THREADS must be an integer, got 'abc'\n"
+    code, doc, _ = run_json(capsys, "--threads", "2", "table", "k4", "--n-range", "3:3")
+    assert code == 0 and doc["rows"][0]["edges"] == 33
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "satblow.cli", "mvalue", "-r", "3", "-s", "3"],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from satblow import (
     selection_carries_pattern,
 )
 from satblow.core import _closes_copy
-from oracles import brute_count, brute_count_through
+from oracles import brute_count, brute_count_through, brute_find
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,13 @@ def test_adding_any_slot_never_loses_copies(G, data):
     assert after - before == count_copies_through(G, u, v)
 
 
+@settings(max_examples=80, deadline=None)
+@given(pattern_graphs())
+def test_find_returns_the_lex_least_copy(G):
+    copy = find_partite_copy(G)
+    assert (None if copy is None else copy.indices) == brute_find(G)
+
+
 @settings(max_examples=60, deadline=None)
 @given(pattern_graphs())
 def test_find_has_and_carry_agree(G):
@@ -195,8 +203,18 @@ def test_find_has_and_carry_agree(G):
         assert selection_carries_pattern(G, copy)
 
 
+# The six-part path and cycle have counting steps remembered by one earlier
+# part's index; the spider with legs 2, 2, 1 and the 4-cycle with a pendant
+# path have steps whose count depends on two earlier parts.
+SIX_PART_PATTERNS = [
+    PatternGraph.path(6),
+    PatternGraph.cycle(6),
+    PatternGraph(6, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)]),
+    PatternGraph(6, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6)]),
+]
+
 # The patterns the pinned search is checked on: K2 (an empty plan), paths,
-# a cycle, a clique, a star, an isolated part, and two components.
+# a cycle, a clique, a star, an isolated part, two components, and the above.
 PINNED_PATTERNS = [
     PatternGraph.complete(2),
     PatternGraph.path(3),
@@ -206,6 +224,7 @@ PINNED_PATTERNS = [
     PatternGraph.star(3),
     PatternGraph(4, [(1, 2), (2, 3), (1, 3)]),
     PatternGraph(5, [(1, 2), (3, 4), (4, 5)]),
+    *SIX_PART_PATTERNS,
 ]
 
 
@@ -228,6 +247,86 @@ def test_closes_copy_matches_brute_force_on_every_slot(G):
         want = brute_count_through(G, u, v) > 0
         assert _closes_copy(host.pattern, host.n, G._masks, p, a, q, b) == want
         assert _closes_copy(host.pattern, host.n, G._masks, q, b, p, a) == want
+
+
+@st.composite
+def dense_pinned_graphs(draw):
+    """Like pinned_graphs, but each slot is kept with probability 1/2 by a
+    seeded generator, so graphs are about half full and counts vary from
+    slot to slot (hypothesis-drawn slot lists are mostly short)."""
+    pattern = draw(st.sampled_from(PINNED_PATTERNS))
+    n = draw(st.integers(min_value=1, max_value=3))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    host = BlowupHost(pattern, n)
+    return PartiteGraph(host, [s for s in host.slots() if rng.random() < 0.5])
+
+
+def assert_through_counts_match_brute_force(G):
+    for u, v in G.host.slots():
+        want = brute_count_through(G, u, v)
+        assert count_copies_through(G, u, v) == want
+        assert count_copies_through(G, v, u) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_pinned_graphs())
+def test_count_through_matches_brute_force_on_every_slot(G):
+    assert_through_counts_match_brute_force(G)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("H", SIX_PART_PATTERNS, ids=repr)
+def test_count_through_on_half_full_six_part_graphs(H, seed):
+    # where the memo and the two-part dependences are: at n = 3 every one of
+    # them is met on every slot of an edge, not just on some drawn graphs
+    rng = random.Random(seed)
+    host = BlowupHost(H, 3)
+    assert_through_counts_match_brute_force(
+        PartiteGraph(host, [s for s in host.slots() if rng.random() < 0.5])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_pinned_graphs())
+def test_count_matches_brute_force_on_pinned_patterns(G):
+    assert count_partite_copies(G) == brute_count(G)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_of_an_edgeless_pattern_is_every_selection(n):
+    G = PartiteGraph(BlowupHost(PatternGraph(3, []), n))
+    assert count_partite_copies(G) == n ** 3 == brute_count(G)
+
+
+class _CountingMasks:
+    """Mask rows that count how often a search reads one."""
+
+    def __init__(self, masks):
+        self.masks, self.reads = masks, 0
+
+    def __getitem__(self, part):
+        self.reads += 1
+        return self.masks[part]
+
+
+@pytest.mark.parametrize(
+    "H, p, q",
+    [
+        # pinned at parts 2 and 3, parts 5 and 6 are read by no later step:
+        # multiplied out
+        (SIX_PART_PATTERNS[2], 2, 3),
+        # pinned at parts 1 and 2, the count from part 5 on depends on
+        # part 4's index alone: remembered by it
+        (SIX_PART_PATTERNS[0], 1, 2),
+    ],
+)
+def test_pinned_count_reads_polynomially_many_rows(H, p, q):
+    n = 6
+    G = blow_up(H, n)
+    G._masks = masks = _CountingMasks(G._masks)
+    assert count_copies_through(G, (p, 1), (q, 1)) == n ** (H.vertex_count - 2)
+    # trying every index of the last three placed parts in turn reads > n^3 rows
+    assert masks.reads < n ** 3
 
 
 @pytest.mark.parametrize("H", PINNED_PATTERNS, ids=repr)
