@@ -170,6 +170,7 @@ def _cmd_solve(args) -> int:
             "pattern": args.pattern,
             "n": args.n,
             "value": "UNKNOWN" if result.value is None else result.value,
+            "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
             "nodes": result.nodes_explored,
             "elapsed": round(result.elapsed, 3),

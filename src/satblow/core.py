@@ -21,6 +21,7 @@ construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -124,6 +125,8 @@ class PatternGraph:
         plan = self._plans.get(key)
         if plan is None:
             plan = _search_plan(self._adj0, min(p, q), max(p, q))
+            # _extend and _tally nest one call per branching step
+            _check_depth(1 + max((sum(step[2] for step in steps) for steps in plan), default=0))
             self._plans[key] = self._plans[q * self.vertex_count + p] = plan
         return plan
 
@@ -359,6 +362,22 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # --------------------------------------------------------------------------
 
 
+# Frames left below the interpreter's recursion limit for the callers of a
+# copy search: the command line, a test runner, a benchmark harness.
+_STACK_RESERVE = 200
+
+
+def _check_depth(depth: int) -> None:
+    """The copy searches recurse once per branching part: refuse, before
+    starting, a pattern that would nest deeper than the interpreter allows."""
+    limit = sys.getrecursionlimit() - _STACK_RESERVE
+    if depth > limit:
+        raise ValueError(
+            f"the copy search for this pattern nests {depth} calls deep, "
+            f"over the {limit} this interpreter allows"
+        )
+
+
 def _candidates(pattern: PatternGraph, n: int, masks, part0: int, chosen) -> int:
     """Indices of part0 adjacent to the chosen index of every lower neighbour part."""
     cand = (1 << n) - 1
@@ -374,6 +393,7 @@ def _candidates(pattern: PatternGraph, n: int, masks, part0: int, chosen) -> int
 def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
     """The lexicographically least copy, as 0-based indices by part."""
     v = pattern.vertex_count
+    _check_depth(v + 1)  # rec nests once per part
     # a part that no later part reads needs some candidate, not a particular
     # one: if its least candidate leads nowhere, none does
     unread = [all(q < p for q in pattern._adj0[p]) for p in range(v)]

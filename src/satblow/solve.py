@@ -11,22 +11,37 @@ Appending slots in increasing order preserves that canonical form under
 prefix removal, so each orbit is expanded exactly once and levels are
 carried over between deepening steps instead of being rebuilt.
 
-One lex-leader rule serves both this search and m_value.  Let P be a lex
-leader and C = P + (s,) with s > max P.  For a group element g, the
-threshold t_g of P is the first slot of P missing from g(P), or s when g
-fixes P as a set.  Then g maps C below C exactly when g(s) < t_g, and only
-g(s) == t_g < s leaves a sorted comparison to make.  Proof: P[:i] lies in
-g(P) for t_g = P[i], and every other slot of g(P) exceeds t_g (g(P) sorts
-no lower than P, and differs from it first at position i), so g(s) < t_g
-puts g(s) into the shared prefix ahead of a larger slot of C, g(s) > t_g
-leaves position i of the image above t_g = C[i], and when g fixes P the
-image is P + (g(s),) up to sorting.  A slot s whose orbit minimum lies
-below P[0] is rejected at once.  For the rest, t_g = P[0] unless some
-slot of P maps onto P[0] (the rows U), and g(s) >= P[0], with equality
-exactly when s itself maps onto P[0] (the rows W).  So outside U and W the
-whole child maps above P[0] = C[0] and cannot give a smaller image; the
-exact search tests U rows by their thresholds and W rows by comparing
-sorted(g(P)) with P[1:] + (s,), and never reads any other row.
+The Delta rule.  For a group element g and a slot set C, let d be the least
+slot of the symmetric difference g(C) Delta C.  Then sorted(g(C)) < C
+exactly when d lies in g(C).  Proof: the two sets share every slot below d,
+so their sorted tuples agree up to the position where d would sit; there
+the set holding d has d and the other a larger slot (both have |C| slots,
+so the one without d still has a slot at that position).  So C is a lex
+leader iff no g has the least slot of g(C) Delta C inside g(C), and a scan
+of the slots y upward decides it: while g(C) and C agree below y, y in C
+but not in g(C) clears g, and y in g(C) but not in C rejects C.
+
+The threshold rule is the Delta rule for a child C = P + (s,) of a lex
+leader P, s > max P, one group element at a time.  Let t_g be the least
+slot of g(P) Delta P, which lies in P since P is a lex leader (so it is the
+first slot of P missing from g(P)), or t_g = s when g fixes P as a set.
+g(P) and P agree below t_g, g(C) = g(P) + {g(s)} and C = P + {s}.  If
+g(s) < t_g, then g(s) is not in P (every slot of P below t_g is already
+the image of a slot of P) and is below s, so it is the least slot of the
+difference and lies in g(C): g rejects C.  If g(s) > t_g, t_g stays the
+least slot of the difference, and lies in C; g(s) == t_g = s means g fixes
+C.  Only g(s) == t_g < s (a tie) goes on: both sets hold t_g, and above it
+the scan compares g(P) with P + {s}, g(P) having one slot more there than
+P.  If they first differ at a slot of g(P) below max P, g rejects C
+whatever s is; at a slot u of P, g keeps C and u becomes its threshold; and
+if g(P) is P - {t_g} + {e} with e > max P, g rejects C when e < s and fixes
+it when e == s.
+
+The exact search applies the rule to every group element at once: the
+group is held as one bit per element, per slot and image slot, and a lex
+leader carries the elements of each threshold and the outcome of each tie
+(_Leader), so testing an extension is one walk over the images of s below
+s.  m_value, whose groups are small, applies it one element at a time.
 
 Two facts prune the tree without losing any optimum:
 
@@ -37,7 +52,7 @@ Two facts prune the tree without losing any optimum:
   pattern edges at that vertex), so a prefix that has permanently passed all
   slots at such a vertex while leaving it isolated is dead in both searches.
 
-When the full group is too large to tabulate, a subgroup (cyclic index
+When the full group is too large to hold, a subgroup (cyclic index
 shifts, or pattern automorphisms alone) is used instead; the search then
 revisits some orbits but stays complete.  A seeded greedy run provides the
 upper end of the deepening range and the fallback answer when the wall-clock
@@ -46,14 +61,13 @@ budget runs out.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .core import (
     BlowupHost,
@@ -66,6 +80,7 @@ from .core import (
     has_partite_copy,
     is_two_connected,
 )
+from .verify import is_extra_saturated, is_partite_saturated
 
 # --------------------------------------------------------------------------
 # greedy samplers
@@ -150,21 +165,14 @@ class _SlotSystem:
             if vid // n in needy_parts:
                 self.needy_final[k].append(vid)
 
-    def masks_for(self, slot_ids) -> list:
-        masks = _build_masks(self.pattern.vertex_count, self.n, ())
-        for k in slot_ids:
-            p, a, q, b = self.ends0[k]
-            masks[p][a][q] |= 1 << b
-            masks[q][b][p] |= 1 << a
-        return masks
-
-    def degrees_for(self, slot_ids) -> list[int]:
-        degs = [0] * (self.pattern.vertex_count * self.n)
-        for k in slot_ids:
-            p, a, q, b = self.ends0[k]
-            degs[p * self.n + a] += 1
-            degs[q * self.n + b] += 1
-        return degs
+    def toggle(self, masks: list, degs: list[int], k: int, step: int) -> None:
+        """Add slot k to the graph held in masks and degs (step 1), or take
+        it out (step -1)."""
+        p, a, q, b = self.ends0[k]
+        masks[p][a][q] ^= 1 << b
+        masks[q][b][p] ^= 1 << a
+        degs[p * self.n + a] += step
+        degs[q * self.n + b] += step
 
     def graph_for(self, slot_ids) -> PartiteGraph:
         return PartiteGraph(self.host, (self.slots[k] for k in slot_ids))
@@ -235,21 +243,30 @@ _GROUP_ENTRY_CAP = 8_000_000
 
 @dataclass(frozen=True)
 class _SlotGroup:
-    """A tabulated group of slot permutations, one column per element g:
-    image[x, g] = g(x) and preimage[y, g] = g^-1(y).  orbit_min[x] is the
-    least slot in the orbit of x."""
+    """A group of slot permutations held as one bit per group element (row).
+    maps[x] maps each slot y of the orbit of x, in ascending order, to the
+    rows that send x to y; below[x] lists those (y, rows) pairs with y < x.
+    everyone has a bit for every row."""
 
-    image: np.ndarray
-    preimage: np.ndarray
-    orbit_min: list[int]
+    maps: list[dict[int, int]]
+    below: list[tuple[tuple[int, int], ...]]
+    everyone: int
 
 
 def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     """The slot permutations of the symmetry group, or None when only the
-    identity fits the tabulation caps.  The rows are written one pattern
-    automorphism at a time straight into an int16 table (int32 past 32767
-    slots), then deduplicated: the action is not faithful when n = 1 or
-    the pattern has an isolated vertex."""
+    identity fits the caps or the group fixes every slot (n = 1, or an
+    isolated vertex, can make it act trivially).
+
+    A row is a pattern automorphism g with one index permutation per part
+    from a pool: the full S_n, else cyclic shifts, else the identity alone.
+    Rows of automorphism j fill bits j * R .. j * R + R - 1, where
+    R = |pool| ** v, and the bit of a pool choice (c_0, .., c_{v-1}) is its
+    mixed-radix number c_0 ... c_{v-1}.  So "the choice for part t sends
+    index a to a2" is a periodic bit pattern, one repunit product, and the
+    rows sending slot (p, a)-(q, b) to (g(p), a2)-(g(q), b2) are the AND of
+    two such patterns shifted into block j.  Only the images the pool can
+    produce are visited, and nothing is ever tabulated per row."""
     pattern, n, L = sys.pattern, sys.n, sys.L
     v = pattern.vertex_count
     auts = _pattern_automorphisms(pattern)
@@ -257,122 +274,162 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     def fits(rows: int) -> bool:
         return rows <= _GROUP_ROW_CAP and rows * L <= _GROUP_ENTRY_CAP
 
-    full_pool = None
     if fits(math.factorial(n) ** v * len(auts)):
-        full_pool = [tuple(p) for p in itertools.permutations(range(n))]
+        pool = list(itertools.permutations(range(n)))
     elif fits(n ** v * len(auts)):
-        full_pool = [tuple((a + t) % n for a in range(n)) for t in range(n)]
+        pool = [tuple((a + t) % n for a in range(n)) for t in range(n)]
     elif fits(len(auts)):
-        full_pool = [tuple(range(n))]
+        pool = [tuple(range(n))]
     else:
         return None
-    if len(full_pool) == 1 and len(auts) == 1:
+    if len(pool) == 1 and len(auts) == 1:
         return None
 
-    dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
-    pool = np.array(full_pool, dtype=np.intp)
-    combos = np.array(list(itertools.product(range(len(pool)), repeat=v)), dtype=np.intp)
-    vtot = v * n
-    slot_id = np.full((vtot, vtot), -1, dtype=dtype)
+    size = len(pool)
+    R = size ** v
+    # sends[t][a][a2]: the choices (bits of one block) whose permutation
+    # for part t sends index a to a2
+    sends = []
+    for t in range(v):
+        run = size ** (v - 1 - t)  # consecutive choices sharing c_t
+        period = run * size
+        repunit = ((1 << period * size**t) - 1) // ((1 << period) - 1)
+        per_index = []
+        for a in range(n):
+            base: dict[int, int] = {}
+            for c, perm in enumerate(pool):
+                base[perm[a]] = base.get(perm[a], 0) | ((1 << run) - 1) << (c * run)
+            per_index.append({a2: bits * repunit for a2, bits in base.items()})
+        sends.append(per_index)
+
+    slot_of = {}
     for k, (p, a, q, b) in enumerate(sys.ends0):
-        slot_id[p * n + a, q * n + b] = k
-        slot_id[q * n + b, p * n + a] = k
-
-    R = len(combos)
-    table = np.empty((len(auts) * R, L), dtype=dtype)
-    F = np.empty((R, vtot), dtype=np.intp)
-    for j, g in enumerate(auts):
-        # F[:, vertex] is where each group element of this coset sends it
-        for i in range(v):
-            F[:, i * n : (i + 1) * n] = g[i] * n + pool[combos[:, g[i]]]
-        block = table[j * R : (j + 1) * R]
-        for k, (p, a, q, b) in enumerate(sys.ends0):
-            block[:, k] = slot_id[F[:, p * n + a], F[:, q * n + b]]
-    rows = np.unique(table.view(np.dtype((np.void, table.itemsize * L))))
-    del table  # before the transposed copies, so they do not raise the peak
-    if len(rows) == 1:
+        slot_of[p * n + a, q * n + b] = slot_of[q * n + b, p * n + a] = k
+    maps = []
+    for p, a, q, b in sys.ends0:
+        to: dict[int, int] = {}
+        for j, g in enumerate(auts):
+            gp, gq, shift = g[p], g[q], j * R
+            for a2, rows_a in sends[gp][a].items():
+                for b2, rows_b in sends[gq][b].items():
+                    y = slot_of[gp * n + a2, gq * n + b2]
+                    to[y] = to.get(y, 0) | (rows_a & rows_b) << shift
+        maps.append(dict(sorted(to.items())))
+    if all(len(images) == 1 for images in maps):
         return None
-    image = np.ascontiguousarray(rows.view(dtype).reshape(len(rows), L).T)
-    del rows
-    assert (image >= 0).all()
-    preimage = np.empty_like(image)
-    cols = np.arange(image.shape[1])
-    for x in range(L):
-        preimage[image[x], cols] = x
-    return _SlotGroup(image, preimage, image.min(axis=1).tolist())
+    below = [tuple((y, b) for y, b in m.items() if y < x) for x, m in enumerate(maps)]
+    return _SlotGroup(maps, below, (1 << len(auts) * R) - 1)
 
 
-def _canonical_extensions(
-    group: Optional[_SlotGroup], parent: tuple[int, ...], exts: list[int]
-) -> list[int]:
-    """The extension slots s for which parent + (s,) is still the lex leader
-    of its orbit.  parent must be a lex leader, sorted, and every ext must
-    exceed its maximum.
+class _Leader:
+    """What the lex-leader test needs to know of a lex leader P, one bit per
+    group row.  For each row g, t_g is the first slot of P missing from
+    g(P); the row is fixed when g(P) = P.
 
-    This applies the rule of the module docstring to all of exts at once.
-    A slot whose orbit minimum lies below parent[0] (below s itself at the
-    root) is rejected first.  One gather of the preimage of parent[0] under
-    every group element then picks the rows that can matter: U, where a
-    parent slot maps onto parent[0], and W, where an ext does.  On these
-    rows s is rejected when g(s) < t_g, and where g(s) == t_g the sorted
-    image of the child is compared with the child.  A W row has
-    t_g = parent[0] = g(s), so there that comparison is sorted(g(parent))
-    against parent[1:] + (s,), and most W rows are settled by its first
-    slot alone."""
-    if group is None or not exts:
-        return exts
-    omin = group.orbit_min
-    if not parent:
-        return [s for s in exts if omin[s] >= s]
-    p0 = parent[0]
-    exts = [s for s in exts if omin[s] >= p0]
-    if not exts:
-        return exts
-    image, preimage = group.image, group.preimage
-    L, m = len(omin), len(exts)
-    P = np.asarray(parent, dtype=np.intp)
-    S = np.asarray(exts, dtype=np.intp)
-    code = np.zeros(L, dtype=np.intp)  # -1 in parent, 1 + position in exts
-    code[P] = -1
-    code[S] = np.arange(1, m + 1)
-    who = code.take(preimage[p0])
-    U = np.flatnonzero(who < 0)
-    W = np.flatnonzero(who > 0)
+    * thr, cls: the thresholds in ascending order and the rows of each;
+      fixed: the fixed rows; held[y]: the rows with y in g(P).
+    * A row rejects P + (s,) when g(s) < t_g (t_g = s for fixed rows), so
+      above[i] holds the rows with t_g > y for y in [thr[i-1], thr[i]).
+    * For a tied row (g(s) = t_g), g(child) and child agree up to t_g, so
+      the comparison goes on between g(P) and P above t_g, where g(P) has
+      one slot more.  If they first differ at a slot of g(P), the row
+      rejects whatever s is: at[i] adds those rows of class i to above[i+1],
+      as what rejects when g(s) = thr[i].  If at a slot u of P, it accepts,
+      and u becomes its threshold: high[u].  Otherwise g(P) is
+      P - {t_g} + {e} with e > max P, and the row is in `even`: it rejects
+      when e < s and fixes the child when e == s.  eqcls lists the
+      (t, rows of class t in even) pairs."""
 
-    # held[i, j]: parent[i] lies in the image of the parent under row U[j]
-    held = code.take(preimage.take(P, axis=0).take(U, axis=1)) < 0
-    first = held.argmin(axis=0)
-    thr = np.where(held[first, np.arange(len(U))], L, P.take(first))
-    gs = image.take(S, axis=0).take(U, axis=1)
-    rejected = (gs < np.minimum(thr, S[:, None])).any(axis=1)
-    ti, tj = np.nonzero(gs == thr)
+    __slots__ = ("top", "thr", "cls", "fixed", "held", "above", "at", "high", "even", "eqcls")
 
-    # a W row pairs with the one ext it maps onto parent[0]
-    img_parent = image.take(P, axis=0)
-    e = who.take(W) - 1
-    low = img_parent.take(W, axis=1).min(axis=0)
-    second = P[1] if len(P) > 1 else S.take(e)
-    rejected[e[low < second]] = True
-    tie = low == second
+    def __init__(self, chosen: tuple[int, ...], classes: dict, fixed: int, held: list):
+        thr = sorted(classes)
+        cls = [classes[t] for t in thr]
+        k = len(thr)
+        low, high, alive = 0, {}, 0
+        if thr:
+            alive, i, prev = cls[0], 1, thr[0]
+            for y in chosen[bisect.bisect_right(chosen, prev) :]:
+                if alive:
+                    for rows in held[prev + 1 : y]:  # the slots between members
+                        hit = alive & rows
+                        if hit:
+                            low |= hit
+                            alive ^= hit
+                    kept = alive & held[y]
+                    if kept != alive:
+                        high[y] = alive ^ kept
+                    alive = kept
+                if i < k and y == thr[i]:
+                    alive |= cls[i]
+                    i += 1
+                prev = y
+        above = [fixed] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            above[i] = above[i + 1] | cls[i]
+        self.top = chosen[-1] if chosen else -1
+        self.thr, self.cls, self.fixed, self.held = thr, cls, fixed, held
+        self.above, self.at = above, [above[i + 1] | cls[i] & low for i in range(k)]
+        self.high, self.even = high, alive
+        self.eqcls = [(t, c & alive) for t, c in zip(thr, cls) if c & alive]
 
-    ties = np.concatenate((ti, e[tie]))
-    if len(ties):
-        cols = np.concatenate((U.take(tj), W[tie]))
-        s_tie = S.take(ties)
-        img = np.vstack(
-            (
-                img_parent.take(cols, axis=1),
-                image.ravel().take(s_tie * image.shape[1] + cols),
-            )
-        )
-        img.sort(axis=0)
-        child = np.empty_like(img)
-        child[:-1] = P[:, None]
-        child[-1] = s_tie
-        first = (img != child).argmax(axis=0)  # 0 where the two are equal
-        at = np.arange(len(ties))
-        rejected[ties[img[first, at] < child[first, at]]] = True
-    return [s for s, r in zip(exts, rejected.tolist()) if not r]
+
+def _root_leader(group: _SlotGroup) -> _Leader:
+    return _Leader((), {}, group.everyone, [0] * len(group.maps))
+
+
+def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> _Leader:
+    """The _Leader of child = parent + (s,), a lex leader, from its parent's."""
+    s = child[-1]
+    into, held = group.maps[s], state.held
+    tie = 0
+    for t, c in zip(state.thr, state.cls):
+        tie |= into.get(t, 0) & c
+    classes = {}
+    for t, c in zip(state.thr, state.cls):
+        c ^= c & tie
+        if c:
+            classes[t] = c
+    for u, rows in state.high.items():
+        if rows & tie:
+            classes[u] = classes.get(u, 0) | rows & tie
+    fix = into.get(s, 0)
+    stay = state.fixed & fix | tie & state.even & held[s]
+    move = state.fixed & ~fix | tie & state.even & ~held[s]
+    if move:
+        classes[s] = move
+    held = held[:]
+    for y, rows in into.items():
+        held[y] |= rows
+    return _Leader(child, classes, stay, held)
+
+
+def _canonical_extensions(group: _SlotGroup, state: _Leader, exts: list[int]) -> list[int]:
+    """The extension slots s for which P + (s,) is still the lex leader of
+    its orbit, where state is the _Leader of the lex leader P and every ext
+    exceeds max P.  A walk over the images of s below s rejects s on any
+    row with g(s) < t_g, or with g(s) == t_g and a comparison above t_g
+    that goes below; the `even` rows also need to know whether they hold a
+    slot between max P and s, which `past` gathers as the exts ascend."""
+    thr, above, at, held = state.thr, state.above, state.at, state.held
+    k = len(thr)
+    kept = []
+    past, y = 0, state.top + 1  # past: the rows holding a slot in (top, y)
+    for s in exts:
+        while y < s:
+            past |= held[y]
+            y += 1
+        i = 0
+        for x, rows in group.below[s]:
+            while i < k and thr[i] < x:
+                i += 1
+            if rows & (at[i] if i < k and thr[i] == x else above[i]):
+                break
+        else:
+            into = group.maps[s]
+            if not (past and any(into.get(t, 0) & rows & past for t, rows in state.eqcls)):
+                kept.append(s)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -382,8 +439,12 @@ class SolveResult:
     value is None when the budget ran out (UNKNOWN); witness then holds the
     best verified graph found (the greedy upper bound) and upper_bound its
     edge count.  Otherwise witness is an optimal graph with value edges,
-    the lexicographically least one over canonical slot sets.
-    nodes_explored counts the canonical sets admitted to the search tree.
+    the lexicographically least one over canonical slot sets, re-checked
+    from the definition before it is returned.  lower_bound is proven: the
+    larger of saturation_lower_bound and the level in progress when the
+    budget ran out, every smaller level having been searched completely;
+    it equals value on an exact result.  nodes_explored counts the
+    canonical sets admitted to the search tree.
     """
 
     value: Optional[int]
@@ -392,6 +453,7 @@ class SolveResult:
     elapsed: float
     exhausted_budget: bool
     upper_bound: Optional[int] = None
+    lower_bound: Optional[int] = None
 
 
 def _exact_minimum(
@@ -414,11 +476,28 @@ def _exact_minimum(
     ub = ub_graph.edge_count()
     lb = saturation_lower_bound(pattern, n)
     nodes = 1  # the empty root
+
+    def exact(value: int, witness: PartiteGraph) -> SolveResult:
+        # an independent path: the definition, on a graph built afresh
+        check = is_partite_saturated if require_free else is_extra_saturated
+        if not check(PartiteGraph(host, witness.edges)).ok:
+            raise RuntimeError(
+                f"the exact search returned a witness of size {value} that fails {check.__name__}"
+            )
+        return SolveResult(value, witness, nodes, time.monotonic() - start, False, value, value)
+
     if ub == 0:
-        return SolveResult(0, ub_graph, nodes, time.monotonic() - start, False, 0)
+        return exact(0, ub_graph)
 
     sys_ = _SlotSystem(host)
     group = _symmetry_group(sys_) if use_symmetry else None
+    # The frontier is in lex order, so consecutive parents share all but
+    # their last few slots.  prefix is the parent whose graph masks and degs
+    # hold; states[d] is the _Leader of prefix[:d], for d < len(states).
+    prefix: list[int] = []
+    masks = _build_masks(pattern.vertex_count, n, ())
+    degs = [0] * (pattern.vertex_count * n)
+    states = [_root_leader(group)] if group is not None else []
 
     frontier: list[tuple[int, ...]] = [()]
     for m in range(1, ub + 1):
@@ -427,10 +506,17 @@ def _exact_minimum(
         for parent in frontier:
             if deadline is not None and time.monotonic() > deadline:
                 return SolveResult(
-                    None, ub_graph, nodes, time.monotonic() - start, True, ub
+                    None, ub_graph, nodes, time.monotonic() - start, True, ub, max(lb, m)
                 )
-            masks = sys_.masks_for(parent)
-            degs = sys_.degrees_for(parent)
+            d = 0
+            while d < len(prefix) and d < len(parent) and prefix[d] == parent[d]:
+                d += 1
+            while len(prefix) > d:
+                sys_.toggle(masks, degs, prefix.pop(), -1)
+            for k in parent[d:]:
+                sys_.toggle(masks, degs, k, 1)
+                prefix.append(k)
+            del states[d + 1 :]
             top = parent[-1] if parent else -1
             exts: list[int] = []
             for s in range(top + 1, sys_.L):
@@ -439,37 +525,35 @@ def _exact_minimum(
                     exts.append(s)
                 # slots at or below s are now settled for every later
                 # extension; a needy vertex left isolated there kills them all
-                if any(degs[vid] == 0 for vid in sys_.needy_final[s]):
+                needy = sys_.needy_final[s]
+                if needy and any(degs[vid] == 0 for vid in needy):
                     break
-            for s in _canonical_extensions(group, parent, exts):
+            if group is not None and exts:
+                while len(states) <= len(parent):
+                    states.append(_child_leader(group, states[-1], parent[: len(states)]))
+                exts = _canonical_extensions(group, states[-1], exts)
+            for s in exts:
                 nodes += 1
                 child = parent + (s,)
                 if testing:
                     p, a, q, b = sys_.ends0[s]
-                    masks[p][a][q] |= 1 << b
-                    masks[q][b][p] |= 1 << a
+                    masks[p][a][q] ^= 1 << b
+                    masks[q][b][p] ^= 1 << a
                     good = first_uncovered_slot(pattern, n, masks, sys_.ends0) is None
-                    masks[p][a][q] &= ~(1 << b)
-                    masks[q][b][p] &= ~(1 << a)
+                    masks[p][a][q] ^= 1 << b
+                    masks[q][b][p] ^= 1 << a
                     if good:
-                        return SolveResult(
-                            m,
-                            sys_.graph_for(child),
-                            nodes,
-                            time.monotonic() - start,
-                            False,
-                            m,
-                        )
+                        return exact(m, sys_.graph_for(child))
                 if m < ub:
                     next_frontier.append(child)
         frontier = next_frontier
         if not frontier and m < ub:
             # every continuation was pruned as unable to reach a valid
             # graph, so the greedy witness is already optimal
-            return SolveResult(ub, ub_graph, nodes, time.monotonic() - start, False, ub)
+            return exact(ub, ub_graph)
     # the canonical form of the greedy witness lives at level ub, so the
     # scan above cannot actually fall through; keep a safe answer anyway
-    return SolveResult(ub, ub_graph, nodes, time.monotonic() - start, False, ub)
+    return exact(ub, ub_graph)
 
 
 def min_sat_exact(

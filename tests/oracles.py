@@ -87,9 +87,12 @@ def brute_automorphisms(pattern):
     ]
 
 
-def brute_slot_group(pattern, n):
-    """The set of slot permutations of S_n wr Aut(pattern), each a tuple
-    listing the image of every slot, built from vertex maps."""
+def brute_slot_group(pattern, n, pool="full"):
+    """The set of slot permutations of the group generated by pattern
+    automorphisms and one index permutation per part, each a tuple listing
+    the image of every slot, built from vertex maps.  pool names the index
+    permutations: "full" (S_n, so the group is S_n wr Aut(pattern)),
+    "cyclic" (the shifts a -> a + t mod n) or "identity"."""
     from satblow import BlowupHost
 
     slots = BlowupHost(pattern, n).slots()
@@ -97,12 +100,16 @@ def brute_slot_group(pattern, n):
         frozenset(((x.part, x.index), (y.part, y.index))): k
         for k, (x, y) in enumerate(slots)
     }
+    if pool == "full":
+        perms = list(itertools.permutations(range(1, n + 1)))
+    elif pool == "cyclic":
+        perms = [tuple((a + t) % n + 1 for a in range(n)) for t in range(n)]
+    else:
+        perms = [tuple(range(1, n + 1))]
     v = pattern.vertex_count
     rows = set()
     for aut in brute_automorphisms(pattern):
-        for shuffles in itertools.product(
-            itertools.permutations(range(1, n + 1)), repeat=v
-        ):
+        for shuffles in itertools.product(perms, repeat=v):
             def image(x):
                 part = aut[x.part - 1] + 1
                 return (part, shuffles[part - 1][x.index - 1])
@@ -111,6 +118,13 @@ def brute_slot_group(pattern, n):
                 tuple(index[frozenset((image(x), image(y)))] for x, y in slots)
             )
     return rows
+
+
+def brute_threshold(g, chosen):
+    """The first slot of the sorted tuple `chosen` missing from its image
+    under the slot permutation g, or None when g fixes it as a set."""
+    held = {g[x] for x in chosen}
+    return next((x for x in chosen if x not in held), None)
 
 
 def brute_is_lex_leader(rows, chosen):

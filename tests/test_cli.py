@@ -124,6 +124,22 @@ def test_count_bad_endpoint_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_pattern_too_long_for_the_copy_search_exits_2(capsys, tmp_path):
+    from satblow import PatternGraph, blow_up, save_blowup_graph
+
+    path = str(tmp_path / "long.pbg")
+    save_blowup_graph(blow_up(PatternGraph.path(1500), 1), path)
+    for argv in (
+        ["count", path],
+        ["count", path, "--through", "1.1", "2.1"],
+        ["verify", path],
+        ["verify", path, "--check", "extra-saturated"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "nests" in err and err.count("\n") == 1
+
+
 def test_solve_json_and_witness(capsys, tmp_path):
     witness = str(tmp_path / "w.pbg")
     code, doc, _ = run_json(
@@ -131,6 +147,7 @@ def test_solve_json_and_witness(capsys, tmp_path):
     )
     assert code == 0
     assert doc["value"] == 6 and doc["witness_edges"] == 6
+    assert doc["lower_bound"] == doc["upper_bound"] == 6
     assert doc["witness_path"] == witness
     assert doc["nodes"] >= 1 and doc["elapsed"] >= 0
     assert is_partite_saturated(load_blowup_graph(witness)).ok
@@ -143,6 +160,7 @@ def test_solve_budget_exhaustion_exits_3(capsys):
     assert code == 3
     assert doc["value"] == "UNKNOWN"
     assert doc["upper_bound"] is not None
+    assert 0 <= doc["lower_bound"] <= doc["upper_bound"]
 
 
 def test_solve_exsat_mode(capsys):

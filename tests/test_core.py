@@ -350,6 +350,29 @@ def test_search_plans_place_every_part_and_check_every_edge_once(H):
             assert branch == any(x in nbrs for _, nbrs, _ in steps[k + 1 :])
 
 
+def test_patterns_too_long_for_the_stack_raise_value_error():
+    G = blow_up(PatternGraph.path(1500), 1)
+    calls = (
+        lambda: count_partite_copies(G),
+        lambda: find_partite_copy(G),
+        lambda: has_partite_copy(G),
+        lambda: count_copies_through(G, (1, 1), (2, 1)),
+        lambda: creates_copy_through(G, (1, 1), (2, 1)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="nests"):
+            call()
+    # pinned at the middle edge, the chain splits into two halves that fit
+    assert count_copies_through(G, (750, 1), (751, 1)) == 1
+
+
+def test_long_paths_within_the_stack_still_answer():
+    G = blow_up(PatternGraph.path(300), 2)
+    assert count_partite_copies(G) == 2**300
+    assert find_partite_copy(G).indices == (1,) * 300
+    assert count_copies_through(G, (1, 2), (2, 1)) == 2**298
+
+
 def test_host_ends0_follow_the_slots():
     host = BlowupHost(PatternGraph(4, [(3, 4), (1, 3), (1, 2)]), 2)
     assert host.slots() == tuple(sorted(host.slots()))
