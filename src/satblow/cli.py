@@ -178,6 +178,7 @@ def _cmd_solve(args) -> int:
             if result.witness is None
             else result.witness.edge_count(),
             "witness_path": witness_path,
+            "stats": result.stats,
         }
     )
     return 3 if result.exhausted_budget else 0

@@ -43,14 +43,49 @@ leader carries the elements of each threshold and the outcome of each tie
 (_Leader), so testing an extension is one walk over the images of s below
 s.  m_value, whose groups are small, applies it one element at a time.
 
-Two facts prune the tree without losing any optimum:
+Pruning rests on one fact.  A child C = P + (s,) only ever gains slots
+above s, so every slot y < s not in C is a non-edge of every completion D
+of C (D holds C, and D - C lies above s): y is *settled*.  For D to be
+saturated (or extra-saturated), y must close a copy in D + y.  A slot
+covered by C (closing a copy in C + y) stays covered in every D, since
+copies only grow as edges are added.  Four cuts drop a child without
+losing any optimum:
 
-* a subgraph of a partite-free graph is partite-free, so non-free prefixes
-  are dead in the saturation search;
-* in any saturated or extra-saturated graph, a vertex whose part has pattern
-  degree at least two cannot be isolated (one added edge cannot carry two
-  pattern edges at that vertex), so a prefix that has permanently passed all
-  slots at such a vertex while leaving it isolated is dead in both searches.
+* not free (saturation only): a subgraph of a partite-free graph is
+  partite-free, so a slot closing a copy with P never joins P.
+* isolated needy vertex: a vertex whose part has pattern degree at least
+  two cannot be isolated in a saturated or extra-saturated graph (one added
+  edge cannot carry two pattern edges at that vertex).  If such a vertex is
+  isolated in P and its last slot is t, every extension above t leaves it
+  isolated for good, so those are all dropped at once.
+* uncoverable: let F be the slots a completion of C may still add: for
+  saturation, the slots above s that close no copy with C (a slot that
+  closes one can never join, by the first cut, as D is partite-free); for
+  extra-saturation, every slot above s.  Every completion D lies inside
+  C + F, so D + y lies inside C + F + y.  If a settled y closes no copy in
+  C + F + y, it closes none in any D + y, and no completion is valid.
+* over bound: take a settled y = (x, w) left uncovered by C, x in part p
+  and w in part q.  A copy through y in D + y puts a vertex in every
+  pattern neighbour r != q of p, adjacent to x in D, so if x has no
+  neighbour in part r yet, D - C holds an edge of bundle {p, r} at x; call
+  the set of such x need(p -> r), and likewise for w.  An edge of bundle
+  {p, r} meets one vertex of part p and one of part r, and bundles share no
+  slot, so |D - C| >= sum over pattern edges {p, r} of
+  max(|need(p -> r)|, |need(r -> p)|); and |D - C| >= 1 when C itself is
+  not valid.  The child is dropped when m plus that bound exceeds ub, the
+  size of the greedy witness.  The test is strict: a prefix of any valid
+  set of ub edges or fewer survives, so the search still reaches the
+  lexicographically least optimum at its level and the witness does not
+  depend on ub.
+
+The last two cuts are computed incrementally.  Each frontier set carries
+its settled slots left uncovered and its open slots (those above its last
+slot that close no copy with it).  A child's settled, uncovered slots are
+its parent's plus the parent's open slots below s, less those the new slot
+s covers, and its open slots are the parent's above s, less those it
+covers.  A slot newly covered by C has a copy using both it and s, so only
+slots whose ends agree with s's (no part given two different indices) are
+searched again.
 
 When the full group is too large to hold, a subgroup (cyclic index
 shifts, or pattern automorphisms alone) is used instead; the search then
@@ -164,6 +199,21 @@ class _SlotSystem:
         for vid, k in last_touch.items():
             if vid // n in needy_parts:
                 self.needy_final[k].append(vid)
+        self.needy_slots = [k for k in range(self.L) if self.needy_final[k]]
+        # slot sets as ints, one bit per slot: elsewhere[p * n + a] holds the
+        # slots meeting part p at an index other than a
+        at_vertex = [0] * (v * n)
+        for k, (p, a, q, b) in enumerate(self.ends0):
+            at_vertex[p * n + a] |= 1 << k
+            at_vertex[q * n + b] |= 1 << k
+        self.elsewhere = []
+        for p in range(v):
+            in_part = 0
+            for a in range(n):
+                in_part |= at_vertex[p * n + a]
+            self.elsewhere += [in_part ^ at_vertex[p * n + a] for a in range(n)]
+        self.bundles = [(p - 1, r - 1) for p, r in pattern.edges]
+        self.most_need = len(self.bundles) * n  # need() never exceeds it
 
     def toggle(self, masks: list, degs: list[int], k: int, step: int) -> None:
         """Add slot k to the graph held in masks and degs (step 1), or take
@@ -173,6 +223,96 @@ class _SlotSystem:
         masks[q][b][p] ^= 1 << a
         degs[p * self.n + a] += step
         degs[q * self.n + b] += step
+
+    def flip(self, masks: list, slots: int) -> None:
+        """Toggle every slot of the set `slots` in masks."""
+        while slots:
+            bit = slots & -slots
+            slots ^= bit
+            p, a, q, b = self.ends0[bit.bit_length() - 1]
+            masks[p][a][q] ^= 1 << b
+            masks[q][b][p] ^= 1 << a
+
+    def needy_stop(self, degs: list[int], top: int) -> int:
+        """One past the first slot above top that is the last slot of a
+        needy vertex isolated in degs, or L: extensions from there on leave
+        that vertex isolated for good."""
+        for k in self.needy_slots[bisect.bisect_right(self.needy_slots, top) :]:
+            if any(degs[vid] == 0 for vid in self.needy_final[k]):
+                return k + 1
+        return self.L
+
+    def clash(self, k: int) -> int:
+        """The slots that share no copy with slot k: they give one of its
+        parts another index."""
+        p, a, q, b = self.ends0[k]
+        return self.elsewhere[p * self.n + a] | self.elsewhere[q * self.n + b]
+
+    def covered(self, masks: list, slots: int, stop_at_miss: bool = False) -> int:
+        """The slots of the set `slots` that close a copy on masks; with
+        stop_at_miss, only those below the first slot that closes none."""
+        pattern, n = self.pattern, self.n
+        hit, rest = 0, slots
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            p, a, q, b = self.ends0[bit.bit_length() - 1]
+            if _closes_copy(pattern, n, masks, p, a, q, b):
+                hit |= bit
+            elif stop_at_miss:
+                break
+        return hit
+
+    def settled_uncovered(self, masks: list, uncovered: int, open_: int, s: int) -> int:
+        """The settled slots that child = parent + (s,), held in masks,
+        leaves uncovered: the parent's (`uncovered`), and its open slots
+        below s, less those s lets close a copy."""
+        left = uncovered | open_ & (1 << s) - 1
+        return left ^ self.covered(masks, left & ~self.clash(s))
+
+    def cut(
+        self, masks: list, require_free: bool, left: int, open_: int, s: int, m: int, ub: int
+    ) -> tuple[Optional[str], int]:
+        """Why child = parent + (s,), a set of m slots held in masks, cannot
+        lead to a valid graph of ub slots or fewer ("over_bound" or
+        "uncoverable"), or None; and, unless over bound, the child's open
+        slots, found from the parent's open slots `open_`.  left is what
+        settled_uncovered gives for the child."""
+        if m >= ub or (m + self.most_need > ub and m + max(1, self.need(masks, left)) > ub):
+            return "over_bound", 0
+        later = open_ & ~((1 << s + 1) - 1)
+        later ^= self.covered(masks, later & ~self.clash(s))
+        if left:
+            # the slots a completion may still add
+            future = later if require_free else (1 << self.L) - (1 << s + 1)
+            self.flip(masks, future)
+            lost = self.covered(masks, left, stop_at_miss=True) != left
+            self.flip(masks, future)
+            if lost:
+                return "uncoverable", later
+        return None, later
+
+    def need(self, masks: list, uncovered: int) -> int:
+        """The bundle-need bound: edges any completion of the graph in masks
+        must add so that each slot of `uncovered`, a settled non-edge, can
+        close a copy (see the module docstring)."""
+        adj = self.pattern._adj0
+        lack: dict[tuple[int, int], int] = {}
+        while uncovered:
+            bit = uncovered & -uncovered
+            uncovered ^= bit
+            p, a, q, b = self.ends0[bit.bit_length() - 1]
+            for x, i, y in ((p, a, q), (q, b, p)):
+                row = masks[x][i]
+                for r in adj[x]:
+                    if r != y and not row[r]:
+                        lack[x, r] = lack.get((x, r), 0) | 1 << i
+        if not lack:
+            return 0
+        return sum(
+            max(lack.get((p, r), 0).bit_count(), lack.get((r, p), 0).bit_count())
+            for p, r in self.bundles
+        )
 
     def graph_for(self, slot_ids) -> PartiteGraph:
         return PartiteGraph(self.host, (self.slots[k] for k in slot_ids))
@@ -432,6 +572,21 @@ def _canonical_extensions(group: _SlotGroup, state: _Leader, exts: list[int]) ->
     return kept
 
 
+# why an extension slot of a parent was dropped, in the order the search
+# tests them
+_CUT_REASONS = ("not_free", "isolated_needy", "not_canonical", "over_bound", "uncoverable")
+
+
+def _level_stats(level: int) -> dict:
+    return {
+        "level": level,
+        "frontier": 0,
+        "candidates": 0,
+        "admitted": 0,
+        "cuts": dict.fromkeys(_CUT_REASONS, 0),
+    }
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact search.
@@ -444,7 +599,19 @@ class SolveResult:
     larger of saturation_lower_bound and the level in progress when the
     budget ran out, every smaller level having been searched completely;
     it equals value on an exact result.  nodes_explored counts the
-    canonical sets admitted to the search tree.
+    canonical sets admitted to the search tree, the empty root included.
+
+    stats says where the search went, as plain JSON-ready data:
+    stats["levels"][m] is the record of level m (sets of m slots) with
+    "candidates" (extension slots above the last slot of each set of level
+    m - 1, or the root alone at level 0), "admitted" (sets kept as nodes),
+    "frontier" (of those, the sets carried to level m + 1) and "cuts", the
+    candidates dropped by reason: "not_free", "isolated_needy",
+    "not_canonical", "over_bound", "uncoverable" (see the module
+    docstring).  Each candidate is admitted or cut exactly once, so
+    candidates = admitted + the sum of the cuts on every level; the last
+    level counts only the candidates reached before the search stopped.
+    stats["cuts"] holds each reason's total over the levels.
     """
 
     value: Optional[int]
@@ -454,6 +621,7 @@ class SolveResult:
     exhausted_budget: bool
     upper_bound: Optional[int] = None
     lower_bound: Optional[int] = None
+    stats: Optional[dict] = None
 
 
 def _exact_minimum(
@@ -463,7 +631,11 @@ def _exact_minimum(
     budget: Optional[float],
     use_symmetry: bool,
     seed: int,
+    prune: bool = True,
 ) -> SolveResult:
+    """The search behind min_sat_exact and min_exsat_exact.  prune=False
+    leaves out the over-bound and uncoverable cuts, a reference path for
+    tests: the answer is the same, with more nodes."""
     if pattern.edge_count() < 1:
         raise ValueError("exact search needs a pattern with at least one edge")
     if n < 1:
@@ -475,7 +647,15 @@ def _exact_minimum(
     ub_graph = _greedy_fill(empty, seed)
     ub = ub_graph.edge_count()
     lb = saturation_lower_bound(pattern, n)
-    nodes = 1  # the empty root
+    levels = [_level_stats(0)]  # level 0 admits the empty root
+    levels[0].update(frontier=1, candidates=1, admitted=1)
+
+    def result(value, witness, exhausted, upper, lower) -> SolveResult:
+        totals = {r: sum(row["cuts"][r] for row in levels) for r in _CUT_REASONS}
+        stats = {"levels": levels, "cuts": totals}
+        nodes = sum(row["admitted"] for row in levels)
+        elapsed = time.monotonic() - start
+        return SolveResult(value, witness, nodes, elapsed, exhausted, upper, lower, stats)
 
     def exact(value: int, witness: PartiteGraph) -> SolveResult:
         # an independent path: the definition, on a graph built afresh
@@ -484,12 +664,13 @@ def _exact_minimum(
             raise RuntimeError(
                 f"the exact search returned a witness of size {value} that fails {check.__name__}"
             )
-        return SolveResult(value, witness, nodes, time.monotonic() - start, False, value, value)
+        return result(value, witness, False, value, value)
 
     if ub == 0:
         return exact(0, ub_graph)
 
     sys_ = _SlotSystem(host)
+    L, ends0 = sys_.L, sys_.ends0
     group = _symmetry_group(sys_) if use_symmetry else None
     # The frontier is in lex order, so consecutive parents share all but
     # their last few slots.  prefix is the parent whose graph masks and degs
@@ -499,15 +680,20 @@ def _exact_minimum(
     degs = [0] * (pattern.vertex_count * n)
     states = [_root_leader(group)] if group is not None else []
 
-    frontier: list[tuple[int, ...]] = [()]
+    # A frontier entry is (set, settled slots it leaves uncovered, its open
+    # slots), both slot sets as ints; with prune off the open slots are
+    # found when the set is expanded, and only for the saturation search.
+    every = (1 << L) - 1
+    frontier = [((), 0, every ^ sys_.covered(masks, every) if prune else None)]
     for m in range(1, ub + 1):
-        next_frontier: list[tuple[int, ...]] = []
+        row = _level_stats(m)
+        levels.append(row)
+        cut = row["cuts"]
+        next_frontier: list[tuple] = []
         testing = m >= max(lb, 1)
-        for parent in frontier:
+        for parent, uncovered, open_ in frontier:
             if deadline is not None and time.monotonic() > deadline:
-                return SolveResult(
-                    None, ub_graph, nodes, time.monotonic() - start, True, ub, max(lb, m)
-                )
+                return result(None, ub_graph, True, ub, max(lb, m))
             d = 0
             while d < len(prefix) and d < len(parent) and prefix[d] == parent[d]:
                 d += 1
@@ -518,34 +704,51 @@ def _exact_minimum(
                 prefix.append(k)
             del states[d + 1 :]
             top = parent[-1] if parent else -1
-            exts: list[int] = []
-            for s in range(top + 1, sys_.L):
-                p, a, q, b = sys_.ends0[s]
-                if not require_free or not _closes_copy(pattern, n, masks, p, a, q, b):
-                    exts.append(s)
-                # slots at or below s are now settled for every later
-                # extension; a needy vertex left isolated there kills them all
-                needy = sys_.needy_final[s]
-                if needy and any(degs[vid] == 0 for vid in needy):
-                    break
+            stop = sys_.needy_stop(degs, top)
+            row["candidates"] += L - 1 - top
+            cut["isolated_needy"] += L - stop
+            if require_free:
+                if open_ is None:
+                    ahead = (1 << stop) - (1 << top + 1)
+                    open_ = ahead ^ sys_.covered(masks, ahead)
+                exts = [s for s in range(top + 1, stop) if open_ >> s & 1]
+                cut["not_free"] += stop - 1 - top - len(exts)
+            else:
+                exts = list(range(top + 1, stop))
             if group is not None and exts:
                 while len(states) <= len(parent):
                     states.append(_child_leader(group, states[-1], parent[: len(states)]))
-                exts = _canonical_extensions(group, states[-1], exts)
-            for s in exts:
-                nodes += 1
+                kept = _canonical_extensions(group, states[-1], exts)
+                cut["not_canonical"] += len(exts) - len(kept)
+                exts = kept
+            for i, s in enumerate(exts):
+                if deadline is not None and time.monotonic() > deadline:
+                    row["candidates"] -= len(exts) - i  # never reached
+                    return result(None, ub_graph, True, ub, max(lb, m))
                 child = parent + (s,)
-                if testing:
-                    p, a, q, b = sys_.ends0[s]
-                    masks[p][a][q] ^= 1 << b
-                    masks[q][b][p] ^= 1 << a
-                    good = first_uncovered_slot(pattern, n, masks, sys_.ends0) is None
-                    masks[p][a][q] ^= 1 << b
-                    masks[q][b][p] ^= 1 << a
-                    if good:
-                        return exact(m, sys_.graph_for(child))
+                sys_.toggle(masks, degs, s, 1)
+                if prune:
+                    left = sys_.settled_uncovered(masks, uncovered, open_, s)
+                    # with every settled slot covered, the slots above s decide
+                    scan = ends0[s + 1 :] if testing and not left else None
+                else:
+                    left = 0
+                    scan = ends0 if testing else None
+                if scan is not None and first_uncovered_slot(pattern, n, masks, scan) is None:
+                    row["admitted"] += 1
+                    row["candidates"] -= len(exts) - i - 1  # never reached
+                    return exact(m, sys_.graph_for(child))
+                reason, later = None, None
+                if prune:
+                    reason, later = sys_.cut(masks, require_free, left, open_, s, m, ub)
+                sys_.toggle(masks, degs, s, -1)
+                if reason is not None:
+                    cut[reason] += 1
+                    continue
+                row["admitted"] += 1
                 if m < ub:
-                    next_frontier.append(child)
+                    next_frontier.append((child, left, later))
+                    row["frontier"] += 1
         frontier = next_frontier
         if not frontier and m < ub:
             # every continuation was pruned as unable to reach a valid
@@ -747,26 +950,34 @@ def _m_search_partition(
                 return True
         return False
 
-    part_choices = list(itertools.combinations(range(r), s - 1))
+    # each choice of s - 1 parts, as the vertex masks of its parts
+    part_choices = [
+        tuple(part_masks[p] for p in choice)
+        for choice in itertools.combinations(range(r), s - 1)
+    ]
+    everything = (1 << total) - 1
+
+    def grow(choice: tuple[int, ...], idx: int, pool_bits: int) -> bool:
+        # a transversal clique on the parts choice[idx:], inside pool_bits
+        if idx == len(choice):
+            return True
+        cand = pool_bits & choice[idx]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if grow(choice, idx + 1, pool_bits & adj[bit.bit_length() - 1]):
+                return True
+        return False
+
+    # the choice that failed last is tried first: a child adds one edge to
+    # its parent, so it most often still lacks the same transversal clique
+    last_failed = [0]
 
     def covered() -> bool:
-        for choice in part_choices:
-            ok = False
-
-            def grow(idx: int, pool_bits: int) -> bool:
-                if idx == len(choice):
-                    return True
-                cand = pool_bits & part_masks[choice[idx]]
-                while cand:
-                    bit = cand & -cand
-                    cand ^= bit
-                    w = bit.bit_length() - 1
-                    if grow(idx + 1, pool_bits & adj[w]):
-                        return True
-                return False
-
-            ok = grow(0, (1 << total) - 1)
-            if not ok:
+        first = last_failed[0]
+        for i in itertools.chain(range(first, len(part_choices)), range(first)):
+            if not grow(part_choices[i], 0, everything):
+                last_failed[0] = i
                 return False
         return True
 

@@ -131,3 +131,44 @@ def brute_is_lex_leader(rows, chosen):
     """Is the sorted tuple `chosen` no greater than its sorted image under
     every slot permutation in rows?"""
     return all(tuple(sorted(g[k] for k in chosen)) >= tuple(chosen) for g in rows)
+
+
+def brute_copy_masks(pattern, n):
+    """Every partite copy of the pattern in H[n], as an int with one bit per
+    slot it uses, slots numbered as in BlowupHost(pattern, n).slots()."""
+    from satblow import BlowupHost
+
+    slots = BlowupHost(pattern, n).slots()
+    index = {
+        frozenset(((x.part, x.index), (y.part, y.index))): k
+        for k, (x, y) in enumerate(slots)
+    }
+    return [
+        sum(
+            1 << index[frozenset(((i, combo[i - 1]), (j, combo[j - 1])))]
+            for i, j in pattern.edges
+        )
+        for combo in all_selections(pattern, n)
+    ]
+
+
+def brute_closes(copies, chosen, y):
+    """Does slot y close a copy in the slot set `chosen` (an int) plus y?"""
+    return any(c >> y & 1 and c & ~chosen & ~(1 << y) == 0 for c in copies)
+
+
+def brute_valid_sets(pattern, n, require_free):
+    """Every saturated (require_free) or extra-saturated slot set of H[n],
+    as ints, found by trying all 2^L of them on the copy list."""
+    copies = brute_copy_masks(pattern, n)
+    L = len(pattern.edges) * n * n
+    through = [[c ^ (1 << y) for c in copies if c >> y & 1] for y in range(L)]
+    out = []
+    for chosen in range(1 << L):
+        if require_free and any(c & chosen == c for c in copies):
+            continue
+        if all(
+            chosen >> y & 1 or any(r & chosen == r for r in through[y]) for y in range(L)
+        ):
+            out.append(chosen)
+    return out

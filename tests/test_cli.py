@@ -153,6 +153,23 @@ def test_solve_json_and_witness(capsys, tmp_path):
     assert is_partite_saturated(load_blowup_graph(witness)).ok
 
 
+def test_solve_json_reports_stats(capsys):
+    code, doc, _ = run_json(capsys, "solve", "sat", "--pattern", "k3", "-n", "3")
+    assert code == 0 and doc["value"] == 12
+    stats = doc["stats"]
+    levels = stats["levels"]
+    assert len(levels) == 13 and sum(row["admitted"] for row in levels) == doc["nodes"]
+    assert set(stats["cuts"]) == {
+        "not_free",
+        "isolated_needy",
+        "not_canonical",
+        "over_bound",
+        "uncoverable",
+    }
+    for row in levels:
+        assert row["candidates"] == row["admitted"] + sum(row["cuts"].values())
+
+
 def test_solve_budget_exhaustion_exits_3(capsys):
     code, doc, _ = run_json(
         capsys, "solve", "sat", "--pattern", "k4", "-n", "3", "--budget", "0.1"

@@ -27,11 +27,14 @@ from satblow import solve
 from satblow.formats import parse_pattern
 from oracles import (
     brute_automorphisms,
+    brute_closes,
+    brute_copy_masks,
     brute_is_lex_leader,
     brute_min_exsat,
     brute_min_sat,
     brute_slot_group,
     brute_threshold,
+    brute_valid_sets,
 )
 
 
@@ -178,6 +181,44 @@ def test_exact_matches_brute_force_p4():
     assert min_sat_exact(H, 2).value == brute_min_sat(H, 2)
 
 
+# every pattern on at most four vertices with an edge, up to isomorphism
+SMALL_PATTERNS = {
+    "k2": PatternGraph.complete(2),
+    "k2+k1": PatternGraph(3, [(1, 2)]),
+    "p3": PatternGraph.path(3),
+    "k3": PatternGraph.complete(3),
+    "k2+2k1": PatternGraph(4, [(1, 2)]),
+    "2k2": PatternGraph(4, [(1, 2), (3, 4)]),
+    "p3+k1": PatternGraph(4, [(1, 2), (2, 3)]),
+    "k3+k1": PatternGraph(4, [(1, 2), (1, 3), (2, 3)]),
+    "p4": PatternGraph.path(4),
+    "star3": PatternGraph.star(3),
+    "c4": PatternGraph.cycle(4),
+    "paw": PatternGraph(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+    "diamond": PatternGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "k4": PatternGraph.complete(4),
+}
+# each n where the subset enumeration of the oracle ends within seconds: at
+# most 18 slots (diamond[2] and k4[2], at 20 and 24, take about a minute)
+DIFFERENTIAL_CASES = [
+    (name, n)
+    for name, H in SMALL_PATTERNS.items()
+    for n in (1, 2, 3)
+    if len(H.edges) * n * n <= 18
+]
+
+
+@pytest.mark.parametrize("name, n", DIFFERENTIAL_CASES)
+@pytest.mark.parametrize("require_free", [True, False])
+def test_exact_matches_brute_force_on_small_patterns(name, n, require_free):
+    H = SMALL_PATTERNS[name]
+    want = (brute_min_sat if require_free else brute_min_exsat)(H, n)
+    for prune in (True, False):
+        for use_symmetry in (True, False):
+            r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0, prune=prune)
+            assert r.value == want, (prune, use_symmetry)
+
+
 # ---------------------------------------------------------------------------
 # frozen exact values
 
@@ -238,6 +279,28 @@ def test_isomorph_rejection_changes_nothing(H):
     d = min_exsat_exact(H, 2, use_symmetry=False)
     assert c.value == d.value
     assert c.witness == d.witness
+
+
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(2), 2),
+        (PatternGraph.path(3), 2),
+        (PatternGraph.star(2), 2),
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.path(3), 3),
+        (PatternGraph.path(4), 2),
+        (PatternGraph.star(3), 2),
+        (PatternGraph.complete(3), 3),
+    ],
+)
+def test_pruning_changes_nothing(H, n):
+    for require_free in (True, False):
+        a = solve._exact_minimum(H, n, require_free, None, True, 0)
+        b = solve._exact_minimum(H, n, require_free, None, True, 0, prune=False)
+        assert a.value == b.value
+        assert a.witness == b.witness  # both are the least optimal witness
+        assert a.nodes_explored <= b.nodes_explored
 
 
 def _group(H, n):
@@ -437,14 +500,63 @@ def test_numpy_is_not_imported():
 )
 def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
     """The same canonical sets, hence the same node count and the same
-    least witness, whatever form the lex-leader test takes."""
+    least witness, whatever form the lex-leader test takes.  Run with the
+    over-bound and uncoverable cuts off, so that the node count is the
+    lex-leader filter's alone."""
+    r = solve._exact_minimum(H, n, kind == "sat", None, True, 0, prune=False)
+    assert (r.value, r.nodes_explored) == (value, nodes)
+    assert _edge_string(r.witness) == witness
+
+
+@pytest.mark.parametrize(
+    "kind, H, n, value, nodes, witness",
+    [
+        ("sat", PatternGraph.complete(3), 2, 6, 26, "11-21 11-31 12-22 12-32 21-32 22-31"),
+        (
+            "sat",
+            PatternGraph.cycle(4),
+            2,
+            8,
+            52,
+            "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
+        ),
+        ("exsat", PatternGraph.path(3), 3, 6, 79, "11-21 11-22 11-23 21-31 22-31 23-31"),
+        (
+            "sat",
+            PatternGraph.complete(4),
+            2,
+            16,
+            285,
+            "11-21 11-22 11-31 11-41 12-21 12-22 12-32 12-42"
+            " 21-31 21-42 22-32 22-41 31-41 31-42 32-41 32-42",
+        ),
+        (
+            "sat",
+            PatternGraph.cycle(4),
+            3,
+            15,
+            2193,
+            "11-21 11-22 11-41 12-21 12-23 12-42 13-22 13-23 13-43"
+            " 21-31 22-32 23-33 31-43 32-42 33-41",
+        ),
+        (
+            "exsat",
+            PatternGraph.complete(3),
+            3,
+            12,
+            1648,
+            "11-21 11-22 11-31 11-32 12-23 12-33 13-23 13-33 21-33 22-33 23-31 23-32",
+        ),
+    ],
+)
+def test_pruned_search_is_pinned(kind, H, n, value, nodes, witness):
+    """The default search, with every cut on: the witnesses are the ones the
+    unpruned search finds (the first four are pinned above with prune off),
+    from far fewer nodes."""
     solver = min_sat_exact if kind == "sat" else min_exsat_exact
     r = solver(H, n)
     assert (r.value, r.nodes_explored) == (value, nodes)
-    got = " ".join(
-        f"{u.part}{u.index}-{v.part}{v.index}" for u, v in sorted(r.witness.edges)
-    )
-    assert got == witness
+    assert _edge_string(r.witness) == witness
 
 
 def test_exact_witness_is_rechecked_from_the_definition(monkeypatch):
@@ -486,6 +598,188 @@ def test_budget_exhaustion_returns_upper_bound():
     assert r.exhausted_budget
     assert r.upper_bound == r.witness.edge_count()
     assert is_partite_saturated(r.witness).ok
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_budgeted_solve_returns_on_time(prune):
+    H, n, budget = PatternGraph.complete(4), 3, 0.15
+    start = time.monotonic()
+    r = solve._exact_minimum(H, n, True, budget, True, 0, prune=prune)
+    assert time.monotonic() - start <= budget + 0.25
+    assert r.value is None and r.exhausted_budget
+    # the level in progress was not finished, and it is the bound reported
+    level = len(r.stats["levels"]) - 1
+    assert r.lower_bound == max(saturation_lower_bound(H, n), level)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_budget_is_kept_within_a_parent(prune, monkeypatch):
+    # Without symmetry the root has 9 children, each toggled in and out; at
+    # 30 ms per toggle, expanding it takes over half a second.  The deadline
+    # is checked before each child too, so the search stops within a child
+    # (60 ms) of it.
+    toggle = solve._SlotSystem.toggle
+
+    def slow_toggle(self, *args):
+        time.sleep(0.03)
+        toggle(self, *args)
+
+    monkeypatch.setattr(solve._SlotSystem, "toggle", slow_toggle)
+    budget = 0.1
+    start = time.monotonic()
+    r = solve._exact_minimum(PatternGraph.complete(4), 3, True, budget, False, 0, prune=prune)
+    assert time.monotonic() - start <= budget + 0.15
+    assert r.value is None and r.exhausted_budget
+    _check_stats(r)
+
+
+# ---------------------------------------------------------------------------
+# search statistics
+
+
+def _check_stats(r):
+    levels = r.stats["levels"]
+    assert [row["level"] for row in levels] == list(range(len(levels)))
+    assert levels[0]["candidates"] == levels[0]["admitted"] == levels[0]["frontier"] == 1
+    for row in levels:
+        assert set(row["cuts"]) == set(solve._CUT_REASONS)
+        assert row["candidates"] == row["admitted"] + sum(row["cuts"].values()), row
+        assert 0 <= row["frontier"] <= row["admitted"]
+    for prev, row in zip(levels, levels[1:]):
+        assert prev["frontier"] > 0  # a level is only reached from a frontier
+    assert sum(row["admitted"] for row in levels) == r.nodes_explored
+    assert r.stats["cuts"] == {
+        reason: sum(row["cuts"][reason] for row in levels) for reason in solve._CUT_REASONS
+    }
+
+
+@pytest.mark.parametrize(
+    "require_free, H, n",
+    [
+        (True, PatternGraph.complete(3), 2),
+        (True, PatternGraph.cycle(4), 2),
+        (False, PatternGraph.path(3), 3),
+        (False, PatternGraph.complete(3), 2),
+    ],
+)
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("use_symmetry", [True, False])
+def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmetry):
+    r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0, prune=prune)
+    _check_stats(r)
+    levels, cuts = r.stats["levels"], r.stats["cuts"]
+    L = len(BlowupHost(H, n).slots())
+    assert levels[1]["candidates"] == L  # every slot extends the root
+    assert len(levels) - 1 == r.value  # the search stops at the optimum
+    if not require_free:
+        assert cuts["not_free"] == 0
+    if not use_symmetry:
+        assert cuts["not_canonical"] == 0
+    if prune:
+        assert cuts["uncoverable"] > 0
+    else:
+        assert cuts["uncoverable"] == cuts["over_bound"] == 0
+    assert cuts["isolated_needy"] > 0
+
+
+def test_stats_of_an_unknown_account_for_every_candidate():
+    r = min_sat_exact(PatternGraph.complete(4), 3, budget=0.15)
+    assert r.value is None
+    _check_stats(r)
+
+
+def test_stats_of_a_trivial_search():
+    r = min_sat_exact(PatternGraph.complete(2), 3)
+    assert r.value == 0
+    _check_stats(r)
+    assert len(r.stats["levels"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# every cut against enumerated completions
+
+
+CUT_CASES = [
+    PatternGraph.complete(3),
+    PatternGraph.cycle(4),
+    PatternGraph.path(4),
+    PatternGraph.star(3),
+    PatternGraph.path(3),
+]
+
+
+def _random_prefix(copies, L, require_free, rng):
+    """A random slot set (free, for saturation), as a sorted tuple."""
+    order = rng.sample(range(L), L)
+    chosen, size = 0, rng.randrange(1, L // 2 + 2)
+    for y in order[:size]:
+        if require_free and brute_closes(copies, chosen, y):
+            continue
+        chosen |= 1 << y
+    return tuple(y for y in range(L) if chosen >> y & 1)
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+@pytest.mark.parametrize("H", CUT_CASES)
+def test_cuts_never_drop_a_completable_prefix(H, require_free):
+    """Walk random prefixes slot by slot through the search's own
+    incremental state.  Whenever a cut fires, no completion (a valid set
+    agreeing with the prefix up to its last slot) exists, or none within
+    the bound; the bundle-need bound never exceeds the edges a completion
+    still needs; and the carried slot sets equal their definitions."""
+    n = 2
+    host = BlowupHost(H, n)
+    L = len(host.slots())
+    copies = brute_copy_masks(H, n)
+    valid = brute_valid_sets(H, n, require_free)
+
+    def least_completion(chosen, top):
+        # fewest slots above top that make chosen valid, or None
+        low = (1 << top + 1) - 1
+        sizes = [(D ^ chosen).bit_count() for D in valid if D & low == chosen]
+        return min(sizes, default=None)
+
+    sys_ = solve._SlotSystem(host)
+    every = (1 << L) - 1
+    rng = random.Random(L + require_free)
+    fired = dict.fromkeys(solve._CUT_REASONS, 0)
+    for trial in range(150):
+        prefix = _random_prefix(copies, L, require_free, rng)
+        masks = solve._build_masks(H.vertex_count, n, ())
+        degs = [0] * (H.vertex_count * n)
+        uncovered, open_ = 0, every ^ sys_.covered(masks, every)
+        chosen, top = 0, -1
+        for m, s in enumerate(prefix, 1):
+            # isolated needy vertex: no extension from stop on completes
+            stop = sys_.needy_stop(degs, top)
+            for t in range(stop, L):
+                fired["isolated_needy"] += 1
+                assert least_completion(chosen | 1 << t, t) is None, (prefix[:m], t)
+            sys_.toggle(masks, degs, s, 1)
+            chosen |= 1 << s
+            left = sys_.settled_uncovered(masks, uncovered, open_, s)
+            assert left == sum(
+                1 << y
+                for y in range(s)
+                if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
+            )
+            least = least_completion(chosen, s)
+            done = chosen in valid
+            if least is not None and not done:
+                assert max(1, sys_.need(masks, left)) <= least, prefix[:m]
+                # a bound that admits the least completion keeps the prefix
+                assert sys_.cut(masks, require_free, left, open_, s, m, m + least)[0] is None
+            for ub in range(m, m + 6):
+                reason = sys_.cut(masks, require_free, left, open_, s, m, ub)[0]
+                if reason is not None:
+                    fired[reason] += 1
+                    assert done or least is None or m + least > ub, (prefix[:m], reason, ub)
+            later = sys_.cut(masks, require_free, left, open_, s, m, L + m)[1]
+            assert later == sum(
+                1 << z for z in range(s + 1, L) if not brute_closes(copies, chosen, z)
+            )
+            uncovered, open_, top = left, later, s
+    assert fired["uncoverable"] > 0 and fired["over_bound"] > 0, fired
 
 
 # ---------------------------------------------------------------------------
