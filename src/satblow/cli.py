@@ -202,6 +202,7 @@ def _cmd_mvalue(args) -> int:
             "witness": witness,
             "nodes": result.nodes_explored,
             "elapsed": round(result.elapsed, 3),
+            "stats": result.stats,
         }
     )
     return 3 if result.exhausted_budget else 0

@@ -87,6 +87,16 @@ covers.  A slot newly covered by C has a copy using both it and s, so only
 slots whose ends agree with s's (no part given two different indices) are
 searched again.
 
+m_value's depth-first search has one cut of the same kind.  It wants a
+K_s-free set that is covered (a transversal K_{s-1} in every s - 1 parts),
+and a node S only ever gains slots above max S.  A slot that closes a K_s
+with S closes one with every superset of S, so every set of the subtree of
+S lies inside S + F, where F is the free slots of S: those above max S that
+close no K_s with S.  Being covered only grows with edges, so when S + F
+is not covered, no set of the subtree is, and the subtree is dropped
+(uncoverable).  It holds no covered set, so the first covered set in
+depth-first preorder, the witness, is the same with the cut or without.
+
 When the full group is too large to hold, a subgroup (cyclic index
 shifts, or pattern automorphisms alone) is used instead; the search then
 revisits some orbits but stays complete.  A seeded greedy run provides the
@@ -379,6 +389,8 @@ def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
 
 _GROUP_ROW_CAP = 200_000
 _GROUP_ENTRY_CAP = 8_000_000
+# the maps hold one int of `rows` bits per slot and image slot
+_GROUP_MAP_BYTES_CAP = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -393,13 +405,48 @@ class _SlotGroup:
     everyone: int
 
 
+def _group_pool(sys: _SlotSystem, auts: list[tuple[int, ...]]) -> Optional[list]:
+    """The index permutations of the largest pool whose group fits the caps
+    (see _symmetry_group), or None when not even the identity does.  The
+    maps take sum over slots x of |orbit(x)| ints of one bit per row, and
+    that sum is counted before anything is built: a pool that moves every
+    index sends a slot onto all n^2 slots of each bundle that an
+    automorphism sends its bundle to."""
+    n, L, v = sys.n, sys.L, sys.pattern.vertex_count
+
+    def fits(rows: int, orbits) -> bool:
+        return (
+            rows <= _GROUP_ROW_CAP
+            and rows * L <= _GROUP_ENTRY_CAP
+            and rows * orbits() <= 8 * _GROUP_MAP_BYTES_CAP
+        )
+
+    def moved() -> int:
+        images = sum(len({frozenset((g[p], g[r])) for g in auts}) for p, r in sys.bundles)
+        return n**4 * images
+
+    def still() -> int:
+        return sum(
+            len({frozenset(((g[p], a), (g[q], b))) for g in auts}) for p, a, q, b in sys.ends0
+        )
+
+    if fits(math.factorial(n) ** v * len(auts), moved):
+        return list(itertools.permutations(range(n)))
+    if fits(n**v * len(auts), moved):
+        return [tuple((a + t) % n for a in range(n)) for t in range(n)]
+    if fits(len(auts), still):
+        return [tuple(range(n))]
+    return None
+
+
 def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     """The slot permutations of the symmetry group, or None when only the
     identity fits the caps or the group fixes every slot (n = 1, or an
     isolated vertex, can make it act trivially).
 
     A row is a pattern automorphism g with one index permutation per part
-    from a pool: the full S_n, else cyclic shifts, else the identity alone.
+    from a pool: the full S_n, else cyclic shifts, else the identity alone,
+    the first whose rows, table entries and map bytes fit the caps.
     Rows of automorphism j fill bits j * R .. j * R + R - 1, where
     R = |pool| ** v, and the bit of a pool choice (c_0, .., c_{v-1}) is its
     mixed-radix number c_0 ... c_{v-1}.  So "the choice for part t sends
@@ -407,22 +454,11 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     rows sending slot (p, a)-(q, b) to (g(p), a2)-(g(q), b2) are the AND of
     two such patterns shifted into block j.  Only the images the pool can
     produce are visited, and nothing is ever tabulated per row."""
-    pattern, n, L = sys.pattern, sys.n, sys.L
+    pattern, n = sys.pattern, sys.n
     v = pattern.vertex_count
     auts = _pattern_automorphisms(pattern)
-
-    def fits(rows: int) -> bool:
-        return rows <= _GROUP_ROW_CAP and rows * L <= _GROUP_ENTRY_CAP
-
-    if fits(math.factorial(n) ** v * len(auts)):
-        pool = list(itertools.permutations(range(n)))
-    elif fits(n ** v * len(auts)):
-        pool = [tuple((a + t) % n for a in range(n)) for t in range(n)]
-    elif fits(len(auts)):
-        pool = [tuple(range(n))]
-    else:
-        return None
-    if len(pool) == 1 and len(auts) == 1:
+    pool = _group_pool(sys, auts)
+    if pool is None or len(pool) == 1 and len(auts) == 1:
         return None
 
     size = len(pool)
@@ -833,7 +869,19 @@ class MResult:
     """Smallest vertex count of an r-partite graph (all parts non-empty)
     that is K_s-free yet has a transversal K_{s-1} inside every choice of
     s - 1 parts.  value None means the search space was exhausted or the
-    budget ran out before a witness appeared."""
+    budget ran out before a witness appeared.
+
+    stats says where the search went, as plain JSON-ready data:
+    stats["vertex_counts"] holds one record per vertex count searched, with
+    "vertices", "partitions" (part-size splits tried), "candidates" (each
+    split's empty root, and the slots above the last slot of a node, as far
+    as the search reached them), "nodes" (candidates visited) and "cuts",
+    the candidates dropped by reason: "clique" (the slot closes a K_s),
+    "not_canonical" (not the lex leader of its orbit) and "uncoverable"
+    (every slot above an uncoverable node, see m_value).  Each candidate is
+    a node or cut exactly once, so candidates = nodes + the sum of the cuts
+    on every record.  stats["cuts"] holds each reason's total, and
+    nodes_explored the total of the nodes."""
 
     r: int
     s: int
@@ -842,6 +890,7 @@ class MResult:
     nodes_explored: int
     elapsed: float
     exhausted_budget: bool
+    stats: Optional[dict] = None
 
 
 def _partitions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
@@ -893,132 +942,219 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _m_search_partition(
-    sizes: tuple[int, ...], s: int, deadline: Optional[float], counter: list[int]
-) -> Optional[frozenset]:
-    r = len(sizes)
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    total = offsets[-1]
-    part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
-    slots = [
-        (x, y)
-        for x in range(total)
-        for y in range(x + 1, total)
-        if part_of[x] != part_of[y]
-    ]
-    L = len(slots)
+# why a candidate slot set of the m-value search was dropped, in the order
+# the search tests them
+_M_CUT_REASONS = ("clique", "not_canonical", "uncoverable")
 
-    # within-part index permutations, as vertex maps
-    pools = [list(itertools.permutations(range(size))) for size in sizes]
-    group = []
-    for combo in itertools.product(*pools):
-        vmap = list(range(total))
-        for p in range(r):
-            for i, image in enumerate(combo[p]):
-                vmap[offsets[p] + i] = offsets[p] + image
-        group.append(tuple(vmap))
-    slot_index = {e: k for k, e in enumerate(slots)}
-    slot_perms = []
-    for vmap in group:
-        if all(vmap[i] == i for i in range(total)):
-            continue
-        slot_perms.append(
-            tuple(
-                slot_index[
-                    (min(vmap[x], vmap[y]), max(vmap[x], vmap[y]))
-                ]
-                for x, y in slots
-            )
-        )
 
-    adj = [0] * total
-    part_masks = [
-        sum(1 << (offsets[p] + i) for i in range(sizes[p])) for p in range(r)
-    ]
+def _m_stats(vertices: int) -> dict:
+    return {
+        "vertices": vertices,
+        "partitions": 0,
+        "candidates": 0,
+        "nodes": 0,
+        "cuts": dict.fromkeys(_M_CUT_REASONS, 0),
+    }
 
-    def creates_clique(x: int, y: int, need: int, pool: int) -> bool:
-        # does pool contain a clique of size `need` extending {x, y}?
-        if need == 0:
-            return True
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            w = bit.bit_length() - 1
-            if creates_clique(x, y, need - 1, pool & adj[w]):
+
+class _MPartition:
+    """One split into part sizes: its slots (vertex pairs in different
+    parts, vertices numbered part by part), the within-part index
+    permutations as slot permutations, and a graph held as one adjacency
+    bitmask per vertex."""
+
+    def __init__(self, sizes: tuple[int, ...], s: int):
+        r = len(sizes)
+        offsets = [0]
+        for size in sizes:
+            offsets.append(offsets[-1] + size)
+        total = offsets[-1]
+        part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
+        slots = [
+            (x, y)
+            for x in range(total)
+            for y in range(x + 1, total)
+            if part_of[x] != part_of[y]
+        ]
+        slot_index = {e: k for k, e in enumerate(slots)}
+        identity = list(range(total))
+        perms = []
+        pools = [list(itertools.permutations(range(size))) for size in sizes]
+        for combo in itertools.product(*pools):
+            vmap = [offsets[p] + image for p in range(r) for image in combo[p]]
+            if vmap != identity:
+                perms.append(
+                    tuple(
+                        slot_index[min(vmap[x], vmap[y]), max(vmap[x], vmap[y])]
+                        for x, y in slots
+                    )
+                )
+        part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
+        self.s, self.slots, self.L, self.perms = s, slots, len(slots), perms
+        self.offsets, self.part_of = offsets, part_of
+        self.adj = [0] * total
+        # each choice of s - 1 parts, as the vertex masks of its parts
+        self.choices = [
+            tuple(part_masks[p] for p in choice)
+            for choice in itertools.combinations(range(r), s - 1)
+        ]
+        self.everything = (1 << total) - 1
+        # the choice that failed last is tried first: a child adds one edge
+        # to its parent, so it most often still lacks the same transversal
+        self.last_failed = 0
+
+    def toggle(self, ks) -> None:
+        adj, slots = self.adj, self.slots
+        for k in ks:
+            x, y = slots[k]
+            adj[x] ^= 1 << y
+            adj[y] ^= 1 << x
+
+    def free_of(self, ks) -> list[int]:
+        """The slots of ks that close no K_s with the graph."""
+        adj, slots = self.adj, self.slots
+
+        def clique_in(need: int, pool: int) -> bool:
+            # does pool hold a clique of size `need`?
+            if need == 0:
                 return True
-        return False
+            while pool:
+                bit = pool & -pool
+                pool ^= bit
+                if clique_in(need - 1, pool & adj[bit.bit_length() - 1]):
+                    return True
+            return False
 
-    # each choice of s - 1 parts, as the vertex masks of its parts
-    part_choices = [
-        tuple(part_masks[p] for p in choice)
-        for choice in itertools.combinations(range(r), s - 1)
-    ]
-    everything = (1 << total) - 1
+        return [k for k in ks if not clique_in(self.s - 2, adj[slots[k][0]] & adj[slots[k][1]])]
 
-    def grow(choice: tuple[int, ...], idx: int, pool_bits: int) -> bool:
-        # a transversal clique on the parts choice[idx:], inside pool_bits
-        if idx == len(choice):
-            return True
-        cand = pool_bits & choice[idx]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            if grow(choice, idx + 1, pool_bits & adj[bit.bit_length() - 1]):
+    def covered(self) -> bool:
+        """Does the graph hold a transversal K_{s-1} on every s - 1 parts?"""
+        adj = self.adj
+
+        def grow(choice: tuple[int, ...], idx: int, pool: int) -> bool:
+            # a transversal clique on the parts choice[idx:], inside pool
+            if idx == len(choice):
                 return True
-        return False
+            cand = pool & choice[idx]
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                if grow(choice, idx + 1, pool & adj[bit.bit_length() - 1]):
+                    return True
+            return False
 
-    # the choice that failed last is tried first: a child adds one edge to
-    # its parent, so it most often still lacks the same transversal clique
-    last_failed = [0]
-
-    def covered() -> bool:
-        first = last_failed[0]
-        for i in itertools.chain(range(first, len(part_choices)), range(first)):
-            if not grow(part_choices[i], 0, everything):
-                last_failed[0] = i
+        first, choices = self.last_failed, self.choices
+        for i in itertools.chain(range(first, len(choices)), range(first)):
+            if not grow(choices[i], 0, self.everything):
+                self.last_failed = i
                 return False
         return True
 
+    def uncoverable(self, free: list[int]) -> bool:
+        """Is the graph plus the slots `free` (none of them in it) still not
+        covered?  Then no set between the two is (see m_value)."""
+        self.toggle(free)
+        reachable = self.covered()
+        self.toggle(free)
+        return not reachable
+
+    def edges(self, chosen) -> frozenset:
+        """The slots `chosen` as MultipartiteGraph edges."""
+        out = []
+        for k in chosen:
+            x, y = self.slots[k]
+            px, py = self.part_of[x], self.part_of[y]
+            out.append(((px + 1, x - self.offsets[px] + 1), (py + 1, y - self.offsets[py] + 1)))
+        return frozenset(out)
+
+
+def _m_search_partition(
+    sizes: tuple[int, ...],
+    s: int,
+    deadline: Optional[float] = None,
+    row: Optional[dict] = None,
+    prune: bool = True,
+) -> Optional[frozenset]:
+    """The first covered K_s-free lex leader on parts of these sizes, in
+    depth-first preorder, as MultipartiteGraph edges, or None.  Counts go to
+    row, an _m_stats record.  prune=False leaves out the uncoverable cut, a
+    reference path for tests: the answer is the same, with more nodes."""
+    if row is None:
+        row = _m_stats(sum(sizes))
+    cut = row["cuts"]
+    part = _MPartition(sizes, s)
+    L, perms = part.L, part.perms
+
     def dfs(
-        S: tuple[int, ...], last: int, thresholds: list[int]
+        S: tuple[int, ...], free: list[int], thresholds: list[int]
     ) -> Optional[tuple[int, ...]]:
-        counter[0] += 1
-        if deadline is not None and counter[0] % 256 == 0 and time.monotonic() > deadline:
+        # S is a K_s-free lex leader held in part.adj, and free lists the
+        # slots above max S that close no K_s with it
+        row["nodes"] += 1
+        if deadline is not None and row["nodes"] % 256 == 0 and time.monotonic() > deadline:
             raise _BudgetExceeded
-        if covered():
+        if part.covered():
             return S
-        for k in range(last + 1, L):
-            x, y = slots[k]
-            if creates_clique(x, y, s - 2, adj[x] & adj[y]):
-                continue
+        later = L - 1 - (S[-1] if S else -1)
+        if prune and part.uncoverable(free):
+            row["candidates"] += later
+            cut["uncoverable"] += later
+            return None
+        row["candidates"] += later - len(free)
+        cut["clique"] += later - len(free)
+        for i, k in enumerate(free):
+            row["candidates"] += 1
             child = S + (k,)
-            child_thresholds = _child_thresholds(slot_perms, thresholds, child, L)
+            child_thresholds = _child_thresholds(perms, thresholds, child, L)
             if child_thresholds is None:
+                cut["not_canonical"] += 1
                 continue
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-            got = dfs(child, k, child_thresholds)
-            adj[x] &= ~(1 << y)
-            adj[y] &= ~(1 << x)
+            part.toggle((k,))
+            got = dfs(child, part.free_of(free[i + 1 :]), child_thresholds)
+            part.toggle((k,))
             if got is not None:
                 return got
         return None
 
-    witness = dfs((), -1, [L] * len(slot_perms))
-    if witness is None:
-        return None
-    edges = []
-    for k in witness:
-        x, y = slots[k]
-        edges.append(
-            (
-                (part_of[x] + 1, x - offsets[part_of[x]] + 1),
-                (part_of[y] + 1, y - offsets[part_of[y]] + 1),
-            )
-        )
-    return frozenset(edges)
+    row["partitions"] += 1
+    row["candidates"] += 1  # the empty root
+    witness = dfs((), part.free_of(range(L)), [L] * len(perms))
+    return None if witness is None else part.edges(witness)
+
+
+def _m_search(
+    r: int, s: int, max_vertices: Optional[int], budget: Optional[float], prune: bool = True
+) -> MResult:
+    """The search behind m_value; prune=False is the reference path of
+    _m_search_partition."""
+    if s < 3:
+        raise ValueError("m_value needs s >= 3")
+    if r < s:
+        raise ValueError("m_value needs r >= s")
+    if max_vertices is None:
+        max_vertices = 2 * r
+    start = time.monotonic()
+    deadline = start + budget if budget is not None else None
+    rows: list[dict] = []
+
+    def result(value, witness, exhausted) -> MResult:
+        totals = {c: sum(row["cuts"][c] for row in rows) for c in _M_CUT_REASONS}
+        stats = {"vertex_counts": rows, "cuts": totals}
+        nodes = sum(row["nodes"] for row in rows)
+        return MResult(r, s, value, witness, nodes, time.monotonic() - start, exhausted, stats)
+
+    try:
+        for total in range(r, max_vertices + 1):
+            rows.append(_m_stats(total))
+            for sizes in sorted(_partitions(total, r)):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _BudgetExceeded
+                edges = _m_search_partition(sizes, s, deadline, rows[-1], prune)
+                if edges is not None:
+                    return result(total, MultipartiteGraph(sizes, edges), False)
+    except _BudgetExceeded:
+        return result(None, None, True)
+    return result(None, None, False)
 
 
 def m_value(
@@ -1037,28 +1173,20 @@ def m_value(
     threshold down to its children, so a child costs one comparison per
     element, and its image is sorted only where g(s) meets the threshold.
     The root's thresholds are all "fixed", which makes the first level the
-    orbit-minimum test g(s) >= s."""
-    if s < 3:
-        raise ValueError("m_value needs s >= 3")
-    if r < s:
-        raise ValueError("m_value needs r >= s")
-    if max_vertices is None:
-        max_vertices = 2 * r
-    start = time.monotonic()
-    deadline = start + budget if budget is not None else None
-    counter = [0]
-    try:
-        for total in range(r, max_vertices + 1):
-            for sizes in sorted(_partitions(total, r)):
-                edges = _m_search_partition(sizes, s, deadline, counter)
-                if edges is not None:
-                    witness = MultipartiteGraph(sizes, edges)
-                    return MResult(
-                        r, s, total, witness, counter[0], time.monotonic() - start, False
-                    )
-    except _BudgetExceeded:
-        return MResult(r, s, None, None, counter[0], time.monotonic() - start, True)
-    return MResult(r, s, None, None, counter[0], time.monotonic() - start, False)
+    orbit-minimum test g(s) >= s.
+
+    Every node S carries its free slots F: those above max S that close no
+    K_s with S.  Its children are S + (k,) for k in F, and the free slots
+    of a child are those of F above k that close no K_s with it, since a
+    slot that closes a K_s with a graph closes one with every supergraph.
+    So every set of the subtree of S lies inside S + F, and as being
+    covered (a transversal K_{s-1} in every s - 1 parts) only grows with
+    edges, S is dropped with its subtree when S + F is not covered
+    (uncoverable).  No dropped subtree holds a covered set, so the first
+    covered set in depth-first preorder, the witness, is the one the search
+    without the cut returns.  stats (see MResult) counts each split tried,
+    the nodes and the cuts."""
+    return _m_search(r, s, max_vertices, budget)
 
 
 # keyed on the vertex cap as well: a value found under one cap says nothing

@@ -172,3 +172,51 @@ def brute_valid_sets(pattern, n, require_free):
         ):
             out.append(chosen)
     return out
+
+
+def brute_m_slots(sizes):
+    """The vertex pairs in different parts of parts with these sizes, each
+    vertex a 1-based (part, index) pair, in the order m_value numbers them."""
+    verts = [(p + 1, i + 1) for p, size in enumerate(sizes) for i in range(size)]
+    return [(x, y) for x, y in itertools.combinations(verts, 2) if x[0] != y[0]]
+
+
+def brute_m_cliques(sizes, k):
+    """Every k-clique on k different parts, as an int with one bit per slot
+    of brute_m_slots(sizes), keyed by the set of its parts."""
+    index = {pair: j for j, pair in enumerate(brute_m_slots(sizes))}
+    verts = [(p + 1, i + 1) for p, size in enumerate(sizes) for i in range(size)]
+    out = {}
+    for combo in itertools.combinations(verts, k):
+        parts = frozenset(x[0] for x in combo)
+        if len(parts) == k:
+            mask = sum(1 << index[pair] for pair in itertools.combinations(combo, 2))
+            out.setdefault(parts, []).append(mask)
+    return out
+
+
+def brute_m_sets(sizes, s):
+    """Every K_s-free slot set (an int over brute_m_slots(sizes)) holding a
+    transversal K_{s-1} on every s - 1 parts, found by trying all 2^L sets.
+    Only for at most 14 slots."""
+    L = len(brute_m_slots(sizes))
+    if L > 14:
+        raise ValueError("brute_m_sets enumerates 2^L sets; keep L <= 14")
+    cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
+    transversals = brute_m_cliques(sizes, s - 1)
+    choices = [
+        transversals.get(frozenset(parts), [])
+        for parts in itertools.combinations(range(1, len(sizes) + 1), s - 1)
+    ]
+    return [
+        chosen
+        for chosen in range(1 << L)
+        if not any(c & chosen == c for c in cliques)
+        and all(any(t & chosen == t for t in masks) for masks in choices)
+    ]
+
+
+def brute_m_feasible(sizes, s):
+    """Is there a K_s-free graph on parts of these sizes with a transversal
+    K_{s-1} on every s - 1 parts?"""
+    return bool(brute_m_sets(sizes, s))

@@ -193,6 +193,24 @@ def test_mvalue_json(capsys):
     assert len(doc["witness"]["edges"]) >= 3
 
 
+def test_mvalue_json_reports_stats(capsys):
+    code, doc, _ = run_json(capsys, "mvalue", "-r", "5", "-s", "3")
+    assert code == 0 and doc["value"] == 8 and doc["nodes"] == 136
+    rows = doc["stats"]["vertex_counts"]
+    assert [row["vertices"] for row in rows] == [5, 6, 7, 8]
+    for row in rows:
+        assert row["candidates"] == row["nodes"] + sum(row["cuts"].values())
+    assert sum(row["nodes"] for row in rows) == doc["nodes"]
+    assert doc["stats"]["cuts"]["uncoverable"] > 0
+
+
+def test_bounds_json_k5(capsys):
+    code, doc, _ = run_json(capsys, "bounds", "-r", "5", "-n", "10")
+    assert code == 0
+    assert doc["lower"] == 150 and doc["upper"] == 360
+    assert doc["m_lower"] == 6 and doc["m_upper"] == 9
+
+
 def test_bounds_json(capsys):
     code, doc, _ = run_json(capsys, "bounds", "-r", "4", "-n", "10")
     assert code == 0

@@ -30,6 +30,10 @@ from oracles import (
     brute_closes,
     brute_copy_masks,
     brute_is_lex_leader,
+    brute_m_cliques,
+    brute_m_feasible,
+    brute_m_sets,
+    brute_m_slots,
     brute_min_exsat,
     brute_min_sat,
     brute_slot_group,
@@ -367,6 +371,17 @@ def test_group_maps_of_a_large_host():
     group = _group(H, n)
     assert len(want) == 2 and set(_rows(group)) == want
     assert max(len(images) for images in group.maps) == 2
+
+
+def test_group_pool_keeps_the_maps_under_the_byte_cap():
+    # C4[7]: the cyclic group's maps would take 196 * 196 * 19 208 bits
+    # (88 MiB), so only the pattern automorphisms are held
+    sys_ = solve._SlotSystem(BlowupHost(PatternGraph.cycle(4), 7))
+    assert len(solve._group_pool(sys_, solve._pattern_automorphisms(sys_.pattern))) == 1
+    assert solve._symmetry_group(sys_).everyone.bit_count() == 8
+    # K3[4] keeps the full group: 48 * 48 * 82 944 bits (22.8 MiB)
+    sys_ = solve._SlotSystem(BlowupHost(PatternGraph.complete(3), 4))
+    assert len(solve._group_pool(sys_, solve._pattern_automorphisms(sys_.pattern))) == 24
 
 
 def _leader(group, chosen):
@@ -802,17 +817,172 @@ def test_m_3_3():
 
 
 def test_m_4_3():
-    result = m_value(4, 3)
+    result = solve._m_search(4, 3, None, None, prune=False)
     assert result.value == 6
     assert result.nodes_explored == 622
     _check_m_witness(result)
 
 
 def test_m_4_4():
-    result = m_value(4, 4)
+    result = solve._m_search(4, 4, None, None, prune=False)
     assert result.value == 6
     assert result.nodes_explored == 387
     _check_m_witness(result)
+
+
+def _m_edge_string(w):
+    return " ".join(f"{p}{i}-{q}{j}" for (p, i), (q, j) in sorted(w.edges))
+
+
+M_PINS = [
+    (3, 3, 4, 11, (1, 1, 2), "11-21 11-31 21-32"),
+    (4, 3, 6, 45, (1, 1, 2, 2), "11-21 11-31 11-41 21-32 21-42 31-42"),
+    (
+        4,
+        4,
+        6,
+        75,
+        (1, 1, 1, 3),
+        "11-21 11-31 11-41 11-42 21-31 21-41 21-43 31-42 31-43",
+    ),
+    (
+        5,
+        3,
+        8,
+        136,
+        (1, 1, 2, 2, 2),
+        "11-21 11-31 11-41 11-51 21-32 21-42 21-52 31-42 31-52 32-41 32-51 41-52",
+    ),
+]
+
+
+@pytest.mark.parametrize("r, s, value, nodes, sizes, witness", M_PINS)
+def test_m_value_is_pinned(r, s, value, nodes, sizes, witness):
+    """The default search, with the uncoverable cut on: the witnesses are
+    the ones the search without it finds, from far fewer nodes."""
+    result = m_value(r, s)
+    assert (result.value, result.nodes_explored) == (value, nodes)
+    assert result.witness.part_sizes == sizes
+    assert _m_edge_string(result.witness) == witness
+    _check_m_witness(result)
+
+
+@pytest.mark.parametrize("r, s, value, nodes, sizes, witness", M_PINS[:3])
+def test_m_value_reference_path_finds_the_same_witness(r, s, value, nodes, sizes, witness):
+    result = solve._m_search(r, s, None, None, prune=False)
+    assert result.value == value and result.nodes_explored > nodes
+    assert result.witness.part_sizes == sizes
+    assert _m_edge_string(result.witness) == witness
+    assert result.stats["cuts"]["uncoverable"] == 0
+
+
+@pytest.mark.parametrize("r, s, value", [(5, 4, 9), (5, 5, 8), (6, 3, 10)])
+def test_m_value_beyond_the_old_reach(r, s, value):
+    result = m_value(r, s, budget=30.0)
+    assert result.value == value
+    _check_m_witness(result)
+
+
+def _small_partitions(r, most_slots=14):
+    """Every split of some vertex count into r parts with at most most_slots
+    slots."""
+    total = r
+    while True:
+        found = [
+            sizes
+            for sizes in solve._partitions(total, r)
+            if len(brute_m_slots(sizes)) <= most_slots
+        ]
+        if not found:
+            return
+        yield from found
+        total += 1
+
+
+@pytest.mark.parametrize("r, s", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)])
+@pytest.mark.parametrize("prune", [True, False])
+def test_m_search_matches_brute_force(r, s, prune):
+    for sizes in _small_partitions(r):
+        edges = solve._m_search_partition(sizes, s, prune=prune)
+        assert (edges is not None) == brute_m_feasible(sizes, s), sizes
+        if edges is not None:
+            w = solve.MultipartiteGraph(sizes, edges)
+            assert not w.has_clique(s)
+            for parts in itertools.combinations(range(1, r + 1), s - 1):
+                assert w.parts_have_transversal_clique(parts)
+
+
+@pytest.mark.parametrize(
+    "sizes, s",
+    [((1, 1, 2, 2), 3), ((1, 1, 1, 3), 4), ((1, 2, 3), 3), ((2, 2, 2), 3), ((1, 1, 2, 2), 4)],
+)
+def test_m_cut_never_drops_a_covered_completion(sizes, s):
+    """Walk random K_s-free prefixes slot by slot through the search's own
+    state.  The carried free slots equal their definition, the cut leaves
+    the graph as it was, and whenever the cut fires no covered K_s-free set
+    agrees with the prefix up to its last slot."""
+    part = solve._MPartition(sizes, s)
+    L = part.L
+    assert part.L == len(brute_m_slots(sizes))
+    cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
+    valid = brute_m_sets(sizes, s)
+    rng = random.Random(L * s)
+    fired = kept = 0
+    for trial in range(120):
+        free = part.free_of(range(L))
+        chosen = 0
+        while free and rng.random() < 0.85:
+            k = rng.choice(free)
+            part.toggle((k,))
+            chosen |= 1 << k
+            free = part.free_of(free[free.index(k) + 1 :])
+            assert free == [z for z in range(k + 1, L) if not brute_closes(cliques, chosen, z)]
+            adj = part.adj[:]
+            low = (1 << k + 1) - 1
+            completable = any(D & low == chosen for D in valid)
+            if part.uncoverable(free):
+                fired += 1
+                assert not completable, (sizes, chosen)
+            else:
+                kept += completable
+            assert part.adj == adj
+        part.toggle(k for k in range(L) if chosen >> k & 1)
+        assert not any(part.adj)
+    assert fired > 0 and kept > 0, (fired, kept)
+
+
+def _check_m_stats(result):
+    rows = result.stats["vertex_counts"]
+    assert [row["vertices"] for row in rows] == list(range(result.r, result.r + len(rows)))
+    for row in rows:
+        assert set(row["cuts"]) == set(solve._M_CUT_REASONS)
+        assert row["candidates"] == row["nodes"] + sum(row["cuts"].values()), row
+        assert 0 <= row["partitions"] <= row["nodes"]
+    assert sum(row["nodes"] for row in rows) == result.nodes_explored
+    assert result.stats["cuts"] == {
+        reason: sum(row["cuts"][reason] for row in rows) for reason in solve._M_CUT_REASONS
+    }
+
+
+@pytest.mark.parametrize("r, s", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 5)])
+@pytest.mark.parametrize("prune", [True, False])
+def test_m_stats_account_for_every_candidate(r, s, prune):
+    result = solve._m_search(r, s, None, None, prune=prune)
+    _check_m_stats(result)
+    rows = result.stats["vertex_counts"]
+    assert len(rows) == result.value - r + 1  # stops at the witness
+    for row in rows[:-1]:  # every split of a vertex count below the value
+        assert row["partitions"] == len(list(solve._partitions(row["vertices"], r)))
+    if not prune:
+        assert result.stats["cuts"]["uncoverable"] == 0
+    elif r > 3:
+        assert result.stats["cuts"]["uncoverable"] > 0
+
+
+def test_m_stats_of_an_unknown_account_for_every_candidate():
+    for result in (m_value(6, 4, budget=0.2), m_value(4, 3, max_vertices=5)):
+        assert result.value is None and result.nodes_explored > 0
+        _check_m_stats(result)
 
 
 def test_m_validation():
@@ -842,6 +1012,13 @@ def test_kr_sat_bounds_k4():
     assert b.m_lower.value == 4 and b.m_upper.value == 6
     assert kr_sat_bounds(4, 1).lower == 8
     assert kr_sat_bounds(4, 1).upper == 18
+
+
+def test_kr_sat_bounds_k5():
+    b = kr_sat_bounds(5, 10)
+    assert (b.lower, b.upper) == (150, 360)
+    assert b.m_lower.value == 6 and b.m_upper.value == 9
+    assert b.m_lower.elapsed + b.m_upper.elapsed < 1.0
 
 
 def test_kr_sat_bounds_cache_respects_max_vertices():
