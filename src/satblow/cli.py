@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -267,12 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, verify and exactly solve partite saturation "
         "problems in blown-up pattern graphs.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="reserved for future use; execution is single threaded "
-        "(default from SATBLOW_THREADS, else 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pattern_help = "built-in name (k2..k6, p3..p8, c4..c8, star-2..star-6) or a .pat file"
@@ -356,16 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("SATBLOW_THREADS", "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            print(f"error: SATBLOW_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except FormatError as exc:

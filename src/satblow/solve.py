@@ -1,15 +1,34 @@
 """Greedy samplers and exact minimum searches.
 
-The exact searches (min_sat_exact, min_exsat_exact) deepen on a target edge
-count m, starting from a proven lower bound, and run a complete search over
-edge sets of size m up to symmetry before moving to m + 1.  The symmetry
-group combines index permutations within each part with automorphisms of the
-pattern; a candidate edge set is kept only when it is the lexicographically
-least member of its orbit (its lex leader), slots being numbered in
-lexicographic endpoint order and a set being compared as its sorted tuple.
-Appending slots in increasing order preserves that canonical form under
-prefix removal, so each orbit is expanded exactly once and levels are
-carried over between deepening steps instead of being rebuilt.
+The exact searches (min_sat_exact, min_exsat_exact) walk one tree depth
+first: orderly generation with a lex-leader test, in the sense of Kaski and
+Ostergard, Classification Algorithms for Codes and Designs (2006).  The
+symmetry group combines index permutations within each part with
+automorphisms of the pattern; a slot set is kept only when it is the
+lexicographically least member of its orbit (its lex leader), slots being
+numbered in lexicographic endpoint order and a set being compared as its
+sorted tuple.  A set's children append one slot above its last one, and
+removing the last slot of a lex leader leaves a lex leader, so every orbit
+has exactly one node in the tree, reached from the empty root.  Children
+are visited in ascending slot order, so the walk's preorder is the
+lexicographic order of the tuples, a proper prefix coming first.
+
+The walk keeps an incumbent, the best valid set so far: first the greedy
+graph of ub edges.  It looks for valid sets of at most `bound` slots, with
+bound = ub at the start; on meeting a valid set of f slots it takes that set
+as the incumbent, lowers bound to f - 1, and leaves the parent at once, since
+the parent's later children are as large and lexicographically greater.  It
+stops when the walk is done or bound falls below the proven lower bound.
+The first optimum it meets is the witness, and it is the lexicographically
+least canonical optimum W, whatever the greedy graph was.  Proof: bound
+never falls below the optimum f* before W is met, since a valid set of f*
+slots met earlier would be lexicographically smaller than W.  So until then
+every cut (those below are proved for any bound >= f*) keeps every prefix of
+W, a parent left early holds no prefix of W (its later children and their
+subtrees have at least as many slots as the valid child found, which has
+more than f*), and W is met; from then on bound = f* - 1 and no set of f*
+slots is taken.  Lowering bound to f - 1 is safe for the value: a set of f
+slots or more cannot improve on the incumbent.
 
 The Delta rule.  For a group element g and a slot set C, let d be the least
 slot of the symmetric difference g(C) Delta C.  Then sorted(g(C)) < C
@@ -38,10 +57,11 @@ if g(P) is P - {t_g} + {e} with e > max P, g rejects C when e < s and fixes
 it when e == s.
 
 The exact search applies the rule to every group element at once: the
-group is held as one bit per element, per slot and image slot, and a lex
-leader carries the elements of each threshold and the outcome of each tie
-(_Leader), so testing an extension is one walk over the images of s below
-s.  m_value, whose groups are small, applies it one element at a time.
+group is held as one bit per element, per slot and image slot, and each
+node of the walk with a slot left to test derives its _Leader once, from
+its parent's: the elements of each threshold and the outcome of each tie,
+so testing an extension is one walk over the images of s below s.  m_value,
+whose groups are small, applies it one element at a time.
 
 Pruning rests on one fact.  A child C = P + (s,) only ever gains slots
 above s, so every slot y < s not in C is a non-edge of every completion D
@@ -72,20 +92,18 @@ losing any optimum:
   {p, r} meets one vertex of part p and one of part r, and bundles share no
   slot, so |D - C| >= sum over pattern edges {p, r} of
   max(|need(p -> r)|, |need(r -> p)|); and |D - C| >= 1 when C itself is
-  not valid.  The child is dropped when m plus that bound exceeds ub, the
-  size of the greedy witness.  The test is strict: a prefix of any valid
-  set of ub edges or fewer survives, so the search still reaches the
-  lexicographically least optimum at its level and the witness does not
-  depend on ub.
+  not valid.  The child is dropped when m plus that bound exceeds the
+  walk's bound.  The test is strict: a prefix of any valid set of at most
+  bound slots survives.
 
-The last two cuts are computed incrementally.  Each frontier set carries
-its settled slots left uncovered and its open slots (those above its last
-slot that close no copy with it).  A child's settled, uncovered slots are
-its parent's plus the parent's open slots below s, less those the new slot
-s covers, and its open slots are the parent's above s, less those it
-covers.  A slot newly covered by C has a copy using both it and s, so only
-slots whose ends agree with s's (no part given two different indices) are
-searched again.
+The last two cuts are computed incrementally.  Each node of the walk
+carries its settled slots left uncovered and its open slots (those above
+its last slot that close no copy with it).  A child's settled, uncovered
+slots are its parent's plus the parent's open slots below s, less those
+the new slot s covers, and its open slots are the parent's above s, less
+those it covers.  A slot newly covered by C has a copy using both it and
+s, so only slots whose ends agree with s's (no part given two different
+indices) are searched again.
 
 m_value's depth-first search has one cut of the same kind.  It wants a
 K_s-free set that is covered (a transversal K_{s-1} in every s - 1 parts),
@@ -97,11 +115,20 @@ is not covered, no set of the subtree is, and the subtree is dropped
 (uncoverable).  It holds no covered set, so the first covered set in
 depth-first preorder, the witness, is the same with the cut or without.
 
+When the budget runs out, the walk answers UNKNOWN with the incumbent and
+a proven lower bound.  If the optimum is below the incumbent's size, the
+walk has not met the canonical form D of an optimal set (it would be the
+incumbent), and no cut or early leave removed it (the argument above, with
+bound >= |D| throughout).  So D lies in the subtree of an untried child
+P + (s,) of a set P on the walk's stack, s at least the next child t of P
+to try.  Every slot below t that P lacks is settled for D, so |D| is at
+least |P| + max(1, the bundle-need bound of those slots left uncovered by
+P).  The least of these over the stack, capped at the incumbent's size, is
+the lower bound.
+
 When the full group is too large to hold, a subgroup (cyclic index
 shifts, or pattern automorphisms alone) is used instead; the search then
-revisits some orbits but stays complete.  A seeded greedy run provides the
-upper end of the deepening range and the fallback answer when the wall-clock
-budget runs out.
+revisits some orbits but stays complete.
 """
 
 from __future__ import annotations
@@ -224,6 +251,26 @@ class _SlotSystem:
             self.elsewhere += [in_part ^ at_vertex[p * n + a] for a in range(n)]
         self.bundles = [(p - 1, r - 1) for p, r in pattern.edges]
         self.most_need = len(self.bundles) * n  # need() never exceeds it
+        # need_at: per vertex (p, a) with a slot, (p, a, its bit in a part,
+        # its slots, checks), a check being (r, direction, slots at the vertex
+        # outside bundle {p, r}) for each pattern neighbour r of p; direction
+        # 2j is bundle j = (p, r) of self.bundles read from p, 2j + 1 from r
+        direction, toward = {}, {}
+        for j, (p, r) in enumerate(self.bundles):
+            direction[p, r], direction[r, p] = 2 * j, 2 * j + 1
+        for k, (p, a, q, b) in enumerate(self.ends0):
+            toward[p * n + a, q] = toward.get((p * n + a, q), 0) | 1 << k
+            toward[q * n + b, p] = toward.get((q * n + b, p), 0) | 1 << k
+        self.need_at = []
+        for p in range(v):
+            for a in range(n):
+                touch = at_vertex[p * n + a]
+                if touch:
+                    checks = tuple(
+                        (r, direction[p, r], touch ^ toward[p * n + a, r])
+                        for r in pattern._adj0[p]
+                    )
+                    self.need_at.append((p, a, 1 << a, touch, checks))
 
     def toggle(self, masks: list, degs: list[int], k: int, step: int) -> None:
         """Add slot k to the graph held in masks and degs (step 1), or take
@@ -273,6 +320,13 @@ class _SlotSystem:
                 break
         return hit
 
+    def reach(self, masks: list, uncovered: int, open_: int, t: int, m: int) -> int:
+        """The fewest slots of a valid set through a child P + (s,), s >= t,
+        of the set P of m slots held in masks, whose settled slots left
+        uncovered and open slots are `uncovered` and `open_`: every slot
+        below t that P lacks is settled for it (see the module docstring)."""
+        return m + max(1, self.need(masks, uncovered | open_ & (1 << t) - 1))
+
     def settled_uncovered(self, masks: list, uncovered: int, open_: int, s: int) -> int:
         """The settled slots that child = parent + (s,), held in masks,
         leaves uncovered: the parent's (`uncovered`), and its open slots
@@ -305,23 +359,21 @@ class _SlotSystem:
     def need(self, masks: list, uncovered: int) -> int:
         """The bundle-need bound: edges any completion of the graph in masks
         must add so that each slot of `uncovered`, a settled non-edge, can
-        close a copy (see the module docstring)."""
-        adj = self.pattern._adj0
-        lack: dict[tuple[int, int], int] = {}
-        while uncovered:
-            bit = uncovered & -uncovered
-            uncovered ^= bit
-            p, a, q, b = self.ends0[bit.bit_length() - 1]
-            for x, i, y in ((p, a, q), (q, b, p)):
-                row = masks[x][i]
-                for r in adj[x]:
-                    if r != y and not row[r]:
-                        lack[x, r] = lack.get((x, r), 0) | 1 << i
-        if not lack:
+        close a copy (see the module docstring).  lack[d] holds, per bundle
+        direction p -> r, the indices of the vertices of part p that need an
+        edge toward part r: they have none yet, and an uncovered slot from
+        another bundle."""
+        if not uncovered:
             return 0
+        lack = [0] * (2 * len(self.bundles))
+        for p, a, bit, touch, checks in self.need_at:
+            if uncovered & touch:
+                row = masks[p][a]
+                for r, d, away in checks:
+                    if not row[r] and uncovered & away:
+                        lack[d] |= bit
         return sum(
-            max(lack.get((p, r), 0).bit_count(), lack.get((r, p), 0).bit_count())
-            for p, r in self.bundles
+            max(lack[d].bit_count(), lack[d + 1].bit_count()) for d in range(0, len(lack), 2)
         )
 
     def graph_for(self, slot_ids) -> PartiteGraph:
@@ -608,15 +660,15 @@ def _canonical_extensions(group: _SlotGroup, state: _Leader, exts: list[int]) ->
     return kept
 
 
-# why an extension slot of a parent was dropped, in the order the search
-# tests them
+# why an extension slot of an expanded set was dropped, in the order the
+# walk tests them
 _CUT_REASONS = ("not_free", "isolated_needy", "not_canonical", "over_bound", "uncoverable")
 
 
 def _level_stats(level: int) -> dict:
     return {
         "level": level,
-        "frontier": 0,
+        "expanded": 0,
         "candidates": 0,
         "admitted": 0,
         "cuts": dict.fromkeys(_CUT_REASONS, 0),
@@ -628,26 +680,34 @@ class SolveResult:
     """Outcome of an exact search.
 
     value is None when the budget ran out (UNKNOWN); witness then holds the
-    best verified graph found (the greedy upper bound) and upper_bound its
-    edge count.  Otherwise witness is an optimal graph with value edges,
-    the lexicographically least one over canonical slot sets, re-checked
-    from the definition before it is returned.  lower_bound is proven: the
-    larger of saturation_lower_bound and the level in progress when the
-    budget ran out, every smaller level having been searched completely;
-    it equals value on an exact result.  nodes_explored counts the
-    canonical sets admitted to the search tree, the empty root included.
+    best valid graph found so far (the greedy graph, or a smaller set the
+    walk met), re-checked from the definition, and upper_bound its edge
+    count.  Otherwise witness is an optimal graph with value edges, the
+    lexicographically least one over canonical slot sets, re-checked from
+    the definition before it is returned.  lower_bound is proven: on an
+    UNKNOWN, the larger of saturation_lower_bound and the least, over the
+    sets whose children the walk had not all tried, of the set's size plus
+    what any completion of it through an untried child must still add (see
+    the module docstring), capped at upper_bound; it equals value on an
+    exact result.  nodes_explored counts the canonical sets admitted to the
+    search tree, the empty root included.
 
     stats says where the search went, as plain JSON-ready data:
-    stats["levels"][m] is the record of level m (sets of m slots) with
-    "candidates" (extension slots above the last slot of each set of level
-    m - 1, or the root alone at level 0), "admitted" (sets kept as nodes),
-    "frontier" (of those, the sets carried to level m + 1) and "cuts", the
-    candidates dropped by reason: "not_free", "isolated_needy",
-    "not_canonical", "over_bound", "uncoverable" (see the module
-    docstring).  Each candidate is admitted or cut exactly once, so
-    candidates = admitted + the sum of the cuts on every level; the last
-    level counts only the candidates reached before the search stopped.
-    stats["cuts"] holds each reason's total over the levels.
+    stats["levels"][m] is the record of sets of m slots with "candidates"
+    (the extension slots of each expanded set of m - 1 slots that the walk
+    tried, or the root alone at size 0), "admitted" (sets kept as nodes),
+    "expanded" (of those, the sets whose children were generated) and
+    "cuts", the candidates dropped by reason: "not_free",
+    "isolated_needy", "not_canonical", "over_bound", "uncoverable" (see the
+    module docstring).  Each candidate is admitted or cut exactly once, so
+    candidates = admitted + the sum of the cuts on every record; slots a
+    walk never reached (it left a set after meeting a valid child, or ran
+    out of budget) are not candidates.  stats["cuts"] holds each reason's
+    total over the sizes.  stats["improvements"] lists the upper bounds in
+    the order they were found, each as {"size", "nodes"} with nodes the
+    count admitted by then: first the greedy graph (nodes 0), then each
+    valid set smaller than the bound before it; the last size is value on
+    an exact result.
     """
 
     value: Optional[int]
@@ -679,120 +739,158 @@ def _exact_minimum(
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     host = BlowupHost(pattern, n)
-    empty = PartiteGraph(host)
-    ub_graph = _greedy_fill(empty, seed)
+    ub_graph = _greedy_fill(PartiteGraph(host), seed)
     ub = ub_graph.edge_count()
     lb = saturation_lower_bound(pattern, n)
-    levels = [_level_stats(0)]  # level 0 admits the empty root
-    levels[0].update(frontier=1, candidates=1, admitted=1)
+    levels = [_level_stats(0)]  # the empty root is the one candidate of size 0
+    levels[0].update(candidates=1, admitted=1)
+    improvements = [{"size": ub, "nodes": 0}]
 
     def result(value, witness, exhausted, upper, lower) -> SolveResult:
-        totals = {r: sum(row["cuts"][r] for row in levels) for r in _CUT_REASONS}
-        stats = {"levels": levels, "cuts": totals}
-        nodes = sum(row["admitted"] for row in levels)
-        elapsed = time.monotonic() - start
-        return SolveResult(value, witness, nodes, elapsed, exhausted, upper, lower, stats)
-
-    def exact(value: int, witness: PartiteGraph) -> SolveResult:
         # an independent path: the definition, on a graph built afresh
         check = is_partite_saturated if require_free else is_extra_saturated
         if not check(PartiteGraph(host, witness.edges)).ok:
             raise RuntimeError(
-                f"the exact search returned a witness of size {value} that fails {check.__name__}"
+                f"the exact search returned a witness of size {upper} that fails {check.__name__}"
             )
-        return result(value, witness, False, value, value)
+        totals = {r: sum(row["cuts"][r] for row in levels) for r in _CUT_REASONS}
+        stats = {"levels": levels, "cuts": totals, "improvements": improvements}
+        nodes = sum(row["admitted"] for row in levels)
+        elapsed = time.monotonic() - start
+        return SolveResult(value, witness, nodes, elapsed, exhausted, upper, lower, stats)
 
     if ub == 0:
-        return exact(0, ub_graph)
+        return result(0, ub_graph, False, 0, 0)
 
     sys_ = _SlotSystem(host)
     L, ends0 = sys_.L, sys_.ends0
     group = _symmetry_group(sys_) if use_symmetry else None
-    # The frontier is in lex order, so consecutive parents share all but
-    # their last few slots.  prefix is the parent whose graph masks and degs
-    # hold; states[d] is the _Leader of prefix[:d], for d < len(states).
-    prefix: list[int] = []
     masks = _build_masks(pattern.vertex_count, n, ())
     degs = [0] * (pattern.vertex_count * n)
-    states = [_root_leader(group)] if group is not None else []
+    floor = max(lb, 1)  # no smaller set is valid; the root is not
+    bound = ub  # the walk looks for valid sets of at most this many slots
+    best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
+    # path is the set masks and degs hold; stack[d] is the frame of path[:d]:
+    # [extension slots left after the cuts of its expansion, index of the
+    # next to try, its settled slots left uncovered, its open slots (None
+    # with prune off), its _Leader (None when it had no slot to test)]
+    path: list[int] = []
+    stack: list[list] = []
 
-    # A frontier entry is (set, settled slots it leaves uncovered, its open
-    # slots), both slot sets as ints; with prune off the open slots are
-    # found when the set is expanded, and only for the saturation search.
+    def drop(row: dict, reason: str, count: int) -> None:
+        row["candidates"] += count
+        row["cuts"][reason] += count
+
+    def expand(top: int, uncovered: int, open_: Optional[int]) -> None:
+        """Generate the children of path (last slot top) and push its frame."""
+        m = len(path)
+        levels[m]["expanded"] += 1
+        if len(levels) == m + 1:
+            levels.append(_level_stats(m + 1))
+        row = levels[m + 1]
+        stop = sys_.needy_stop(degs, top)
+        drop(row, "isolated_needy", L - stop)
+        if require_free:
+            if open_ is None:
+                ahead = (1 << stop) - (1 << top + 1)
+                open_ = ahead ^ sys_.covered(masks, ahead)
+            exts = [s for s in range(top + 1, stop) if open_ >> s & 1]
+            drop(row, "not_free", stop - 1 - top - len(exts))
+        else:
+            exts = list(range(top + 1, stop))
+        leader = None
+        if group is not None and exts:
+            leader = _child_leader(group, stack[-1][4], tuple(path)) if path else _root_leader(group)
+            kept = _canonical_extensions(group, leader, exts)
+            drop(row, "not_canonical", len(exts) - len(kept))
+            exts = kept
+        stack.append([exts, 0, uncovered, open_ if prune else None, leader])
+
     every = (1 << L) - 1
-    frontier = [((), 0, every ^ sys_.covered(masks, every) if prune else None)]
-    for m in range(1, ub + 1):
-        row = _level_stats(m)
-        levels.append(row)
-        cut = row["cuts"]
-        next_frontier: list[tuple] = []
-        testing = m >= max(lb, 1)
-        for parent, uncovered, open_ in frontier:
-            if deadline is not None and time.monotonic() > deadline:
-                return result(None, ub_graph, True, ub, max(lb, m))
-            d = 0
-            while d < len(prefix) and d < len(parent) and prefix[d] == parent[d]:
-                d += 1
-            while len(prefix) > d:
-                sys_.toggle(masks, degs, prefix.pop(), -1)
-            for k in parent[d:]:
-                sys_.toggle(masks, degs, k, 1)
-                prefix.append(k)
-            del states[d + 1 :]
-            top = parent[-1] if parent else -1
-            stop = sys_.needy_stop(degs, top)
-            row["candidates"] += L - 1 - top
-            cut["isolated_needy"] += L - stop
-            if require_free:
-                if open_ is None:
-                    ahead = (1 << stop) - (1 << top + 1)
-                    open_ = ahead ^ sys_.covered(masks, ahead)
-                exts = [s for s in range(top + 1, stop) if open_ >> s & 1]
-                cut["not_free"] += stop - 1 - top - len(exts)
-            else:
-                exts = list(range(top + 1, stop))
-            if group is not None and exts:
-                while len(states) <= len(parent):
-                    states.append(_child_leader(group, states[-1], parent[: len(states)]))
-                kept = _canonical_extensions(group, states[-1], exts)
-                cut["not_canonical"] += len(exts) - len(kept)
-                exts = kept
-            for i, s in enumerate(exts):
-                if deadline is not None and time.monotonic() > deadline:
-                    row["candidates"] -= len(exts) - i  # never reached
-                    return result(None, ub_graph, True, ub, max(lb, m))
-                child = parent + (s,)
-                sys_.toggle(masks, degs, s, 1)
-                if prune:
-                    left = sys_.settled_uncovered(masks, uncovered, open_, s)
-                    # with every settled slot covered, the slots above s decide
-                    scan = ends0[s + 1 :] if testing and not left else None
-                else:
-                    left = 0
-                    scan = ends0 if testing else None
-                if scan is not None and first_uncovered_slot(pattern, n, masks, scan) is None:
-                    row["admitted"] += 1
-                    row["candidates"] -= len(exts) - i - 1  # never reached
-                    return exact(m, sys_.graph_for(child))
-                reason, later = None, None
-                if prune:
-                    reason, later = sys_.cut(masks, require_free, left, open_, s, m, ub)
-                sys_.toggle(masks, degs, s, -1)
-                if reason is not None:
-                    cut[reason] += 1
-                    continue
-                row["admitted"] += 1
-                if m < ub:
-                    next_frontier.append((child, left, later))
-                    row["frontier"] += 1
-        frontier = next_frontier
-        if not frontier and m < ub:
-            # every continuation was pruned as unable to reach a valid
-            # graph, so the greedy witness is already optimal
-            return exact(ub, ub_graph)
-    # the canonical form of the greedy witness lives at level ub, so the
-    # scan above cannot actually fall through; keep a safe answer anyway
-    return exact(ub, ub_graph)
+    root_open = every ^ sys_.covered(masks, every) if prune else None
+    expand(-1, 0, root_open)
+    while stack:
+        frame = stack[-1]
+        exts, i, uncovered, open_, _ = frame
+        if i == len(exts):
+            stack.pop()
+            if path:
+                sys_.toggle(masks, degs, path.pop(), -1)
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            upper = ub if best is None else len(best)
+            return result(
+                None,
+                ub_graph if best is None else sys_.graph_for(best),
+                True,
+                upper,
+                max(lb, min(upper, _open_bound(sys_, masks, path, stack))),
+            )
+        s = exts[i]
+        m = len(path) + 1
+        row = levels[m]
+        if prune and m - 1 + sys_.most_need > bound and sys_.reach(
+            masks, uncovered, open_, s, m - 1
+        ) > bound:
+            # the bound grows with s, so no later sibling can come in either
+            drop(row, "over_bound", len(exts) - i)
+            frame[1] = len(exts)
+            continue
+        frame[1] = i + 1
+        sys_.toggle(masks, degs, s, 1)
+        if prune:
+            left = sys_.settled_uncovered(masks, uncovered, open_, s)
+            # with every settled slot covered, the slots above s decide
+            scan = ends0[s + 1 :] if m >= floor and not left else None
+        else:
+            left = 0
+            scan = ends0 if m >= floor else None
+        if scan is not None and first_uncovered_slot(pattern, n, masks, scan) is None:
+            row["candidates"] += 1
+            row["admitted"] += 1
+            sys_.toggle(masks, degs, s, -1)
+            best, bound = (*path, s), m - 1
+            if m < improvements[-1]["size"]:
+                improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
+            if bound < floor:
+                break
+            frame[1] = len(exts)  # later siblings are as large and lex-greater
+            continue
+        reason, later = None, None
+        if prune:
+            reason, later = sys_.cut(masks, require_free, left, open_, s, m, bound)
+        if reason is not None:
+            sys_.toggle(masks, degs, s, -1)
+            drop(row, reason, 1)
+            continue
+        row["candidates"] += 1
+        row["admitted"] += 1
+        if m < bound:
+            path.append(s)
+            expand(s, left, later)
+        else:
+            sys_.toggle(masks, degs, s, -1)
+    if best is None:
+        # the canonical form of the greedy graph is a node of the walk, so
+        # this only keeps a safe answer
+        return result(ub, ub_graph, False, ub, ub)
+    return result(len(best), sys_.graph_for(best), False, len(best), len(best))
+
+
+def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[list]) -> int:
+    """The least size a valid set the walk has not met can have: the least,
+    over the frames with a child left to try, of _SlotSystem.reach at the
+    next of those children (the frame's size plus one with prune off, whose
+    frames carry no open slots).  Takes path out of masks."""
+    least = math.inf
+    for d in range(len(stack) - 1, -1, -1):
+        exts, i, uncovered, open_, _ = stack[d]
+        if i < len(exts):
+            reach = d + 1 if open_ is None else sys_.reach(masks, uncovered, open_, exts[i], d)
+            least = min(least, reach)
+        if d:
+            sys_.flip(masks, 1 << path.pop())
+    return least
 
 
 def min_sat_exact(
@@ -803,8 +901,8 @@ def min_sat_exact(
     use_symmetry: bool = True,
     seed: int = 0,
 ) -> SolveResult:
-    """Least edge count of a partite-saturated subgraph of H[n], found by
-    deepening on the edge count with a complete per-level search."""
+    """Least edge count of a partite-saturated subgraph of H[n], found by a
+    depth-first branch-and-bound walk over canonical slot sets."""
     return _exact_minimum(pattern, n, True, budget, use_symmetry, seed)
 
 

@@ -220,3 +220,15 @@ def brute_m_feasible(sizes, s):
     """Is there a K_s-free graph on parts of these sizes with a transversal
     K_{s-1} on every s - 1 parts?"""
     return bool(brute_m_sets(sizes, s))
+
+
+def brute_free_set_counts(pattern, n):
+    """counts[m]: how many partite-free slot sets of m slots H[n] has, found
+    by trying all 2^L sets on the copy list."""
+    copies = brute_copy_masks(pattern, n)
+    L = len(pattern.edges) * n * n
+    counts = [0] * (L + 1)
+    for chosen in range(1 << L):
+        if not any(c & chosen == c for c in copies):
+            counts[chosen.bit_count()] += 1
+    return counts

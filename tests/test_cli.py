@@ -158,7 +158,9 @@ def test_solve_json_reports_stats(capsys):
     assert code == 0 and doc["value"] == 12
     stats = doc["stats"]
     levels = stats["levels"]
-    assert len(levels) == 13 and sum(row["admitted"] for row in levels) == doc["nodes"]
+    assert [row["level"] for row in levels] == list(range(len(levels)))
+    assert sum(row["admitted"] for row in levels) == doc["nodes"]
+    assert stats["improvements"][-1]["size"] == 12
     assert set(stats["cuts"]) == {
         "not_free",
         "isolated_needy",
@@ -234,29 +236,29 @@ def test_table_bad_range_exits_2(capsys):
     assert code == 2 and "range" in err
 
 
-def test_threads_flag_accepted_but_validated(capsys):
-    code, doc, _ = run_json(capsys, "--threads", "4", "table", "k4", "--n-range", "3:3")
-    assert code == 0 and doc["rows"][0]["edges"] == 33
-    code, _, err = run_cli(capsys, "--threads", "0", "table", "k4", "--n-range", "3:3")
-    assert code == 2
+def _argparse_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    return e.value.code, capsys.readouterr().err
 
 
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SATBLOW_THREADS", "2")
-    code, _, _ = run_json(capsys, "table", "k4", "--n-range", "3:3")
-    assert code == 0
-    monkeypatch.setenv("SATBLOW_THREADS", "0")
-    code, _, err = run_cli(capsys, "table", "k4", "--n-range", "3:3")
-    assert code == 2
+def test_threads_flag_is_gone(capsys):
+    for value in ("4", "0"):
+        code, err = _argparse_exit(capsys, "--threads", value, "table", "k4", "--n-range", "3:3")
+        assert code == 2 and "usage" in err
 
 
-def test_malformed_threads_env_exits_2(capsys, monkeypatch):
+def test_threads_flag_after_the_command_is_gone(capsys):
+    code, err = _argparse_exit(capsys, "table", "k4", "--n-range", "3:3", "--threads", "2")
+    assert code == 2 and "unrecognized arguments: --threads 2" in err
+
+
+def test_threads_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("SATBLOW_THREADS", "abc")
-    code, out, err = run_cli(capsys, "table", "k4", "--n-range", "3:3")
-    assert code == 2 and out == ""
-    assert err == "error: SATBLOW_THREADS must be an integer, got 'abc'\n"
-    code, doc, _ = run_json(capsys, "--threads", "2", "table", "k4", "--n-range", "3:3")
-    assert code == 0 and doc["rows"][0]["edges"] == 33
+    code, doc, err = run_json(capsys, "table", "k4", "--n-range", "3:3")
+    assert code == 0 and doc["rows"][0]["edges"] == 33 and err == ""
+    code, _ = _argparse_exit(capsys, "--threads", "2", "table", "k4", "--n-range", "3:3")
+    assert code == 2
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from oracles import (
     brute_automorphisms,
     brute_closes,
     brute_copy_masks,
+    brute_free_set_counts,
     brute_is_lex_leader,
     brute_m_cliques,
     brute_m_feasible,
@@ -446,6 +448,43 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
             assert sum(c.bit_count() for c in state.cls) + state.fixed.bit_count() == len(rows)
 
 
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.cycle(4), 2),
+        (PatternGraph.path(3), 3),
+        (PatternGraph.star(3), 2),
+    ],
+)
+def test_orbit_census_counts_every_labelled_free_set(H, n):
+    """Walk the lex-leader tree of partite-free sets with no cut that
+    depends on the slot order.  Each canonical set C stands for its orbit
+    of |G| / |Stab(C)| sets, so at every size the orbit sizes must add up
+    to the number of labelled partite-free sets: the filter keeps exactly
+    one set per orbit (the double-counting check of Kaski and Ostergard)."""
+    host = BlowupHost(H, n)
+    group = solve._symmetry_group(solve._SlotSystem(host))
+    L = len(host.slots())
+    copies = brute_copy_masks(H, n)
+    census = [0] * (L + 1)
+    stack = [((), 0, solve._root_leader(group))]
+    while stack:
+        chosen, mask, leader = stack.pop()
+        everyone, fixed = group.everyone.bit_count(), leader.fixed.bit_count()
+        assert everyone % fixed == 0
+        census[len(chosen)] += everyone // fixed
+        free = [
+            s
+            for s in range(chosen[-1] + 1 if chosen else 0, L)
+            if not brute_closes(copies, mask, s)
+        ]
+        for s in solve._canonical_extensions(group, leader, free):
+            child = chosen + (s,)
+            stack.append((child, mask | 1 << s, solve._child_leader(group, leader, child)))
+    assert census == brute_free_set_counts(H, n)
+
+
 def test_child_thresholds_match_brute_force():
     rows = sorted(brute_slot_group(PatternGraph.complete(3), 2))
     L = len(rows[0])
@@ -483,7 +522,7 @@ def test_numpy_is_not_imported():
             PatternGraph.complete(3),
             2,
             6,
-            53,
+            56,
             "11-21 11-31 12-22 12-32 21-32 22-31",
         ),
         (
@@ -491,7 +530,7 @@ def test_numpy_is_not_imported():
             PatternGraph.cycle(4),
             2,
             8,
-            318,
+            382,
             "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
         ),
         (
@@ -499,7 +538,7 @@ def test_numpy_is_not_imported():
             PatternGraph.path(3),
             3,
             6,
-            128,
+            157,
             "11-21 11-22 11-23 21-31 22-31 23-31",
         ),
         (
@@ -507,7 +546,7 @@ def test_numpy_is_not_imported():
             PatternGraph.complete(4),
             2,
             16,
-            38678,
+            38914,
             "11-21 11-22 11-31 11-41 12-21 12-22 12-32 12-42"
             " 21-31 21-42 22-32 22-41 31-41 31-42 32-41 32-42",
         ),
@@ -516,8 +555,8 @@ def test_numpy_is_not_imported():
 def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
     """The same canonical sets, hence the same node count and the same
     least witness, whatever form the lex-leader test takes.  Run with the
-    over-bound and uncoverable cuts off, so that the node count is the
-    lex-leader filter's alone."""
+    over-bound and uncoverable cuts off, so that the node count is set by
+    the lex-leader filter and the walk's bound alone."""
     r = solve._exact_minimum(H, n, kind == "sat", None, True, 0, prune=False)
     assert (r.value, r.nodes_explored) == (value, nodes)
     assert _edge_string(r.witness) == witness
@@ -526,22 +565,22 @@ def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
 @pytest.mark.parametrize(
     "kind, H, n, value, nodes, witness",
     [
-        ("sat", PatternGraph.complete(3), 2, 6, 26, "11-21 11-31 12-22 12-32 21-32 22-31"),
+        ("sat", PatternGraph.complete(3), 2, 6, 25, "11-21 11-31 12-22 12-32 21-32 22-31"),
         (
             "sat",
             PatternGraph.cycle(4),
             2,
             8,
-            52,
+            56,
             "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
         ),
-        ("exsat", PatternGraph.path(3), 3, 6, 79, "11-21 11-22 11-23 21-31 22-31 23-31"),
+        ("exsat", PatternGraph.path(3), 3, 6, 32, "11-21 11-22 11-23 21-31 22-31 23-31"),
         (
             "sat",
             PatternGraph.complete(4),
             2,
             16,
-            285,
+            278,
             "11-21 11-22 11-31 11-41 12-21 12-22 12-32 12-42"
             " 21-31 21-42 22-32 22-41 31-41 31-42 32-41 32-42",
         ),
@@ -550,7 +589,7 @@ def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
             PatternGraph.cycle(4),
             3,
             15,
-            2193,
+            2562,
             "11-21 11-22 11-41 12-21 12-23 12-42 13-22 13-23 13-43"
             " 21-31 22-32 23-33 31-43 32-42 33-41",
         ),
@@ -559,7 +598,7 @@ def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
             PatternGraph.complete(3),
             3,
             12,
-            1648,
+            729,
             "11-21 11-22 11-31 11-32 12-23 12-33 13-23 13-33 21-33 22-33 23-31 23-32",
         ),
     ],
@@ -603,6 +642,33 @@ def test_value_and_witness_ignore_the_greedy_seed():
     assert a.value == b.value and a.witness == b.witness
 
 
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.cycle(4), 2),
+        (PatternGraph.path(3), 3),
+        (PatternGraph.path(4), 2),
+        (PatternGraph.star(3), 2),
+        (PatternGraph.path(3), 4),
+    ],
+)
+def test_witness_ignores_the_starting_incumbent(H, n):
+    """The greedy seed sets the walk's first incumbent and so its first
+    bound, never the value or the witness."""
+    for require_free in (True, False):
+        want = solve._exact_minimum(H, n, require_free, None, True, 0, prune=False)
+        for seed in (0, 7, 99):
+            for prune in (True, False):
+                r = solve._exact_minimum(H, n, require_free, None, True, seed, prune=prune)
+                assert (r.value, r.witness) == (want.value, want.witness), (seed, prune)
+                assert r.stats["improvements"][0]["size"] == _greedy_size(H, n, seed)
+
+
+def _greedy_size(H, n, seed):
+    return solve._greedy_fill(_empty(H, n), seed).edge_count()
+
+
 # ---------------------------------------------------------------------------
 # budgets
 
@@ -616,15 +682,67 @@ def test_budget_exhaustion_returns_upper_bound():
 
 
 @pytest.mark.parametrize("prune", [True, False])
-def test_budgeted_solve_returns_on_time(prune):
-    H, n, budget = PatternGraph.complete(4), 3, 0.15
-    start = time.monotonic()
-    r = solve._exact_minimum(H, n, True, budget, True, 0, prune=prune)
-    assert time.monotonic() - start <= budget + 0.25
-    assert r.value is None and r.exhausted_budget
-    # the level in progress was not finished, and it is the bound reported
-    level = len(r.stats["levels"]) - 1
-    assert r.lower_bound == max(saturation_lower_bound(H, n), level)
+@pytest.mark.parametrize(
+    "H, n, value", [(PatternGraph.complete(3), 4, 18), (PatternGraph.cycle(4), 3, 15)]
+)
+def test_budgeted_solve_returns_on_time(prune, H, n, value):
+    for budget in (0.05, 0.2, 0.5):
+        start = time.monotonic()
+        r = solve._exact_minimum(H, n, True, budget, True, 0, prune=prune)
+        assert time.monotonic() - start <= budget + 0.25
+        if r.value is not None:  # a fast host may prove sat C4[3] in time
+            assert r.value == r.lower_bound == value
+            continue
+        assert r.exhausted_budget
+        # proven from the walk's open frames, and verified
+        assert saturation_lower_bound(H, n) <= r.lower_bound <= value <= r.upper_bound
+
+
+class _TickClock:
+    """A stand-in for the time module whose clock advances one second per
+    reading, so a budget of k stops the walk before its (k + 1)-th child."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize(
+    "require_free, H, n",
+    [
+        (True, PatternGraph.complete(3), 2),
+        (True, PatternGraph.cycle(4), 2),
+        (True, PatternGraph.path(4), 2),
+        (True, PatternGraph.star(3), 2),
+        (False, PatternGraph.path(3), 3),
+        (False, PatternGraph.star(3), 2),
+        (False, PatternGraph.complete(3), 2),
+    ],
+)
+@pytest.mark.parametrize("prune", [True, False])
+def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, monkeypatch):
+    """Stop the walk before every third of its children in turn: each UNKNOWN
+    brackets the optimum (checked against the subset-enumeration oracle by
+    test_exact_matches_brute_force_on_small_patterns), its witness is the
+    incumbent, and its stats still account for every candidate."""
+    want = solve._exact_minimum(H, n, require_free, None, True, 0).value
+    lb = saturation_lower_bound(H, n)
+    monkeypatch.setattr(solve, "time", _TickClock())
+    above_lb = 0
+    for k in itertools.count(0, 3):
+        r = solve._exact_minimum(H, n, require_free, k, True, 0, prune=prune)
+        _check_stats(r)
+        if r.value is not None:
+            assert r.value == want
+            break
+        assert lb <= r.lower_bound <= want <= r.upper_bound == r.witness.edge_count()
+        assert r.upper_bound == r.stats["improvements"][-1]["size"]
+        above_lb += r.lower_bound > max(lb, 1)
+    if prune:
+        assert above_lb > 0  # the open frames' bound does more than the trivial one
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -655,13 +773,17 @@ def test_budget_is_kept_within_a_parent(prune, monkeypatch):
 def _check_stats(r):
     levels = r.stats["levels"]
     assert [row["level"] for row in levels] == list(range(len(levels)))
-    assert levels[0]["candidates"] == levels[0]["admitted"] == levels[0]["frontier"] == 1
+    assert levels[0]["candidates"] == levels[0]["admitted"] == 1
+    assert levels[0]["expanded"] == min(1, len(levels) - 1)
     for row in levels:
         assert set(row["cuts"]) == set(solve._CUT_REASONS)
         assert row["candidates"] == row["admitted"] + sum(row["cuts"].values()), row
-        assert 0 <= row["frontier"] <= row["admitted"]
+        assert 0 <= row["expanded"] <= row["admitted"]
     for prev, row in zip(levels, levels[1:]):
-        assert prev["frontier"] > 0  # a level is only reached from a frontier
+        assert prev["expanded"] > 0  # a size is only reached from an expanded set
+    sizes = [step["size"] for step in r.stats["improvements"]]
+    assert sizes == sorted(set(sizes), reverse=True)  # strictly decreasing
+    assert [step["nodes"] for step in r.stats["improvements"]][0] == 0
     assert sum(row["admitted"] for row in levels) == r.nodes_explored
     assert r.stats["cuts"] == {
         reason: sum(row["cuts"][reason] for row in levels) for reason in solve._CUT_REASONS
@@ -685,7 +807,9 @@ def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmet
     levels, cuts = r.stats["levels"], r.stats["cuts"]
     L = len(BlowupHost(H, n).slots())
     assert levels[1]["candidates"] == L  # every slot extends the root
-    assert len(levels) - 1 == r.value  # the search stops at the optimum
+    improvements = r.stats["improvements"]
+    assert improvements[-1]["size"] == r.value
+    assert improvements[0]["size"] == _greedy_size(H, n, 0)
     if not require_free:
         assert cuts["not_free"] == 0
     if not use_symmetry:
@@ -795,6 +919,103 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
             )
             uncovered, open_, top = left, later, s
     assert fired["uncoverable"] > 0 and fired["over_bound"] > 0, fired
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+@pytest.mark.parametrize("H", CUT_CASES)
+def test_reach_never_passes_a_completion(H, require_free):
+    """_SlotSystem.reach drops every remaining child of a set at once, and
+    bounds an UNKNOWN from below: at every set P of a random prefix and
+    every t above its last slot, it never exceeds the size of a valid set
+    that extends P through a child P + (s,) with s >= t."""
+    n = 2
+    host = BlowupHost(H, n)
+    L = len(host.slots())
+    copies = brute_copy_masks(H, n)
+    valid = brute_valid_sets(H, n, require_free)
+    sys_ = solve._SlotSystem(host)
+    every = (1 << L) - 1
+    rng = random.Random(2 * L + require_free)
+    checked = beyond_one = 0
+    for trial in range(100):
+        prefix = _random_prefix(copies, L, require_free, rng)
+        masks = solve._build_masks(H.vertex_count, n, ())
+        degs = [0] * (H.vertex_count * n)
+        uncovered, open_ = 0, every ^ sys_.covered(masks, every)
+        chosen, top = 0, -1
+        for m, s in enumerate(prefix):
+            low = (1 << top + 1) - 1
+            above = [D for D in valid if D & low == chosen and D != chosen]
+            for t in range(top + 1, L):
+                sizes = [D.bit_count() for D in above if (D ^ chosen) & (1 << t) - 1 == 0]
+                if sizes:
+                    reach = sys_.reach(masks, uncovered, open_, t, m)
+                    assert reach <= min(sizes), (prefix[:m], t)
+                    checked += 1
+                    beyond_one += reach > m + 1
+            sys_.toggle(masks, degs, s, 1)
+            chosen |= 1 << s
+            uncovered = sys_.settled_uncovered(masks, uncovered, open_, s)
+            open_ = sys_.cut(masks, require_free, uncovered, open_, s, m + 1, L + m)[1]
+            top = s
+    assert checked > 0 and beyond_one > 0, (checked, beyond_one)
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+# CUT_CASES less C4, whose 2^16 sets take seconds per stop without symmetry
+@pytest.mark.parametrize(
+    "H",
+    [PatternGraph.complete(3), PatternGraph.path(4), PatternGraph.star(3), PatternGraph.path(3)],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monkeypatch):
+    """Without symmetry every slot set is a node, and the walk has met
+    exactly the sets lexicographically below the child it was about to try.
+    Stopped there, the bound of its open frames is the least, over the
+    frames with a child left, of the frame's size plus max(1, the need of
+    its settled slots below that child left uncovered, found from the copy
+    list), and it does not exceed any valid set the walk has not met that
+    would beat the incumbent."""
+    n = 2
+    host = BlowupHost(H, n)
+    L = len(host.slots())
+    copies = brute_copy_masks(H, n)
+    valid = [
+        (D.bit_count(), tuple(y for y in range(L) if D >> y & 1))
+        for D in brute_valid_sets(H, n, require_free)
+    ]
+    sys_ = solve._SlotSystem(host)
+    open_bound = solve._open_bound
+    seen = []
+
+    def recording(walk_sys, masks, path, stack):
+        want = math.inf
+        for d, (exts, i) in enumerate(frame[:2] for frame in stack):
+            if i < len(exts):
+                chosen = sum(1 << y for y in path[:d])
+                settled = sum(
+                    1 << y
+                    for y in range(exts[i])
+                    if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
+                )
+                graph = solve._build_masks(H.vertex_count, n, ())
+                sys_.flip(graph, chosen)
+                want = min(want, d + max(1, sys_.need(graph, settled)))
+        seen.append(tuple(path) + (stack[-1][0][stack[-1][1]],))
+        seen.append(open_bound(walk_sys, masks, path, stack))
+        assert seen[-1] == want
+        return seen[-1]
+
+    monkeypatch.setattr(solve, "_open_bound", recording)
+    monkeypatch.setattr(solve, "time", _TickClock())
+    for k in itertools.count(0, 3):
+        r = solve._exact_minimum(H, n, require_free, k, False, seed)
+        if r.value is not None:
+            break
+        position, bound = seen[-2:]
+        assert r.lower_bound == max(saturation_lower_bound(H, n), min(r.upper_bound, bound))
+        unmet = [size for size, D in valid if size < r.upper_bound and D >= position]
+        assert all(size >= bound for size in unmet), (k, position, bound)
 
 
 # ---------------------------------------------------------------------------
