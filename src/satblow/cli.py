@@ -242,9 +242,7 @@ def _cmd_table(args) -> int:
     pattern = resolve_pattern(args.pattern) if args.pattern else None
     rows = []
     for n in _parse_n_range(args.n_range):
-        spec = ConstructionSpec(
-            family=args.family, n=n, r=args.r, pattern=pattern, seed=args.seed
-        )
+        spec = ConstructionSpec(family=args.family, n=n, r=args.r, pattern=pattern)
         rows.append({"n": n, "edges": spec.formula_value()})
     if args.format == "text":
         print(f"{'n':>8} {'edges':>12}")
@@ -339,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, help="inclusive range LOW:HIGH")
     p.add_argument("-r", type=int)
     p.add_argument("--pattern", help=pattern_help)
-    p.add_argument("--seed", type=int, help="accepted for uniformity; unused")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_table)
 

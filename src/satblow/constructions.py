@@ -2,10 +2,13 @@
 
 Each generator returns a PartiteGraph whose edge count matches a closed
 form, and each closed form has a companion helper so callers can tabulate
-without building graphs.  Generators only guarantee the saturation property
-on the parameter ranges where it has been established; outside those ranges
-they still emit the graph but raise a VerificationRangeWarning, letting the
-caller decide whether to verify or discard.
+without building graphs.  The helper holds the family's parameter checks,
+and its generator calls it before building, so a table refuses exactly the
+parameters a build refuses.  Generators only guarantee the saturation
+property on the parameter ranges where it has been established; outside
+those ranges they still emit the graph but raise a
+VerificationRangeWarning, letting the caller decide whether to verify or
+discard.
 
 Distinguished vertices always occupy the low indices of their part (index 1,
 then index 2), so equal parameters give identical graphs.
@@ -70,6 +73,8 @@ _K4_ATTACH = {
 
 
 def k4_saturation_edges(n: int) -> int:
+    if n < 2:
+        raise ValueError("k4_construction needs n >= 2")
     return 18 * n - 21
 
 
@@ -80,8 +85,7 @@ def k4_construction(n: int) -> PartiteGraph:
     other vertex is joined to a fixed 4- or 5-subset of the anchors.
     Saturation holds for n >= 3; n = 2 yields just the anchor graph.
     """
-    if n < 2:
-        raise ValueError("k4_construction needs n >= 2")
+    want = k4_saturation_edges(n)
     if n == 2:
         _warn_range("k4_construction(2) is outside the verified saturation range n >= 3")
     host = BlowupHost(PatternGraph.complete(4), n)
@@ -93,7 +97,7 @@ def k4_construction(n: int) -> PartiteGraph:
             u = PartiteVertex(part, index)
             edges.extend((u, PartiteVertex(p, t)) for p, t in anchors)
     G = PartiteGraph(host, edges)
-    assert G.edge_count() == k4_saturation_edges(n)
+    assert G.edge_count() == want
     return G
 
 
@@ -103,6 +107,10 @@ def k4_construction(n: int) -> PartiteGraph:
 
 
 def star_saturation_edges(r: int, n: int) -> int:
+    if r < 2:
+        raise ValueError("star_construction needs r >= 2")
+    if n < 1:
+        raise ValueError("star_construction needs n >= 1")
     return (r - 1) * n * n
 
 
@@ -110,10 +118,7 @@ def star_construction(r: int, n: int) -> PartiteGraph:
     """The saturated subgraph of K_{1,r}[n] with (r-1) n^2 edges: every
     center vertex is joined to all of the first r-1 leaf parts and to none
     of the last one."""
-    if r < 2:
-        raise ValueError("star_construction needs r >= 2")
-    if n < 1:
-        raise ValueError("star_construction needs n >= 1")
+    want = star_saturation_edges(r, n)
     host = BlowupHost(PatternGraph.star(r), n)
     rng = range(1, n + 1)
     edges = [
@@ -123,7 +128,7 @@ def star_construction(r: int, n: int) -> PartiteGraph:
         for b in rng
     ]
     G = PartiteGraph(host, edges)
-    assert G.edge_count() == star_saturation_edges(r, n)
+    assert G.edge_count() == want
     return G
 
 
@@ -133,6 +138,10 @@ def star_construction(r: int, n: int) -> PartiteGraph:
 
 
 def path_saturation_edges(r: int, n: int) -> int:
+    if r < 4:
+        raise ValueError("path_construction needs r >= 4")
+    if n < 2:
+        raise ValueError("path_construction needs n >= 2")
     if r % 2 == 0:
         return (r // 2 - 1) * n * n + (r - 2) * n + 3 - r
     return ((r - 1) // 2) * n * n + (r - 4) * n + 5 - r
@@ -167,10 +176,7 @@ def path_construction(r: int, n: int) -> PartiteGraph:
     empty, and interior gates alternate between a single vertex and all but
     one.  Saturation is established for n >= 2r.
     """
-    if r < 4:
-        raise ValueError("path_construction needs r >= 4")
-    if n < 2:
-        raise ValueError("path_construction needs n >= 2")
+    want = path_saturation_edges(r, n)
     if n < 2 * r:
         _warn_range(
             f"path_construction(r={r}, n={n}) is outside the verified saturation range n >= {2 * r}"
@@ -189,7 +195,7 @@ def path_construction(r: int, n: int) -> PartiteGraph:
                 (PartiteVertex(i, a), PartiteVertex(i + 1, b)) for b in range(1, n + 1)
             )
     G = PartiteGraph(host, edges)
-    assert G.edge_count() == path_saturation_edges(r, n)
+    assert G.edge_count() == want
     return G
 
 
@@ -199,7 +205,11 @@ def path_construction(r: int, n: int) -> PartiteGraph:
 
 
 def two_connected_edge_bound(pattern: PatternGraph, n: int) -> int:
+    if not is_two_connected(pattern):
+        raise ValueError("two_connected_stages needs a two-connected pattern")
     e = pattern.edge_count()
+    if n < e:
+        raise ValueError(f"two_connected_stages needs n >= e(H) = {e}")
     return 2 * e * e * n - e * e * e
 
 
@@ -213,11 +223,8 @@ def two_connected_stages(pattern: PatternGraph, n: int) -> tuple[PartiteGraph, P
     second stage is partite-free: any copy would need an edge inside one
     stripped copy at its missing endpoints.
     """
-    if not is_two_connected(pattern):
-        raise ValueError("two_connected_stages needs a two-connected pattern")
+    two_connected_edge_bound(pattern, n)  # the range checks
     e = pattern.edge_count()
-    if n < e:
-        raise ValueError(f"two_connected_stages needs n >= e(H) = {e}")
     host = BlowupHost(pattern, n)
     pattern_edges = sorted(pattern.edges)
     g1_edges = []
@@ -260,6 +267,10 @@ def two_connected_upper(pattern: PatternGraph, n: int, seed: int) -> PartiteGrap
 
 
 def clique_exsat_edges(r: int, n: int) -> int:
+    if r < 3:
+        raise ValueError("clique_exsat_construction needs r >= 3")
+    if n < 1:
+        raise ValueError("clique_exsat_construction needs n >= 1")
     return (2 * n - 1) * r * (r - 1) // 2
 
 
@@ -267,14 +278,17 @@ def clique_exsat_construction(r: int, n: int) -> PartiteGraph:
     """Extra-saturated subgraph of K_r[n] with (2n-1) C(r,2) edges: one
     distinguished vertex per part forming a clique, each also joined to
     every vertex of every other part."""
-    if r < 3:
-        raise ValueError("clique_exsat_construction needs r >= 3")
-    if n < 1:
-        raise ValueError("clique_exsat_construction needs n >= 1")
-    return generic_exsat_construction(PatternGraph.complete(r), n)
+    want = clique_exsat_edges(r, n)
+    G = generic_exsat_construction(PatternGraph.complete(r), n)
+    assert G.edge_count() == want
+    return G
 
 
 def generic_exsat_edges(pattern: PatternGraph, n: int) -> int:
+    if pattern.edge_count() < 1:
+        raise ValueError("generic_exsat_construction needs a pattern with an edge")
+    if n < 1:
+        raise ValueError("generic_exsat_construction needs n >= 1")
     return (2 * n - 1) * pattern.edge_count()
 
 
@@ -282,10 +296,7 @@ def generic_exsat_construction(pattern: PatternGraph, n: int) -> PartiteGraph:
     """Extra-saturated subgraph of H[n] with (2n-1) e(H) edges for any
     pattern with at least one edge: pin one copy of the pattern on index 1
     and join each pinned vertex to all vertices of the parts it must reach."""
-    if pattern.edge_count() < 1:
-        raise ValueError("generic_exsat_construction needs a pattern with an edge")
-    if n < 1:
-        raise ValueError("generic_exsat_construction needs n >= 1")
+    want = generic_exsat_edges(pattern, n)
     host = BlowupHost(pattern, n)
     edges = set()
     for i, j in pattern.edges:
@@ -293,11 +304,17 @@ def generic_exsat_construction(pattern: PatternGraph, n: int) -> PartiteGraph:
             edges.add((PartiteVertex(i, 1), PartiteVertex(j, b)))
             edges.add((PartiteVertex(i, b), PartiteVertex(j, 1)))
     G = PartiteGraph(host, edges)
-    assert G.edge_count() == generic_exsat_edges(pattern, n)
+    assert G.edge_count() == want
     return G
 
 
 def tree_exsat_edges(tree: PatternGraph, n: int) -> int:
+    if not tree.is_tree():
+        raise ValueError("tree_exsat_construction needs a tree pattern")
+    if tree.vertex_count < 2:
+        raise ValueError("tree_exsat_construction needs a tree with an edge")
+    if n < 1:
+        raise ValueError("tree_exsat_construction needs n >= 1")
     return (tree.vertex_count - 1) * n
 
 
@@ -305,12 +322,7 @@ def tree_exsat_construction(tree: PatternGraph, n: int) -> PartiteGraph:
     """Extra-saturated subgraph of T[n] for a tree T: n disjoint pinned
     copies, copy k on index k of every part, (|T|-1) n edges in total.
     Minimality is established for n >= 4; smaller n still yields the graph."""
-    if not tree.is_tree():
-        raise ValueError("tree_exsat_construction needs a tree pattern")
-    if tree.vertex_count < 2:
-        raise ValueError("tree_exsat_construction needs a tree with an edge")
-    if n < 1:
-        raise ValueError("tree_exsat_construction needs n >= 1")
+    want = tree_exsat_edges(tree, n)
     if n < 4:
         _warn_range(
             f"tree_exsat_construction(n={n}) is outside the verified minimality range n >= 4"
@@ -322,7 +334,7 @@ def tree_exsat_construction(tree: PatternGraph, n: int) -> PartiteGraph:
         for i, j in tree.edges
     ]
     G = PartiteGraph(host, edges)
-    assert G.edge_count() == tree_exsat_edges(tree, n)
+    assert G.edge_count() == want
     return G
 
 
@@ -361,11 +373,11 @@ class ConstructionSpec:
             raise ValueError(f"family {self.family!r} needs r")
         if self.family in _NEEDS_PATTERN and self.pattern is None:
             raise ValueError(f"family {self.family!r} needs a pattern")
-        if self.family == "two-connected" and self.seed is None:
-            raise ValueError("family 'two-connected' needs a seed for its greedy stage")
 
     def build(self) -> PartiteGraph:
         self.validate()
+        if self.family == "two-connected" and self.seed is None:
+            raise ValueError("family 'two-connected' needs a seed for its greedy stage")
         if self.family == "k4":
             return k4_construction(self.n)
         if self.family == "star":
@@ -381,7 +393,8 @@ class ConstructionSpec:
         return tree_exsat_construction(self.pattern, self.n)
 
     def formula_value(self) -> int:
-        """The closed-form edge count (an upper bound for two-connected)."""
+        """The closed-form edge count (an upper bound for two-connected); it
+        refuses the parameters that build refuses, and needs no seed."""
         self.validate()
         if self.family == "k4":
             return k4_saturation_edges(self.n)

@@ -56,12 +56,12 @@ whatever s is; at a slot u of P, g keeps C and u becomes its threshold; and
 if g(P) is P - {t_g} + {e} with e > max P, g rejects C when e < s and fixes
 it when e == s.
 
-The exact search applies the rule to every group element at once: the
-group is held as one bit per element, per slot and image slot, and each
-node of the walk with a slot left to test derives its _Leader once, from
-its parent's: the elements of each threshold and the outcome of each tie,
-so testing an extension is one walk over the images of s below s.  m_value,
-whose groups are small, applies it one element at a time.
+Both searches with a group, the exact one and m_value's, apply the rule
+to every group element at once: the group is held as one bit per element,
+per slot and image slot (a _SlotGroup), and each node of a walk with a slot
+left to test derives its _Leader once, from its parent's: the elements of
+each threshold and the outcome of each tie, so testing an extension is one
+walk over the images of s below s.
 
 Pruning rests on one fact.  A child C = P + (s,) only ever gains slots
 above s, so every slot y < s not in C is a non-edge of every completion D
@@ -445,16 +445,43 @@ _GROUP_ENTRY_CAP = 8_000_000
 _GROUP_MAP_BYTES_CAP = 32 << 20
 
 
-@dataclass(frozen=True)
 class _SlotGroup:
     """A group of slot permutations held as one bit per group element (row).
     maps[x] maps each slot y of the orbit of x, in ascending order, to the
     rows that send x to y; below[x] lists those (y, rows) pairs with y < x.
     everyone has a bit for every row."""
 
-    maps: list[dict[int, int]]
-    below: list[tuple[tuple[int, int], ...]]
-    everyone: int
+    __slots__ = ("maps", "below", "everyone")
+
+    def __init__(self, maps: list[dict[int, int]], rows: int):
+        """maps as above, its images in any order, over `rows` rows."""
+        self.maps = [dict(sorted(images.items())) for images in maps]
+        self.below = [tuple((y, b) for y, b in m.items() if y < x) for x, m in enumerate(self.maps)]
+        self.everyone = (1 << rows) - 1
+
+
+def _index_rows(pools: list[list[tuple[int, ...]]]) -> list[list[dict[int, int]]]:
+    """sends[t][a][a2]: the rows of the product of the pools (one index
+    permutation per part t, drawn from pools[t]) whose permutation for part
+    t sends index a to a2.  The bit of a row choosing
+    (c_0, .., c_{v-1}) is the mixed-radix number c_0 ... c_{v-1}, so each
+    entry is a periodic bit pattern, one repunit product, and nothing is
+    ever tabulated per row."""
+    total = math.prod(map(len, pools))
+    sends = []
+    run = total
+    for pool in pools:
+        run //= len(pool)  # consecutive rows sharing this part's choice
+        period = run * len(pool)
+        repunit = ((1 << total) - 1) // ((1 << period) - 1)
+        per_index = []
+        for a in range(len(pool[0])):
+            base: dict[int, int] = {}
+            for c, perm in enumerate(pool):
+                base[perm[a]] = base.get(perm[a], 0) | ((1 << run) - 1) << (c * run)
+            per_index.append({a2: bits * repunit for a2, bits in base.items()})
+        sends.append(per_index)
+    return sends
 
 
 def _group_pool(sys: _SlotSystem, auts: list[tuple[int, ...]]) -> Optional[list]:
@@ -500,12 +527,10 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     from a pool: the full S_n, else cyclic shifts, else the identity alone,
     the first whose rows, table entries and map bytes fit the caps.
     Rows of automorphism j fill bits j * R .. j * R + R - 1, where
-    R = |pool| ** v, and the bit of a pool choice (c_0, .., c_{v-1}) is its
-    mixed-radix number c_0 ... c_{v-1}.  So "the choice for part t sends
-    index a to a2" is a periodic bit pattern, one repunit product, and the
-    rows sending slot (p, a)-(q, b) to (g(p), a2)-(g(q), b2) are the AND of
-    two such patterns shifted into block j.  Only the images the pool can
-    produce are visited, and nothing is ever tabulated per row."""
+    R = |pool| ** v, numbered within the block as in _index_rows; the rows
+    sending slot (p, a)-(q, b) to (g(p), a2)-(g(q), b2) are the AND of two
+    of its patterns shifted into block j.  Only the images the pool can
+    produce are visited."""
     pattern, n = sys.pattern, sys.n
     v = pattern.vertex_count
     auts = _pattern_automorphisms(pattern)
@@ -513,23 +538,8 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
     if pool is None or len(pool) == 1 and len(auts) == 1:
         return None
 
-    size = len(pool)
-    R = size ** v
-    # sends[t][a][a2]: the choices (bits of one block) whose permutation
-    # for part t sends index a to a2
-    sends = []
-    for t in range(v):
-        run = size ** (v - 1 - t)  # consecutive choices sharing c_t
-        period = run * size
-        repunit = ((1 << period * size**t) - 1) // ((1 << period) - 1)
-        per_index = []
-        for a in range(n):
-            base: dict[int, int] = {}
-            for c, perm in enumerate(pool):
-                base[perm[a]] = base.get(perm[a], 0) | ((1 << run) - 1) << (c * run)
-            per_index.append({a2: bits * repunit for a2, bits in base.items()})
-        sends.append(per_index)
-
+    R = len(pool) ** v
+    sends = _index_rows([pool] * v)
     slot_of = {}
     for k, (p, a, q, b) in enumerate(sys.ends0):
         slot_of[p * n + a, q * n + b] = slot_of[q * n + b, p * n + a] = k
@@ -542,11 +552,10 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
                 for b2, rows_b in sends[gq][b].items():
                     y = slot_of[gp * n + a2, gq * n + b2]
                     to[y] = to.get(y, 0) | (rows_a & rows_b) << shift
-        maps.append(dict(sorted(to.items())))
+        maps.append(to)
     if all(len(images) == 1 for images in maps):
         return None
-    below = [tuple((y, b) for y, b in m.items() if y < x) for x, m in enumerate(maps)]
-    return _SlotGroup(maps, below, (1 << len(auts) * R) - 1)
+    return _SlotGroup(maps, len(auts) * R)
 
 
 class _Leader:
@@ -1001,41 +1010,6 @@ def _partitions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int,
             yield (first,) + rest
 
 
-def _child_thresholds(
-    perms: list[tuple[int, ...]],
-    thresholds: list[int],
-    child: tuple[int, ...],
-    fixed: int,
-) -> Optional[list[int]]:
-    """The lex-leader rule of the module docstring, one group element at a
-    time.  thresholds holds t_g of the lex-leader parent child[:-1] under
-    each g in perms, with fixed (above every slot) where g fixes the parent
-    as a set.  Returns the thresholds of child, or None when some g maps
-    child below itself.  Only where g(s) == t_g < s is the image sorted."""
-    s = child[-1]
-    out = []
-    for g, t in zip(perms, thresholds):
-        gs = g[s]
-        if t > s:
-            if gs < s:
-                return None
-            out.append(fixed if gs == s else s)
-        elif gs > t:
-            out.append(t)
-        elif gs < t:
-            return None
-        else:
-            for c, d in zip(child, sorted(g[k] for k in child)):
-                if c != d:
-                    if d < c:
-                        return None
-                    out.append(c)
-                    break
-            else:
-                out.append(fixed)
-    return out
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -1057,9 +1031,9 @@ def _m_stats(vertices: int) -> dict:
 
 class _MPartition:
     """One split into part sizes: its slots (vertex pairs in different
-    parts, vertices numbered part by part), the within-part index
-    permutations as slot permutations, and a graph held as one adjacency
-    bitmask per vertex."""
+    parts, vertices numbered part by part), the index permutations within
+    each part as a _SlotGroup (None when every part has size 1), and a graph
+    held as one adjacency bitmask per vertex."""
 
     def __init__(self, sizes: tuple[int, ...], s: int):
         r = len(sizes)
@@ -1075,20 +1049,23 @@ class _MPartition:
             if part_of[x] != part_of[y]
         ]
         slot_index = {e: k for k, e in enumerate(slots)}
-        identity = list(range(total))
-        perms = []
-        pools = [list(itertools.permutations(range(size))) for size in sizes]
-        for combo in itertools.product(*pools):
-            vmap = [offsets[p] + image for p in range(r) for image in combo[p]]
-            if vmap != identity:
-                perms.append(
-                    tuple(
-                        slot_index[min(vmap[x], vmap[y]), max(vmap[x], vmap[y])]
-                        for x, y in slots
-                    )
+        self.group = None
+        if total > r:
+            pools = [list(itertools.permutations(range(size))) for size in sizes]
+            sends = _index_rows(pools)
+            maps = []
+            for x, y in slots:
+                p, q = part_of[x], part_of[y]  # p < q
+                maps.append(
+                    {
+                        slot_index[offsets[p] + a2, offsets[q] + b2]: rows_a & rows_b
+                        for a2, rows_a in sends[p][x - offsets[p]].items()
+                        for b2, rows_b in sends[q][y - offsets[q]].items()
+                    }
                 )
+            self.group = _SlotGroup(maps, math.prod(map(len, pools)))
         part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
-        self.s, self.slots, self.L, self.perms = s, slots, len(slots), perms
+        self.s, self.slots, self.L = s, slots, len(slots)
         self.offsets, self.part_of = offsets, part_of
         self.adj = [0] * total
         # each choice of s - 1 parts, as the vertex masks of its parts
@@ -1181,13 +1158,14 @@ def _m_search_partition(
         row = _m_stats(sum(sizes))
     cut = row["cuts"]
     part = _MPartition(sizes, s)
-    L, perms = part.L, part.perms
+    L, group = part.L, part.group
 
     def dfs(
-        S: tuple[int, ...], free: list[int], thresholds: list[int]
+        S: tuple[int, ...], free: list[int], parent: Optional[_Leader]
     ) -> Optional[tuple[int, ...]]:
-        # S is a K_s-free lex leader held in part.adj, and free lists the
-        # slots above max S that close no K_s with it
+        # S is a K_s-free lex leader held in part.adj, free lists the slots
+        # above max S that close no K_s with it, and parent is the _Leader
+        # of S[:-1] (None at the root, or with no group)
         row["nodes"] += 1
         if deadline is not None and row["nodes"] % 256 == 0 and time.monotonic() > deadline:
             raise _BudgetExceeded
@@ -1200,15 +1178,18 @@ def _m_search_partition(
             return None
         row["candidates"] += later - len(free)
         cut["clique"] += later - len(free)
+        leader, kept = None, free
+        if group is not None and free:
+            leader = _child_leader(group, parent, S) if S else _root_leader(group)
+            kept = _canonical_extensions(group, leader, free)
+        kept = set(kept)
         for i, k in enumerate(free):
             row["candidates"] += 1
-            child = S + (k,)
-            child_thresholds = _child_thresholds(perms, thresholds, child, L)
-            if child_thresholds is None:
+            if k not in kept:
                 cut["not_canonical"] += 1
                 continue
             part.toggle((k,))
-            got = dfs(child, part.free_of(free[i + 1 :]), child_thresholds)
+            got = dfs(S + (k,), part.free_of(free[i + 1 :]), leader)
             part.toggle((k,))
             if got is not None:
                 return got
@@ -1216,7 +1197,7 @@ def _m_search_partition(
 
     row["partitions"] += 1
     row["candidates"] += 1  # the empty root
-    witness = dfs((), part.free_of(range(L)), [L] * len(perms))
+    witness = dfs((), part.free_of(range(L)), None)
     return None if witness is None else part.edges(witness)
 
 
@@ -1266,12 +1247,10 @@ def m_value(
 
     Each split of the vertex count into part sizes is searched depth-first
     over slot sets, up to index permutations within each part.  A child set
-    is kept only when it is the lex leader of its orbit, by the threshold
-    rule of the module docstring: every DFS node hands each group element's
-    threshold down to its children, so a child costs one comparison per
-    element, and its image is sorted only where g(s) meets the threshold.
-    The root's thresholds are all "fixed", which makes the first level the
-    orbit-minimum test g(s) >= s.
+    is kept only when it is the lex leader of its orbit, by the test the
+    exact search uses (see the module docstring): the permutations are held
+    as a _SlotGroup, each node with free slots derives its _Leader from its
+    parent's, and _canonical_extensions filters its free slots.
 
     Every node S carries its free slots F: those above max S that close no
     K_s with S.  Its children are S + (k,) for k in F, and the free slots

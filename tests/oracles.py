@@ -222,11 +222,36 @@ def brute_m_feasible(sizes, s):
     return bool(brute_m_sets(sizes, s))
 
 
+def brute_m_group(sizes):
+    """The set of slot permutations of brute_m_slots(sizes) that permuting
+    the indices within each part induces, each a tuple listing the image of
+    every slot, built from vertex maps."""
+    slots = brute_m_slots(sizes)
+    index = {frozenset(pair): k for k, pair in enumerate(slots)}
+    rows = set()
+    pools = [itertools.permutations(range(1, size + 1)) for size in sizes]
+    for shuffles in itertools.product(*pools):
+        def image(x):
+            return (x[0], shuffles[x[0] - 1][x[1] - 1])
+
+        rows.add(tuple(index[frozenset((image(x), image(y)))] for x, y in slots))
+    return rows
+
+
 def brute_free_set_counts(pattern, n):
     """counts[m]: how many partite-free slot sets of m slots H[n] has, found
     by trying all 2^L sets on the copy list."""
-    copies = brute_copy_masks(pattern, n)
-    L = len(pattern.edges) * n * n
+    return _free_set_counts(brute_copy_masks(pattern, n), len(pattern.edges) * n * n)
+
+
+def brute_m_free_set_counts(sizes, s):
+    """counts[m]: how many K_s-free slot sets of m slots the parts of these
+    sizes have, found by trying all 2^L sets on the clique list."""
+    cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
+    return _free_set_counts(cliques, len(brute_m_slots(sizes)))
+
+
+def _free_set_counts(copies, L):
     counts = [0] * (L + 1)
     for chosen in range(1 << L):
         if not any(c & chosen == c for c in copies):

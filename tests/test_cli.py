@@ -236,6 +236,43 @@ def test_table_bad_range_exits_2(capsys):
     assert code == 2 and "range" in err
 
 
+def test_table_two_connected_needs_no_seed(capsys):
+    argv = ("table", "two-connected", "--pattern", "c4", "--n-range", "4:5")
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0 and err == ""
+    assert [row["edges"] for row in doc["rows"]] == [2 * 16 * 4 - 64, 2 * 16 * 5 - 64]
+
+
+def test_table_seed_flag_is_gone(capsys):
+    code, err = _argparse_exit(capsys, "table", "k4", "--n-range", "3:3", "--seed", "1")
+    assert code == 2 and "unrecognized arguments: --seed 1" in err
+
+
+@pytest.mark.parametrize(
+    "family, args, n",
+    [
+        ("k4", [], 1),
+        ("star", ["-r", "1"], 2),
+        ("star", ["-r", "2"], 0),
+        ("path", ["-r", "3"], 4),
+        ("path", ["-r", "4"], 1),
+        ("two-connected", ["--pattern", "c4"], 1),
+        ("two-connected", ["--pattern", "p4"], 5),
+        ("clique-exsat", ["-r", "2"], 3),
+        ("generic-exsat", ["--pattern", "c4"], 0),
+        ("tree-exsat", ["--pattern", "c4"], 5),
+        ("tree-exsat", ["--pattern", "p3"], 0),
+    ],
+)
+def test_table_refuses_what_construct_refuses(capsys, tmp_path, family, args, n):
+    seed = ["--seed", "3"] if family == "two-connected" else []
+    out = str(tmp_path / "g.pbg")
+    code, _, built = run_cli(capsys, "construct", family, "-n", str(n), *args, *seed, "-o", out)
+    assert code == 2 and built.startswith("error: ")
+    table = run_cli(capsys, "table", family, "--n-range", f"{n}:{n + 1}", *args)
+    assert table == (2, "", built)
+
+
 def _argparse_exit(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))

@@ -220,10 +220,8 @@ def test_construction_spec_validation():
         ConstructionSpec(family="star", n=3).validate()
     with pytest.raises(ValueError):
         ConstructionSpec(family="tree-exsat", n=3).validate()
-    with pytest.raises(ValueError):
-        ConstructionSpec(
-            family="two-connected", n=5, pattern=PatternGraph.cycle(4)
-        ).validate()
+    with pytest.raises(ValueError, match="seed"):
+        ConstructionSpec(family="two-connected", n=5, pattern=PatternGraph.cycle(4)).build()
 
 
 def test_construction_spec_two_connected_formula_is_bound():
@@ -232,3 +230,5 @@ def test_construction_spec_two_connected_formula_is_bound():
     )
     assert spec.formula_value() == 2 * 16 * 5 - 64
     assert spec.build().edge_count() <= spec.formula_value()
+    unseeded = ConstructionSpec(family="two-connected", n=5, pattern=PatternGraph.cycle(4))
+    assert unseeded.formula_value() == spec.formula_value()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satblow import (
     FormatError,
@@ -124,3 +126,87 @@ def test_dump_is_deterministic_and_sorted():
     a = dump_blowup_graph(G)
     b = dump_blowup_graph(PartiteGraph(G.host, reversed(G.sorted_edges())))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: text built from the formats' own tokens either parses or raises
+# FormatError.  Integers stay small, since a valid header allocates one mask
+# row per vertex.
+
+_small_ints = st.integers(-2, 40).map(str)
+_tokens = st.one_of(
+    st.sampled_from(
+        ["pattern", "blowup", "e", "p", "#", "#e", ".", "-", "+1", "x", "1.", ".1", "1.2.3"]
+    ),
+    _small_ints,
+    st.tuples(_small_ints, _small_ints).map(".".join),
+)
+_lines = st.lists(_tokens, max_size=5).map(" ".join)
+
+
+def _spoiled(line, keyword, endpoint):
+    """Mostly the line itself, else `keyword` with any two small endpoints,
+    now and then a line of any tokens."""
+    loose = st.tuples(endpoint, endpoint).map(lambda xy: f"{keyword} {xy[0]} {xy[1]}")
+    return st.one_of(st.just(line), st.just(line), st.just(line), loose, _lines)
+
+
+_small_vertex = st.integers(0, 6).map(str)
+_small_endpoint = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda pa: f"{pa[0]}.{pa[1]}")
+_size = st.one_of(st.integers(1, 5), st.integers(-1, 5))
+
+
+def _pairs(v):
+    return [(i, j) for i in range(1, v + 1) for j in range(i + 1, v + 1)] or [(1, 2)]
+
+
+@st.composite
+def _pattern_lines(draw):
+    """A pattern header and edge lines, its counts mostly those of the lines
+    that follow, so that the fuzz reaches the checks past the header."""
+    v = draw(_size)
+    pairs = draw(st.lists(st.sampled_from(_pairs(v)), max_size=8, unique=True))
+    body = [draw(_spoiled(f"e {i} {j}", "e", _small_vertex)) for i, j in pairs]
+    e = draw(st.one_of(st.just(len(body)), st.integers(-1, 10)))
+    return [f"pattern {v} {e}", *body]
+
+
+@st.composite
+def _blowup_lines(draw):
+    """A blow-up header, pattern lines and edge lines, likewise."""
+    v, n = draw(_size), draw(_size)
+    pairs = draw(st.lists(st.sampled_from(_pairs(v)), max_size=6, unique=True))
+    body = [draw(_spoiled(f"p {i} {j}", "p", _small_vertex)) for i, j in pairs]
+    e = draw(st.one_of(st.just(len(body)), st.integers(-1, 8)))
+    indices = range(1, max(n, 1) + 1)
+    slots = [(i, a, j, b) for i, j in pairs or [(1, 2)] for a in indices for b in indices]
+    for i, a, j, b in draw(st.lists(st.sampled_from(slots), max_size=10, unique=True)):
+        body.append(draw(_spoiled(f"e {i}.{a} {j}.{b}", "e", _small_endpoint)))
+    return [f"blowup {v} {e} {n}", *body]
+
+
+_texts = st.builds(
+    lambda lines, sep: sep.join(lines),
+    st.one_of(st.lists(_lines, max_size=12), _pattern_lines(), _blowup_lines()),
+    st.sampled_from(["\n", "\r\n", "\n\n", "\n# note\n"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts)
+def test_parse_pattern_fuzz(text):
+    try:
+        H = parse_pattern(text)
+    except FormatError:
+        return
+    assert parse_pattern(dump_pattern(H)) == H
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts)
+def test_parse_blowup_graph_fuzz(text):
+    try:
+        G = parse_blowup_graph(text)
+    except FormatError:
+        return
+    assert parse_blowup_graph(dump_blowup_graph(G)) == G

@@ -34,6 +34,8 @@ from oracles import (
     brute_is_lex_leader,
     brute_m_cliques,
     brute_m_feasible,
+    brute_m_free_set_counts,
+    brute_m_group,
     brute_m_sets,
     brute_m_slots,
     brute_min_exsat,
@@ -399,6 +401,7 @@ def _random_lex_leader(rows, L, k, rng):
     return min(tuple(sorted(g[x] for x in chosen)) for g in rows)
 
 
+# pool "m" stands for the group of the m-value search on parts of sizes H
 LEX_CASES = [
     (PatternGraph.complete(3), 2, "full"),
     (PatternGraph.complete(3), 3, "full"),
@@ -407,13 +410,23 @@ LEX_CASES = [
     (PatternGraph.complete(4), 2, "full"),
     (PatternGraph.star(3), 2, "full"),
     (PatternGraph.complete(3), 5, "cyclic"),  # the full group is too big
+    ((1, 2, 2), None, "m"),
+    ((2, 2, 3), None, "m"),
+    ((1, 1, 4), None, "m"),
 ]
+
+
+def _lex_group(H, n, pool):
+    """The group under test, and its rows as an oracle builds them."""
+    if pool == "m":
+        return solve._MPartition(H, 3).group, brute_m_group(H)
+    return _group(H, n), brute_slot_group(H, n, pool)
 
 
 @pytest.mark.parametrize("H, n, pool", LEX_CASES)
 def test_canonical_extensions_match_brute_force(H, n, pool):
-    group = _group(H, n)
-    rows = sorted(brute_slot_group(H, n, pool))
+    group, rows = _lex_group(H, n, pool)
+    rows = sorted(rows)
     L = len(rows[0])
     rng = random.Random(L)
     for trial in range(60):
@@ -428,8 +441,9 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
     """Each row sits in the class of its threshold, or among the fixed rows,
     at every depth of a lex leader built slot by slot, so every tie outcome
     handed from parent to child is checked too."""
-    group = _group(H, n)
+    group, want = _lex_group(H, n, pool)
     rows = _rows(group)
+    assert set(rows) == want and len(rows) == len(want)
     L = len(rows[0])
     rng = random.Random(L + 1)
     for trial in range(12):
@@ -448,25 +462,12 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
             assert sum(c.bit_count() for c in state.cls) + state.fixed.bit_count() == len(rows)
 
 
-@pytest.mark.parametrize(
-    "H, n",
-    [
-        (PatternGraph.complete(3), 2),
-        (PatternGraph.cycle(4), 2),
-        (PatternGraph.path(3), 3),
-        (PatternGraph.star(3), 2),
-    ],
-)
-def test_orbit_census_counts_every_labelled_free_set(H, n):
-    """Walk the lex-leader tree of partite-free sets with no cut that
-    depends on the slot order.  Each canonical set C stands for its orbit
-    of |G| / |Stab(C)| sets, so at every size the orbit sizes must add up
-    to the number of labelled partite-free sets: the filter keeps exactly
-    one set per orbit (the double-counting check of Kaski and Ostergard)."""
-    host = BlowupHost(H, n)
-    group = solve._symmetry_group(solve._SlotSystem(host))
-    L = len(host.slots())
-    copies = brute_copy_masks(H, n)
+def _orbit_census(group, L, copies):
+    """Walk the lex-leader tree of the slot sets that hold none of `copies`
+    (ints over L slots), with no cut that depends on the slot order.  Each
+    canonical set C stands for its orbit of |G| / |Stab(C)| sets, read from
+    the popcounts of everyone and of its _Leader's fixed rows; returns their
+    sum at each size."""
     census = [0] * (L + 1)
     stack = [((), 0, solve._root_leader(group))]
     while stack:
@@ -482,28 +483,37 @@ def test_orbit_census_counts_every_labelled_free_set(H, n):
         for s in solve._canonical_extensions(group, leader, free):
             child = chosen + (s,)
             stack.append((child, mask | 1 << s, solve._child_leader(group, leader, child)))
+    return census
+
+
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 2),
+        (PatternGraph.cycle(4), 2),
+        (PatternGraph.path(3), 3),
+        (PatternGraph.star(3), 2),
+    ],
+)
+def test_orbit_census_counts_every_labelled_free_set(H, n):
+    """At every size the orbit sizes of the canonical partite-free sets must
+    add up to the number of labelled partite-free sets: the filter keeps
+    exactly one set per orbit (the double-counting check of Kaski and
+    Ostergard)."""
+    host = BlowupHost(H, n)
+    group = solve._symmetry_group(solve._SlotSystem(host))
+    census = _orbit_census(group, len(host.slots()), brute_copy_masks(H, n))
     assert census == brute_free_set_counts(H, n)
 
 
-def test_child_thresholds_match_brute_force():
-    rows = sorted(brute_slot_group(PatternGraph.complete(3), 2))
-    L = len(rows[0])
-    rng = random.Random(3)
-
-    def threshold(g, chosen):
-        t = brute_threshold(g, chosen)
-        return L if t is None else t
-
-    for trial in range(80):
-        parent = _random_lex_leader(rows, L, rng.randrange(L - 1), rng)
-        thresholds = [threshold(g, parent) for g in rows]
-        for s in range(parent[-1] + 1 if parent else 0, L):
-            child = parent + (s,)
-            got = solve._child_thresholds(rows, thresholds, child, L)
-            if brute_is_lex_leader(rows, child):
-                assert got == [threshold(g, child) for g in rows]
-            else:
-                assert got is None
+@pytest.mark.parametrize("sizes, s", [((2, 2, 2), 3), ((1, 2, 3), 3), ((1, 2, 2, 2), 4)])
+def test_orbit_census_counts_every_labelled_clique_free_set(sizes, s):
+    """The census above on the group of an m-value split: one canonical
+    K_s-free set per orbit of index permutations within the parts."""
+    group = solve._MPartition(sizes, s).group
+    cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
+    census = _orbit_census(group, len(brute_m_slots(sizes)), cliques)
+    assert census == brute_m_free_set_counts(sizes, s)
 
 
 def test_numpy_is_not_imported():
