@@ -3,8 +3,10 @@
 One JSON document per invocation on stdout (the table subcommand can emit
 aligned text instead).  Exit codes: 0 when a verdict or value was computed,
 even a failing verdict; 2 on malformed input or bad arguments; 3 when a
-search gave UNKNOWN because its wall-clock budget ran out.  Copy counts are
-printed as decimal strings so that arbitrarily large values survive JSON.
+search gave UNKNOWN because its wall-clock budget ran out.  An error,
+bad arguments included, is one line on stderr, and so is each warning.
+Copy counts are printed as decimal strings so that arbitrarily large
+values survive JSON.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Optional
 
 from .constructions import FAMILIES, ConstructionSpec
@@ -21,7 +24,7 @@ from .core import (
     count_copies_through,
     count_partite_copies,
 )
-from .formats import FormatError, load_blowup_graph, resolve_pattern, save_blowup_graph
+from .formats import load_blowup_graph, resolve_pattern, save_blowup_graph
 from .solve import kr_sat_bounds, m_value, min_exsat_exact, min_sat_exact
 from .verify import (
     Verdict,
@@ -258,8 +261,17 @@ def _cmd_table(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take one line, as every other error
+    of the CLI does: the message, then the usage run together."""
+
+    def error(self, message: str):
+        usage = " ".join(self.format_usage().split())
+        self.exit(2, f"error: {message} ({usage})\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satblow",
         description="Build, verify and exactly solve partite saturation "
         "problems in blown-up pattern graphs.",
@@ -346,14 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # warnings (a construction outside its verified range) are about a
+    # result, so they are printed one line each, and only when there is one
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError) as exc:  # FormatError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

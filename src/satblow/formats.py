@@ -22,6 +22,14 @@ import os
 
 from .core import BlowupHost, PartiteGraph, PartiteVertex, PatternGraph
 
+# Header caps, checked before anything is built from a header.  A blow-up
+# graph holds one adjacency mask per vertex and part, parts * size * parts
+# ints (_MAX_MASKS of them take about 35 MB), and a pattern of more parts
+# than _MAX_PARTS could not be blown up within that.
+_MAX_PARTS = 2048
+_MAX_PART_SIZE = 1 << 16
+_MAX_MASKS = 1 << 22
+
 
 class FormatError(ValueError):
     """Malformed pattern or blow-up file; carries the 1-based line number."""
@@ -58,6 +66,8 @@ def parse_pattern(text: str) -> PatternGraph:
     e = _int_field(ln, tokens[2], "edge count")
     if v < 1:
         raise FormatError(ln, f"vertex count must be positive, got {v}")
+    if v > _MAX_PARTS:
+        raise FormatError(ln, f"vertex count {v} is above the cap of {_MAX_PARTS}")
     if e < 0:
         raise FormatError(ln, f"edge count must be non-negative, got {e}")
     if len(lines) - 1 != e:
@@ -112,6 +122,14 @@ def parse_blowup_graph(text: str) -> PartiteGraph:
         raise FormatError(ln, f"pattern edge count must be non-negative, got {e}")
     if n < 1:
         raise FormatError(ln, f"part size must be positive, got {n}")
+    if v > _MAX_PARTS:
+        raise FormatError(ln, f"pattern vertex count {v} is above the cap of {_MAX_PARTS}")
+    if n > _MAX_PART_SIZE:
+        raise FormatError(ln, f"part size {n} is above the cap of {_MAX_PART_SIZE}")
+    if v * v * n > _MAX_MASKS:
+        raise FormatError(
+            ln, f"{v} parts of size {n} need {v * v * n} masks, above the cap of {_MAX_MASKS}"
+        )
     if len(lines) - 1 < e:
         raise FormatError(ln, f"header promises {e} pattern edges but file ends early")
 

@@ -59,16 +59,20 @@ it when e == s.
 Both searches with a group, the exact one and m_value's, apply the rule
 to every group element at once: the group is held as one bit per element,
 per slot and image slot (a _SlotGroup), and each node of a walk with a slot
-left to test derives its _Leader once, from its parent's: the elements of
-each threshold and the outcome of each tie, so testing an extension is one
-walk over the images of s below s.
+to test derives its _Leader once, from its parent's: the elements of each
+threshold and the outcome of each tie, so testing an extension
+(_Leader.admits) is one walk over the images of s below s.  The exact
+search tests one child at a time, only when the walk reaches it, and
+derives a node's _Leader at its first tested child, so a node whose
+children all fall to a cut made before the test derives none.  m_value
+filters each node's free slots in one pass (_canonical_extensions).
 
 Pruning rests on one fact.  A child C = P + (s,) only ever gains slots
 above s, so every slot y < s not in C is a non-edge of every completion D
 of C (D holds C, and D - C lies above s): y is *settled*.  For D to be
 saturated (or extra-saturated), y must close a copy in D + y.  A slot
 covered by C (closing a copy in C + y) stays covered in every D, since
-copies only grow as edges are added.  Four cuts drop a child without
+copies only grow as edges are added.  Five cuts drop a child without
 losing any optimum:
 
 * not free (saturation only): a subgraph of a partite-free graph is
@@ -84,6 +88,20 @@ losing any optimum:
   extra-saturation, every slot above s.  Every completion D lies inside
   C + F, so D + y lies inside C + F + y.  If a settled y closes no copy in
   C + F + y, it closes none in any D + y, and no completion is valid.
+* uncoverable siblings: let G be P plus, for saturation, the open slots of
+  P from s on (those that close no copy with P), and for extra-saturation
+  every slot from s on.  A later sibling C' = P + (s',), s' > s, only ever
+  adds slots of G: s' itself, and slots above s' that, for saturation,
+  close no copy with C' and so none with P.  So every completion D' of C'
+  lies inside G.  A slot y < s that C lacks is not in C' either, so it is
+  settled for C'.  If such a y closes no copy in G + y, it closes none in
+  any D' + y, and the child and every later sibling are dropped together.
+  Only the settled slots C leaves uncovered can fail, since G holds C.
+  For extra-saturation G = C + F, the graph of C's own uncoverable test,
+  so every uncoverable child drops its later siblings; for saturation G
+  is tested only when C's own test fires.  Each sibling dropped so would
+  fall to its own tests anyway (y stays settled and uncovered for it, and
+  its C' + F' lies inside G), so the cut changes no node of the walk.
 * over bound: take a settled y = (x, w) left uncovered by C, x in part p
   and w in part q.  A copy through y in D + y puts a vertex in every
   pattern neighbour r != q of p, adjacent to x in D, so if x has no
@@ -96,7 +114,16 @@ losing any optimum:
   walk's bound.  The test is strict: a prefix of any valid set of at most
   bound slots survives.
 
-The last two cuts are computed incrementally.  Each node of the walk
+The walk meets a node's children in ascending slot order.  Expanding the
+node drops the not-free and isolated-needy ones in bulk; each other child
+s then meets, in turn: the over-bound bound of the node at s
+(_SlotSystem.reach, which only grows with s, so it drops s and every later
+sibling at once), the lex-leader test, adding s, the validity test, and
+the child's own over-bound and uncoverable tests (_SlotSystem.cut), the
+second with its sibling-wide form.  A candidate dropped in bulk is
+charged to the cut that dropped it.
+
+The last three cuts are computed incrementally.  Each node of the walk
 carries its settled slots left uncovered and its open slots (those above
 its last slot that close no copy with it).  A child's settled, uncovered
 slots are its parent's plus the parent's open slots below s, less those
@@ -121,10 +148,12 @@ walk has not met the canonical form D of an optimal set (it would be the
 incumbent), and no cut or early leave removed it (the argument above, with
 bound >= |D| throughout).  So D lies in the subtree of an untried child
 P + (s,) of a set P on the walk's stack, s at least the next child t of P
-to try.  Every slot below t that P lacks is settled for D, so |D| is at
-least |P| + max(1, the bundle-need bound of those slots left uncovered by
-P).  The least of these over the stack, capped at the incumbent's size, is
-the lower bound.
+to try that is a lex leader (each frame is first moved past the children
+the lex-leader test rejects, since D and its prefixes are lex leaders).
+Every slot below t that P lacks is settled for D, so |D| is at least
+|P| + max(1, the bundle-need bound of those slots left uncovered by P).
+The least of these over the stack, capped at the incumbent's size, is the
+lower bound.
 
 When the full group is too large to hold, a subgroup (cyclic index
 shifts, or pattern automorphisms alone) is used instead; the search then
@@ -192,6 +221,13 @@ def greedy_extra_saturate(G: PartiteGraph, seed: int) -> PartiteGraph:
     """An extra-saturated supergraph of G, grown in seeded random order by
     adding slots whose addition leaves the copy count unchanged."""
     return _greedy_fill(G, seed)
+
+
+def _check_budget(budget: Optional[float]) -> None:
+    # a NaN deadline compares false with every clock reading, so the search
+    # would never stop
+    if budget is not None and math.isnan(budget):
+        raise ValueError("budget must be a number of seconds, got nan")
 
 
 # --------------------------------------------------------------------------
@@ -336,25 +372,35 @@ class _SlotSystem:
 
     def cut(
         self, masks: list, require_free: bool, left: int, open_: int, s: int, m: int, ub: int
-    ) -> tuple[Optional[str], int]:
+    ) -> tuple[Optional[str], int, bool]:
         """Why child = parent + (s,), a set of m slots held in masks, cannot
         lead to a valid graph of ub slots or fewer ("over_bound" or
-        "uncoverable"), or None; and, unless over bound, the child's open
-        slots, found from the parent's open slots `open_`.  left is what
+        "uncoverable"), or None; unless over bound, the child's open slots,
+        found from the parent's open slots `open_`; and whether every later
+        sibling of the child is uncoverable too.  left is what
         settled_uncovered gives for the child."""
         if m >= ub or (m + self.most_need > ub and m + max(1, self.need(masks, left)) > ub):
-            return "over_bound", 0
+            return "over_bound", 0, False
         later = open_ & ~((1 << s + 1) - 1)
         later ^= self.covered(masks, later & ~self.clash(s))
         if left:
-            # the slots a completion may still add
-            future = later if require_free else (1 << self.L) - (1 << s + 1)
-            self.flip(masks, future)
-            lost = self.covered(masks, left, stop_at_miss=True) != left
-            self.flip(masks, future)
-            if lost:
-                return "uncoverable", later
-        return None, later
+            # the slots a completion may still add; for extra-saturation they
+            # are also what a later sibling may add, so the child's verdict
+            # is theirs
+            if require_free:
+                if self.lost(masks, left, later):
+                    return "uncoverable", later, self.lost(masks, left, open_ & ~((1 << s + 1) - 1))
+            elif self.lost(masks, left, (1 << self.L) - (1 << s + 1)):
+                return "uncoverable", later, True
+        return None, later, False
+
+    def lost(self, masks: list, left: int, future: int) -> bool:
+        """Does some slot of `left` close no copy in the graph held in masks
+        plus the slots `future`?"""
+        self.flip(masks, future)
+        hit = self.covered(masks, left, stop_at_miss=True)
+        self.flip(masks, future)
+        return hit != left
 
     def need(self, masks: list, uncovered: int) -> int:
         """The bundle-need bound: edges any completion of the graph in masks
@@ -449,15 +495,18 @@ class _SlotGroup:
     """A group of slot permutations held as one bit per group element (row).
     maps[x] maps each slot y of the orbit of x, in ascending order, to the
     rows that send x to y; below[x] lists those (y, rows) pairs with y < x.
-    everyone has a bit for every row."""
+    everyone has a bit for every row.  pool names the index permutations
+    each part draws on: "full" (S_n), "cyclic" (index shifts) or
+    "automorphisms" (the identity alone)."""
 
-    __slots__ = ("maps", "below", "everyone")
+    __slots__ = ("maps", "below", "everyone", "pool")
 
-    def __init__(self, maps: list[dict[int, int]], rows: int):
+    def __init__(self, maps: list[dict[int, int]], rows: int, pool: str):
         """maps as above, its images in any order, over `rows` rows."""
         self.maps = [dict(sorted(images.items())) for images in maps]
         self.below = [tuple((y, b) for y, b in m.items() if y < x) for x, m in enumerate(self.maps)]
         self.everyone = (1 << rows) - 1
+        self.pool = pool
 
 
 def _index_rows(pools: list[list[tuple[int, ...]]]) -> list[list[dict[int, int]]]:
@@ -555,7 +604,11 @@ def _symmetry_group(sys: _SlotSystem) -> Optional[_SlotGroup]:
         maps.append(to)
     if all(len(images) == 1 for images in maps):
         return None
-    return _SlotGroup(maps, len(auts) * R)
+    if len(pool) == 1:
+        name = "automorphisms"
+    else:
+        name = "full" if len(pool) == math.factorial(n) else "cyclic"
+    return _SlotGroup(maps, len(auts) * R, name)
 
 
 class _Leader:
@@ -575,9 +628,14 @@ class _Leader:
       and u becomes its threshold: high[u].  Otherwise g(P) is
       P - {t_g} + {e} with e > max P, and the row is in `even`: it rejects
       when e < s and fixes the child when e == s.  eqcls lists the
-      (t, rows of class t in even) pairs."""
+      (t, rows of class t in even) pairs.
+    * past, upto: the cursor of admits, past holding the rows with a slot
+      of g(P) in (max P, upto)."""
 
-    __slots__ = ("top", "thr", "cls", "fixed", "held", "above", "at", "high", "even", "eqcls")
+    __slots__ = (
+        "top", "thr", "cls", "fixed", "held", "above", "at", "high", "even", "eqcls", "past",
+        "upto",
+    )
 
     def __init__(self, chosen: tuple[int, ...], classes: dict, fixed: int, held: list):
         thr = sorted(classes)
@@ -609,6 +667,31 @@ class _Leader:
         self.above, self.at = above, [above[i + 1] | cls[i] & low for i in range(k)]
         self.high, self.even = high, alive
         self.eqcls = [(t, c & alive) for t, c in zip(thr, cls) if c & alive]
+        self.past, self.upto = 0, self.top + 1
+
+    def admits(self, group: _SlotGroup, s: int) -> bool:
+        """Is P + (s,) still the lex leader of its orbit?  s exceeds max P,
+        and the slots one _Leader is asked about must ascend.  A walk over
+        the images of s below s rejects s on any row with g(s) < t_g, or
+        with g(s) == t_g and a comparison above t_g that goes below; the
+        `even` rows also need to know whether they hold a slot between
+        max P and s, which `past` gathers as the slots ascend."""
+        thr, above, at = self.thr, self.above, self.at
+        k, i = len(thr), 0
+        for x, rows in group.below[s]:
+            while i < k and thr[i] < x:
+                i += 1
+            if rows & (at[i] if i < k and thr[i] == x else above[i]):
+                return False
+        if not self.eqcls:
+            return True
+        past, y, held = self.past, self.upto, self.held
+        while y < s:
+            past |= held[y]
+            y += 1
+        self.past, self.upto = past, y
+        into = group.maps[s]
+        return not (past and any(into.get(t, 0) & rows & past for t, rows in self.eqcls))
 
 
 def _root_leader(group: _SlotGroup) -> _Leader:
@@ -642,31 +725,10 @@ def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> 
 
 
 def _canonical_extensions(group: _SlotGroup, state: _Leader, exts: list[int]) -> list[int]:
-    """The extension slots s for which P + (s,) is still the lex leader of
-    its orbit, where state is the _Leader of the lex leader P and every ext
-    exceeds max P.  A walk over the images of s below s rejects s on any
-    row with g(s) < t_g, or with g(s) == t_g and a comparison above t_g
-    that goes below; the `even` rows also need to know whether they hold a
-    slot between max P and s, which `past` gathers as the exts ascend."""
-    thr, above, at, held = state.thr, state.above, state.at, state.held
-    k = len(thr)
-    kept = []
-    past, y = 0, state.top + 1  # past: the rows holding a slot in (top, y)
-    for s in exts:
-        while y < s:
-            past |= held[y]
-            y += 1
-        i = 0
-        for x, rows in group.below[s]:
-            while i < k and thr[i] < x:
-                i += 1
-            if rows & (at[i] if i < k and thr[i] == x else above[i]):
-                break
-        else:
-            into = group.maps[s]
-            if not (past and any(into.get(t, 0) & rows & past for t, rows in state.eqcls)):
-                kept.append(s)
-    return kept
+    """The slots s of exts, ascending and each above max P, for which
+    P + (s,) is still the lex leader of its orbit, where state is the
+    _Leader of the lex leader P."""
+    return [s for s in exts if state.admits(group, s)]
 
 
 # why an extension slot of an expanded set was dropped, in the order the
@@ -711,12 +773,21 @@ class SolveResult:
     module docstring).  Each candidate is admitted or cut exactly once, so
     candidates = admitted + the sum of the cuts on every record; slots a
     walk never reached (it left a set after meeting a valid child, or ran
-    out of budget) are not candidates.  stats["cuts"] holds each reason's
-    total over the sizes.  stats["improvements"] lists the upper bounds in
-    the order they were found, each as {"size", "nodes"} with nodes the
-    count admitted by then: first the greedy graph (nodes 0), then each
-    valid set smaller than the bound before it; the last size is value on
-    an exact result.
+    out of budget) are not candidates.  A candidate dropped in bulk, with
+    every sibling after it (by the over-bound bound of its parent, or by
+    the sibling-wide uncoverable cut), is charged to the cut that dropped it,
+    whether or not the lex-leader test, which it never met, would have
+    rejected it.  stats["cuts"] holds each reason's total over the sizes.
+    stats["improvements"] lists the upper bounds in the order they were
+    found, each as {"size", "nodes"} with nodes the count admitted by then:
+    first the greedy graph (nodes 0), then each valid set smaller than the
+    bound before it; the last size is value on an exact result.
+    stats["group"] is {"pool", "rows"}: the index permutations of the group
+    the lex-leader test runs on ("full", "cyclic" or "automorphisms", see
+    _symmetry_group) and its element count, or None and 0 when no test runs
+    (use_symmetry off, a trivial search, or a group that acts trivially or
+    does not fit the caps).  stats["leaders"] counts the _Leader
+    derivations, the root's included.
     """
 
     value: Optional[int]
@@ -745,6 +816,7 @@ def _exact_minimum(
         raise ValueError("exact search needs a pattern with at least one edge")
     if n < 1:
         raise ValueError("exact search needs n >= 1")
+    _check_budget(budget)
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     host = BlowupHost(pattern, n)
@@ -754,6 +826,8 @@ def _exact_minimum(
     levels = [_level_stats(0)]  # the empty root is the one candidate of size 0
     levels[0].update(candidates=1, admitted=1)
     improvements = [{"size": ub, "nodes": 0}]
+    group: Optional[_SlotGroup] = None
+    leaders = 0  # _Leader objects built
 
     def result(value, witness, exhausted, upper, lower) -> SolveResult:
         # an independent path: the definition, on a graph built afresh
@@ -763,7 +837,16 @@ def _exact_minimum(
                 f"the exact search returned a witness of size {upper} that fails {check.__name__}"
             )
         totals = {r: sum(row["cuts"][r] for row in levels) for r in _CUT_REASONS}
-        stats = {"levels": levels, "cuts": totals, "improvements": improvements}
+        stats = {
+            "levels": levels,
+            "cuts": totals,
+            "improvements": improvements,
+            "group": {
+                "pool": None if group is None else group.pool,
+                "rows": 0 if group is None else group.everyone.bit_count(),
+            },
+            "leaders": leaders,
+        }
         nodes = sum(row["admitted"] for row in levels)
         elapsed = time.monotonic() - start
         return SolveResult(value, witness, nodes, elapsed, exhausted, upper, lower, stats)
@@ -782,7 +865,7 @@ def _exact_minimum(
     # path is the set masks and degs hold; stack[d] is the frame of path[:d]:
     # [extension slots left after the cuts of its expansion, index of the
     # next to try, its settled slots left uncovered, its open slots (None
-    # with prune off), its _Leader (None when it had no slot to test)]
+    # with prune off), its _Leader (None until a child is tested)]
     path: list[int] = []
     stack: list[list] = []
 
@@ -807,13 +890,25 @@ def _exact_minimum(
             drop(row, "not_free", stop - 1 - top - len(exts))
         else:
             exts = list(range(top + 1, stop))
-        leader = None
-        if group is not None and exts:
-            leader = _child_leader(group, stack[-1][4], tuple(path)) if path else _root_leader(group)
-            kept = _canonical_extensions(group, leader, exts)
-            drop(row, "not_canonical", len(exts) - len(kept))
-            exts = kept
-        stack.append([exts, 0, uncovered, open_ if prune else None, leader])
+        stack.append([exts, 0, uncovered, open_ if prune else None, None])
+
+    def canonical(d: int, s: int) -> bool:
+        """Is path[:d] + (s,) a lex leader?  The slots asked about for one
+        frame ascend.  Derives the frame's _Leader on first use, from its
+        parent frame's, and charges a rejected slot to not_canonical."""
+        nonlocal leaders
+        frame = stack[d]
+        if frame[4] is None:
+            frame[4] = (
+                _child_leader(group, stack[d - 1][4], tuple(path[:d]))
+                if d
+                else _root_leader(group)
+            )
+            leaders += 1
+        if frame[4].admits(group, s):
+            return True
+        drop(levels[d + 1], "not_canonical", 1)
+        return False
 
     every = (1 << L) - 1
     root_open = every ^ sys_.covered(masks, every) if prune else None
@@ -827,6 +922,13 @@ def _exact_minimum(
                 sys_.toggle(masks, degs, path.pop(), -1)
             continue
         if deadline is not None and time.monotonic() > deadline:
+            if group is not None:
+                # the bound grows with the next child, so move each frame to
+                # its next canonical one
+                for d, (exts, i, *_) in enumerate(stack):
+                    while i < len(exts) and not canonical(d, exts[i]):
+                        i += 1
+                    stack[d][1] = i
             upper = ub if best is None else len(best)
             return result(
                 None,
@@ -846,6 +948,8 @@ def _exact_minimum(
             frame[1] = len(exts)
             continue
         frame[1] = i + 1
+        if group is not None and not canonical(m - 1, s):
+            continue
         sys_.toggle(masks, degs, s, 1)
         if prune:
             left = sys_.settled_uncovered(masks, uncovered, open_, s)
@@ -865,12 +969,17 @@ def _exact_minimum(
                 break
             frame[1] = len(exts)  # later siblings are as large and lex-greater
             continue
-        reason, later = None, None
+        reason, later, siblings = None, None, False
         if prune:
-            reason, later = sys_.cut(masks, require_free, left, open_, s, m, bound)
+            reason, later, siblings = sys_.cut(masks, require_free, left, open_, s, m, bound)
         if reason is not None:
             sys_.toggle(masks, degs, s, -1)
-            drop(row, reason, 1)
+            if siblings:
+                # no later sibling can be completed either
+                drop(row, reason, len(exts) - i)
+                frame[1] = len(exts)
+            else:
+                drop(row, reason, 1)
             continue
         row["candidates"] += 1
         row["admitted"] += 1
@@ -890,7 +999,8 @@ def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[lis
     """The least size a valid set the walk has not met can have: the least,
     over the frames with a child left to try, of _SlotSystem.reach at the
     next of those children (the frame's size plus one with prune off, whose
-    frames carry no open slots).  Takes path out of masks."""
+    frames carry no open slots).  The walk first moves each frame past the
+    children the lex-leader test rejects.  Takes path out of masks."""
     least = math.inf
     for d in range(len(stack) - 1, -1, -1):
         exts, i, uncovered, open_, _ = stack[d]
@@ -1063,7 +1173,7 @@ class _MPartition:
                         for b2, rows_b in sends[q][y - offsets[q]].items()
                     }
                 )
-            self.group = _SlotGroup(maps, math.prod(map(len, pools)))
+            self.group = _SlotGroup(maps, math.prod(map(len, pools)), "full")
         part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
         self.s, self.slots, self.L = s, slots, len(slots)
         self.offsets, self.part_of = offsets, part_of
@@ -1212,6 +1322,7 @@ def _m_search(
         raise ValueError("m_value needs r >= s")
     if max_vertices is None:
         max_vertices = 2 * r
+    _check_budget(budget)
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     rows: list[dict] = []

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satblow import load_blowup_graph, is_partite_saturated
 from satblow.cli import main
+from satblow.constructions import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +63,15 @@ def test_construct_requires_output(capsys):
     assert e.value.code == 2
 
 
+def test_construct_warning_is_one_line_and_only_with_a_result(capsys, tmp_path):
+    argv = ["construct", "path", "-r", "4", "-n", "4", "-o"]
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "p.pbg"))
+    assert code == 0
+    assert err == "warning: path_construction(r=4, n=4) is outside the verified saturation range n >= 8\n"
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))  # a directory
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_missing_parameter_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "star", "-n", "3", "-o", "/tmp/x.pbg")
     assert code == 2 and "needs r" in err
@@ -102,6 +117,22 @@ def test_malformed_graph_exits_2_with_line_number(capsys, tmp_path):
     bad.write_text("blowup 3 3 2\np 1 2\np 1 3\np 2 3\ne 1.1 1.2\n")
     code, _, err = run_cli(capsys, "verify", str(bad))
     assert code == 2 and "line 5" in err
+
+
+def test_headers_above_the_caps_exit_2(capsys, tmp_path):
+    pat = tmp_path / "huge.pat"
+    pat.write_text("pattern 1000000000 0\n")
+    pbg = tmp_path / "huge.pbg"
+    pbg.write_text("blowup 2 1 1000000000\np 1 2\n")
+    for argv in (
+        ["solve", "sat", "--pattern", str(pat), "-n", "2"],
+        ["table", "two-connected", "--pattern", str(pat), "--n-range", "2:3"],
+        ["verify", str(pbg)],
+        ["count", str(pbg)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1: ") and "cap" in err and err.count("\n") == 1
 
 
 def test_count_full_and_through(capsys, tmp_path):
@@ -170,6 +201,17 @@ def test_solve_json_reports_stats(capsys):
     }
     for row in levels:
         assert row["candidates"] == row["admitted"] + sum(row["cuts"].values())
+    # the full group: 3!^3 index permutations times 6 automorphisms of K3
+    assert stats["group"] == {"pool": "full", "rows": 1296}
+    assert 1 <= stats["leaders"] <= sum(row["expanded"] for row in levels)
+
+
+def test_solve_json_reports_no_group_without_symmetry(capsys):
+    code, doc, _ = run_json(capsys, "solve", "sat", "--pattern", "k3", "-n", "3", "--no-symmetry")
+    assert code == 0 and doc["value"] == 12
+    assert doc["stats"]["group"] == {"pool": None, "rows": 0}
+    assert doc["stats"]["leaders"] == 0
+    assert doc["stats"]["cuts"]["not_canonical"] == 0
 
 
 def test_solve_budget_exhaustion_exits_3(capsys):
@@ -306,3 +348,129 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 4
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argument vectors built from the CLI's own subcommands and flags,
+# with small integers and tiny budgets.  A run either computes something
+# (exit 0, or 3 for an UNKNOWN) or fails with exit 2 and one line on
+# stderr; it never raises.
+
+_INTS = [str(i) for i in range(-1, 6)]
+_BUDGETS = ["0", "0.01", "0.05", "-1", "nan", "x"]
+_GRAPHS = ["@valid.pbg", "@bad.pbg", "@huge.pbg", "@missing.pbg", "@dir"]
+_PATTERNS = ["k2", "k3", "k4", "p3", "p4", "c4", "star-3", "k9", "nope"]
+_PATTERNS += ["@valid.pat", "@huge.pat", "@missing.pat", "@dir"]
+_OUTS = ["@out.pbg", "@dir", "@nowhere/out.pbg"]
+_VERTICES = ["1.1", "2.1", "1.2", "3.3", "0.1", "x", "1."]
+_RANGES = ["0:2", "2:4", "3:3", "4:2", "x", "1:x"]
+
+# per subcommand: the choices of each positional, each flag's values (None
+# for a switch, a tuple for a flag taking several) and its required flags
+_SPECS = {
+    "construct": (
+        [FAMILIES],
+        {"-n": _INTS, "-r": _INTS, "--pattern": _PATTERNS, "--seed": _INTS, "-o": _OUTS},
+        ["-n", "-o"],
+    ),
+    "verify": (
+        [_GRAPHS],
+        {"--check": ["free", "saturated", "extra-saturated"], "--k4-lemmas": None},
+        [],
+    ),
+    "count": ([_GRAPHS], {"--through": (_VERTICES, _VERTICES)}, []),
+    "solve": (
+        [["sat", "exsat"]],
+        {
+            "--pattern": _PATTERNS,
+            "-n": _INTS,
+            "--budget": _BUDGETS,
+            "--seed": _INTS,
+            "--no-symmetry": None,
+            "--witness-out": _OUTS,
+        },
+        ["--pattern", "-n"],
+    ),
+    "mvalue": (
+        [],
+        {"-r": _INTS, "-s": _INTS, "--max-vertices": _INTS, "--budget": _BUDGETS},
+        ["-r", "-s"],
+    ),
+    "bounds": (
+        [],
+        {"-r": _INTS, "-n": _INTS, "--max-vertices": _INTS, "--budget": _BUDGETS},
+        ["-r", "-n"],
+    ),
+    "table": (
+        [FAMILIES],
+        {"--n-range": _RANGES, "-r": _INTS, "--pattern": _PATTERNS, "--format": ["json", "text"]},
+        ["--n-range"],
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    """Mostly what the parser accepts: each positional and required flag is
+    left out one time in twenty, as is a flag's value, and a value is a
+    junk token one time in twenty."""
+    command = draw(st.sampled_from(sorted(_SPECS)))
+    positionals, flags, required = _SPECS[command]
+    optional = [flag for flag in sorted(flags) if flag not in required]
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 19)) == 0
+
+    argv = [command] + [draw(st.sampled_from(choices)) for choices in positionals if not rarely()]
+    chosen = [flag for flag in required if not rarely()]
+    chosen += draw(st.lists(st.sampled_from(optional), max_size=3)) if optional else []
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        values = flags[flag]
+        if values is not None:
+            for choices in values if isinstance(values, tuple) else (values,):
+                if not rarely():
+                    argv.append("x" if rarely() else draw(st.sampled_from(choices)))
+    if command in ("solve", "mvalue", "bounds") and "--budget" not in argv:
+        argv += ["--budget", draw(st.sampled_from(_BUDGETS[:3]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    from satblow import PatternGraph, blow_up, save_blowup_graph, save_pattern
+
+    root = tmp_path_factory.mktemp("fuzz")
+    save_blowup_graph(blow_up(PatternGraph.complete(3), 2), str(root / "valid.pbg"))
+    (root / "bad.pbg").write_text("blowup 3 3 2\np 1 2\np 1 3\np 2 3\ne 1.1 1.2\n")
+    (root / "huge.pbg").write_text("blowup 2 1 1000000000\np 1 2\n")
+    save_pattern(PatternGraph.cycle(4), str(root / "valid.pat"))
+    (root / "huge.pat").write_text("pattern 1000000000 0\n")
+    names = ["valid.pbg", "bad.pbg", "huge.pbg", "missing.pbg", "valid.pat", "huge.pat"]
+    names += ["missing.pat", "out.pbg", "nowhere/out.pbg"]
+    files = {"@" + name: str(root / name) for name in names}
+    files["@dir"] = str(root)
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz(fuzz_files, argv):
+    argv = [fuzz_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(fuzz_files["@dir"])  # a junk output path is written there
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:  # argparse refused the vector
+        code = e.code
+    finally:
+        os.chdir(here)
+    if code in (0, 3):
+        if "text" not in argv:
+            json.loads(out.getvalue())
+        return
+    assert code == 2, (argv, code)
+    assert out.getvalue() == "", argv
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

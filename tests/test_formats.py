@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,32 @@ def test_resolve_pattern(tmp_path):
     assert resolve_pattern(str(path)) == PatternGraph(4, [(1, 2), (2, 3), (2, 4)])
     with pytest.raises(ValueError):
         resolve_pattern("no-such-pattern-or-file")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pattern 1000000000 0",
+        "pattern 2049 0",
+        "blowup 2 1 1000000000\np 1 2\n",
+        "blowup 1000000000 0 1",
+        "blowup 3 0 65537",
+        "blowup 2048 0 2",  # 2048 * 2048 * 2 masks
+    ],
+)
+def test_headers_above_the_caps_are_refused_at_once(text):
+    parse = parse_pattern if text.startswith("pattern") else parse_blowup_graph
+    start = time.monotonic()
+    with pytest.raises(FormatError, match="cap") as e:
+        parse(text)
+    assert time.monotonic() - start < 0.5
+    assert _line_of(e) == 1
+
+
+def test_headers_at_the_caps_parse():
+    assert parse_pattern("pattern 2048 0").vertex_count == 2048
+    assert parse_blowup_graph("blowup 2 1 65536\np 1 2\ne 1.65536 2.1\n").edge_count() == 1
+    assert parse_blowup_graph("blowup 1024 0 4").host.n == 4
 
 
 def test_dump_is_deterministic_and_sorted():

@@ -437,6 +437,24 @@ def test_canonical_extensions_match_brute_force(H, n, pool):
 
 
 @pytest.mark.parametrize("H, n, pool", LEX_CASES)
+def test_admits_matches_brute_force(H, n, pool):
+    """The per-child test the exact search runs, asked about a random
+    ascending subset of the extension slots of each _Leader, so that its
+    cursor over the slots between tests skips some."""
+    group, rows = _lex_group(H, n, pool)
+    rows = sorted(rows)
+    L = len(rows[0])
+    rng = random.Random(L + 2)
+    for trial in range(60):
+        parent = _random_lex_leader(rows, L, rng.randrange(min(L, 9)), rng)
+        leader = _leader(group, parent)
+        for s in range(parent[-1] + 1 if parent else 0, L):
+            if rng.random() < 0.6:
+                want = brute_is_lex_leader(rows, parent + (s,))
+                assert leader.admits(group, s) == want, (parent, s)
+
+
+@pytest.mark.parametrize("H, n, pool", LEX_CASES)
 def test_leader_classes_match_brute_thresholds(H, n, pool):
     """Each row sits in the class of its threshold, or among the fixed rows,
     at every depth of a lex leader built slot by slot, so every tie outcome
@@ -842,6 +860,30 @@ def test_stats_of_a_trivial_search():
     assert r.value == 0
     _check_stats(r)
     assert len(r.stats["levels"]) == 1
+    assert r.stats["group"] == {"pool": None, "rows": 0} and r.stats["leaders"] == 0
+
+
+@pytest.mark.parametrize(
+    "H, n, pool, rows",
+    [
+        (PatternGraph.complete(3), 2, "full", 2**3 * 6),
+        (PatternGraph.path(3), 3, "full", 6**3 * 2),
+        (PatternGraph.complete(3), 5, "cyclic", 5**3 * 6),
+        (PatternGraph.cycle(4), 7, "automorphisms", 8),
+    ],
+)
+def test_stats_name_the_group(H, n, pool, rows):
+    """The pool and row count of the group the lex-leader test ran on, and
+    one _Leader derivation at most per expanded set."""
+    for use_symmetry in (True, False):
+        r = min_sat_exact(H, n, budget=0.3, use_symmetry=use_symmetry)
+        _check_stats(r)
+        if not use_symmetry:
+            assert r.stats["group"] == {"pool": None, "rows": 0} and r.stats["leaders"] == 0
+            continue
+        assert r.stats["group"] == {"pool": pool, "rows": rows}
+        expanded = sum(row["expanded"] for row in r.stats["levels"])
+        assert 1 <= r.stats["leaders"] <= expanded
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +933,7 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
     sys_ = solve._SlotSystem(host)
     every = (1 << L) - 1
     rng = random.Random(L + require_free)
-    fired = dict.fromkeys(solve._CUT_REASONS, 0)
+    fired = dict.fromkeys((*solve._CUT_REASONS, "siblings"), 0)
     for trial in range(150):
         prefix = _random_prefix(copies, L, require_free, rng)
         masks = solve._build_masks(H.vertex_count, n, ())
@@ -923,12 +965,21 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
                 if reason is not None:
                     fired[reason] += 1
                     assert done or least is None or m + least > ub, (prefix[:m], reason, ub)
-            later = sys_.cut(masks, require_free, left, open_, s, m, L + m)[1]
+            reason, later, siblings = sys_.cut(masks, require_free, left, open_, s, m, L + m)
+            if siblings:
+                # the sibling-wide cut: no later sibling completes either
+                fired["siblings"] += 1
+                assert reason == "uncoverable"
+                parent = chosen ^ 1 << s
+                for t in range(s + 1, L):
+                    assert least_completion(parent | 1 << t, t) is None, (prefix[:m], t)
+            if not require_free:  # the child's own test ran on the same graph
+                assert siblings == (reason == "uncoverable")
             assert later == sum(
                 1 << z for z in range(s + 1, L) if not brute_closes(copies, chosen, z)
             )
             uncovered, open_, top = left, later, s
-    assert fired["uncoverable"] > 0 and fired["over_bound"] > 0, fired
+    assert fired["uncoverable"] > 0 and fired["over_bound"] > 0 and fired["siblings"] > 0, fired
 
 
 @pytest.mark.parametrize("require_free", [True, False])
@@ -1026,6 +1077,38 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
         assert r.lower_bound == max(saturation_lower_bound(H, n), min(r.upper_bound, bound))
         unmet = [size for size, D in valid if size < r.upper_bound and D >= position]
         assert all(size >= bound for size in unmet), (k, position, bound)
+
+
+@pytest.mark.parametrize(
+    "require_free, H, n",
+    [
+        (True, PatternGraph.complete(3), 2),
+        (True, PatternGraph.cycle(4), 2),
+        (False, PatternGraph.path(3), 3),
+        (False, PatternGraph.complete(3), 2),
+    ],
+)
+def test_open_bound_is_taken_at_canonical_children(require_free, H, n, monkeypatch):
+    """The walk tests a child for being a lex leader only when it reaches
+    it, so before it bounds an UNKNOWN it moves each frame past the
+    children the test rejects: the bound is then taken at the next child
+    that could hold an unmet valid set, at every stop of the walk."""
+    rows = sorted(brute_slot_group(H, n))
+    open_bound = solve._open_bound
+    nexts = []
+
+    def recording(walk_sys, masks, path, stack):
+        for d, (exts, i, *_) in enumerate(stack):
+            if i < len(exts):
+                nexts.append(tuple(path[:d]) + (exts[i],))
+        return open_bound(walk_sys, masks, path, stack)
+
+    monkeypatch.setattr(solve, "_open_bound", recording)
+    monkeypatch.setattr(solve, "time", _TickClock())
+    for k in itertools.count(0, 2):
+        if solve._exact_minimum(H, n, require_free, k, True, 0).value is not None:
+            break
+    assert nexts and all(brute_is_lex_leader(rows, chosen) for chosen in nexts)
 
 
 # ---------------------------------------------------------------------------
