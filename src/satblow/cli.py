@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from typing import Optional
@@ -40,10 +41,8 @@ def _vertex_token(v: PartiteVertex) -> str:
 
 
 def _parse_vertex_token(token: str) -> PartiteVertex:
-    part, dot, index = token.partition(".")
-    if not dot:
-        raise ValueError(f"expected a part.index vertex token, got {token!r}")
     try:
+        part, index = token.split(".")
         return PartiteVertex(int(part), int(index))
     except ValueError:
         raise ValueError(f"expected a part.index vertex token, got {token!r}") from None
@@ -66,12 +65,29 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be a file: checked before the
+    work, so a long search never ends in a failed write."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"output path {path!r} is in a missing directory")
+
+
+_CHECKS = {
+    "free": is_partite_free,
+    "saturated": is_partite_saturated,
+    "extra-saturated": is_extra_saturated,
+}
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
 def _cmd_construct(args) -> int:
+    _check_output(args.output)
     pattern = resolve_pattern(args.pattern) if args.pattern else None
     spec = ConstructionSpec(
         family=args.family, n=args.n, r=args.r, pattern=pattern, seed=args.seed
@@ -95,12 +111,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     G = load_blowup_graph(args.graph)
-    if args.check == "free":
-        verdict = is_partite_free(G)
-    elif args.check == "extra-saturated":
-        verdict = is_extra_saturated(G)
-    else:
-        verdict = is_partite_saturated(G)
+    verdict = _CHECKS[args.check](G)
     checks = None
     if args.k4_lemmas:
         checks = [
@@ -133,11 +144,6 @@ def _cmd_count(args) -> int:
     if args.through:
         u = _parse_vertex_token(args.through[0])
         v = _parse_vertex_token(args.through[1])
-        host = G.host
-        if not (host.contains_vertex(u) and host.contains_vertex(v)):
-            raise ValueError("endpoint out of range for this host")
-        if not host.is_allowed_slot(u, v):
-            raise ValueError("endpoints do not span a pattern edge")
         doc["through"] = {"u": args.through[0], "v": args.through[1]}
         doc["count"] = str(count_copies_through(G, u, v))
     else:
@@ -148,6 +154,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.witness_out:
+        _check_output(args.witness_out)
     pattern = resolve_pattern(args.pattern)
     solver = min_sat_exact if args.mode == "sat" else min_exsat_exact
     result = solver(
@@ -291,11 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a .pbg graph for a saturation property")
     p.add_argument("graph", help="input .pbg path")
-    p.add_argument(
-        "--check",
-        choices=("free", "saturated", "extra-saturated"),
-        default="saturated",
-    )
+    p.add_argument("--check", choices=tuple(_CHECKS), default="saturated")
     p.add_argument(
         "--k4-lemmas",
         action="store_true",

@@ -342,18 +342,20 @@ def tree_exsat_construction(tree: PatternGraph, n: int) -> PartiteGraph:
 # CLI-facing dispatch record
 # --------------------------------------------------------------------------
 
-FAMILIES = (
-    "k4",
-    "star",
-    "path",
-    "two-connected",
-    "clique-exsat",
-    "generic-exsat",
-    "tree-exsat",
-)
+# family name -> (generator, closed form, the spec fields the generator
+# takes in order); the closed form takes the same fields but the seed
+_FAMILY_TABLE = {
+    "k4": (k4_construction, k4_saturation_edges, ("n",)),
+    "star": (star_construction, star_saturation_edges, ("r", "n")),
+    "path": (path_construction, path_saturation_edges, ("r", "n")),
+    "two-connected": (two_connected_upper, two_connected_edge_bound, ("pattern", "n", "seed")),
+    "clique-exsat": (clique_exsat_construction, clique_exsat_edges, ("r", "n")),
+    "generic-exsat": (generic_exsat_construction, generic_exsat_edges, ("pattern", "n")),
+    "tree-exsat": (tree_exsat_construction, tree_exsat_edges, ("pattern", "n")),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
-_NEEDS_R = {"star", "path", "clique-exsat"}
-_NEEDS_PATTERN = {"two-connected", "generic-exsat", "tree-exsat"}
+_MISSING = {"n": "n", "r": "r", "pattern": "a pattern", "seed": "a seed for its greedy stage"}
 
 
 @dataclass(frozen=True)
@@ -366,46 +368,32 @@ class ConstructionSpec:
     pattern: Optional[PatternGraph] = None
     seed: Optional[int] = None
 
-    def validate(self) -> None:
-        if self.family not in FAMILIES:
+    def _args(self, seeded: bool) -> tuple:
+        """The family's generator (seeded) or closed form, with the values
+        of the spec fields it takes; refuses an unknown family or a missing
+        field."""
+        if self.family not in _FAMILY_TABLE:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family in _NEEDS_R and self.r is None:
-            raise ValueError(f"family {self.family!r} needs r")
-        if self.family in _NEEDS_PATTERN and self.pattern is None:
-            raise ValueError(f"family {self.family!r} needs a pattern")
+        make, formula, fields = _FAMILY_TABLE[self.family]
+        values = []
+        for field in fields:
+            if field == "seed" and not seeded:
+                continue
+            value = getattr(self, field)
+            if value is None:
+                raise ValueError(f"family {self.family!r} needs {_MISSING[field]}")
+            values.append(value)
+        return (make if seeded else formula), values
+
+    def validate(self) -> None:
+        self._args(seeded=False)
 
     def build(self) -> PartiteGraph:
-        self.validate()
-        if self.family == "two-connected" and self.seed is None:
-            raise ValueError("family 'two-connected' needs a seed for its greedy stage")
-        if self.family == "k4":
-            return k4_construction(self.n)
-        if self.family == "star":
-            return star_construction(self.r, self.n)
-        if self.family == "path":
-            return path_construction(self.r, self.n)
-        if self.family == "two-connected":
-            return two_connected_upper(self.pattern, self.n, self.seed)
-        if self.family == "clique-exsat":
-            return clique_exsat_construction(self.r, self.n)
-        if self.family == "generic-exsat":
-            return generic_exsat_construction(self.pattern, self.n)
-        return tree_exsat_construction(self.pattern, self.n)
+        make, values = self._args(seeded=True)
+        return make(*values)
 
     def formula_value(self) -> int:
         """The closed-form edge count (an upper bound for two-connected); it
         refuses the parameters that build refuses, and needs no seed."""
-        self.validate()
-        if self.family == "k4":
-            return k4_saturation_edges(self.n)
-        if self.family == "star":
-            return star_saturation_edges(self.r, self.n)
-        if self.family == "path":
-            return path_saturation_edges(self.r, self.n)
-        if self.family == "two-connected":
-            return two_connected_edge_bound(self.pattern, self.n)
-        if self.family == "clique-exsat":
-            return clique_exsat_edges(self.r, self.n)
-        if self.family == "generic-exsat":
-            return generic_exsat_edges(self.pattern, self.n)
-        return tree_exsat_edges(self.pattern, self.n)
+        formula, values = self._args(seeded=False)
+        return formula(*values)

@@ -65,7 +65,8 @@ threshold and the outcome of each tie, so testing an extension
 search tests one child at a time, only when the walk reaches it, and
 derives a node's _Leader at its first tested child, so a node whose
 children all fall to a cut made before the test derives none.  m_value
-filters each node's free slots in one pass (_canonical_extensions).
+derives the _Leader of each node with free slots and tests each free slot
+as its loop reaches it.
 
 Pruning rests on one fact.  A child C = P + (s,) only ever gains slots
 above s, so every slot y < s not in C is a non-edge of every completion D
@@ -264,14 +265,14 @@ class _SlotSystem:
         # vertices that may never end up isolated, and the slot index after
         # which each vertex's adjacency is settled for good
         needy_parts = {p for p in range(v) if len(pattern._adj0[p]) >= 2}
-        last_touch: dict[int, int] = {}
+        last_touch: dict[tuple[int, int], int] = {}
         for k, (p, a, q, b) in enumerate(self.ends0):
-            last_touch[p * n + a] = k
-            last_touch[q * n + b] = k
-        self.needy_final: list[list[int]] = [[] for _ in range(self.L)]
-        for vid, k in last_touch.items():
-            if vid // n in needy_parts:
-                self.needy_final[k].append(vid)
+            last_touch[p, a] = k
+            last_touch[q, b] = k
+        self.needy_final: list[list[tuple[int, int]]] = [[] for _ in range(self.L)]
+        for (p, a), k in last_touch.items():
+            if p in needy_parts:
+                self.needy_final[k].append((p, a))
         self.needy_slots = [k for k in range(self.L) if self.needy_final[k]]
         # slot sets as ints, one bit per slot: elsewhere[p * n + a] holds the
         # slots meeting part p at an index other than a
@@ -308,15 +309,6 @@ class _SlotSystem:
                     )
                     self.need_at.append((p, a, 1 << a, touch, checks))
 
-    def toggle(self, masks: list, degs: list[int], k: int, step: int) -> None:
-        """Add slot k to the graph held in masks and degs (step 1), or take
-        it out (step -1)."""
-        p, a, q, b = self.ends0[k]
-        masks[p][a][q] ^= 1 << b
-        masks[q][b][p] ^= 1 << a
-        degs[p * self.n + a] += step
-        degs[q * self.n + b] += step
-
     def flip(self, masks: list, slots: int) -> None:
         """Toggle every slot of the set `slots` in masks."""
         while slots:
@@ -326,12 +318,12 @@ class _SlotSystem:
             masks[p][a][q] ^= 1 << b
             masks[q][b][p] ^= 1 << a
 
-    def needy_stop(self, degs: list[int], top: int) -> int:
+    def needy_stop(self, masks: list, top: int) -> int:
         """One past the first slot above top that is the last slot of a
-        needy vertex isolated in degs, or L: extensions from there on leave
+        needy vertex isolated in masks, or L: extensions from there on leave
         that vertex isolated for good."""
         for k in self.needy_slots[bisect.bisect_right(self.needy_slots, top) :]:
-            if any(degs[vid] == 0 for vid in self.needy_final[k]):
+            if any(not any(masks[p][a]) for p, a in self.needy_final[k]):
                 return k + 1
         return self.L
 
@@ -724,13 +716,6 @@ def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> 
     return _Leader(child, classes, stay, held)
 
 
-def _canonical_extensions(group: _SlotGroup, state: _Leader, exts: list[int]) -> list[int]:
-    """The slots s of exts, ascending and each above max P, for which
-    P + (s,) is still the lex leader of its orbit, where state is the
-    _Leader of the lex leader P."""
-    return [s for s in exts if state.admits(group, s)]
-
-
 # why an extension slot of an expanded set was dropped, in the order the
 # walk tests them
 _CUT_REASONS = ("not_free", "isolated_needy", "not_canonical", "over_bound", "uncoverable")
@@ -858,11 +843,10 @@ def _exact_minimum(
     L, ends0 = sys_.L, sys_.ends0
     group = _symmetry_group(sys_) if use_symmetry else None
     masks = _build_masks(pattern.vertex_count, n, ())
-    degs = [0] * (pattern.vertex_count * n)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
     best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
-    # path is the set masks and degs hold; stack[d] is the frame of path[:d]:
+    # path is the set masks holds; stack[d] is the frame of path[:d]:
     # [extension slots left after the cuts of its expansion, index of the
     # next to try, its settled slots left uncovered, its open slots (None
     # with prune off), its _Leader (None until a child is tested)]
@@ -880,7 +864,7 @@ def _exact_minimum(
         if len(levels) == m + 1:
             levels.append(_level_stats(m + 1))
         row = levels[m + 1]
-        stop = sys_.needy_stop(degs, top)
+        stop = sys_.needy_stop(masks, top)
         drop(row, "isolated_needy", L - stop)
         if require_free:
             if open_ is None:
@@ -919,7 +903,7 @@ def _exact_minimum(
         if i == len(exts):
             stack.pop()
             if path:
-                sys_.toggle(masks, degs, path.pop(), -1)
+                sys_.flip(masks, 1 << path.pop())
             continue
         if deadline is not None and time.monotonic() > deadline:
             if group is not None:
@@ -950,7 +934,7 @@ def _exact_minimum(
         frame[1] = i + 1
         if group is not None and not canonical(m - 1, s):
             continue
-        sys_.toggle(masks, degs, s, 1)
+        sys_.flip(masks, 1 << s)
         if prune:
             left = sys_.settled_uncovered(masks, uncovered, open_, s)
             # with every settled slot covered, the slots above s decide
@@ -961,7 +945,7 @@ def _exact_minimum(
         if scan is not None and first_uncovered_slot(pattern, n, masks, scan) is None:
             row["candidates"] += 1
             row["admitted"] += 1
-            sys_.toggle(masks, degs, s, -1)
+            sys_.flip(masks, 1 << s)
             best, bound = (*path, s), m - 1
             if m < improvements[-1]["size"]:
                 improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
@@ -973,7 +957,7 @@ def _exact_minimum(
         if prune:
             reason, later, siblings = sys_.cut(masks, require_free, left, open_, s, m, bound)
         if reason is not None:
-            sys_.toggle(masks, degs, s, -1)
+            sys_.flip(masks, 1 << s)
             if siblings:
                 # no later sibling can be completed either
                 drop(row, reason, len(exts) - i)
@@ -987,7 +971,7 @@ def _exact_minimum(
             path.append(s)
             expand(s, left, later)
         else:
-            sys_.toggle(masks, degs, s, -1)
+            sys_.flip(masks, 1 << s)
     if best is None:
         # the canonical form of the greedy graph is a node of the walk, so
         # this only keeps a safe answer
@@ -1288,14 +1272,12 @@ def _m_search_partition(
             return None
         row["candidates"] += later - len(free)
         cut["clique"] += later - len(free)
-        leader, kept = None, free
+        leader = None
         if group is not None and free:
             leader = _child_leader(group, parent, S) if S else _root_leader(group)
-            kept = _canonical_extensions(group, leader, free)
-        kept = set(kept)
         for i, k in enumerate(free):
             row["candidates"] += 1
-            if k not in kept:
+            if leader is not None and not leader.admits(group, k):
                 cut["not_canonical"] += 1
                 continue
             part.toggle((k,))
@@ -1361,7 +1343,8 @@ def m_value(
     is kept only when it is the lex leader of its orbit, by the test the
     exact search uses (see the module docstring): the permutations are held
     as a _SlotGroup, each node with free slots derives its _Leader from its
-    parent's, and _canonical_extensions filters its free slots.
+    parent's, and _Leader.admits tests each free slot as the loop reaches
+    it.
 
     Every node S carries its free slots F: those above max S that close no
     K_s with S.  Its children are S + (k,) for k in F, and the free slots
@@ -1375,24 +1358,6 @@ def m_value(
     without the cut returns.  stats (see MResult) counts each split tried,
     the nodes and the cuts."""
     return _m_search(r, s, max_vertices, budget)
-
-
-# keyed on the vertex cap as well: a value found under one cap says nothing
-# about a search held to a smaller one
-_M_CACHE: dict[tuple[int, int, Optional[int]], MResult] = {}
-
-
-def _cached_m_value(
-    r: int, s: int, max_vertices: Optional[int], budget: Optional[float]
-) -> MResult:
-    key = (r, s, max_vertices)
-    hit = _M_CACHE.get(key)
-    if hit is not None:
-        return hit
-    got = m_value(r, s, max_vertices, budget)
-    if got.value is not None:
-        _M_CACHE[key] = got
-    return got
 
 
 @dataclass(frozen=True)
@@ -1417,13 +1382,13 @@ def kr_sat_bounds(
     budget: Optional[float] = None,
 ) -> KrSatBounds:
     """Bounds m(r-1, r-1) * r * n / 2 <= sat <= m(r, r-1) * (r-1) * n, with
-    the m-values computed (and cached) by m_value."""
+    the m-values computed by m_value."""
     if r < 4:
         raise ValueError("kr_sat_bounds needs r >= 4")
     if n < 1:
         raise ValueError("kr_sat_bounds needs n >= 1")
-    m_lower = _cached_m_value(r - 1, r - 1, max_vertices, budget)
-    m_upper = _cached_m_value(r, r - 1, max_vertices, budget)
+    m_lower = m_value(r - 1, r - 1, max_vertices, budget)
+    m_upper = m_value(r, r - 1, max_vertices, budget)
     lower = None if m_lower.value is None else (m_lower.value * r * n + 1) // 2
     upper = None if m_upper.value is None else m_upper.value * (r - 1) * n
     return KrSatBounds(r, n, lower, upper, m_lower, m_upper)

@@ -184,6 +184,27 @@ def test_solve_json_and_witness(capsys, tmp_path):
     assert is_partite_saturated(load_blowup_graph(witness)).ok
 
 
+def test_output_path_is_checked_before_the_work(capsys, tmp_path, monkeypatch):
+    """A directory, or a path in a missing directory, is refused with one
+    error line before the solver or the builder runs."""
+    import satblow.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "min_sat_exact", never)
+    monkeypatch.setattr(cli.ConstructionSpec, "build", never)
+    for path in (str(tmp_path), str(tmp_path / "nowhere" / "w.pbg")):
+        for argv in (
+            ["solve", "sat", "--pattern", "c4", "-n", "3", "--witness-out", path],
+            ["construct", "k4", "-n", "3", "-o", path],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not (tmp_path / "nowhere").exists()
+
+
 def test_solve_json_reports_stats(capsys):
     code, doc, _ = run_json(capsys, "solve", "sat", "--pattern", "k3", "-n", "3")
     assert code == 0 and doc["value"] == 12

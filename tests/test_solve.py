@@ -433,7 +433,8 @@ def test_canonical_extensions_match_brute_force(H, n, pool):
         parent = _random_lex_leader(rows, L, rng.randrange(min(L, 9)), rng)
         exts = list(range(parent[-1] + 1 if parent else 0, L))
         want = [s for s in exts if brute_is_lex_leader(rows, parent + (s,))]
-        assert solve._canonical_extensions(group, _leader(group, parent), exts) == want, parent
+        leader = _leader(group, parent)
+        assert [s for s in exts if leader.admits(group, s)] == want, parent
 
 
 @pytest.mark.parametrize("H, n, pool", LEX_CASES)
@@ -498,7 +499,9 @@ def _orbit_census(group, L, copies):
             for s in range(chosen[-1] + 1 if chosen else 0, L)
             if not brute_closes(copies, mask, s)
         ]
-        for s in solve._canonical_extensions(group, leader, free):
+        for s in free:
+            if not leader.admits(group, s):
+                continue
             child = chosen + (s,)
             stack.append((child, mask | 1 << s, solve._child_leader(group, leader, child)))
     return census
@@ -775,17 +778,21 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, 
 
 @pytest.mark.parametrize("prune", [True, False])
 def test_budget_is_kept_within_a_parent(prune, monkeypatch):
-    # Without symmetry the root has 9 children, each toggled in and out; at
-    # 30 ms per toggle, expanding it takes over half a second.  The deadline
-    # is checked before each child too, so the search stops within a child
-    # (60 ms) of it.
-    toggle = solve._SlotSystem.toggle
+    # Without symmetry the root has 9 children, each flipped in and out; at
+    # 60 ms per slot flipped in, expanding it takes over half a second.  The
+    # deadline is checked before each child too, so the search stops within
+    # a child (60 ms) of it.  Flips that take slots out are left fast: the
+    # UNKNOWN's lower bound takes the path out of the masks after the
+    # deadline, one flip per slot.
+    flip = solve._SlotSystem.flip
 
-    def slow_toggle(self, *args):
-        time.sleep(0.03)
-        toggle(self, *args)
+    def slow_flip(self, masks, slots):
+        p, a, q, b = self.ends0[(slots & -slots).bit_length() - 1]
+        if slots and not masks[p][a][q] >> b & 1:
+            time.sleep(0.06)
+        flip(self, masks, slots)
 
-    monkeypatch.setattr(solve._SlotSystem, "toggle", slow_toggle)
+    monkeypatch.setattr(solve._SlotSystem, "flip", slow_flip)
     budget = 0.1
     start = time.monotonic()
     r = solve._exact_minimum(PatternGraph.complete(4), 3, True, budget, False, 0, prune=prune)
@@ -937,16 +944,15 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
     for trial in range(150):
         prefix = _random_prefix(copies, L, require_free, rng)
         masks = solve._build_masks(H.vertex_count, n, ())
-        degs = [0] * (H.vertex_count * n)
         uncovered, open_ = 0, every ^ sys_.covered(masks, every)
         chosen, top = 0, -1
         for m, s in enumerate(prefix, 1):
             # isolated needy vertex: no extension from stop on completes
-            stop = sys_.needy_stop(degs, top)
+            stop = sys_.needy_stop(masks, top)
             for t in range(stop, L):
                 fired["isolated_needy"] += 1
                 assert least_completion(chosen | 1 << t, t) is None, (prefix[:m], t)
-            sys_.toggle(masks, degs, s, 1)
+            sys_.flip(masks, 1 << s)
             chosen |= 1 << s
             left = sys_.settled_uncovered(masks, uncovered, open_, s)
             assert left == sum(
@@ -1001,7 +1007,6 @@ def test_reach_never_passes_a_completion(H, require_free):
     for trial in range(100):
         prefix = _random_prefix(copies, L, require_free, rng)
         masks = solve._build_masks(H.vertex_count, n, ())
-        degs = [0] * (H.vertex_count * n)
         uncovered, open_ = 0, every ^ sys_.covered(masks, every)
         chosen, top = 0, -1
         for m, s in enumerate(prefix):
@@ -1014,7 +1019,7 @@ def test_reach_never_passes_a_completion(H, require_free):
                     assert reach <= min(sizes), (prefix[:m], t)
                     checked += 1
                     beyond_one += reach > m + 1
-            sys_.toggle(masks, degs, s, 1)
+            sys_.flip(masks, 1 << s)
             chosen |= 1 << s
             uncovered = sys_.settled_uncovered(masks, uncovered, open_, s)
             open_ = sys_.cut(masks, require_free, uncovered, open_, s, m + 1, L + m)[1]
@@ -1341,6 +1346,13 @@ def test_kr_sat_bounds_cache_respects_max_vertices():
     assert capped.upper is None  # m(4,3) = 6 exceeds the cap
     assert capped.m_upper.value is None
     assert capped.lower == 80
+
+
+def test_kr_sat_bounds_do_not_depend_on_earlier_calls():
+    kr_sat_bounds(4, 10)
+    b = kr_sat_bounds(4, 10, budget=0.0)
+    assert b.lower is b.upper is None
+    assert b.m_lower.exhausted_budget
 
 
 def test_kr_sat_bounds_validation():
