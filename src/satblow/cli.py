@@ -36,10 +36,6 @@ from .verify import (
 )
 
 
-def _vertex_token(v: PartiteVertex) -> str:
-    return f"{v.part}.{v.index}"
-
-
 def _parse_vertex_token(token: str) -> PartiteVertex:
     try:
         part, index = token.split(".")
@@ -55,10 +51,10 @@ def _witness_json(verdict: Verdict):
     if hasattr(w, "indices"):  # a partite copy
         return {
             "kind": "copy",
-            "vertices": [_vertex_token(v) for v in w.vertices()],
+            "vertices": [str(v) for v in w.vertices()],
         }
     u, v = w
-    return {"kind": "non_edge", "u": _vertex_token(u), "v": _vertex_token(v)}
+    return {"kind": "non_edge", "u": str(u), "v": str(v)}
 
 
 def _print_json(doc) -> None:
@@ -118,9 +114,7 @@ def _cmd_verify(args) -> int:
             {
                 "name": c.name,
                 "status": c.status,
-                "counterexample": None
-                if c.counterexample is None
-                else _vertex_token(c.counterexample),
+                "counterexample": None if c.counterexample is None else str(c.counterexample),
                 "note": c.note,
             }
             for c in check_k4_lemmas(G)

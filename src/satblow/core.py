@@ -21,7 +21,6 @@ construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 class PatternGraph:
     """A small simple graph on vertices 1..vertex_count, used as a blow-up pattern."""
 
-    __slots__ = ("vertex_count", "edges", "_adj0", "_plans", "_count_plans")
+    __slots__ = ("vertex_count", "edges", "_adj0", "_plans")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
@@ -55,8 +54,6 @@ class PatternGraph:
         # orientations; filled by _plan on first use, since building all of
         # them costs O(e * (v + e)) and a scan may stop at its first slot
         self._plans: dict[int, tuple] = {}
-        # the same plans with the memo keys counting needs; see _count_plan
-        self._count_plans: dict[int, tuple] = {}
 
     # -- constructors for the usual suspects ---------------------------------
 
@@ -120,23 +117,13 @@ class PatternGraph:
         return self.is_connected() and len(self.edges) == self.vertex_count - 1
 
     def _plan(self, p: int, q: int) -> tuple:
-        """The search plan of pattern edge (p, q), 0-based; see _search_plan."""
+        """The search plan of pattern edge (p, q), 0-based: the components of
+        _search_plan, each with the memo keys of _counting_steps."""
         key = p * self.vertex_count + q
         plan = self._plans.get(key)
         if plan is None:
-            plan = _search_plan(self._adj0, min(p, q), max(p, q))
-            # _extend and _tally nest one call per branching step
-            _check_depth(1 + max((sum(step[2] for step in steps) for steps in plan), default=0))
+            plan = tuple(_counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q)))
             self._plans[key] = self._plans[q * self.vertex_count + p] = plan
-        return plan
-
-    def _count_plan(self, p: int, q: int) -> tuple:
-        """The counting plan of pattern edge (p, q), 0-based; see _counting_steps."""
-        key = p * self.vertex_count + q
-        plan = self._count_plans.get(key)
-        if plan is None:
-            plan = tuple(_counting_steps(steps) for steps in self._plan(p, q))
-            self._count_plans[key] = self._count_plans[q * self.vertex_count + p] = plan
         return plan
 
     def _check_vertex(self, v: int) -> None:
@@ -160,6 +147,9 @@ class PartiteVertex(NamedTuple):
 
     part: int
     index: int
+
+    def __str__(self) -> str:
+        return f"{self.part}.{self.index}"
 
 
 Slot = tuple[PartiteVertex, PartiteVertex]
@@ -346,77 +336,22 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 
 
 # --------------------------------------------------------------------------
-# The copy engine.  Every question but one is answered on a plan compiled once
-# per pattern edge (p, q): the other parts, split into the components of the
-# pattern minus p and q, each in breadth-first order (_search_plan).
+# The copy engine.  Every question is answered on a plan: components of steps
+# (part, nbrs, branch, key).  The plan of pattern edge (p, q) is compiled once
+# (PatternGraph._plan): the other parts, split into the components of the
+# pattern minus p and q, each in breadth-first order (_search_plan), with the
+# memo keys of _counting_steps.  Two loops walk a component, and neither calls
+# itself: _extend asks whether it can be placed, _tally in how many ways.
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
 # Counting, pinned the same way (count_copies_through): the product of the
 # counts of the plan's components, each counted by _tally.  An unpinned count
 # is the sum of pinned counts over the present slots of one bundle, since
-# every copy uses exactly one slot of each bundle.
-#
-# The one exception is the unpinned lex-least copy (_find), which fills parts
-# in ascending order so that the first copy it meets is the least.
+# every copy uses exactly one slot of each bundle.  The unpinned lex-least
+# copy (_find) runs _extend on one component that places the parts in
+# ascending order, so that the first copy it meets is the least.
 # --------------------------------------------------------------------------
-
-
-# Frames left below the interpreter's recursion limit for the callers of a
-# copy search: the command line, a test runner, a benchmark harness.
-_STACK_RESERVE = 200
-
-
-def _check_depth(depth: int) -> None:
-    """The copy searches recurse once per branching part: refuse, before
-    starting, a pattern that would nest deeper than the interpreter allows."""
-    limit = sys.getrecursionlimit() - _STACK_RESERVE
-    if depth > limit:
-        raise ValueError(
-            f"the copy search for this pattern nests {depth} calls deep, "
-            f"over the {limit} this interpreter allows"
-        )
-
-
-def _candidates(pattern: PatternGraph, n: int, masks, part0: int, chosen) -> int:
-    """Indices of part0 adjacent to the chosen index of every lower neighbour part."""
-    cand = (1 << n) - 1
-    for q in pattern._adj0[part0]:
-        if q > part0:
-            break
-        cand &= masks[q][chosen[q]][part0]
-        if not cand:
-            break
-    return cand
-
-
-def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
-    """The lexicographically least copy, as 0-based indices by part."""
-    v = pattern.vertex_count
-    _check_depth(v + 1)  # rec nests once per part
-    # a part that no later part reads needs some candidate, not a particular
-    # one: if its least candidate leads nowhere, none does
-    unread = [all(q < p for q in pattern._adj0[p]) for p in range(v)]
-    chosen = [-1] * v
-
-    def rec(p: int) -> bool:
-        if p == v:
-            return True
-        cand = _candidates(pattern, n, masks, p, chosen)
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            chosen[p] = bit.bit_length() - 1
-            if rec(p + 1):
-                return True
-            if unread[p]:
-                break
-        chosen[p] = -1
-        return False
-
-    if rec(0):
-        return tuple(chosen)
-    return None
 
 
 def _search_plan(adj0, p: int, q: int) -> tuple[tuple[tuple[int, tuple[int, ...], bool], ...], ...]:
@@ -450,26 +385,94 @@ def _search_plan(adj0, p: int, q: int) -> tuple[tuple[tuple[int, tuple[int, ...]
     return tuple(tuple((x, nbrs[x], x in read) for x in c) for c in components)
 
 
-def _extend(masks, steps, k: int, chosen: list[int], full: int) -> bool:
-    """Can steps k.. of one plan component be placed, given the indices of
-    the parts already placed in `chosen`?"""
-    while k < len(steps):
-        x, nbrs, branch = steps[k]
-        cand = full
-        for y in nbrs:
-            cand &= masks[y][chosen[y]][x]
-        if not cand:
-            return False
-        k += 1
+def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]:
+    """One component of a search plan with its memo keys: each step
+    (part, nbrs, branch) gains the free part whose index alone decides
+    whether, and in how many ways, this step and the later ones can be
+    placed, or -1.
+
+    Those placements depend on the free parts placed before the step that it
+    or a later step reads (the pinned parts are fixed for a whole search).
+    When that is one part y, the outcome of the suffix is a function of y's
+    index, and _extend and _tally remember it by that index.  Only branching
+    steps get a key, and only after at least two branching steps, y and
+    another: otherwise each index of y reaches the step once and the memo
+    could never hit."""
+    last = {y: k for k, (_, nbrs, _) in enumerate(steps) for y in nbrs}
+    live: set[int] = set()  # free parts placed so far that a later step reads
+    branching = 0
+    out = []
+    for k, (x, nbrs, branch) in enumerate(steps):
+        key = next(iter(live)) if branch and len(live) == 1 and branching > 1 else -1
+        out.append((x, nbrs, branch, key))
+        live.difference_update(y for y in nbrs if last[y] == k)
         if branch:
-            while cand:
-                bit = cand & -cand
-                chosen[x] = bit.bit_length() - 1
-                if _extend(masks, steps, k, chosen, full):
-                    return True
-                cand ^= bit
+            live.add(x)
+            branching += 1
+    return tuple(out)
+
+
+def _extend(masks, steps, chosen: list[int], full: int) -> bool:
+    """Can one plan component be placed, given the indices of the parts
+    already placed in `chosen`?  On success `chosen` holds an index for each
+    branching step; a step that no later step reads is only checked to have
+    a candidate.
+
+    At a dead end the walk steps back to the nearest branching step and
+    tries it again with the candidates above its current index only.  A
+    keyed step whose suffix failed is remembered by its key part's index
+    (see _counting_steps), so a chain with no copy is not walked along
+    every index sequence."""
+    size = len(steps)
+    failed = None  # tokens chosen[key] * size + k of the keyed steps that failed
+    k, floor = 0, full
+    while k < size:
+        x, nbrs, branch, key = steps[k]
+        if key >= 0 and failed and chosen[key] * size + k in failed:
+            cand = 0
+        else:
+            cand = floor
+            for y in nbrs:
+                cand &= masks[y][chosen[y]][x]
+        if cand:
+            if branch:
+                chosen[x] = (cand & -cand).bit_length() - 1
+            k, floor = k + 1, full
+            continue
+        # steps k.. cannot be placed after the parts placed so far
+        if key >= 0:
+            if failed is None:
+                failed = set()
+            failed.add(chosen[key] * size + k)
+        k -= 1
+        while k >= 0 and not steps[k][2]:
+            k -= 1
+        if k < 0:
             return False
+        floor = full & -(2 << chosen[steps[k][0]])
     return True
+
+
+def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
+    """The lexicographically least copy, as 0-based indices by part.  One
+    component places parts 0..v-1 in turn, each bounded by its lower
+    neighbours, and _extend tries indices in ascending order, so the first
+    copy it meets is the least once each part that no later part reads
+    takes its least candidate."""
+    steps = _counting_steps(
+        [(x, tuple(y for y in adj if y < x), any(y > x for y in adj)) for x, adj in enumerate(pattern._adj0)]
+    )
+    chosen = [0] * pattern.vertex_count
+    full = (1 << n) - 1
+    if not _extend(masks, steps, chosen, full):
+        return None
+    for x, nbrs, branch, _ in steps:
+        if not branch:
+            cand = full
+            for y in nbrs:
+                cand &= masks[y][chosen[y]][x]
+            chosen[x] = (cand & -cand).bit_length() - 1
+    return tuple(chosen)
 
 
 def _closes_copy(pattern: PatternGraph, n: int, masks, p: int, a: int, q: int, b: int) -> bool:
@@ -482,7 +485,7 @@ def _closes_copy(pattern: PatternGraph, n: int, masks, p: int, a: int, q: int, b
     chosen[q] = b
     full = (1 << n) - 1
     for steps in pattern._plan(p, q):
-        if not _extend(masks, steps, 0, chosen, full):
+        if not _extend(masks, steps, chosen, full):
             return False
     return True
 
@@ -503,68 +506,68 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, ends0) -> Optiona
         chosen[p] = a
         chosen[q] = b
         for steps in plan(p, q):
-            if not _extend(masks, steps, 0, chosen, full):
+            if not _extend(masks, steps, chosen, full):
                 return k
     return None
 
 
-def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]:
-    """One component of a search plan as _tally reads it: each step
-    (part, nbrs, branch) gains a memo key, the free part whose index alone
-    decides how many ways this step and the later ones can be placed, or -1.
+def _tally(masks, steps, chosen: list[int], full: int) -> int:
+    """In how many ways can one plan component be placed, given the indices
+    of the parts already placed in `chosen`?  A step that no later step
+    reads is multiplied out by its candidate count, not enumerated.
 
-    Those placements depend on the free parts placed before the step that it
-    or a later step reads (p and q are fixed for a whole count).  When that
-    is one part y, the count of the suffix is a function of y's index and is
-    remembered by it.  Only branching steps get a key, and only after at
-    least two branching steps, y and another: otherwise each index of y
-    reaches the step once and the memo could never hit."""
-    last = {y: k for k, (_, nbrs, _) in enumerate(steps) for y in nbrs}
-    live: set[int] = set()  # free parts placed so far that a later step reads
-    branching = 0
-    out = []
-    for k, (x, nbrs, branch) in enumerate(steps):
-        key = next(iter(live)) if branch and len(live) == 1 and branching > 1 else -1
-        out.append((x, nbrs, branch, key))
-        live.difference_update(y for y in nbrs if last[y] == k)
-        if branch:
-            live.add(x)
-            branching += 1
-    return tuple(out)
-
-
-def _tally(masks, steps, k: int, chosen: list[int], full: int, memo: dict) -> int:
-    """In how many ways can steps k.. of one counting-plan component be
-    placed, given the indices of the parts already placed in `chosen`?
-    A step that no later step reads is multiplied out by its candidate count,
-    not enumerated.  `memo` belongs to one count and maps a keyed step and
-    its key part's index to the result (see _counting_steps)."""
-    total = 1
-    while k < len(steps):
-        x, nbrs, branch, key = steps[k]
-        if key >= 0:
-            token = chosen[key] * len(steps) + k
-            known = memo.get(token)
-            if known is not None:
-                return total * known
-        cand = full
-        for y in nbrs:
-            cand &= masks[y][chosen[y]][x]
-        if not cand:
-            return 0
-        k += 1
-        if branch:
-            ways = 0
-            while cand:
+    The innermost open branching step `top` keeps, in locals, its untried
+    candidates, the product `before` of the steps between it and the open
+    branching step below it, and the `ways` counted through its candidates
+    tried so far; the open steps below it are saved on `below`.  When `top`
+    runs out of candidates it closes: its count, remembered by its key
+    part's index if it has a key (see _counting_steps), is one result for
+    the open step below."""
+    size = len(steps)
+    memo = None  # made at the first keyed step that closes
+    below = []
+    top, untried, before, ways = -1, 0, 1, 0  # top -1: no step is open
+    k, total = 0, 1
+    while True:
+        while k < size:
+            x, nbrs, branch, key = steps[k]
+            if key >= 0 and memo:
+                known = memo.get(chosen[key] * size + k)
+                if known is not None:
+                    total *= known
+                    break
+            cand = full
+            for y in nbrs:
+                cand &= masks[y][chosen[y]][x]
+            if not cand:
+                total = 0
+                break
+            if branch:
+                below.append((top, untried, before, ways))
                 bit = cand & -cand
                 chosen[x] = bit.bit_length() - 1
-                ways += _tally(masks, steps, k, chosen, full, memo)
-                cand ^= bit
+                top, untried, before, ways, total = k, cand ^ bit, total, 0, 1
+            else:
+                total *= cand.bit_count()
+            k += 1
+        # total counts the steps above top for top's current candidate
+        while top >= 0:
+            ways += total
+            if untried:
+                break
+            key = steps[top][3]
             if key >= 0:
-                memo[token] = ways
-            return total * ways
-        total *= cand.bit_count()
-    return total
+                if memo is None:
+                    memo = {}
+                memo[chosen[key] * size + top] = ways
+            total = before * ways
+            top, untried, before, ways = below.pop()
+        if top < 0:
+            return total
+        bit = untried & -untried
+        untried ^= bit
+        chosen[steps[top][0]] = bit.bit_length() - 1
+        k, total = top + 1, 1
 
 
 def _through(masks, plan, chosen: list[int], full: int) -> int:
@@ -572,7 +575,7 @@ def _through(masks, plan, chosen: list[int], full: int) -> int:
     counts of the plan's components, which share no edge."""
     total = 1
     for steps in plan:
-        total *= _tally(masks, steps, 0, chosen, full, {})
+        total *= _tally(masks, steps, chosen, full)
         if not total:
             return 0
     return total
@@ -590,7 +593,7 @@ def count_partite_copies(G: PartiteGraph) -> int:
         ((i - 1, j - 1) for i, j in sorted(pattern.edges)),
         key=lambda e: sum(row[e[1]].bit_count() for row in masks[e[0]]),
     )
-    plan = pattern._count_plan(p, q)
+    plan = pattern._plan(p, q)
     chosen = [0] * pattern.vertex_count
     full = (1 << n) - 1
     total = 0
@@ -647,7 +650,7 @@ def count_copies_through(G: PartiteGraph, u, v) -> int:
     chosen = [0] * G.host.pattern.vertex_count
     chosen[p] = a
     chosen[q] = b
-    return _through(G._masks, G.host.pattern._count_plan(p, q), chosen, (1 << G.host.n) - 1)
+    return _through(G._masks, G.host.pattern._plan(p, q), chosen, (1 << G.host.n) - 1)
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:

@@ -183,9 +183,7 @@ def dump_blowup_graph(G: PartiteGraph, comment: str | None = None) -> str:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"blowup {pattern.vertex_count} {pattern.edge_count()} {G.host.n}")
     lines.extend(f"p {i} {j}" for i, j in sorted(pattern.edges))
-    lines.extend(
-        f"e {u.part}.{u.index} {v.part}.{v.index}" for u, v in G.sorted_edges()
-    )
+    lines.extend(f"e {u} {v}" for u, v in G.sorted_edges())
     return "\n".join(lines) + "\n"
 
 

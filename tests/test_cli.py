@@ -155,20 +155,29 @@ def test_count_bad_endpoint_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_pattern_too_long_for_the_copy_search_exits_2(capsys, tmp_path):
+def test_bad_through_slot_is_named_by_its_tokens(capsys, tmp_path):
+    out_path = str(tmp_path / "g.pbg")
+    run_cli(capsys, "construct", "k4", "-n", "3", "-o", out_path)
+    code, out, err = run_cli(capsys, "count", out_path, "--through", "1.1", "1.2")
+    assert code == 2 and out == ""
+    assert err == "error: 1.1-1.2 is not an allowed slot of this host\n"
+
+
+def test_long_path_pattern_answers(capsys, tmp_path):
     from satblow import PatternGraph, blow_up, save_blowup_graph
 
+    L = 1500
     path = str(tmp_path / "long.pbg")
-    save_blowup_graph(blow_up(PatternGraph.path(1500), 1), path)
-    for argv in (
-        ["count", path],
-        ["count", path, "--through", "1.1", "2.1"],
-        ["verify", path],
-        ["verify", path, "--check", "extra-saturated"],
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "nests" in err and err.count("\n") == 1
+    save_blowup_graph(blow_up(PatternGraph.path(L), 1), path)
+    code, doc, _ = run_json(capsys, "count", path)
+    assert code == 0 and doc["count"] == "1" and doc["edges"] == L - 1
+    code, doc, _ = run_json(capsys, "count", path, "--through", "750.1", "751.1")
+    assert code == 0 and doc["count"] == "1"
+    code, doc, _ = run_json(capsys, "verify", path)
+    assert code == 0 and doc["status"] == "not_free"
+    assert doc["witness"] == {"kind": "copy", "vertices": [f"{p}.1" for p in range(1, L + 1)]}
+    code, doc, _ = run_json(capsys, "verify", path, "--check", "extra-saturated")
+    assert code == 0 and doc["status"] == "ok" and doc["count"] == "1"
 
 
 def test_solve_json_and_witness(capsys, tmp_path):

@@ -337,40 +337,88 @@ def test_search_plans_place_every_part_and_check_every_edge_once(H):
         assert H._plan(q, p) is plan
         assert all(plan)  # no empty component, so K2's plan is empty
         steps = [step for component in plan for step in component]
-        assert sorted(x for x, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
+        assert sorted(x for x, _, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
         placed = {p, q}
         checked = set()
         for component in plan:
-            for x, nbrs, branch in component:
+            for k, (x, nbrs, branch, key) in enumerate(component):
                 assert set(nbrs) <= placed and set(nbrs) == placed & set(H._adj0[x])
                 checked |= {frozenset((x, y)) for y in nbrs}
                 placed.add(x)
+                # a key is a free part placed earlier in the component that
+                # this step or a later one reads
+                later = component[k:]
+                assert key == -1 or (
+                    key in [y for y, _, _, _ in component[:k]]
+                    and any(key in ys for _, ys, _, _ in later)
+                )
         assert checked | {frozenset((p, q))} == {frozenset((a - 1, b - 1)) for a, b in H.edges}
-        for k, (x, _, branch) in enumerate(steps):
-            assert branch == any(x in nbrs for _, nbrs, _ in steps[k + 1 :])
+        for k, (x, _, branch, _) in enumerate(steps):
+            assert branch == any(x in nbrs for _, nbrs, _, _ in steps[k + 1 :])
 
 
-def test_patterns_too_long_for_the_stack_raise_value_error():
-    G = blow_up(PatternGraph.path(1500), 1)
-    calls = (
-        lambda: count_partite_copies(G),
-        lambda: find_partite_copy(G),
-        lambda: has_partite_copy(G),
-        lambda: count_copies_through(G, (1, 1), (2, 1)),
-        lambda: creates_copy_through(G, (1, 1), (2, 1)),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="nests"):
-            call()
-    # pinned at the middle edge, the chain splits into two halves that fit
-    assert count_copies_through(G, (750, 1), (751, 1)) == 1
+@pytest.mark.parametrize("L, n", [(1500, 1), (2048, 2)])
+def test_long_paths_answer_in_closed_form(L, n):
+    # no copy search keeps a frame per part, so no chain is too long for it
+    G = blow_up(PatternGraph.path(L), n)
+    assert count_partite_copies(G) == n**L
+    assert find_partite_copy(G).indices == (1,) * L
+    assert has_partite_copy(G)
+    for p in (1, L // 2, L - 1):
+        assert count_copies_through(G, (p, n), (p + 1, 1)) == n ** (L - 2)
+        assert creates_copy_through(G, (p + 1, 1), (p, n))
 
 
-def test_long_paths_within_the_stack_still_answer():
-    G = blow_up(PatternGraph.path(300), 2)
-    assert count_partite_copies(G) == 2**300
-    assert find_partite_copy(G).indices == (1,) * 300
-    assert count_copies_through(G, (1, 2), (2, 1)) == 2**298
+def _path_with_an_isolated_last_part(L, n):
+    """path(L)[n] less every slot of the bundle to part L."""
+    host = BlowupHost(PatternGraph.path(L), n)
+    return PartiteGraph(host, [(u, v) for u, v in host.slots() if v.part != L])
+
+
+@pytest.mark.parametrize("L, n", [(1500, 1), (2048, 2)])
+def test_long_paths_with_an_isolated_last_part_have_no_copy(L, n):
+    G = _path_with_an_isolated_last_part(L, n)
+    assert count_partite_copies(G) == 0
+    assert find_partite_copy(G) is None and not has_partite_copy(G)
+    assert count_copies_through(G, (1, 1), (2, n)) == 0
+    assert not creates_copy_through(G, (1, 1), (2, n))
+    # a slot of the empty bundle closes a copy through every other part
+    assert count_copies_through(G, (L - 1, 1), (L, n)) == n ** (L - 2)
+    assert creates_copy_through(G, (L, n), (L - 1, 1))
+
+
+def test_chain_searches_with_no_copy_read_polynomially_many_rows():
+    # every index sequence along parts 3..11 is 3^9 partial paths: without
+    # the memo of failed keyed steps each search reads tens of thousands of rows
+    L, n = 12, 3
+    G = _path_with_an_isolated_last_part(L, n)
+    for search in (
+        lambda G: creates_copy_through(G, (1, 1), (2, 1)),
+        lambda G: find_partite_copy(G) is not None,
+    ):
+        saved = G._masks
+        G._masks = masks = _CountingMasks(saved)
+        assert not search(G)
+        G._masks = saved
+        assert masks.reads < L * n**3
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("H", SIX_PART_PATTERNS, ids=repr)
+def test_sparse_six_part_graphs_match_brute_force_at_n4(H, seed):
+    # sparse enough that keyed steps fail and are met again, both in the
+    # pinned searches and in the unpinned find
+    rng = random.Random(seed)
+    host = BlowupHost(H, 4)
+    G = PartiteGraph(host, [s for s in host.slots() if rng.random() < 0.4])
+    assert count_partite_copies(G) == brute_count(G)
+    copy = find_partite_copy(G)
+    assert (None if copy is None else copy.indices) == brute_find(G)
+    for (u, v), (p, a, q, b) in zip(host.slots(), host.ends0()):
+        want = brute_count_through(G, u, v)
+        assert count_copies_through(G, u, v) == count_copies_through(G, v, u) == want
+        assert _closes_copy(H, 4, G._masks, p, a, q, b) == (want > 0)
+        assert _closes_copy(H, 4, G._masks, q, b, p, a) == (want > 0)
 
 
 def test_host_ends0_follow_the_slots():
