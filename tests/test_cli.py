@@ -149,18 +149,11 @@ def test_count_full_and_through(capsys, tmp_path):
 def test_count_bad_endpoint_exits_2(capsys, tmp_path):
     out_path = str(tmp_path / "g.pbg")
     run_cli(capsys, "construct", "k4", "-n", "3", "-o", out_path)
-    code, _, err = run_cli(capsys, "count", out_path, "--through", "1.1", "1.2")
-    assert code == 2
-    code, _, err = run_cli(capsys, "count", out_path, "--through", "nope", "2.1")
-    assert code == 2
-
-
-def test_bad_through_slot_is_named_by_its_tokens(capsys, tmp_path):
-    out_path = str(tmp_path / "g.pbg")
-    run_cli(capsys, "construct", "k4", "-n", "3", "-o", out_path)
     code, out, err = run_cli(capsys, "count", out_path, "--through", "1.1", "1.2")
     assert code == 2 and out == ""
     assert err == "error: 1.1-1.2 is not an allowed slot of this host\n"
+    code, _, err = run_cli(capsys, "count", out_path, "--through", "nope", "2.1")
+    assert code == 2
 
 
 def test_long_path_pattern_answers(capsys, tmp_path):
