@@ -30,6 +30,35 @@ more than f*), and W is met; from then on bound = f* - 1 and no set of f*
 slots is taken.  Lowering bound to f - 1 is safe for the value: a set of f
 slots or more cannot improve on the incumbent.
 
+The proven lower bound the walk starts from, its floor, is
+saturation_lower_bound, a degree bound.  Let D be saturated or
+extra-saturated, and v a vertex of part p of pattern degree d.  If D lacks
+a slot vu, u in part q, the copy through vu in D + vu puts a neighbour of v
+in every pattern neighbour of p but q.  So if v has no neighbour in some
+neighbour part q, every slot from v to q is missing (n >= 1 of them), and
+v is joined to all n vertices of every other neighbour part r (a missing
+slot to r would ask for a neighbour in q); otherwise v has a neighbour in
+each of the d parts.  Hence deg_D(v) >= demand_p = min(d, (d - 1) n): for
+d = 1 that is 0 (an added slot carries the copy's one edge at v), and a
+part with d = 0 meets no slot and has demand 0 (the formula would give
+-n).  Give the parts weights y >= 0 with y_p + y_q <= 1 on each pattern
+edge.  Every edge of D joins two such parts, so |D| >= sum over edges uv
+of D of (y_p(u) + y_p(v)) = sum over vertices v of y_p(v) deg_D(v) >= n
+sum_p y_p demand_p, and the floor is n times the maximum of that weighted
+fractional vertex packing, rounded up.  The maximum is half the one on the
+bipartite double cover B of the pattern (parts p' and p'', an edge p'q''
+and q'p'' per pattern edge): y gives (y, y) on B, of twice the weight,
+and (a, b) on B gives (a + b) / 2, of half the weight, with (a_p + b_p +
+a_q + b_q) / 2 <= 1 since a_p + b_q and a_q + b_p are at most 1.  B is
+bipartite, so its packing polytope is integral: its maximum is 2 sum_p
+demand_p less a least-weight vertex cover of B, and that is a minimum cut,
+so the maximum flow, of source -> p' (capacity demand_p) -> q'' (no
+capacity limit) -> sink (capacity demand_q).  So half-integral y suffice
+(Nemhauser and Trotter, 1975), and the floor is ceil(n (2 sum_p demand_p -
+flow) / 2), found in polynomial time.  The proof of the witness above
+holds for any proven floor; the floor only lets the walk stop as soon as
+it meets a valid set of that size.
+
 The Delta rule.  For a group element g and a slot set C, let d be the least
 slot of the symmetric difference g(C) Delta C.  Then sorted(g(C)) < C
 exactly when d lies in g(C).  Proof: the two sets share every slot below d,
@@ -180,7 +209,6 @@ from .core import (
     _closes_copy,
     first_uncovered_slot,
     has_partite_copy,
-    is_two_connected,
 )
 from .verify import is_extra_saturated, is_partite_saturated
 
@@ -237,14 +265,77 @@ def _check_budget(budget: Optional[float]) -> None:
 
 
 def saturation_lower_bound(pattern: PatternGraph, n: int) -> int:
-    """For a two-connected pattern, every vertex sitting in a part of
-    pattern degree >= 2 needs at least one edge in any saturated or
-    extra-saturated graph, which forces at least half that many edges.
-    Other patterns get the trivial bound 0."""
-    if not is_two_connected(pattern):
-        return 0
-    needy = sum(1 for v in pattern.vertices if pattern.degree_of(v) >= 2)
-    return (needy * n + 1) // 2
+    """A lower bound on the edge count of every saturated or extra-saturated
+    subgraph of pattern[n]: ceil(n * max sum_p y_p demand_p) over weights
+    y >= 0 with y_p + y_q <= 1 on each pattern edge, where demand_p, the
+    least degree of a vertex of part p, is min(d, (d - 1) n) for a part of
+    pattern degree d >= 1 and 0 for d = 0 (see the module docstring).  The
+    maximum is half of 2 sum_p demand_p less the maximum flow of the
+    bipartite double cover, so the bound takes polynomial time."""
+    demand = [max(0, min(len(a), (len(a) - 1) * n)) for a in pattern._adj0]
+    total = sum(demand)
+    # source 0, sink 1; part p is node 2 + 2p on the left of the cover and
+    # 3 + 2p on the right; no flow passes total, so it bounds no middle arc
+    arcs = [(0, 2 + 2 * p, w) for p, w in enumerate(demand)]
+    arcs += [(3 + 2 * p, 1, w) for p, w in enumerate(demand)]
+    arcs += [(2 + 2 * p, 3 + 2 * q, total) for p, a in enumerate(pattern._adj0) for q in a]
+    twice = 2 * total - _max_flow(2 + 2 * len(demand), arcs, 0, 1)
+    return (n * twice + 1) // 2
+
+
+def _max_flow(size: int, arcs: list[tuple[int, int, int]], source: int, sink: int) -> int:
+    """The maximum flow from source to sink over arcs (tail, head, capacity)
+    on nodes 0..size - 1, by Dinic's blocking flows.  It runs on loops
+    alone, so a long augmenting path cannot overflow the stack."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:  # arc e and its reverse e ^ 1
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    queue.append(head[e])
+        if level[sink] < 0:
+            return flow
+        # augment along level-raising arcs until none reaches the sink; next_[u]
+        # is the first arc of u not yet found dead in this phase
+        next_ = [0] * size
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                flow += push
+                path.clear()
+                u = source
+            arcs_u = out[u]
+            while next_[u] < len(arcs_u):
+                e = arcs_u[next_[u]]
+                if cap[e] and level[head[e]] == level[u] + 1:
+                    path.append(e)
+                    u = head[e]
+                    break
+                next_[u] += 1
+            else:
+                if u == source:
+                    break
+                u = head[path.pop() ^ 1]
+                next_[u] += 1
 
 
 # --------------------------------------------------------------------------
@@ -772,7 +863,11 @@ class SolveResult:
     _symmetry_group) and its element count, or None and 0 when no test runs
     (use_symmetry off, a trivial search, or a group that acts trivially or
     does not fit the caps).  stats["leaders"] counts the _Leader
-    derivations, the root's included.
+    derivations, the root's included.  stats["floor"] is
+    saturation_lower_bound, the proven bound the walk starts from: the walk
+    stops as soon as it meets a valid set of that size (of one slot when
+    it is 0), so an exact result whose value equals it may leave children
+    untried.
     """
 
     value: Optional[int]
@@ -831,6 +926,7 @@ def _exact_minimum(
                 "rows": 0 if group is None else group.everyone.bit_count(),
             },
             "leaders": leaders,
+            "floor": lb,
         }
         nodes = sum(row["admitted"] for row in levels)
         elapsed = time.monotonic() - start

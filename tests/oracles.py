@@ -76,6 +76,19 @@ def brute_min_exsat(pattern, n):
     return _brute_minimum(pattern, n, is_extra_saturated)
 
 
+def brute_degree_floor(pattern, n):
+    """The degree bound of saturation_lower_bound by enumerating every
+    weighting y in {0, 1/2, 1}^v (held doubled, as 0, 1, 2) with
+    y_p + y_q <= 1 on each pattern edge."""
+    degrees = [pattern.degree_of(p) for p in pattern.vertices]
+    demand = [0 if d == 0 else min(d, (d - 1) * n) for d in degrees]
+    best = 0  # twice the best weighted demand
+    for y in itertools.product((0, 1, 2), repeat=pattern.vertex_count):
+        if all(y[p - 1] + y[q - 1] <= 2 for p, q in pattern.edges):
+            best = max(best, sum(w * d for w, d in zip(y, demand)))
+    return -(-n * best // 2)
+
+
 def brute_automorphisms(pattern):
     """Every vertex permutation (0-based) that maps edges onto edges."""
     v = pattern.vertex_count

@@ -227,6 +227,7 @@ def test_solve_json_reports_stats(capsys):
     # the full group: 3!^3 index permutations times 6 automorphisms of K3
     assert stats["group"] == {"pool": "full", "rows": 1296}
     assert 1 <= stats["leaders"] <= sum(row["expanded"] for row in levels)
+    assert stats["floor"] == 9  # y = 1/2 on three parts of demand 2, times n = 3
 
 
 def test_solve_json_reports_no_group_without_symmetry(capsys):

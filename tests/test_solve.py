@@ -30,6 +30,7 @@ from oracles import (
     brute_automorphisms,
     brute_closes,
     brute_copy_masks,
+    brute_degree_floor,
     brute_free_set_counts,
     brute_is_lex_leader,
     brute_m_cliques,
@@ -162,11 +163,54 @@ def test_greedy_fixpoint_on_saturated_input():
 
 def test_saturation_lower_bound_values():
     K3 = PatternGraph.complete(3)
-    assert saturation_lower_bound(K3, 2) == 3
-    assert saturation_lower_bound(K3, 3) == 5
-    assert saturation_lower_bound(PatternGraph.cycle(4), 3) == 6
+    assert saturation_lower_bound(K3, 2) == 6
+    assert saturation_lower_bound(K3, 3) == 9
+    assert saturation_lower_bound(PatternGraph.cycle(4), 3) == 12
     assert saturation_lower_bound(PatternGraph.complete(2), 7) == 0
-    assert saturation_lower_bound(PatternGraph.path(4), 5) == 0
+    assert saturation_lower_bound(PatternGraph.path(4), 5) == 10
+
+
+def test_saturation_lower_bound_gives_the_tree_values():
+    """(v(T) - 1) n, the exact extra-saturation value of a tree T, for the
+    path on three vertices and the star with three leaves."""
+    P3, star3 = PatternGraph.path(3), PatternGraph.star(3)
+    for n in range(2, 8):
+        assert saturation_lower_bound(P3, n) == tree_exsat_edges(P3, n) == 2 * n
+    for n in (2, 3):
+        assert saturation_lower_bound(star3, n) == tree_exsat_edges(star3, n) == 3 * n
+
+
+def test_saturation_lower_bound_matches_enumeration():
+    """The max-flow form against every half-integral weighting, on seeded
+    random patterns of at most six vertices, some with isolated parts or
+    parts of degree 1."""
+    rng = random.Random(13)
+    patterns = [
+        PatternGraph(5, [(1, 2), (2, 3)]),  # two isolated parts
+        PatternGraph(6, [(1, 2), (3, 4), (4, 5)]),
+        PatternGraph.star(5),
+    ]
+    while len(patterns) < 150:
+        v = rng.randint(2, 6)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(1, v + 1), 2) if rng.random() < density]
+        if edges:
+            patterns.append(PatternGraph(v, edges))
+    degrees = [H.degree_of(p) for H in patterns for p in H.vertices]
+    assert 0 in degrees and 1 in degrees
+    for H in patterns:
+        for n in (1, 2, 3, 5):
+            bound = saturation_lower_bound(H, n)
+            assert bound == brute_degree_floor(H, n) >= 0, (H.edges, n)
+
+
+def test_saturation_lower_bound_is_fast_on_long_patterns():
+    """A `.pat` file may name 2 048 parts; the flow takes no enumeration."""
+    for H, want in [(PatternGraph.path(2048), 4092), (PatternGraph.cycle(2048), 4096)]:
+        start = time.monotonic()
+        # y = 1/2 on every part: 2 046 (or 2 048) parts of demand 2, n = 2
+        assert saturation_lower_bound(H, 2) == want
+        assert time.monotonic() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +265,7 @@ DIFFERENTIAL_CASES = [
 def test_exact_matches_brute_force_on_small_patterns(name, n, require_free):
     H = SMALL_PATTERNS[name]
     want = (brute_min_sat if require_free else brute_min_exsat)(H, n)
+    assert saturation_lower_bound(H, n) <= want
     for prune in (True, False):
         for use_symmetry in (True, False):
             r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0, prune=prune)
@@ -553,7 +598,7 @@ def test_numpy_is_not_imported():
             PatternGraph.complete(3),
             2,
             6,
-            56,
+            50,
             "11-21 11-31 12-22 12-32 21-32 22-31",
         ),
         (
@@ -561,7 +606,7 @@ def test_numpy_is_not_imported():
             PatternGraph.cycle(4),
             2,
             8,
-            382,
+            361,
             "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
         ),
         (
@@ -569,7 +614,7 @@ def test_numpy_is_not_imported():
             PatternGraph.path(3),
             3,
             6,
-            157,
+            61,
             "11-21 11-22 11-23 21-31 22-31 23-31",
         ),
         (
@@ -605,7 +650,7 @@ def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
             56,
             "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
         ),
-        ("exsat", PatternGraph.path(3), 3, 6, 32, "11-21 11-22 11-23 21-31 22-31 23-31"),
+        ("exsat", PatternGraph.path(3), 3, 6, 19, "11-21 11-22 11-23 21-31 22-31 23-31"),
         (
             "sat",
             PatternGraph.complete(4),
@@ -771,9 +816,11 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, 
             break
         assert lb <= r.lower_bound <= want <= r.upper_bound == r.witness.edge_count()
         assert r.upper_bound == r.stats["improvements"][-1]["size"]
+        if lb == want:
+            assert r.lower_bound == want  # the floor alone proves the optimum
         above_lb += r.lower_bound > max(lb, 1)
-    if prune:
-        assert above_lb > 0  # the open frames' bound does more than the trivial one
+    if prune and lb < want:
+        assert above_lb > 0  # the open frames' bound does more than the floor
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -820,6 +867,7 @@ def _check_stats(r):
     assert sizes == sorted(set(sizes), reverse=True)  # strictly decreasing
     assert [step["nodes"] for step in r.stats["improvements"]][0] == 0
     assert sum(row["admitted"] for row in levels) == r.nodes_explored
+    assert 0 <= r.stats["floor"] <= r.lower_bound <= r.upper_bound
     assert r.stats["cuts"] == {
         reason: sum(row["cuts"][reason] for row in levels) for reason in solve._CUT_REASONS
     }
@@ -830,8 +878,10 @@ def _check_stats(r):
     [
         (True, PatternGraph.complete(3), 2),
         (True, PatternGraph.cycle(4), 2),
+        (True, PatternGraph.path(4), 2),
         (False, PatternGraph.path(3), 3),
         (False, PatternGraph.complete(3), 2),
+        (False, PatternGraph.path(4), 2),
     ],
 )
 @pytest.mark.parametrize("prune", [True, False])
@@ -841,18 +891,23 @@ def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmet
     _check_stats(r)
     levels, cuts = r.stats["levels"], r.stats["cuts"]
     L = len(BlowupHost(H, n).slots())
-    assert levels[1]["candidates"] == L  # every slot extends the root
     improvements = r.stats["improvements"]
+    assert r.stats["floor"] == saturation_lower_bound(H, n)
+    # a walk that meets an optimum equal to its floor stops there; any other
+    # walk tries every child of the root
+    full = improvements[-1]["size"] > r.stats["floor"]
+    if full:
+        assert levels[1]["candidates"] == L  # every slot extends the root
     assert improvements[-1]["size"] == r.value
     assert improvements[0]["size"] == _greedy_size(H, n, 0)
     if not require_free:
         assert cuts["not_free"] == 0
     if not use_symmetry:
         assert cuts["not_canonical"] == 0
-    if prune:
-        assert cuts["uncoverable"] > 0
-    else:
+    if not prune:
         assert cuts["uncoverable"] == cuts["over_bound"] == 0
+    elif full:
+        assert cuts["uncoverable"] > 0
     assert cuts["isolated_needy"] > 0
 
 
