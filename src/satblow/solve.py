@@ -102,16 +102,11 @@ above s, so every slot y < s not in C is a non-edge of every completion D
 of C (D holds C, and D - C lies above s): y is *settled*.  For D to be
 saturated (or extra-saturated), y must close a copy in D + y.  A slot
 covered by C (closing a copy in C + y) stays covered in every D, since
-copies only grow as edges are added.  Five cuts drop a child without
+copies only grow as edges are added.  Four cuts drop a child without
 losing any optimum:
 
 * not free (saturation only): a subgraph of a partite-free graph is
   partite-free, so a slot closing a copy with P never joins P.
-* isolated needy vertex: a vertex whose part has pattern degree at least
-  two cannot be isolated in a saturated or extra-saturated graph (one added
-  edge cannot carry two pattern edges at that vertex).  If such a vertex is
-  isolated in P and its last slot is t, every extension above t leaves it
-  isolated for good, so those are all dropped at once.
 * uncoverable: let F be the slots a completion of C may still add: for
   saturation, the slots above s that close no copy with C (a slot that
   closes one can never join, by the first cut, as D is partite-free); for
@@ -144,14 +139,27 @@ losing any optimum:
   walk's bound.  The test is strict: a prefix of any valid set of at most
   bound slots survives.
 
-The walk meets a node's children in ascending slot order.  Expanding the
-node drops the not-free and isolated-needy ones in bulk; each other child
-s then meets, in turn: the over-bound bound of the node at s
-(_SlotSystem.reach, which only grows with s, so it drops s and every later
-sibling at once), the lex-leader test, adding s, the validity test, and
-the child's own over-bound and uncoverable tests (_SlotSystem.cut), the
-second with its sibling-wide form.  A candidate dropped in bulk is
-charged to the cut that dropped it.
+A vertex whose part has pattern degree at least two is isolated in no
+valid graph (one added edge cannot carry two pattern edges at it), and
+the uncoverable cut already drops every child that leaves such a vertex
+isolated for good.  Let v, of part p with pattern degree at least two, be
+isolated in P with its last slot below s, and C = P + (s,).  Every slot y
+at v is settled for C.  No such y closes a copy in C + F + y: v has no
+edge in C + F, as F lies above s, and a copy through y needs two edges at
+v.  For the same reason no y closes a copy with P or with C, so each is in
+P's settled slots left uncovered or in its open slots, and so among the
+settled slots C leaves uncovered (see below).  So the uncoverable cut drops
+C, and its sibling-wide form every later sibling, since G holds no slot at
+v either.
+
+Each node of the walk holds the children it has not yet tried as one slot
+set, and tries them from its lowest slot up.  Expanding the node drops the
+not-free ones in bulk; each other child s then meets, in turn: the
+over-bound bound of the node at s (_SlotSystem.reach, which only grows
+with s, so it drops s and every later sibling at once), the lex-leader
+test, adding s, the validity test, and the child's own over-bound and
+uncoverable tests (_SlotSystem.cut), the second with its sibling-wide
+form.  A candidate dropped in bulk is charged to the cut that dropped it.
 
 The last three cuts are computed incrementally.  Each node of the walk
 carries its settled slots left uncovered and its open slots (those above
@@ -353,18 +361,6 @@ class _SlotSystem:
         self.slots = host.slots()
         self.L = len(self.slots)
         self.ends0 = host.ends0()
-        # vertices that may never end up isolated, and the slot index after
-        # which each vertex's adjacency is settled for good
-        needy_parts = {p for p in range(v) if len(pattern._adj0[p]) >= 2}
-        last_touch: dict[tuple[int, int], int] = {}
-        for k, (p, a, q, b) in enumerate(self.ends0):
-            last_touch[p, a] = k
-            last_touch[q, b] = k
-        self.needy_final: list[list[tuple[int, int]]] = [[] for _ in range(self.L)]
-        for (p, a), k in last_touch.items():
-            if p in needy_parts:
-                self.needy_final[k].append((p, a))
-        self.needy_slots = [k for k in range(self.L) if self.needy_final[k]]
         # slot sets as ints, one bit per slot: elsewhere[p * n + a] holds the
         # slots meeting part p at an index other than a
         at_vertex = [0] * (v * n)
@@ -408,15 +404,6 @@ class _SlotSystem:
             p, a, q, b = self.ends0[bit.bit_length() - 1]
             masks[p][a][q] ^= 1 << b
             masks[q][b][p] ^= 1 << a
-
-    def needy_stop(self, masks: list, top: int) -> int:
-        """One past the first slot above top that is the last slot of a
-        needy vertex isolated in masks, or L: extensions from there on leave
-        that vertex isolated for good."""
-        for k in self.needy_slots[bisect.bisect_right(self.needy_slots, top) :]:
-            if any(not any(masks[p][a]) for p, a in self.needy_final[k]):
-                return k + 1
-        return self.L
 
     def clash(self, k: int) -> int:
         """The slots that share no copy with slot k: they give one of its
@@ -809,7 +796,7 @@ def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> 
 
 # why an extension slot of an expanded set was dropped, in the order the
 # walk tests them
-_CUT_REASONS = ("not_free", "isolated_needy", "not_canonical", "over_bound", "uncoverable")
+_CUT_REASONS = ("not_free", "not_canonical", "over_bound", "uncoverable")
 
 
 def _level_stats(level: int) -> dict:
@@ -844,16 +831,15 @@ class SolveResult:
     (the extension slots of each expanded set of m - 1 slots that the walk
     tried, or the root alone at size 0), "admitted" (sets kept as nodes),
     "expanded" (of those, the sets whose children were generated) and
-    "cuts", the candidates dropped by reason: "not_free",
-    "isolated_needy", "not_canonical", "over_bound", "uncoverable" (see the
-    module docstring).  Each candidate is admitted or cut exactly once, so
-    candidates = admitted + the sum of the cuts on every record; slots a
-    walk never reached (it left a set after meeting a valid child, or ran
-    out of budget) are not candidates.  A candidate dropped in bulk, with
-    every sibling after it (by the over-bound bound of its parent, or by
-    the sibling-wide uncoverable cut), is charged to the cut that dropped it,
-    whether or not the lex-leader test, which it never met, would have
-    rejected it.  stats["cuts"] holds each reason's total over the sizes.
+    "cuts", the candidates dropped by reason: "not_free", "not_canonical",
+    "over_bound", "uncoverable" (see the module docstring).  Each candidate
+    is admitted or cut exactly once, so candidates = admitted + the sum of
+    the cuts on every record; slots a walk never reached (it left a set
+    after meeting a valid child, or ran out of budget) are not candidates.
+    A candidate dropped in bulk, with every sibling after it (by the
+    over-bound bound of its parent, or by the sibling-wide uncoverable
+    cut), is charged to the cut that dropped it, whether or not the
+    lex-leader test, which it never met, would have rejected it.  stats["cuts"] holds each reason's total over the sizes.
     stats["improvements"] lists the upper bounds in the order they were
     found, each as {"size", "nodes"} with nodes the count admitted by then:
     first the greedy graph (nodes 0), then each valid set smaller than the
@@ -943,11 +929,12 @@ def _exact_minimum(
     bound = ub  # the walk looks for valid sets of at most this many slots
     best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
     # path is the set masks holds; stack[d] is the frame of path[:d]:
-    # [extension slots left after the cuts of its expansion, index of the
-    # next to try, its settled slots left uncovered, its open slots (None
-    # with prune off), its _Leader (None until a child is tested)]
+    # [its children not yet tried, as a slot set, its settled slots left
+    # uncovered, its open slots (None with prune off), its _Leader (None
+    # until a child is tested)]
     path: list[int] = []
     stack: list[list] = []
+    every = (1 << L) - 1
 
     def drop(row: dict, reason: str, count: int) -> None:
         row["candidates"] += count
@@ -959,18 +946,13 @@ def _exact_minimum(
         levels[m]["expanded"] += 1
         if len(levels) == m + 1:
             levels.append(_level_stats(m + 1))
-        row = levels[m + 1]
-        stop = sys_.needy_stop(masks, top)
-        drop(row, "isolated_needy", L - stop)
+        todo = every ^ ((1 << top + 1) - 1)  # the slots above top
         if require_free:
             if open_ is None:
-                ahead = (1 << stop) - (1 << top + 1)
-                open_ = ahead ^ sys_.covered(masks, ahead)
-            exts = [s for s in range(top + 1, stop) if open_ >> s & 1]
-            drop(row, "not_free", stop - 1 - top - len(exts))
-        else:
-            exts = list(range(top + 1, stop))
-        stack.append([exts, 0, uncovered, open_ if prune else None, None])
+                open_ = todo ^ sys_.covered(masks, todo)
+            drop(levels[m + 1], "not_free", todo.bit_count() - open_.bit_count())
+            todo = open_  # the open slots all lie above top
+        stack.append([todo, uncovered, open_ if prune else None, None])
 
     def canonical(d: int, s: int) -> bool:
         """Is path[:d] + (s,) a lex leader?  The slots asked about for one
@@ -978,25 +960,24 @@ def _exact_minimum(
         parent frame's, and charges a rejected slot to not_canonical."""
         nonlocal leaders
         frame = stack[d]
-        if frame[4] is None:
-            frame[4] = (
-                _child_leader(group, stack[d - 1][4], tuple(path[:d]))
+        if frame[3] is None:
+            frame[3] = (
+                _child_leader(group, stack[d - 1][3], tuple(path[:d]))
                 if d
                 else _root_leader(group)
             )
             leaders += 1
-        if frame[4].admits(group, s):
+        if frame[3].admits(group, s):
             return True
         drop(levels[d + 1], "not_canonical", 1)
         return False
 
-    every = (1 << L) - 1
     root_open = every ^ sys_.covered(masks, every) if prune else None
     expand(-1, 0, root_open)
     while stack:
         frame = stack[-1]
-        exts, i, uncovered, open_, _ = frame
-        if i == len(exts):
+        todo, uncovered, open_, _ = frame
+        if not todo:
             stack.pop()
             if path:
                 sys_.flip(masks, 1 << path.pop())
@@ -1005,10 +986,11 @@ def _exact_minimum(
             if group is not None:
                 # the bound grows with the next child, so move each frame to
                 # its next canonical one
-                for d, (exts, i, *_) in enumerate(stack):
-                    while i < len(exts) and not canonical(d, exts[i]):
-                        i += 1
-                    stack[d][1] = i
+                for d, frame in enumerate(stack):
+                    todo = frame[0]
+                    while todo and not canonical(d, (todo & -todo).bit_length() - 1):
+                        todo &= todo - 1
+                    frame[0] = todo
             upper = ub if best is None else len(best)
             return result(
                 None,
@@ -1017,17 +999,17 @@ def _exact_minimum(
                 upper,
                 max(lb, min(upper, _open_bound(sys_, masks, path, stack))),
             )
-        s = exts[i]
+        s = (todo & -todo).bit_length() - 1
         m = len(path) + 1
         row = levels[m]
         if prune and m - 1 + sys_.most_need > bound and sys_.reach(
             masks, uncovered, open_, s, m - 1
         ) > bound:
             # the bound grows with s, so no later sibling can come in either
-            drop(row, "over_bound", len(exts) - i)
-            frame[1] = len(exts)
+            drop(row, "over_bound", todo.bit_count())
+            frame[0] = 0
             continue
-        frame[1] = i + 1
+        frame[0] = todo & todo - 1
         if group is not None and not canonical(m - 1, s):
             continue
         sys_.flip(masks, 1 << s)
@@ -1047,7 +1029,7 @@ def _exact_minimum(
                 improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
             if bound < floor:
                 break
-            frame[1] = len(exts)  # later siblings are as large and lex-greater
+            frame[0] = 0  # later siblings are as large and lex-greater
             continue
         reason, later, siblings = None, None, False
         if prune:
@@ -1056,8 +1038,8 @@ def _exact_minimum(
             sys_.flip(masks, 1 << s)
             if siblings:
                 # no later sibling can be completed either
-                drop(row, reason, len(exts) - i)
-                frame[1] = len(exts)
+                drop(row, reason, todo.bit_count())
+                frame[0] = 0
             else:
                 drop(row, reason, 1)
             continue
@@ -1078,14 +1060,16 @@ def _exact_minimum(
 def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[list]) -> int:
     """The least size a valid set the walk has not met can have: the least,
     over the frames with a child left to try, of _SlotSystem.reach at the
-    next of those children (the frame's size plus one with prune off, whose
-    frames carry no open slots).  The walk first moves each frame past the
-    children the lex-leader test rejects.  Takes path out of masks."""
+    next of those children, the lowest slot of the frame's untried set; with
+    prune off, whose frames carry no open slots, the frame's size plus one.
+    The walk first moves each frame past the children the lex-leader test
+    rejects.  Takes path out of masks."""
     least = math.inf
     for d in range(len(stack) - 1, -1, -1):
-        exts, i, uncovered, open_, _ = stack[d]
-        if i < len(exts):
-            reach = d + 1 if open_ is None else sys_.reach(masks, uncovered, open_, exts[i], d)
+        todo, uncovered, open_, _ = stack[d]
+        if todo:
+            t = (todo & -todo).bit_length() - 1
+            reach = d + 1 if open_ is None else sys_.reach(masks, uncovered, open_, t, d)
             least = min(least, reach)
         if d:
             sys_.flip(masks, 1 << path.pop())
@@ -1357,7 +1341,7 @@ def _m_search_partition(
         # above max S that close no K_s with it, and parent is the _Leader
         # of S[:-1] (None at the root, or with no group)
         row["nodes"] += 1
-        if deadline is not None and row["nodes"] % 256 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
         if part.covered():
             return S

@@ -158,7 +158,7 @@ def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex) -> tuple[bool, str]:
     return True, ""
 
 
-def check_k4_lemmas(G: PartiteGraph, n: Optional[int] = None) -> list[LemmaCheck]:
+def check_k4_lemmas(G: PartiteGraph) -> list[LemmaCheck]:
     """Structural facts that hold in every saturated subgraph of K4[n],
     each gated by the part size it needs:
 
@@ -170,13 +170,9 @@ def check_k4_lemmas(G: PartiteGraph, n: Optional[int] = None) -> list[LemmaCheck
 
     Raises if the pattern is not K4 or if G is not saturated.
     """
-    pattern = G.host.pattern
+    pattern, n = G.host.pattern, G.host.n
     if not _is_k4(pattern):
         raise ValueError("check_k4_lemmas needs a subgraph of a K4 blow-up")
-    if n is None:
-        n = G.host.n
-    elif n != G.host.n:
-        raise ValueError(f"n={n} does not match the host part size {G.host.n}")
     verdict = is_partite_saturated(G)
     if not verdict.ok:
         raise ValueError(f"input graph is not saturated ({verdict.status.value})")

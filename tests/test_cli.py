@@ -217,7 +217,6 @@ def test_solve_json_reports_stats(capsys):
     assert stats["improvements"][-1]["size"] == 12
     assert set(stats["cuts"]) == {
         "not_free",
-        "isolated_needy",
         "not_canonical",
         "over_bound",
         "uncoverable",

@@ -598,7 +598,7 @@ def test_numpy_is_not_imported():
             PatternGraph.complete(3),
             2,
             6,
-            50,
+            55,
             "11-21 11-31 12-22 12-32 21-32 22-31",
         ),
         (
@@ -606,7 +606,7 @@ def test_numpy_is_not_imported():
             PatternGraph.cycle(4),
             2,
             8,
-            361,
+            407,
             "11-21 11-41 12-22 12-42 21-31 22-32 31-42 32-41",
         ),
         (
@@ -622,7 +622,7 @@ def test_numpy_is_not_imported():
             PatternGraph.complete(4),
             2,
             16,
-            38914,
+            40171,
             "11-21 11-22 11-31 11-41 12-21 12-22 12-32 12-42"
             " 21-31 21-42 22-32 22-41 31-41 31-42 32-41 32-42",
         ),
@@ -908,7 +908,6 @@ def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmet
         assert cuts["uncoverable"] == cuts["over_bound"] == 0
     elif full:
         assert cuts["uncoverable"] > 0
-    assert cuts["isolated_needy"] > 0
 
 
 def test_stats_of_an_unknown_account_for_every_candidate():
@@ -1002,11 +1001,6 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
         uncovered, open_ = 0, every ^ sys_.covered(masks, every)
         chosen, top = 0, -1
         for m, s in enumerate(prefix, 1):
-            # isolated needy vertex: no extension from stop on completes
-            stop = sys_.needy_stop(masks, top)
-            for t in range(stop, L):
-                fired["isolated_needy"] += 1
-                assert least_completion(chosen | 1 << t, t) is None, (prefix[:m], t)
             sys_.flip(masks, 1 << s)
             chosen |= 1 << s
             left = sys_.settled_uncovered(masks, uncovered, open_, s)
@@ -1041,6 +1035,55 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
             )
             uncovered, open_, top = left, later, s
     assert fired["uncoverable"] > 0 and fired["over_bound"] > 0 and fired["siblings"] > 0, fired
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+@pytest.mark.parametrize("H", CUT_CASES)
+def test_uncoverable_cut_drops_every_child_past_an_isolated_needy_vertex(H, require_free):
+    """A vertex v whose part has pattern degree at least two is isolated in
+    no valid graph.  Once v is isolated in a set P and its last slot lies
+    below a child's slot t, every slot at v is settled for P + (t,) and,
+    with no edge at v in any completion, closes no copy there: the
+    uncoverable cut drops the child, and its sibling-wide form every later
+    sibling, so the walk needs no cut of its own for isolated vertices."""
+    degree = [0] * H.vertex_count
+    for p, q in H.edges:
+        degree[p - 1] += 1
+        degree[q - 1] += 1
+    checked = 0
+    for n in (2, 3):
+        host = BlowupHost(H, n)
+        L = len(host.slots())
+        last = {}  # the last slot at each vertex whose part needs two edges
+        for k, (p, a, q, b) in enumerate(host.ends0()):
+            for x in ((p, a), (q, b)):
+                if degree[x[0]] >= 2:
+                    last[x] = k
+        copies = brute_copy_masks(H, n)
+        sys_ = solve._SlotSystem(host)
+        every = (1 << L) - 1
+        rng = random.Random(3 * L + require_free)
+        for trial in range(40):
+            prefix = _random_prefix(copies, L, require_free, rng)
+            masks = solve._build_masks(H.vertex_count, n, ())
+            uncovered, open_, top = 0, every ^ sys_.covered(masks, every), -1
+            for m, s in enumerate(prefix, 1):
+                isolated = [k for (p, a), k in last.items() if not any(masks[p][a])]
+                if isolated:
+                    for t in range(max(top, min(isolated)) + 1, L):
+                        if require_free and not open_ >> t & 1:
+                            continue  # not free: the walk never makes this child
+                        sys_.flip(masks, 1 << t)
+                        left = sys_.settled_uncovered(masks, uncovered, open_, t)
+                        verdict = sys_.cut(masks, require_free, left, open_, t, m, L + m)
+                        sys_.flip(masks, 1 << t)
+                        assert verdict[0] == "uncoverable" and verdict[2], (prefix[: m - 1], t)
+                        checked += 1
+                sys_.flip(masks, 1 << s)
+                uncovered = sys_.settled_uncovered(masks, uncovered, open_, s)
+                open_ = sys_.cut(masks, require_free, uncovered, open_, s, m, L + m)[1]
+                top = s
+    assert checked > 0
 
 
 @pytest.mark.parametrize("require_free", [True, False])
@@ -1082,6 +1125,11 @@ def test_reach_never_passes_a_completion(H, require_free):
     assert checked > 0 and beyond_one > 0, (checked, beyond_one)
 
 
+def _lowest(todo):
+    """The next child a walk frame tries: the lowest slot of its untried set."""
+    return (todo & -todo).bit_length() - 1
+
+
 @pytest.mark.parametrize("require_free", [True, False])
 # CUT_CASES less C4, whose 2^16 sets take seconds per stop without symmetry
 @pytest.mark.parametrize(
@@ -1111,18 +1159,18 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
 
     def recording(walk_sys, masks, path, stack):
         want = math.inf
-        for d, (exts, i) in enumerate(frame[:2] for frame in stack):
-            if i < len(exts):
+        for d, todo in enumerate(frame[0] for frame in stack):
+            if todo:
                 chosen = sum(1 << y for y in path[:d])
                 settled = sum(
                     1 << y
-                    for y in range(exts[i])
+                    for y in range(_lowest(todo))
                     if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
                 )
                 graph = solve._build_masks(H.vertex_count, n, ())
                 sys_.flip(graph, chosen)
                 want = min(want, d + max(1, sys_.need(graph, settled)))
-        seen.append(tuple(path) + (stack[-1][0][stack[-1][1]],))
+        seen.append(tuple(path) + (_lowest(stack[-1][0]),))
         seen.append(open_bound(walk_sys, masks, path, stack))
         assert seen[-1] == want
         return seen[-1]
@@ -1158,9 +1206,9 @@ def test_open_bound_is_taken_at_canonical_children(require_free, H, n, monkeypat
     nexts = []
 
     def recording(walk_sys, masks, path, stack):
-        for d, (exts, i, *_) in enumerate(stack):
-            if i < len(exts):
-                nexts.append(tuple(path[:d]) + (exts[i],))
+        for d, (todo, *_) in enumerate(stack):
+            if todo:
+                nexts.append(tuple(path[:d]) + (_lowest(todo),))
         return open_bound(walk_sys, masks, path, stack)
 
     monkeypatch.setattr(solve, "_open_bound", recording)
@@ -1369,6 +1417,17 @@ def test_m_validation():
 def test_m_budget_exhaustion():
     result = m_value(5, 4, budget=0.0)
     assert result.value is None and result.exhausted_budget
+
+
+def test_m_budget_is_kept_on_wide_hosts():
+    """The clock is read at every node, as one node of a 50-part split can
+    take tens of milliseconds: nodes 257 to 512 of m(50, 50) take about
+    40 s in all."""
+    for budget in (0.5, 1.5):
+        start = time.monotonic()
+        result = m_value(50, 50, budget=budget)
+        assert result.value is None and result.exhausted_budget
+        assert time.monotonic() - start < budget + 1.0
 
 
 def test_m_respects_max_vertices():

@@ -184,5 +184,3 @@ def test_k4_lemmas_preconditions():
         check_k4_lemmas(star_construction(3, 3))  # wrong pattern
     with pytest.raises(ValueError):
         check_k4_lemmas(PartiteGraph(BlowupHost(PatternGraph.complete(4), 3)))
-    with pytest.raises(ValueError):
-        check_k4_lemmas(k4_construction(4), n=5)  # host has n=4
