@@ -29,7 +29,7 @@ from .formats import load_blowup_graph, resolve_pattern, save_blowup_graph
 from .solve import kr_sat_bounds, m_value, min_exsat_exact, min_sat_exact
 from .verify import (
     Verdict,
-    check_k4_lemmas,
+    _k4_lemmas,
     is_extra_saturated,
     is_partite_free,
     is_partite_saturated,
@@ -110,6 +110,7 @@ def _cmd_verify(args) -> int:
     verdict = _CHECKS[args.check](G)
     checks = None
     if args.k4_lemmas:
+        saturation = verdict if args.check == "saturated" else None
         checks = [
             {
                 "name": c.name,
@@ -117,7 +118,7 @@ def _cmd_verify(args) -> int:
                 "counterexample": None if c.counterexample is None else str(c.counterexample),
                 "note": c.note,
             }
-            for c in check_k4_lemmas(G)
+            for c in _k4_lemmas(G, saturation)
         ]
     _print_json(
         {
@@ -339,7 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True, help="clique size, at least 4")
     p.add_argument("-n", type=int, required=True, help="part size")
     p.add_argument("--max-vertices", type=int)
-    p.add_argument("--budget", type=float)
+    p.add_argument(
+        "--budget",
+        type=float,
+        help="wall clock limit in seconds for both m-value searches together",
+    )
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table", help="closed-form edge counts over a range of n")

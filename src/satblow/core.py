@@ -419,12 +419,15 @@ def _extend(masks, steps, chosen: list[int], full: int) -> bool:
     a candidate.
 
     At a dead end the walk steps back to the nearest branching step and
-    tries it again with the candidates above its current index only.  A
-    keyed step whose suffix failed is remembered by its key part's index
-    (see _counting_steps), so a chain with no copy is not walked along
-    every index sequence."""
+    tries it again with the candidates above its current index only.  The
+    last branching step placed, `top`, keeps its untried candidates in a
+    local, so retrying it reads no row; a branching step below it, reached
+    once `top` has run out, reads its rows again.  A keyed step whose suffix
+    failed is remembered by its key part's index (see _counting_steps), so
+    a chain with no copy is not walked along every index sequence."""
     size = len(steps)
     failed = None  # tokens chosen[key] * size + k of the keyed steps that failed
+    top, untried = -1, 0
     k, floor = 0, full
     while k < size:
         x, nbrs, branch, key = steps[k]
@@ -436,20 +439,33 @@ def _extend(masks, steps, chosen: list[int], full: int) -> bool:
                 cand &= masks[y][chosen[y]][x]
         if cand:
             if branch:
-                chosen[x] = (cand & -cand).bit_length() - 1
+                bit = cand & -cand
+                chosen[x] = bit.bit_length() - 1
+                top, untried = k, cand ^ bit
             k, floor = k + 1, full
             continue
         # steps k.. cannot be placed after the parts placed so far
-        if key >= 0:
-            if failed is None:
-                failed = set()
-            failed.add(chosen[key] * size + k)
-        k -= 1
-        while k >= 0 and not steps[k][2]:
+        while True:
+            if key >= 0:
+                if failed is None:
+                    failed = set()
+                failed.add(chosen[key] * size + k)
             k -= 1
-        if k < 0:
-            return False
-        floor = full & -(2 << chosen[steps[k][0]])
+            while k >= 0 and not steps[k][2]:
+                k -= 1
+            if k < 0:
+                return False
+            if k != top:
+                floor = full & -(2 << chosen[steps[k][0]])
+                break
+            if untried:
+                bit = untried & -untried
+                untried ^= bit
+                chosen[steps[k][0]] = bit.bit_length() - 1
+                k, floor = k + 1, full
+                break
+            # top has run out: its suffix failed too
+            key, top = steps[k][3], -1
     return True
 
 

@@ -155,7 +155,7 @@ v either.
 Each node of the walk holds the children it has not yet tried as one slot
 set, and tries them from its lowest slot up.  Expanding the node drops the
 not-free ones in bulk; each other child s then meets, in turn: the
-over-bound bound of the node at s (_SlotSystem.reach, which only grows
+over-bound bound of the node at s (_SlotSystem.settle, which only grows
 with s, so it drops s and every later sibling at once), the lex-leader
 test, adding s, the validity test, and the child's own over-bound and
 uncoverable tests (_SlotSystem.cut), the second with its sibling-wide
@@ -169,6 +169,25 @@ the new slot s covers, and its open slots are the parent's above s, less
 those it covers.  A slot newly covered by C has a copy using both it and
 s, so only slots whose ends agree with s's (no part given two different
 indices) are searched again.
+
+The bundle-need bound is kept the same way.  Its sets lack[d] are unions
+over vertices, and a vertex's bits depend only on its own row of the graph
+and on the settled uncovered slots at it.  Each node keeps the sets of its
+graph and of the slots settled for its next child: moving on to a later
+child settles the open slots passed over, and only their ends are
+recomputed.  A child's sets are its parent's with the ends recomputed of
+s, whose rows gain an edge, and of the open slots settled since the
+parent's sets were last moved that the child leaves uncovered; they start
+the child's own.  A slot y = (u, w) that s covers changes no bit: the copy
+through y in C + y gives u an edge of C toward every pattern neighbour
+part of u's but w's, and one of P too unless that edge is s (u is then an
+end of s), so no check of u that y can answer ever asks for an edge,
+before s or after; likewise for w.  The graphs the uncoverable tests ask about, C + F and G, are held
+in a second set of masks that is moved from one test's graph to the
+next by toggling only the slots in which the two differ: for
+extra-saturation, from P + {s, s + 1, ...} to the next sibling's it drops
+the slots passed over, and a child's first child asks about the very
+graph its parent was tested on.
 
 m_value's depth-first search has one cut of the same kind.  It wants a
 K_s-free set that is covered (a transversal K_{s-1} in every s - 1 parts),
@@ -351,6 +370,31 @@ def _max_flow(size: int, arcs: list[tuple[int, int, int]], source: int, sink: in
 # --------------------------------------------------------------------------
 
 
+class _Frame:
+    """A node P of the exact walk.  todo: the children not yet tried, as a
+    slot set; uncovered: P's settled slots left uncovered; open_: its open
+    slots (None with prune off); lack: the bundle-need sets (see
+    _SlotSystem.need) of the graph P and of uncovered plus the open slots
+    below upto (None with prune off), and need their bound (None until it
+    is asked for, or when lack has changed since); leader: P's _Leader,
+    None until a child is tested."""
+
+    __slots__ = ("todo", "uncovered", "open_", "lack", "upto", "need", "leader")
+
+    def __init__(
+        self,
+        uncovered: int,
+        open_: Optional[int],
+        lack: Optional[list],
+        upto: int,
+        need: Optional[int] = None,
+    ):
+        self.todo = 0
+        self.uncovered, self.open_, self.lack, self.upto = uncovered, open_, lack, upto
+        self.need = need
+        self.leader: Optional[_Leader] = None
+
+
 class _SlotSystem:
     def __init__(self, host: BlowupHost):
         pattern, n = host.pattern, host.n
@@ -375,26 +419,26 @@ class _SlotSystem:
             self.elsewhere += [in_part ^ at_vertex[p * n + a] for a in range(n)]
         self.bundles = [(p - 1, r - 1) for p, r in pattern.edges]
         self.most_need = len(self.bundles) * n  # need() never exceeds it
-        # need_at: per vertex (p, a) with a slot, (p, a, its bit in a part,
-        # its slots, checks), a check being (r, direction, slots at the vertex
-        # outside bundle {p, r}) for each pattern neighbour r of p; direction
-        # 2j is bundle j = (p, r) of self.bundles read from p, 2j + 1 from r
+        # need_at[p * n + a]: (p, a, its bit in a part, checks), a check being
+        # (r, direction, slots at the vertex outside bundle {p, r}) for each
+        # pattern neighbour r of p; direction 2j is bundle j = (p, r) of
+        # self.bundles read from p, 2j + 1 from r.  ends[k]: the vertices
+        # p * n + a of slot k's two ends, as bits
         direction, toward = {}, {}
         for j, (p, r) in enumerate(self.bundles):
             direction[p, r], direction[r, p] = 2 * j, 2 * j + 1
         for k, (p, a, q, b) in enumerate(self.ends0):
             toward[p * n + a, q] = toward.get((p * n + a, q), 0) | 1 << k
             toward[q * n + b, p] = toward.get((q * n + b, p), 0) | 1 << k
-        self.need_at = []
-        for p in range(v):
-            for a in range(n):
-                touch = at_vertex[p * n + a]
-                if touch:
-                    checks = tuple(
-                        (r, direction[p, r], touch ^ toward[p * n + a, r])
-                        for r in pattern._adj0[p]
-                    )
-                    self.need_at.append((p, a, 1 << a, touch, checks))
+        self.need_at = [
+            (p, a, 1 << a, tuple(
+                (r, direction[p, r], at_vertex[p * n + a] ^ toward[p * n + a, r])
+                for r in pattern._adj0[p]
+            ))
+            for p in range(v)
+            for a in range(n)
+        ]
+        self.ends = [1 << p * n + a | 1 << q * n + b for p, a, q, b in self.ends0]
 
     def flip(self, masks: list, slots: int) -> None:
         """Toggle every slot of the set `slots` in masks."""
@@ -426,51 +470,146 @@ class _SlotSystem:
                 break
         return hit
 
+    def uncoverable(self, stand: list, left: int, graph: int) -> bool:
+        """Does some slot of `left` close no copy in the slot set `graph`?
+        stand is [masks, the slot set they hold], moved to graph by toggling
+        only the slots in which the two differ."""
+        self.flip(stand[0], stand[1] ^ graph)
+        stand[1] = graph
+        return self.covered(stand[0], left, stop_at_miss=True) != left
+
     def reach(self, masks: list, uncovered: int, open_: int, t: int, m: int) -> int:
         """The fewest slots of a valid set through a child P + (s,), s >= t,
         of the set P of m slots held in masks, whose settled slots left
         uncovered and open slots are `uncovered` and `open_`: every slot
-        below t that P lacks is settled for it (see the module docstring)."""
+        below t that P lacks is settled for it (see the module docstring).
+        Found afresh; the walk's frames keep it as they go (settle)."""
         return m + max(1, self.need(masks, uncovered | open_ & (1 << t) - 1))
 
-    def settled_uncovered(self, masks: list, uncovered: int, open_: int, s: int) -> int:
-        """The settled slots that child = parent + (s,), held in masks,
-        leaves uncovered: the parent's (`uncovered`), and its open slots
-        below s, less those s lets close a copy."""
-        left = uncovered | open_ & (1 << s) - 1
+    def settled_uncovered(self, masks: list, frame: _Frame, s: int) -> int:
+        """The settled slots that child = P + (s,), held in masks, leaves
+        uncovered: P's (frame.uncovered), and its open slots below s, less
+        those s lets close a copy."""
+        left = frame.uncovered | frame.open_ & (1 << s) - 1
         return left ^ self.covered(masks, left & ~self.clash(s))
 
-    def cut(
-        self, masks: list, require_free: bool, left: int, open_: int, s: int, m: int, ub: int
-    ) -> tuple[Optional[str], int, bool]:
-        """Why child = parent + (s,), a set of m slots held in masks, cannot
-        lead to a valid graph of ub slots or fewer ("over_bound" or
-        "uncoverable"), or None; unless over bound, the child's open slots,
-        found from the parent's open slots `open_`; and whether every later
-        sibling of the child is uncoverable too.  left is what
-        settled_uncovered gives for the child."""
-        if m >= ub or (m + self.most_need > ub and m + max(1, self.need(masks, left)) > ub):
-            return "over_bound", 0, False
-        later = open_ & ~((1 << s + 1) - 1)
-        later ^= self.covered(masks, later & ~self.clash(s))
-        if left:
-            # the slots a completion may still add; for extra-saturation they
-            # are also what a later sibling may add, so the child's verdict
-            # is theirs
-            if require_free:
-                if self.lost(masks, left, later):
-                    return "uncoverable", later, self.lost(masks, left, open_ & ~((1 << s + 1) - 1))
-            elif self.lost(masks, left, (1 << self.L) - (1 << s + 1)):
-                return "uncoverable", later, True
-        return None, later, False
+    def settle(self, masks: list, frame: _Frame, t: int) -> int:
+        """The bundle-need bound of the slots settled for P's child t, P
+        held in masks and t not below frame.upto: frame.lack is grown by
+        the open slots settled since frame.upto, and moved up to t."""
+        fresh = frame.open_ & (1 << t) - (1 << frame.upto)
+        frame.upto = t
+        if fresh:
+            left = frame.uncovered | frame.open_ & (1 << t) - 1
+            if self.relack(masks, left, frame.lack, self.ends_of(fresh)):
+                frame.need = None
+        if frame.need is None:
+            frame.need = self.total(frame.lack)
+        return frame.need
 
-    def lost(self, masks: list, left: int, future: int) -> bool:
-        """Does some slot of `left` close no copy in the graph held in masks
-        plus the slots `future`?"""
-        self.flip(masks, future)
-        hit = self.covered(masks, left, stop_at_miss=True)
-        self.flip(masks, future)
-        return hit != left
+    def root(self, masks: list) -> _Frame:
+        """The frame of the empty set, held in masks: every slot is open,
+        none is settled, and so no vertex needs an edge."""
+        every = (1 << self.L) - 1
+        return _Frame(0, every ^ self.covered(masks, every), [0] * 2 * len(self.bundles), 0)
+
+    def cut(
+        self,
+        masks: list,
+        stand: list,
+        require_free: bool,
+        frame: _Frame,
+        chosen: int,
+        left: int,
+        s: int,
+        ub: int,
+    ) -> tuple[Optional[str], Optional[_Frame], bool]:
+        """Why child = P + (s,), held in masks, cannot lead to a valid graph
+        of ub slots or fewer ("over_bound" or "uncoverable"), or None; the
+        child's frame when it is not cut (its todo still 0); and whether
+        every later sibling of the child is uncoverable too.  frame is P's,
+        chosen P as a slot set, left what settled_uncovered gives for the
+        child, and stand the graph of the uncoverable tests (see
+        uncoverable)."""
+        m = chosen.bit_count() + 1
+        lack = need = None
+        if m >= ub:
+            return "over_bound", None, False
+        if m + self.most_need > ub:
+            lack = self.child_lack(masks, frame, left, s)
+            need = self.total(lack)
+            if m + max(1, need) > ub:
+                return "over_bound", None, False
+        later = self.child_open(masks, frame, s)
+        if left:
+            # the graph of the slots a completion may still add; for
+            # extra-saturation it is also what a later sibling may add, so
+            # the child's verdict is theirs
+            child = chosen | 1 << s
+            if require_free:
+                if self.uncoverable(stand, left, child | later):
+                    siblings = self.uncoverable(stand, left, chosen | frame.open_ >> s << s)
+                    return "uncoverable", None, siblings
+            elif self.uncoverable(stand, left, child | (1 << self.L) - (1 << s + 1)):
+                return "uncoverable", None, True
+        if lack is None:
+            lack = self.child_lack(masks, frame, left, s)
+        return None, _Frame(left, later, lack, s + 1, need), False
+
+    def child_open(self, masks: list, frame: _Frame, s: int) -> int:
+        """The open slots of child = P + (s,), held in masks: P's above s,
+        less those s lets close a copy."""
+        later = frame.open_ >> s + 1 << s + 1
+        return later ^ self.covered(masks, later & ~self.clash(s))
+
+    def child_lack(self, masks: list, frame: _Frame, left: int, s: int) -> list[int]:
+        """The bundle-need sets of child = P + (s,), held in masks, whose
+        settled slots left uncovered are `left`, s not below frame.upto:
+        P's (frame.lack), with the ends recomputed of s and of the open
+        slots settled since frame.upto that s leaves uncovered (see the
+        module docstring)."""
+        fresh = frame.open_ & (1 << s) - (1 << frame.upto) & left
+        lack = frame.lack[:]
+        self.relack(masks, left, lack, self.ends_of(fresh) | self.ends[s])
+        return lack
+
+    def ends_of(self, slots: int) -> int:
+        """The ends of the slots of `slots`, as vertex bits (see ends)."""
+        ends, out = self.ends, 0
+        while slots:
+            bit = slots & -slots
+            slots ^= bit
+            out |= ends[bit.bit_length() - 1]
+        return out
+
+    def relack(self, masks: list, uncovered: int, lack: list[int], vertices: int) -> bool:
+        """Set, in the bundle-need sets lack, the bits of the vertices of
+        `vertices` (see ends) as need gives them for the graph in masks and
+        the settled non-edges `uncovered`; is any bit changed?"""
+        need_at, changed = self.need_at, False
+        while vertices:
+            bit = vertices & -vertices
+            vertices ^= bit
+            p, a, at, checks = need_at[bit.bit_length() - 1]
+            row = masks[p][a]
+            for r, d, away in checks:
+                if uncovered & away and not row[r]:
+                    if not lack[d] & at:
+                        lack[d] |= at
+                        changed = True
+                elif lack[d] & at:
+                    lack[d] ^= at
+                    changed = True
+        return changed
+
+    @staticmethod
+    def total(lack: list[int]) -> int:
+        """The bundle-need bound of the sets lack (see need)."""
+        total = 0
+        for d in range(0, len(lack), 2):
+            a, b = lack[d].bit_count(), lack[d + 1].bit_count()
+            total += a if a > b else b
+        return total
 
     def need(self, masks: list, uncovered: int) -> int:
         """The bundle-need bound: edges any completion of the graph in masks
@@ -479,18 +618,9 @@ class _SlotSystem:
         direction p -> r, the indices of the vertices of part p that need an
         edge toward part r: they have none yet, and an uncovered slot from
         another bundle."""
-        if not uncovered:
-            return 0
         lack = [0] * (2 * len(self.bundles))
-        for p, a, bit, touch, checks in self.need_at:
-            if uncovered & touch:
-                row = masks[p][a]
-                for r, d, away in checks:
-                    if not row[r] and uncovered & away:
-                        lack[d] |= bit
-        return sum(
-            max(lack[d].bit_count(), lack[d + 1].bit_count()) for d in range(0, len(lack), 2)
-        )
+        self.relack(masks, uncovered, lack, self.ends_of(uncovered))
+        return self.total(lack)
 
     def graph_for(self, slot_ids) -> PartiteGraph:
         return PartiteGraph(self.host, (self.slots[k] for k in slot_ids))
@@ -687,7 +817,7 @@ class _Leader:
     g(P); the row is fixed when g(P) = P.
 
     * thr, cls: the thresholds in ascending order and the rows of each;
-      fixed: the fixed rows; held[y]: the rows with y in g(P).
+      fixed: the fixed rows; held(y): the rows with y in g(P).
     * A row rejects P + (s,) when g(s) < t_g (t_g = s for fixed rows), so
       above[i] holds the rows with t_g > y for y in [thr[i-1], thr[i]).
     * For a tied row (g(s) = t_g), g(child) and child agree up to t_g, so
@@ -700,28 +830,55 @@ class _Leader:
       when e < s and fixes the child when e == s.  eqcls lists the
       (t, rows of class t in even) pairs.
     * past, upto: the cursor of admits, past holding the rows with a slot
-      of g(P) in (max P, upto)."""
+      of g(P) in (max P, upto).
+
+    The rows of held(y) are the parent's held(y) or group.maps[max P][y],
+    so a _Leader keeps its parent and materialises a row set only when it
+    is read: a read walks up the parents to the nearest one that holds
+    that slot's row set (the root holds every one, as 0), then ORs the
+    maps back down, keeping the row set at every _Leader it passes.  Most
+    row sets are never read: the derivation reads them only while some
+    tied row is still undecided, and admits only for the `even` rows."""
 
     __slots__ = (
-        "top", "thr", "cls", "fixed", "held", "above", "at", "high", "even", "eqcls", "past",
-        "upto",
+        "top", "thr", "cls", "fixed", "rows", "parent", "images", "above", "at", "high",
+        "even", "eqcls", "past", "upto",
     )
 
-    def __init__(self, chosen: tuple[int, ...], classes: dict, fixed: int, held: list):
+    def __init__(
+        self,
+        group: _SlotGroup,
+        chosen: tuple[int, ...],
+        classes: dict,
+        fixed: int,
+        parent: Optional[_Leader],
+    ):
+        """chosen is P and parent the _Leader of P[:-1], None for the root."""
+        top = self.top = chosen[-1] if chosen else -1
+        self.parent, self.images = parent, group.maps[top] if chosen else {}
+        # rows[y]: held(y) once it has been read
+        rows = self.rows = [None if chosen else 0] * len(group.maps)
         thr = sorted(classes)
         cls = [classes[t] for t in thr]
         k = len(thr)
         low, high, alive = 0, {}, 0
-        if thr:
+        if thr:  # so P is not the root
+            # each read of held(z) below is done inline, from the parent's row
+            # set: held() itself is called only when the parent lacks it
+            up, image = parent.rows, self.images.get
             alive, i, prev = cls[0], 1, thr[0]
             for y in chosen[bisect.bisect_right(chosen, prev) :]:
                 if alive:
-                    for rows in held[prev + 1 : y]:  # the slots between members
-                        hit = alive & rows
+                    for z in range(prev + 1, y):  # the slots between members
+                        got = up[z]
+                        got = rows[z] = (parent.held(z) if got is None else got) | image(z, 0)
+                        hit = alive & got
                         if hit:
                             low |= hit
                             alive ^= hit
-                    kept = alive & held[y]
+                    got = up[y]
+                    got = rows[y] = (parent.held(y) if got is None else got) | image(y, 0)
+                    kept = alive & got
                     if kept != alive:
                         high[y] = alive ^ kept
                     alive = kept
@@ -732,12 +889,23 @@ class _Leader:
         above = [fixed] * (k + 1)
         for i in range(k - 1, -1, -1):
             above[i] = above[i + 1] | cls[i]
-        self.top = chosen[-1] if chosen else -1
-        self.thr, self.cls, self.fixed, self.held = thr, cls, fixed, held
+        self.thr, self.cls, self.fixed = thr, cls, fixed
         self.above, self.at = above, [above[i + 1] | cls[i] & low for i in range(k)]
         self.high, self.even = high, alive
         self.eqcls = [(t, c & alive) for t, c in zip(thr, cls) if c & alive]
-        self.past, self.upto = 0, self.top + 1
+        self.past, self.upto = 0, top + 1
+
+    def held(self, y: int) -> int:
+        """The rows with y in g(P)."""
+        node, chain = self, []
+        rows = node.rows[y]
+        while rows is None:
+            chain.append(node)
+            node = node.parent
+            rows = node.rows[y]
+        for node in reversed(chain):
+            rows = node.rows[y] = rows | node.images.get(y, 0)
+        return rows
 
     def admits(self, group: _SlotGroup, s: int) -> bool:
         """Is P + (s,) still the lex leader of its orbit?  s exceeds max P,
@@ -755,9 +923,10 @@ class _Leader:
                 return False
         if not self.eqcls:
             return True
-        past, y, held = self.past, self.upto, self.held
+        past, y, rows = self.past, self.upto, self.rows
         while y < s:
-            past |= held[y]
+            got = rows[y]
+            past |= self.held(y) if got is None else got
             y += 1
         self.past, self.upto = past, y
         into = group.maps[s]
@@ -765,13 +934,13 @@ class _Leader:
 
 
 def _root_leader(group: _SlotGroup) -> _Leader:
-    return _Leader((), {}, group.everyone, [0] * len(group.maps))
+    return _Leader(group, (), {}, group.everyone, None)
 
 
 def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> _Leader:
     """The _Leader of child = parent + (s,), a lex leader, from its parent's."""
     s = child[-1]
-    into, held = group.maps[s], state.held
+    into = group.maps[s]
     tie = 0
     for t, c in zip(state.thr, state.cls):
         tie |= into.get(t, 0) & c
@@ -784,14 +953,12 @@ def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> 
         if rows & tie:
             classes[u] = classes.get(u, 0) | rows & tie
     fix = into.get(s, 0)
-    stay = state.fixed & fix | tie & state.even & held[s]
-    move = state.fixed & ~fix | tie & state.even & ~held[s]
+    held = state.held(s) if tie & state.even else 0
+    stay = state.fixed & fix | tie & state.even & held
+    move = state.fixed & ~fix | tie & state.even & ~held
     if move:
         classes[s] = move
-    held = held[:]
-    for y, rows in into.items():
-        held[y] |= rows
-    return _Leader(child, classes, stay, held)
+    return _Leader(group, child, classes, stay, state)
 
 
 # why an extension slot of an expanded set was dropped, in the order the
@@ -928,19 +1095,20 @@ def _exact_minimum(
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
     best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
-    # path is the set masks holds; stack[d] is the frame of path[:d]:
-    # [its children not yet tried, as a slot set, its settled slots left
-    # uncovered, its open slots (None with prune off), its _Leader (None
-    # until a child is tested)]
+    # path is the set masks holds, and chosen the same set as one int;
+    # stack[d] is the _Frame of path[:d]; stand is the graph of the
+    # uncoverable tests, [masks, the slot set they hold]
     path: list[int] = []
-    stack: list[list] = []
+    chosen = 0
+    stack: list[_Frame] = []
+    stand = [_build_masks(pattern.vertex_count, n, ()), 0]
     every = (1 << L) - 1
 
     def drop(row: dict, reason: str, count: int) -> None:
         row["candidates"] += count
         row["cuts"][reason] += count
 
-    def expand(top: int, uncovered: int, open_: Optional[int]) -> None:
+    def expand(top: int, frame: _Frame) -> None:
         """Generate the children of path (last slot top) and push its frame."""
         m = len(path)
         levels[m]["expanded"] += 1
@@ -948,11 +1116,13 @@ def _exact_minimum(
             levels.append(_level_stats(m + 1))
         todo = every ^ ((1 << top + 1) - 1)  # the slots above top
         if require_free:
+            open_ = frame.open_
             if open_ is None:
                 open_ = todo ^ sys_.covered(masks, todo)
             drop(levels[m + 1], "not_free", todo.bit_count() - open_.bit_count())
             todo = open_  # the open slots all lie above top
-        stack.append([todo, uncovered, open_ if prune else None, None])
+        frame.todo = todo
+        stack.append(frame)
 
     def canonical(d: int, s: int) -> bool:
         """Is path[:d] + (s,) a lex leader?  The slots asked about for one
@@ -960,37 +1130,38 @@ def _exact_minimum(
         parent frame's, and charges a rejected slot to not_canonical."""
         nonlocal leaders
         frame = stack[d]
-        if frame[3] is None:
-            frame[3] = (
-                _child_leader(group, stack[d - 1][3], tuple(path[:d]))
+        if frame.leader is None:
+            frame.leader = (
+                _child_leader(group, stack[d - 1].leader, tuple(path[:d]))
                 if d
                 else _root_leader(group)
             )
             leaders += 1
-        if frame[3].admits(group, s):
+        if frame.leader.admits(group, s):
             return True
         drop(levels[d + 1], "not_canonical", 1)
         return False
 
-    root_open = every ^ sys_.covered(masks, every) if prune else None
-    expand(-1, 0, root_open)
+    expand(-1, sys_.root(masks) if prune else _Frame(0, None, None, 0))
     while stack:
         frame = stack[-1]
-        todo, uncovered, open_, _ = frame
+        todo = frame.todo
         if not todo:
             stack.pop()
             if path:
-                sys_.flip(masks, 1 << path.pop())
+                k = path.pop()
+                chosen ^= 1 << k
+                sys_.flip(masks, 1 << k)
             continue
         if deadline is not None and time.monotonic() > deadline:
             if group is not None:
                 # the bound grows with the next child, so move each frame to
                 # its next canonical one
                 for d, frame in enumerate(stack):
-                    todo = frame[0]
+                    todo = frame.todo
                     while todo and not canonical(d, (todo & -todo).bit_length() - 1):
                         todo &= todo - 1
-                    frame[0] = todo
+                    frame.todo = todo
             upper = ub if best is None else len(best)
             return result(
                 None,
@@ -1002,19 +1173,19 @@ def _exact_minimum(
         s = (todo & -todo).bit_length() - 1
         m = len(path) + 1
         row = levels[m]
-        if prune and m - 1 + sys_.most_need > bound and sys_.reach(
-            masks, uncovered, open_, s, m - 1
+        if prune and m - 1 + sys_.most_need > bound and m - 1 + max(
+            1, sys_.settle(masks, frame, s)
         ) > bound:
             # the bound grows with s, so no later sibling can come in either
             drop(row, "over_bound", todo.bit_count())
-            frame[0] = 0
+            frame.todo = 0
             continue
-        frame[0] = todo & todo - 1
+        frame.todo = todo & todo - 1
         if group is not None and not canonical(m - 1, s):
             continue
         sys_.flip(masks, 1 << s)
         if prune:
-            left = sys_.settled_uncovered(masks, uncovered, open_, s)
+            left = sys_.settled_uncovered(masks, frame, s)
             # with every settled slot covered, the slots above s decide
             scan = ends0[s + 1 :] if m >= floor and not left else None
         else:
@@ -1029,17 +1200,20 @@ def _exact_minimum(
                 improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
             if bound < floor:
                 break
-            frame[0] = 0  # later siblings are as large and lex-greater
+            frame.todo = 0  # later siblings are as large and lex-greater
             continue
-        reason, later, siblings = None, None, False
         if prune:
-            reason, later, siblings = sys_.cut(masks, require_free, left, open_, s, m, bound)
+            reason, child, siblings = sys_.cut(
+                masks, stand, require_free, frame, chosen, left, s, bound
+            )
+        else:
+            reason, child, siblings = None, _Frame(0, None, None, s + 1), False
         if reason is not None:
             sys_.flip(masks, 1 << s)
             if siblings:
                 # no later sibling can be completed either
                 drop(row, reason, todo.bit_count())
-                frame[0] = 0
+                frame.todo = 0
             else:
                 drop(row, reason, 1)
             continue
@@ -1047,7 +1221,8 @@ def _exact_minimum(
         row["admitted"] += 1
         if m < bound:
             path.append(s)
-            expand(s, left, later)
+            chosen |= 1 << s
+            expand(s, child)
         else:
             sys_.flip(masks, 1 << s)
     if best is None:
@@ -1057,7 +1232,7 @@ def _exact_minimum(
     return result(len(best), sys_.graph_for(best), False, len(best), len(best))
 
 
-def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[list]) -> int:
+def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[_Frame]) -> int:
     """The least size a valid set the walk has not met can have: the least,
     over the frames with a child left to try, of _SlotSystem.reach at the
     next of those children, the lowest slot of the frame's untried set; with
@@ -1066,10 +1241,13 @@ def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[lis
     rejects.  Takes path out of masks."""
     least = math.inf
     for d in range(len(stack) - 1, -1, -1):
-        todo, uncovered, open_, _ = stack[d]
-        if todo:
-            t = (todo & -todo).bit_length() - 1
-            reach = d + 1 if open_ is None else sys_.reach(masks, uncovered, open_, t, d)
+        frame = stack[d]
+        if frame.todo:
+            t = (frame.todo & -frame.todo).bit_length() - 1
+            if frame.open_ is None:
+                reach = d + 1
+            else:
+                reach = sys_.reach(masks, frame.uncovered, frame.open_, t, d)
             least = min(least, reach)
         if d:
             sys_.flip(masks, 1 << path.pop())
@@ -1462,13 +1640,17 @@ def kr_sat_bounds(
     budget: Optional[float] = None,
 ) -> KrSatBounds:
     """Bounds m(r-1, r-1) * r * n / 2 <= sat <= m(r, r-1) * (r-1) * n, with
-    the m-values computed by m_value."""
+    the m-values computed by m_value.  budget is the wall-clock limit of
+    both searches together: the second gets what the first left."""
     if r < 4:
         raise ValueError("kr_sat_bounds needs r >= 4")
     if n < 1:
         raise ValueError("kr_sat_bounds needs n >= 1")
+    _check_budget(budget)
+    deadline = None if budget is None else time.monotonic() + budget
     m_lower = m_value(r - 1, r - 1, max_vertices, budget)
-    m_upper = m_value(r, r - 1, max_vertices, budget)
+    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+    m_upper = m_value(r, r - 1, max_vertices, left)
     lower = None if m_lower.value is None else (m_lower.value * r * n + 1) // 2
     upper = None if m_upper.value is None else m_upper.value * (r - 1) * n
     return KrSatBounds(r, n, lower, upper, m_lower, m_upper)

@@ -158,6 +158,10 @@ def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex) -> tuple[bool, str]:
     return True, ""
 
 
+_NOT_K4 = "check_k4_lemmas needs a subgraph of a K4 blow-up"
+_K4_LEMMAS = ("min_degree_4", "degree_4_neighborhoods", "few_min_degree_4_parts")
+
+
 def check_k4_lemmas(G: PartiteGraph) -> list[LemmaCheck]:
     """Structural facts that hold in every saturated subgraph of K4[n],
     each gated by the part size it needs:
@@ -170,13 +174,29 @@ def check_k4_lemmas(G: PartiteGraph) -> list[LemmaCheck]:
 
     Raises if the pattern is not K4 or if G is not saturated.
     """
-    pattern, n = G.host.pattern, G.host.n
-    if not _is_k4(pattern):
-        raise ValueError("check_k4_lemmas needs a subgraph of a K4 blow-up")
+    if not _is_k4(G.host.pattern):
+        raise ValueError(_NOT_K4)
     verdict = is_partite_saturated(G)
     if not verdict.ok:
         raise ValueError(f"input graph is not saturated ({verdict.status.value})")
+    return _k4_lemmas(G, verdict)
 
+
+def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[LemmaCheck]:
+    """The checks of check_k4_lemmas, given G's is_partite_saturated
+    verdict (scanned here when None, so a caller that has it scans nothing
+    twice): on a graph that is not saturated each is not_applicable.
+    Raises if the pattern is not K4."""
+    if not _is_k4(G.host.pattern):
+        raise ValueError(_NOT_K4)
+    if saturation is None:
+        saturation = is_partite_saturated(G)
+    if not saturation.ok:
+        return [
+            LemmaCheck(name, "not_applicable", note="needs a saturated graph")
+            for name in _K4_LEMMAS
+        ]
+    n = G.host.n
     checks: list[LemmaCheck] = []
 
     if n < 2:

@@ -4,12 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satblow import load_blowup_graph, is_partite_saturated
+from satblow import (
+    PartiteGraph,
+    is_partite_saturated,
+    k4_construction,
+    load_blowup_graph,
+    save_blowup_graph,
+)
 from satblow.cli import main
 from satblow.constructions import FAMILIES
 
@@ -103,6 +110,44 @@ def test_verify_k4_lemmas_flag(capsys, tmp_path):
     names = [c["name"] for c in doc["checks"]]
     assert names == ["min_degree_4", "degree_4_neighborhoods", "few_min_degree_4_parts"]
     assert all(c["status"] in ("pass", "not_applicable") for c in doc["checks"])
+
+
+@pytest.mark.parametrize("check", [[], ["--check", "free"]])
+def test_verify_k4_lemmas_on_an_unsaturated_graph(capsys, tmp_path, check):
+    """A K4 graph that is not saturated still gets its verdict, exit 0, and
+    each lemma reports that it needs a saturated graph."""
+    G = k4_construction(4)
+    out_path = str(tmp_path / "less.pbg")
+    save_blowup_graph(PartiteGraph(G.host, sorted(G.edges)[1:]), out_path)
+    code, doc, err = run_json(capsys, "verify", out_path, *check, "--k4-lemmas")
+    assert code == 0 and err == ""
+    assert doc["status"] == ("ok" if check else "not_saturated")
+    assert [(c["name"], c["status"], c["note"]) for c in doc["checks"]] == [
+        (name, "not_applicable", "needs a saturated graph")
+        for name in ("min_degree_4", "degree_4_neighborhoods", "few_min_degree_4_parts")
+    ]
+
+
+def test_verify_k4_lemmas_scans_saturation_once(capsys, tmp_path, monkeypatch):
+    from satblow import cli, verify
+
+    out_path = str(tmp_path / "k4.pbg")
+    run_cli(capsys, "construct", "k4", "-n", "4", "-o", out_path)
+    scans = []
+    scan = verify.is_partite_saturated
+
+    def counted(G):
+        scans.append(1)
+        return scan(G)
+
+    monkeypatch.setattr(verify, "is_partite_saturated", counted)
+    monkeypatch.setattr(cli, "is_partite_saturated", counted)
+    monkeypatch.setitem(cli._CHECKS, "saturated", counted)
+    for check in ("saturated", "free"):
+        scans.clear()
+        code, doc, _ = run_json(capsys, "verify", out_path, "--check", check, "--k4-lemmas")
+        assert code == 0 and doc["status"] == "ok" and len(scans) == 1, check
+        assert {c["status"] for c in doc["checks"]} <= {"pass", "not_applicable"}
 
 
 def test_verify_k4_lemmas_wrong_pattern_exits_2(capsys, tmp_path):
@@ -283,6 +328,18 @@ def test_bounds_json(capsys):
     assert code == 0
     assert doc["lower"] == 80 and doc["upper"] == 180
     assert doc["m_lower"] == 4 and doc["m_upper"] == 6
+
+
+def test_bounds_budget_is_kept_in_total(capsys):
+    """--budget bounds both m-value searches together, not each of them:
+    at r = 51 both come back UNKNOWN, and the command takes about one
+    budget (two, when each search had the whole of it)."""
+    start = time.monotonic()
+    code, doc, _ = run_json(capsys, "bounds", "-r", "51", "-n", "1", "--budget", "1")
+    assert time.monotonic() - start < 1.5
+    assert code == 3
+    assert doc["m_lower"] == doc["m_upper"] == "UNKNOWN"
+    assert doc["lower"] is None and doc["upper"] is None
 
 
 def test_table_json_and_text(capsys):

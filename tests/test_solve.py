@@ -522,7 +522,7 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
                 bits = state.fixed if t is None else classes.get(t, 0)
                 assert bits >> r & 1, (chosen, r)
                 images = {g[x] for x in chosen}
-                assert all((state.held[y] >> r & 1) == (y in images) for y in range(L))
+                assert all((state.held(y) >> r & 1) == (y in images) for y in range(L))
             assert sum(c.bit_count() for c in state.cls) + state.fixed.bit_count() == len(rows)
 
 
@@ -971,6 +971,29 @@ def _random_prefix(copies, L, require_free, rng):
     return tuple(y for y in range(L) if chosen >> y & 1)
 
 
+def _descend(sys_, masks, frame, s):
+    """Add s to the set masks holds, and build the child's frame from its
+    parent's with the walk's own pieces, as cut builds it when it keeps the
+    child (a random prefix goes on through children the walk would cut)."""
+    sys_.flip(masks, 1 << s)
+    left = sys_.settled_uncovered(masks, frame, s)
+    lack = sys_.child_lack(masks, frame, left, s)
+    return solve._Frame(left, sys_.child_open(masks, frame, s), lack, s + 1)
+
+
+def _probe(frame):
+    """A copy of a frame, to ask about children past the next one the walk
+    takes: a frame is only ever moved up."""
+    return solve._Frame(frame.uncovered, frame.open_, frame.lack[:], frame.upto)
+
+
+def _start(sys_, H, n):
+    """The walk's state at its root: the graph, the root frame and the
+    graph of the uncoverable tests."""
+    masks = solve._build_masks(H.vertex_count, n, ())
+    return masks, sys_.root(masks), [solve._build_masks(H.vertex_count, n, ()), 0]
+
+
 @pytest.mark.parametrize("require_free", [True, False])
 @pytest.mark.parametrize("H", CUT_CASES)
 def test_cuts_never_drop_a_completable_prefix(H, require_free):
@@ -992,48 +1015,48 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
         return min(sizes, default=None)
 
     sys_ = solve._SlotSystem(host)
-    every = (1 << L) - 1
     rng = random.Random(L + require_free)
     fired = dict.fromkeys((*solve._CUT_REASONS, "siblings"), 0)
     for trial in range(150):
         prefix = _random_prefix(copies, L, require_free, rng)
-        masks = solve._build_masks(H.vertex_count, n, ())
-        uncovered, open_ = 0, every ^ sys_.covered(masks, every)
-        chosen, top = 0, -1
+        masks, frame, stand = _start(sys_, H, n)
+        chosen = 0
         for m, s in enumerate(prefix, 1):
-            sys_.flip(masks, 1 << s)
-            chosen |= 1 << s
-            left = sys_.settled_uncovered(masks, uncovered, open_, s)
+            child = _descend(sys_, masks, frame, s)
+            left, later = child.uncovered, child.open_
+            parent, chosen = chosen, chosen | 1 << s
             assert left == sum(
                 1 << y
                 for y in range(s)
                 if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
             )
+            assert later == sum(
+                1 << z for z in range(s + 1, L) if not brute_closes(copies, chosen, z)
+            )
             least = least_completion(chosen, s)
             done = chosen in valid
             if least is not None and not done:
-                assert max(1, sys_.need(masks, left)) <= least, prefix[:m]
+                assert max(1, sys_.total(child.lack)) <= least, prefix[:m]
                 # a bound that admits the least completion keeps the prefix
-                assert sys_.cut(masks, require_free, left, open_, s, m, m + least)[0] is None
+                verdict = sys_.cut(masks, stand, require_free, frame, parent, left, s, m + least)
+                assert verdict[0] is None
+                kept = verdict[1]
+                assert (kept.uncovered, kept.open_, kept.lack) == (left, later, child.lack)
             for ub in range(m, m + 6):
-                reason = sys_.cut(masks, require_free, left, open_, s, m, ub)[0]
+                reason = sys_.cut(masks, stand, require_free, frame, parent, left, s, ub)[0]
                 if reason is not None:
                     fired[reason] += 1
                     assert done or least is None or m + least > ub, (prefix[:m], reason, ub)
-            reason, later, siblings = sys_.cut(masks, require_free, left, open_, s, m, L + m)
+            reason, _, siblings = sys_.cut(masks, stand, require_free, frame, parent, left, s, L + m)
             if siblings:
                 # the sibling-wide cut: no later sibling completes either
                 fired["siblings"] += 1
                 assert reason == "uncoverable"
-                parent = chosen ^ 1 << s
                 for t in range(s + 1, L):
                     assert least_completion(parent | 1 << t, t) is None, (prefix[:m], t)
             if not require_free:  # the child's own test ran on the same graph
                 assert siblings == (reason == "uncoverable")
-            assert later == sum(
-                1 << z for z in range(s + 1, L) if not brute_closes(copies, chosen, z)
-            )
-            uncovered, open_, top = left, later, s
+            frame = child
     assert fired["uncoverable"] > 0 and fired["over_bound"] > 0 and fired["siblings"] > 0, fired
 
 
@@ -1061,68 +1084,155 @@ def test_uncoverable_cut_drops_every_child_past_an_isolated_needy_vertex(H, requ
                     last[x] = k
         copies = brute_copy_masks(H, n)
         sys_ = solve._SlotSystem(host)
-        every = (1 << L) - 1
         rng = random.Random(3 * L + require_free)
         for trial in range(40):
             prefix = _random_prefix(copies, L, require_free, rng)
-            masks = solve._build_masks(H.vertex_count, n, ())
-            uncovered, open_, top = 0, every ^ sys_.covered(masks, every), -1
+            masks, frame, stand = _start(sys_, H, n)
+            chosen, top = 0, -1
             for m, s in enumerate(prefix, 1):
                 isolated = [k for (p, a), k in last.items() if not any(masks[p][a])]
                 if isolated:
                     for t in range(max(top, min(isolated)) + 1, L):
-                        if require_free and not open_ >> t & 1:
+                        if require_free and not frame.open_ >> t & 1:
                             continue  # not free: the walk never makes this child
                         sys_.flip(masks, 1 << t)
-                        left = sys_.settled_uncovered(masks, uncovered, open_, t)
-                        verdict = sys_.cut(masks, require_free, left, open_, t, m, L + m)
+                        left = sys_.settled_uncovered(masks, frame, t)
+                        verdict = sys_.cut(
+                            masks, stand, require_free, frame, chosen, left, t, L + m
+                        )
                         sys_.flip(masks, 1 << t)
                         assert verdict[0] == "uncoverable" and verdict[2], (prefix[: m - 1], t)
                         checked += 1
-                sys_.flip(masks, 1 << s)
-                uncovered = sys_.settled_uncovered(masks, uncovered, open_, s)
-                open_ = sys_.cut(masks, require_free, uncovered, open_, s, m, L + m)[1]
-                top = s
+                frame = _descend(sys_, masks, frame, s)
+                chosen, top = chosen | 1 << s, s
     assert checked > 0
 
 
 @pytest.mark.parametrize("require_free", [True, False])
 @pytest.mark.parametrize("H", CUT_CASES)
 def test_reach_never_passes_a_completion(H, require_free):
-    """_SlotSystem.reach drops every remaining child of a set at once, and
-    bounds an UNKNOWN from below: at every set P of a random prefix and
-    every t above its last slot, it never exceeds the size of a valid set
-    that extends P through a child P + (s,) with s >= t."""
+    """The over-bound bound of a set P at its child t, m + max(1, the need
+    of the slots settled for it), drops every remaining child of P at once,
+    and bounds an UNKNOWN from below: at every set P of a random prefix and
+    every t above its last slot, as the walk's frame keeps it and as
+    _SlotSystem.reach finds it afresh, it never exceeds the size of a valid
+    set that extends P through a child P + (s,) with s >= t."""
     n = 2
     host = BlowupHost(H, n)
     L = len(host.slots())
     copies = brute_copy_masks(H, n)
     valid = brute_valid_sets(H, n, require_free)
     sys_ = solve._SlotSystem(host)
-    every = (1 << L) - 1
     rng = random.Random(2 * L + require_free)
     checked = beyond_one = 0
     for trial in range(100):
         prefix = _random_prefix(copies, L, require_free, rng)
-        masks = solve._build_masks(H.vertex_count, n, ())
-        uncovered, open_ = 0, every ^ sys_.covered(masks, every)
+        masks, frame, _ = _start(sys_, H, n)
         chosen, top = 0, -1
         for m, s in enumerate(prefix):
             low = (1 << top + 1) - 1
             above = [D for D in valid if D & low == chosen and D != chosen]
+            probe = _probe(frame)
             for t in range(top + 1, L):
+                reach = m + max(1, sys_.settle(masks, probe, t))
+                assert reach == sys_.reach(masks, frame.uncovered, frame.open_, t, m)
                 sizes = [D.bit_count() for D in above if (D ^ chosen) & (1 << t) - 1 == 0]
                 if sizes:
-                    reach = sys_.reach(masks, uncovered, open_, t, m)
                     assert reach <= min(sizes), (prefix[:m], t)
                     checked += 1
                     beyond_one += reach > m + 1
-            sys_.flip(masks, 1 << s)
-            chosen |= 1 << s
-            uncovered = sys_.settled_uncovered(masks, uncovered, open_, s)
-            open_ = sys_.cut(masks, require_free, uncovered, open_, s, m + 1, L + m)[1]
-            top = s
+            frame = _descend(sys_, masks, frame, s)
+            chosen, top = chosen | 1 << s, s
     assert checked > 0 and beyond_one > 0, (checked, beyond_one)
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+@pytest.mark.parametrize("name, n", DIFFERENTIAL_CASES)
+def test_walk_state_matches_its_definitions(name, n, require_free):
+    """What the walk derives for a child from its parent's frame, checked
+    at every child of every set of random prefixes against values built
+    afresh: the bundle-need bound of the frame's sets, the graph the
+    uncoverable tests ran on, and the lazily read rows held(y) of each
+    _Leader on a random lex leader."""
+    H = SMALL_PATTERNS[name]
+    host = BlowupHost(H, n)
+    L = len(host.slots())
+    copies = brute_copy_masks(H, n)
+    sys_ = solve._SlotSystem(host)
+    rng = random.Random(5 * L + require_free)
+
+    def graph(slots):
+        masks = solve._build_masks(H.vertex_count, n, ())
+        sys_.flip(masks, slots)
+        return masks
+
+    def every_vertex(masks, settled):
+        # the bundle-need sets with the rule run at every vertex
+        lack = [0] * 2 * len(sys_.bundles)
+        sys_.relack(masks, settled, lack, (1 << len(sys_.need_at)) - 1)
+        return lack
+
+    checked = 0
+    for trial in range(20):
+        prefix = _random_prefix(copies, L, require_free, rng)
+        masks, frame, stand = _start(sys_, H, n)
+        chosen = 0
+        for m, s in enumerate(prefix, 1):
+            probe = _probe(frame)
+            for t in range(frame.upto, L):
+                if require_free and not frame.open_ >> t & 1:
+                    continue
+                settled = frame.uncovered | frame.open_ & (1 << t) - 1
+                # the frame moved up to t, and the child derived from it
+                # before or after the move
+                assert sys_.settle(masks, probe, t) == sys_.need(masks, settled)
+                assert probe.lack == every_vertex(masks, settled)
+                sys_.flip(masks, 1 << t)
+                left = sys_.settled_uncovered(masks, frame, t)
+                lack = sys_.child_lack(masks, frame, left, t)
+                assert lack == sys_.child_lack(masks, probe, left, t)
+                assert lack == every_vertex(masks, left)
+                assert sys_.total(lack) == sys_.need(masks, left)
+                was = stand[1]
+                reason, _, siblings = sys_.cut(
+                    masks, stand, require_free, frame, chosen, left, t, L + m
+                )
+                # the graph of the last uncoverable test: P + (t,) and the
+                # child's open slots, or, for the sibling-wide test of
+                # saturation, P and its open slots from t on; for
+                # extra-saturation, P and every slot from t on
+                if not left:
+                    assert stand[1] == was
+                elif not require_free:
+                    assert stand[1] == chosen | (1 << L) - (1 << t)
+                elif reason == "uncoverable":
+                    assert stand[1] == chosen | frame.open_ >> t << t
+                else:
+                    assert stand[1] == chosen | 1 << t | sys_.child_open(masks, frame, t)
+                assert stand[0] == graph(stand[1])
+                sys_.flip(masks, 1 << t)
+                checked += 1
+            frame = _descend(sys_, masks, frame, s)
+            chosen |= 1 << s
+    # saturation leaves no child when every slot closes a copy on its own
+    assert checked > 0 or require_free and not _start(sys_, H, n)[1].open_
+
+    group = solve._symmetry_group(sys_)
+    if group is None:
+        return
+    rows = _rows(group)
+    for trial in range(10):
+        leader = _random_lex_leader(rows, L, rng.randrange(1, L + 1), rng)
+        state = solve._root_leader(group)
+        for d in range(1, len(leader) + 1):
+            state = solve._child_leader(group, state, leader[:d])
+            if rng.random() < 0.5:
+                continue  # left unread, so a later read walks further up
+            for y in rng.sample(range(L), rng.randrange(L + 1)):
+                want = 0
+                for x in leader[:d]:
+                    want |= group.maps[x].get(y, 0)
+                assert state.held(y) == want, (leader[:d], y)
 
 
 def _lowest(todo):
@@ -1159,7 +1269,7 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
 
     def recording(walk_sys, masks, path, stack):
         want = math.inf
-        for d, todo in enumerate(frame[0] for frame in stack):
+        for d, todo in enumerate(frame.todo for frame in stack):
             if todo:
                 chosen = sum(1 << y for y in path[:d])
                 settled = sum(
@@ -1170,7 +1280,7 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
                 graph = solve._build_masks(H.vertex_count, n, ())
                 sys_.flip(graph, chosen)
                 want = min(want, d + max(1, sys_.need(graph, settled)))
-        seen.append(tuple(path) + (_lowest(stack[-1][0]),))
+        seen.append(tuple(path) + (_lowest(stack[-1].todo),))
         seen.append(open_bound(walk_sys, masks, path, stack))
         assert seen[-1] == want
         return seen[-1]
@@ -1206,9 +1316,9 @@ def test_open_bound_is_taken_at_canonical_children(require_free, H, n, monkeypat
     nexts = []
 
     def recording(walk_sys, masks, path, stack):
-        for d, (todo, *_) in enumerate(stack):
-            if todo:
-                nexts.append(tuple(path[:d]) + (_lowest(todo),))
+        for d, frame in enumerate(stack):
+            if frame.todo:
+                nexts.append(tuple(path[:d]) + (_lowest(frame.todo),))
         return open_bound(walk_sys, masks, path, stack)
 
     monkeypatch.setattr(solve, "_open_bound", recording)
