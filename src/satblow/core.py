@@ -50,8 +50,8 @@ class PatternGraph:
             adj[i - 1].append(j - 1)
             adj[j - 1].append(i - 1)
         self._adj0 = tuple(tuple(sorted(a)) for a in adj)
-        # pinned-search plans, one per pattern edge, keyed p * v + q for both
-        # orientations; filled by _plan on first use, since building all of
+        # pinned-search plans, one per pattern edge and orientation, keyed
+        # p * v + q; filled by _plan on first use, since building all of
         # them costs O(e * (v + e)) and a scan may stop at its first slot
         self._plans: dict[int, tuple] = {}
 
@@ -118,12 +118,16 @@ class PatternGraph:
 
     def _plan(self, p: int, q: int) -> tuple:
         """The search plan of pattern edge (p, q), 0-based: the components of
-        _search_plan, each with the memo keys of _counting_steps."""
+        _search_plan, each with the memo keys of _counting_steps, and the
+        neighbours of q other than p, the parts a copy's q-end meets."""
         key = p * self.vertex_count + q
         plan = self._plans.get(key)
         if plan is None:
-            plan = tuple(_counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q)))
-            self._plans[key] = self._plans[q * self.vertex_count + p] = plan
+            other = self._plans.get(q * self.vertex_count + p)
+            components = other[0] if other else tuple(
+                _counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q))
+            )
+            plan = self._plans[key] = (components, tuple(x for x in self._adj0[q] if x != p))
         return plan
 
     def _check_vertex(self, v: int) -> None:
@@ -340,11 +344,16 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # (part, nbrs, branch, key).  The plan of pattern edge (p, q) is compiled once
 # (PatternGraph._plan): the other parts, split into the components of the
 # pattern minus p and q, each in breadth-first order (_search_plan), with the
-# memo keys of _counting_steps.  Two loops walk a component, and neither calls
-# itself: _extend asks whether it can be placed, _tally in how many ways.
+# memo keys of _counting_steps, and the neighbours of q other than p.  Two
+# loops walk a component, and neither calls itself: _extend asks whether it
+# can be placed, _tally in how many ways.
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
+# The scan goes one row at a time, a row being the slots (p, a)-(q, b) of one
+# vertex (p, a) and one part q > p: a copy found through b carries one
+# through every b' that all of q's other neighbours in it meet, so those
+# non-edges need no search of their own.
 # Counting, pinned the same way (count_copies_through): the product of the
 # counts of the plan's components, each counted by _tally.  An unpinned count
 # is the sum of pinned counts over the present slots of one bundle, since
@@ -469,6 +478,17 @@ def _extend(masks, steps, chosen: list[int], full: int) -> bool:
     return True
 
 
+def _least(masks, steps, chosen: list[int], full: int) -> None:
+    """Give each step of a placed plan component that no later step reads
+    its least candidate, so that `chosen` holds a whole placement."""
+    for x, nbrs, branch, _ in steps:
+        if not branch:
+            cand = full
+            for y in nbrs:
+                cand &= masks[y][chosen[y]][x]
+            chosen[x] = (cand & -cand).bit_length() - 1
+
+
 def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
     """The lexicographically least copy, as 0-based indices by part.  One
     component places parts 0..v-1 in turn, each bounded by its lower
@@ -482,12 +502,7 @@ def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
     full = (1 << n) - 1
     if not _extend(masks, steps, chosen, full):
         return None
-    for x, nbrs, branch, _ in steps:
-        if not branch:
-            cand = full
-            for y in nbrs:
-                cand &= masks[y][chosen[y]][x]
-            chosen[x] = (cand & -cand).bit_length() - 1
+    _least(masks, steps, chosen, full)
     return tuple(chosen)
 
 
@@ -500,30 +515,55 @@ def _closes_copy(pattern: PatternGraph, n: int, masks, p: int, a: int, q: int, b
     chosen[p] = a
     chosen[q] = b
     full = (1 << n) - 1
-    for steps in pattern._plan(p, q):
+    for steps in pattern._plan(p, q)[0]:
         if not _extend(masks, steps, chosen, full):
             return False
     return True
 
 
-def first_uncovered_slot(pattern: PatternGraph, n: int, masks, ends0) -> Optional[int]:
-    """The first k such that slot ends0[k] is not an edge (its mask bit is
-    clear) and closes no copy when added, or None if every non-edge closes
-    one.  ends0 holds 0-based (p, a, q, b) slots; with host.ends0() the
-    answer indexes host.slots(), so the slot found is the lex-least one.
+def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -> Optional[int]:
+    """The least slot index k >= start, in the order of host.ends0() and
+    host.slots(), whose slot is not an edge (its mask bit is clear) and
+    closes no copy when added, or None if every such non-edge closes one.
     Saturation and extra-saturation verdicts and the exact search's
-    coverage test are all this one scan."""
+    validity test are all this one scan.
+
+    The slots (p, a)-(q, b), p < q, of one row (p, a, q) are contiguous in
+    slot order.  The least non-edge b of a row not yet covered is searched
+    pinned; if that search fails, b is the answer.  Otherwise the copy
+    found, with each part that no later step reads at its least candidate,
+    also runs through every b' that q's neighbours other than p all meet in
+    it, and those slots are covered without a search.  So the scan runs at
+    most one search per non-edge, and its answer is the one a per-slot scan
+    gives."""
     full = (1 << n) - 1
     chosen = [0] * pattern.vertex_count
-    plan = pattern._plan
-    for k, (p, a, q, b) in enumerate(ends0):
-        if masks[p][a][q] >> b & 1:
+    k = 0  # the index of the current row's first slot
+    for p, adj in enumerate(pattern._adj0):
+        ups = [q for q in adj if q > p]
+        if k + n * n * len(ups) <= start:
+            k += n * n * len(ups)
             continue
-        chosen[p] = a
-        chosen[q] = b
-        for steps in plan(p, q):
-            if not _extend(masks, steps, chosen, full):
-                return k
+        for a in range(n):
+            row = masks[p][a]
+            chosen[p] = a
+            for q in ups:
+                todo = full & ~row[q]
+                if k < start:
+                    todo &= -1 << min(start - k, n)
+                k += n
+                while todo:
+                    components, others = pattern._plan(p, q)
+                    bit = todo & -todo
+                    chosen[q] = bit.bit_length() - 1
+                    for steps in components:
+                        if not _extend(masks, steps, chosen, full):
+                            return k - n + chosen[q]
+                        _least(masks, steps, chosen, full)
+                    cover = full
+                    for x in others:
+                        cover &= masks[x][chosen[x]][q]
+                    todo &= ~(cover | bit)
     return None
 
 
@@ -609,7 +649,7 @@ def count_partite_copies(G: PartiteGraph) -> int:
         ((i - 1, j - 1) for i, j in sorted(pattern.edges)),
         key=lambda e: sum(row[e[1]].bit_count() for row in masks[e[0]]),
     )
-    plan = pattern._plan(p, q)
+    plan = pattern._plan(p, q)[0]
     chosen = [0] * pattern.vertex_count
     full = (1 << n) - 1
     total = 0
@@ -666,7 +706,7 @@ def count_copies_through(G: PartiteGraph, u, v) -> int:
     chosen = [0] * G.host.pattern.vertex_count
     chosen[p] = a
     chosen[q] = b
-    return _through(G._masks, G.host.pattern._plan(p, q), chosen, (1 << G.host.n) - 1)
+    return _through(G._masks, G.host.pattern._plan(p, q)[0], chosen, (1 << G.host.n) - 1)
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:

@@ -1089,7 +1089,7 @@ def _exact_minimum(
         return result(0, ub_graph, False, 0, 0)
 
     sys_ = _SlotSystem(host)
-    L, ends0 = sys_.L, sys_.ends0
+    L = sys_.L
     group = _symmetry_group(sys_) if use_symmetry else None
     masks = _build_masks(pattern.vertex_count, n, ())
     floor = max(lb, 1)  # no smaller set is valid; the root is not
@@ -1187,11 +1187,11 @@ def _exact_minimum(
         if prune:
             left = sys_.settled_uncovered(masks, frame, s)
             # with every settled slot covered, the slots above s decide
-            scan = ends0[s + 1 :] if m >= floor and not left else None
+            scan_from = s + 1 if m >= floor and not left else None
         else:
             left = 0
-            scan = ends0 if m >= floor else None
-        if scan is not None and first_uncovered_slot(pattern, n, masks, scan) is None:
+            scan_from = 0 if m >= floor else None
+        if scan_from is not None and first_uncovered_slot(pattern, n, masks, scan_from) is None:
             row["candidates"] += 1
             row["admitted"] += 1
             sys_.flip(masks, 1 << s)

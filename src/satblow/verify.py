@@ -6,15 +6,19 @@ any allowed non-edge strictly increases the copy count.  Both verdicts
 localize the effect of an added slot: since a new copy must run through the
 new edge, it suffices to search for copies with both endpoints of that slot
 pinned.  So both are one question, "does every non-edge close a copy?", and
-both ask it of core.first_uncovered_slot, the scan that greedy fill and the
-exact search share.  It runs an existence search compiled once per pattern
-edge, and it never counts.
+both ask it of core.first_uncovered_slot, the scan that the exact search's
+validity test shares.  It runs an existence search compiled once per pattern
+edge, and it never counts.  It goes one row (p, a, q) of slots at a time: a
+copy found through one non-edge of the row covers every other non-edge of
+the row it also runs through, so those need no search.  Greedy fill asks
+the same question one slot at a time, of core._closes_copy, since each slot
+it adds changes the graph.
 
-Verdicts are deterministic.  The scan walks host.ends0(), which lists the
-slots in the order of host.slots(): lexicographic on (part, index) endpoint
-pairs.  It skips the edges of G, so the first slot it reports is the least
-non-edge that closes no copy, and a failing verdict always carries that
-witness.
+Verdicts are deterministic.  The scan takes the slots in the order of
+host.slots(): lexicographic on (part, index) endpoint pairs.  It skips the
+edges of G and always searches the least non-edge of a row not yet covered,
+so the first slot it reports is the least non-edge that closes no copy, and
+a failing verdict always carries that witness.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def is_partite_free(G: PartiteGraph) -> Verdict:
 
 def _first_uncovered_non_edge(G: PartiteGraph) -> Optional[NonEdge]:
     host = G.host
-    k = first_uncovered_slot(host.pattern, host.n, G._masks, host.ends0())
+    k = first_uncovered_slot(host.pattern, host.n, G._masks)
     return None if k is None else host.slots()[k]
 
 

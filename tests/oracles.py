@@ -7,7 +7,8 @@ these slow and obvious.
 
 import itertools
 
-from satblow import PartiteGraph, PartiteVertex, is_partite_saturated
+from satblow import BlowupHost, PartiteGraph, PartiteVertex, is_partite_saturated
+from satblow.core import _closes_copy
 
 
 def all_selections(pattern, n):
@@ -52,9 +53,17 @@ def brute_count_through(G, u, v):
     return total
 
 
-def _brute_minimum(pattern, n, predicate):
-    from satblow import BlowupHost
+def per_slot_first_uncovered(pattern, n, masks, start=0):
+    """The least slot index k >= start whose slot is a non-edge closing no
+    copy, or None: one pinned search per non-edge, in slot order."""
+    for k, (p, a, q, b) in enumerate(BlowupHost(pattern, n).ends0()):
+        if k >= start and not masks[p][a][q] >> b & 1:
+            if not _closes_copy(pattern, n, masks, p, a, q, b):
+                return k
+    return None
 
+
+def _brute_minimum(pattern, n, predicate):
     host = BlowupHost(pattern, n)
     slots = host.slots()
     for size in range(len(slots) + 1):
@@ -106,8 +115,6 @@ def brute_slot_group(pattern, n, pool="full"):
     the image of every slot, built from vertex maps.  pool names the index
     permutations: "full" (S_n, so the group is S_n wr Aut(pattern)),
     "cyclic" (the shifts a -> a + t mod n) or "identity"."""
-    from satblow import BlowupHost
-
     slots = BlowupHost(pattern, n).slots()
     index = {
         frozenset(((x.part, x.index), (y.part, y.index))): k
@@ -149,8 +156,6 @@ def brute_is_lex_leader(rows, chosen):
 def brute_copy_masks(pattern, n):
     """Every partite copy of the pattern in H[n], as an int with one bit per
     slot it uses, slots numbered as in BlowupHost(pattern, n).slots()."""
-    from satblow import BlowupHost
-
     slots = BlowupHost(pattern, n).slots()
     index = {
         frozenset(((x.part, x.index), (y.part, y.index))): k

@@ -11,6 +11,7 @@ from satblow import (
     PartiteSelection,
     PartiteVertex,
     PatternGraph,
+    VerdictStatus,
     blow_up,
     count_copies_through,
     count_partite_copies,
@@ -18,13 +19,17 @@ from satblow import (
     cut_vertex_components,
     degree,
     find_partite_copy,
+    greedy_extra_saturate,
+    greedy_saturate,
     has_partite_copy,
+    is_extra_saturated,
+    is_partite_saturated,
     is_two_connected,
     min_degree_per_part,
     selection_carries_pattern,
 )
-from satblow.core import _closes_copy
-from oracles import brute_count, brute_count_through, brute_find
+from satblow.core import _closes_copy, first_uncovered_slot
+from oracles import brute_count, brute_count_through, brute_find, per_slot_first_uncovered
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,17 @@ SIX_PART_PATTERNS = [
     PatternGraph(6, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6)]),
 ]
 
+# Patterns whose rows the saturation scan must get right: an isolated part,
+# two disjoint edges beside an isolated part, and a hub whose index is the
+# largest, so that it is the q-end of every row of its bundles.
+ROW_SCAN_PATTERNS = [
+    PatternGraph(4, [(1, 2), (2, 3), (1, 3)]),
+    PatternGraph(5, [(1, 2), (3, 4)]),
+    PatternGraph(4, [(4, 1), (4, 2), (4, 3), (1, 2)]),
+]
+
 # The patterns the pinned search is checked on: K2 (an empty plan), paths,
-# a cycle, a clique, a star, an isolated part, two components, and the above.
+# a cycle, a clique, a star, two components, and the above.
 PINNED_PATTERNS = [
     PatternGraph.complete(2),
     PatternGraph.path(3),
@@ -222,8 +236,8 @@ PINNED_PATTERNS = [
     PatternGraph.cycle(4),
     PatternGraph.complete(4),
     PatternGraph.star(3),
-    PatternGraph(4, [(1, 2), (2, 3), (1, 3)]),
     PatternGraph(5, [(1, 2), (3, 4), (4, 5)]),
+    *ROW_SCAN_PATTERNS,
     *SIX_PART_PATTERNS,
 ]
 
@@ -272,6 +286,45 @@ def assert_through_counts_match_brute_force(G):
 @given(dense_pinned_graphs())
 def test_count_through_matches_brute_force_on_every_slot(G):
     assert_through_counts_match_brute_force(G)
+
+
+def assert_scans_match_brute_force(G):
+    """The row scan and the per-slot scan, from every start, against the
+    non-edges brute force finds uncovered; and both verdicts' witnesses."""
+    host = G.host
+    pattern, n, masks = host.pattern, host.n, G._masks
+    uncovered = [
+        k
+        for k, (u, v) in enumerate(host.slots())
+        if not G.has_edge(u, v) and brute_count_through(G, u, v) == 0
+    ]
+    for start in range(host.slot_count() + 1):
+        want = next((k for k in uncovered if k >= start), None)
+        assert per_slot_first_uncovered(pattern, n, masks, start) == want
+        assert first_uncovered_slot(pattern, n, masks, start) == want
+    least = host.slots()[uncovered[0]] if uncovered else None
+    assert is_extra_saturated(G).witness == least
+    if brute_count(G) == 0:
+        assert is_partite_saturated(G).witness == least
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(pinned_graphs(), dense_pinned_graphs()))
+def test_row_scan_matches_brute_force_from_every_start(G):
+    assert_scans_match_brute_force(G)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("H", [*ROW_SCAN_PATTERNS, PatternGraph.complete(4), PatternGraph.cycle(6)], ids=repr)
+def test_row_scan_on_greedy_fills_and_one_edge_less(H, seed):
+    # random graphs mostly stop at their first non-edge; on a saturated
+    # graph every row is scanned, and with one edge taken out that slot at
+    # least is left uncovered, since the fill is free
+    for fill in (greedy_saturate, greedy_extra_saturate):
+        G = fill(PartiteGraph(BlowupHost(H, 3)), seed)
+        assert_scans_match_brute_force(G)
+        u, v = random.Random(seed).choice(G.sorted_edges())
+        assert_scans_match_brute_force(G.without_edge(u, v))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -333,8 +386,9 @@ def test_pinned_count_reads_polynomially_many_rows(H, p, q):
 def test_search_plans_place_every_part_and_check_every_edge_once(H):
     for i, j in H.edges:
         p, q = i - 1, j - 1
-        plan = H._plan(p, q)
-        assert H._plan(q, p) is plan
+        plan, others = H._plan(p, q)
+        assert H._plan(q, p)[0] is plan
+        assert set(others) == set(H._adj0[q]) - {p}
         assert all(plan)  # no empty component, so K2's plan is empty
         steps = [step for component in plan for step in component]
         assert sorted(x for x, _, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
@@ -367,6 +421,9 @@ def test_long_paths_answer_in_closed_form(L, n):
     for p in (1, L // 2, L - 1):
         assert count_copies_through(G, (p, n), (p + 1, 1)) == n ** (L - 2)
         assert creates_copy_through(G, (p + 1, 1), (p, n))
+    # the saturation scan compiles the plan of an edge only at a non-edge
+    assert is_partite_saturated(G).status is VerdictStatus.NOT_FREE
+    assert is_extra_saturated(G).ok
 
 
 def _path_with_an_isolated_last_part(L, n):
@@ -385,6 +442,10 @@ def test_long_paths_with_an_isolated_last_part_have_no_copy(L, n):
     # a slot of the empty bundle closes a copy through every other part
     assert count_copies_through(G, (L - 1, 1), (L, n)) == n ** (L - 2)
     assert creates_copy_through(G, (L, n), (L - 1, 1))
+    # every non-edge sits in the empty last bundle, and one search covers
+    # each of its rows
+    assert is_partite_saturated(G).ok
+    assert is_extra_saturated(G).ok
 
 
 def test_chain_searches_with_no_copy_read_polynomially_many_rows():
@@ -392,14 +453,19 @@ def test_chain_searches_with_no_copy_read_polynomially_many_rows():
     # the memo of failed keyed steps each search reads tens of thousands of rows
     L, n = 12, 3
     G = _path_with_an_isolated_last_part(L, n)
-    for search in (
-        lambda G: creates_copy_through(G, (1, 1), (2, 1)),
-        lambda G: find_partite_copy(G) is not None,
+    pattern = G.host.pattern
+    for graph, search in (
+        (G, lambda G: creates_copy_through(G, (1, 1), (2, 1))),
+        (G, lambda G: find_partite_copy(G) is not None),
+        # the first non-edge, slot 0, closes no copy: the scan stops there
+        (G.without_edge((1, 1), (2, 1)), lambda G: first_uncovered_slot(pattern, n, G._masks) != 0),
+        # the scan of G itself searches once per row of the last bundle
+        (G, lambda G: first_uncovered_slot(pattern, n, G._masks) is not None),
     ):
-        saved = G._masks
-        G._masks = masks = _CountingMasks(saved)
-        assert not search(G)
-        G._masks = saved
+        saved = graph._masks
+        graph._masks = masks = _CountingMasks(saved)
+        assert not search(graph)
+        graph._masks = saved
         assert masks.reads < L * n**3
 
 
