@@ -7,7 +7,9 @@ verdict, so a single run visibly reconfirms the headline formulas:
   k4        18 n - 21 saturated subgraphs of K4[n]
   star      (r - 1) n^2, forced for every saturated subgraph of K_{1,r}[n]
   path      the even/odd quadratic for P_r[n]
-  cliques   (2 n - 1) r (r - 1) / 2 extra-saturated subgraphs of K_r[n]
+  cliques   (2 n - 1) r (r - 1) / 2 extra-saturated subgraphs of K_r[n], an
+            upper bound and not the minimum: for K3 it gives 6 n - 3 = 9, 15,
+            21 at n = 2, 3, 4, where the exact minima are 6, 12 and 18
   trees     (|T| - 1) n extra-saturated subgraphs of T[n]
   bounds    8 n <= sat <= 18 n for K4[n] via multipartite witnesses
 """

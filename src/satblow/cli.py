@@ -26,7 +26,8 @@ from .core import (
     count_partite_copies,
 )
 from .formats import load_blowup_graph, resolve_pattern, save_blowup_graph
-from .solve import kr_sat_bounds, m_value, min_exsat_exact, min_sat_exact
+from .mvalue import kr_sat_bounds, m_value
+from .solve import min_exsat_exact, min_sat_exact
 from .verify import (
     Verdict,
     _k4_lemmas,

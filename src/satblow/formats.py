@@ -54,39 +54,55 @@ def _int_field(ln: int, token: str, what: str) -> int:
         raise FormatError(ln, f"{what} must be an integer, got {token!r}") from None
 
 
-def parse_pattern(text: str) -> PatternGraph:
+def _header(text: str, form: str, prefix: str, *more: str) -> tuple[list, list[int]]:
+    """The content lines of text and the integer fields of its header,
+    which must read `form`: the pattern's vertex and edge counts, checked
+    here, then one field per name of `more`.  prefix leads the counts'
+    names in messages."""
     lines = list(_content_lines(text))
     if not lines:
-        raise FormatError(1, "empty file, expected a 'pattern <v> <e>' header")
+        raise FormatError(1, f"empty file, expected a '{form}' header")
     ln, header = lines[0]
     tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "pattern":
-        raise FormatError(ln, f"expected 'pattern <v> <e>', got {header!r}")
-    v = _int_field(ln, tokens[1], "vertex count")
-    e = _int_field(ln, tokens[2], "edge count")
+    names = (f"{prefix}vertex count", f"{prefix}edge count", *more)
+    if len(tokens) != len(names) + 1 or tokens[0] != form.split()[0]:
+        raise FormatError(ln, f"expected '{form}', got {header!r}")
+    fields = [_int_field(ln, token, name) for token, name in zip(tokens[1:], names)]
+    v, e = fields[:2]
     if v < 1:
-        raise FormatError(ln, f"vertex count must be positive, got {v}")
+        raise FormatError(ln, f"{names[0]} must be positive, got {v}")
     if v > _MAX_PARTS:
-        raise FormatError(ln, f"vertex count {v} is above the cap of {_MAX_PARTS}")
+        raise FormatError(ln, f"{names[0]} {v} is above the cap of {_MAX_PARTS}")
     if e < 0:
-        raise FormatError(ln, f"edge count must be non-negative, got {e}")
-    if len(lines) - 1 != e:
-        raise FormatError(ln, f"header promises {e} edges but file has {len(lines) - 1} edge lines")
-    edges = []
-    seen = set()
-    for ln, line in lines[1:]:
+        raise FormatError(ln, f"{names[1]} must be non-negative, got {e}")
+    return lines, fields
+
+
+def _pattern(lines, v: int, tag: str, prefix: str) -> PatternGraph:
+    """The pattern on v vertices whose edges are `lines`, each reading
+    '<tag> <i> <j>'.  prefix leads the names of edges in messages."""
+    edges = set()
+    for ln, line in lines:
         tokens = line.split()
-        if len(tokens) != 3 or tokens[0] != "e":
-            raise FormatError(ln, f"expected 'e <i> <j>', got {line!r}")
-        i = _int_field(ln, tokens[1], "endpoint")
-        j = _int_field(ln, tokens[2], "endpoint")
+        if len(tokens) != 3 or tokens[0] != tag:
+            raise FormatError(ln, f"expected '{tag} <i> <j>', got {line!r}")
+        i = _int_field(ln, tokens[1], f"{prefix}endpoint")
+        j = _int_field(ln, tokens[2], f"{prefix}endpoint")
         if not (1 <= i < j <= v):
-            raise FormatError(ln, f"edge {i} {j} violates 1 <= i < j <= {v}")
-        if (i, j) in seen:
-            raise FormatError(ln, f"duplicate edge {i} {j}")
-        seen.add((i, j))
-        edges.append((i, j))
+            raise FormatError(ln, f"{prefix}edge {i} {j} violates 1 <= i < j <= {v}")
+        if (i, j) in edges:
+            raise FormatError(ln, f"duplicate {prefix}edge {i} {j}")
+        edges.add((i, j))
     return PatternGraph(v, edges)
+
+
+def parse_pattern(text: str) -> PatternGraph:
+    lines, (v, e) = _header(text, "pattern <v> <e>", "")
+    if len(lines) - 1 != e:
+        raise FormatError(
+            lines[0][0], f"header promises {e} edges but file has {len(lines) - 1} edge lines"
+        )
+    return _pattern(lines[1:], v, "e", "")
 
 
 def dump_pattern(pattern: PatternGraph) -> str:
@@ -106,24 +122,10 @@ def _parse_endpoint(ln: int, token: str) -> tuple[int, int]:
 
 
 def parse_blowup_graph(text: str) -> PartiteGraph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError(1, "empty file, expected a 'blowup <vH> <eH> <n>' header")
-    ln, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "blowup":
-        raise FormatError(ln, f"expected 'blowup <vH> <eH> <n>', got {header!r}")
-    v = _int_field(ln, tokens[1], "pattern vertex count")
-    e = _int_field(ln, tokens[2], "pattern edge count")
-    n = _int_field(ln, tokens[3], "part size")
-    if v < 1:
-        raise FormatError(ln, f"pattern vertex count must be positive, got {v}")
-    if e < 0:
-        raise FormatError(ln, f"pattern edge count must be non-negative, got {e}")
+    lines, (v, e, n) = _header(text, "blowup <vH> <eH> <n>", "pattern ", "part size")
+    ln = lines[0][0]
     if n < 1:
         raise FormatError(ln, f"part size must be positive, got {n}")
-    if v > _MAX_PARTS:
-        raise FormatError(ln, f"pattern vertex count {v} is above the cap of {_MAX_PARTS}")
     if n > _MAX_PART_SIZE:
         raise FormatError(ln, f"part size {n} is above the cap of {_MAX_PART_SIZE}")
     if v * v * n > _MAX_MASKS:
@@ -132,26 +134,8 @@ def parse_blowup_graph(text: str) -> PartiteGraph:
         )
     if len(lines) - 1 < e:
         raise FormatError(ln, f"header promises {e} pattern edges but file ends early")
-
-    pattern_edges = []
-    seen_pattern = set()
-    for ln, line in lines[1 : 1 + e]:
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[0] != "p":
-            raise FormatError(ln, f"expected 'p <i> <j>', got {line!r}")
-        i = _int_field(ln, tokens[1], "pattern endpoint")
-        j = _int_field(ln, tokens[2], "pattern endpoint")
-        if not (1 <= i < j <= v):
-            raise FormatError(ln, f"pattern edge {i} {j} violates 1 <= i < j <= {v}")
-        if (i, j) in seen_pattern:
-            raise FormatError(ln, f"duplicate pattern edge {i} {j}")
-        seen_pattern.add((i, j))
-        pattern_edges.append((i, j))
-    pattern = PatternGraph(v, pattern_edges)
-    host = BlowupHost(pattern, n)
-
-    edges = []
-    seen_edges = set()
+    host = BlowupHost(_pattern(lines[1 : 1 + e], v, "p", "pattern "), n)
+    edges = set()
     for ln, line in lines[1 + e :]:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "e":
@@ -169,10 +153,9 @@ def parse_blowup_graph(text: str) -> PartiteGraph:
                 ln, f"slot {pi}.{ai} {pj}.{bj} is not allowed, parts {pi} and {pj} are not pattern-adjacent"
             )
         key = (u, w) if u < w else (w, u)
-        if key in seen_edges:
+        if key in edges:
             raise FormatError(ln, f"duplicate edge {pi}.{ai} {pj}.{bj}")
-        seen_edges.add(key)
-        edges.append(key)
+        edges.add(key)
     return PartiteGraph(host, edges)
 
 

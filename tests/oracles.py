@@ -175,6 +175,34 @@ def brute_closes(copies, chosen, y):
     return any(c >> y & 1 and c & ~chosen & ~(1 << y) == 0 for c in copies)
 
 
+def brute_need(host, masks, uncovered):
+    """The exact walk's bundle-need bound, from its definition: a slot of
+    the settled set `uncovered` joining x of part p to a vertex of part q
+    puts x in need(p -> r) for each pattern neighbour r != q of p in which
+    x has no neighbour in the graph held in masks, and likewise for its
+    other end.  The bound sums, over the pattern edges {p, r}, the larger
+    of |need(p -> r)| and |need(r -> p)|."""
+    need = {}
+    for k, (p, a, q, b) in enumerate(host.ends0()):
+        if uncovered >> k & 1:
+            for part, x, other in ((p, a, q), (q, b, p)):
+                for r in host.pattern._adj0[part]:
+                    if r != other and not masks[part][x][r]:
+                        need.setdefault((part, r), set()).add(x)
+    return sum(
+        max(len(need.get((p - 1, r - 1), ())), len(need.get((r - 1, p - 1), ())))
+        for p, r in host.pattern.edges
+    )
+
+
+def brute_reach(host, masks, uncovered, open_, t, m):
+    """The fewest slots of a valid set through a child P + (s,), s >= t, of
+    the set P of m slots held in masks, whose settled slots left uncovered
+    and open slots are `uncovered` and `open_`, by the bundle-need bound:
+    every slot below t that P lacks is settled for it."""
+    return m + max(1, brute_need(host, masks, uncovered | open_ & (1 << t) - 1))
+
+
 def brute_valid_sets(pattern, n, require_free):
     """Every saturated (require_free) or extra-saturated slot set of H[n],
     as ints, found by trying all 2^L of them on the copy list."""

@@ -1,0 +1,45 @@
+"""The module boundaries of the package, read from its source with ast.
+
+symmetry.py (the group and lex-leader layer) knows neither of its users,
+the exact walk (solve.py) and m_value (mvalue.py), and the walk does not
+know m_value.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "satblow"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def _imports(name):
+    """The package modules that src/satblow/<name>.py imports anywhere in
+    its body, function-local imports included."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("satblow", node.module))) if node.level else node.module
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(d.split(".")[1] for d in dotted if d.startswith("satblow."))
+    return found & set(MODULES)
+
+
+def test_the_reader_sees_the_package_imports():
+    assert {"symmetry", "core", "verify"} <= _imports("solve")
+    assert {"solve", "symmetry"} <= _imports("mvalue")
+    assert "solve" in _imports("constructions")  # imported inside a function
+    assert {"mvalue", "solve", "symmetry"} <= set(MODULES)
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [("symmetry", {"solve", "mvalue"}), ("solve", {"mvalue"})],
+)
+def test_layers_import_only_downward(module, forbidden):
+    assert not _imports(module) & forbidden

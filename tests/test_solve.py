@@ -24,7 +24,7 @@ from satblow import (
     star_saturation_edges,
     tree_exsat_edges,
 )
-from satblow import solve
+from satblow import mvalue, solve, symmetry
 from satblow.formats import parse_pattern
 from oracles import (
     brute_automorphisms,
@@ -41,6 +41,8 @@ from oracles import (
     brute_m_slots,
     brute_min_exsat,
     brute_min_sat,
+    brute_need,
+    brute_reach,
     brute_slot_group,
     brute_threshold,
     brute_valid_sets,
@@ -357,7 +359,7 @@ def test_pruning_changes_nothing(H, n):
 
 
 def _group(H, n):
-    return solve._symmetry_group(solve._SlotSystem(BlowupHost(H, n)))
+    return symmetry._symmetry_group(BlowupHost(H, n))
 
 
 def _rows(group):
@@ -425,19 +427,19 @@ def test_group_maps_of_a_large_host():
 def test_group_pool_keeps_the_maps_under_the_byte_cap():
     # C4[7]: the cyclic group's maps would take 196 * 196 * 19 208 bits
     # (88 MiB), so only the pattern automorphisms are held
-    sys_ = solve._SlotSystem(BlowupHost(PatternGraph.cycle(4), 7))
-    assert len(solve._group_pool(sys_, solve._pattern_automorphisms(sys_.pattern))) == 1
-    assert solve._symmetry_group(sys_).everyone.bit_count() == 8
+    host = BlowupHost(PatternGraph.cycle(4), 7)
+    assert len(symmetry._group_pool(host, symmetry._pattern_automorphisms(host.pattern))) == 1
+    assert symmetry._symmetry_group(host).everyone.bit_count() == 8
     # K3[4] keeps the full group: 48 * 48 * 82 944 bits (22.8 MiB)
-    sys_ = solve._SlotSystem(BlowupHost(PatternGraph.complete(3), 4))
-    assert len(solve._group_pool(sys_, solve._pattern_automorphisms(sys_.pattern))) == 24
+    host = BlowupHost(PatternGraph.complete(3), 4)
+    assert len(symmetry._group_pool(host, symmetry._pattern_automorphisms(host.pattern))) == 24
 
 
 def _leader(group, chosen):
     """The _Leader of a lex leader, built one slot at a time from the root."""
-    state = solve._root_leader(group)
+    state = symmetry._root_leader(group)
     for d in range(1, len(chosen) + 1):
-        state = solve._child_leader(group, state, chosen[:d])
+        state = symmetry._child_leader(group, state, chosen[:d])
     return state
 
 
@@ -464,7 +466,7 @@ LEX_CASES = [
 def _lex_group(H, n, pool):
     """The group under test, and its rows as an oracle builds them."""
     if pool == "m":
-        return solve._MPartition(H, 3).group, brute_m_group(H)
+        return mvalue._MPartition(H, 3).group, brute_m_group(H)
     return _group(H, n), brute_slot_group(H, n, pool)
 
 
@@ -512,10 +514,10 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
     rng = random.Random(L + 1)
     for trial in range(12):
         leader = _random_lex_leader(rows, L, rng.randrange(1, min(L, 10)), rng)
-        state = solve._root_leader(group)
+        state = symmetry._root_leader(group)
         for d in range(1, len(leader) + 1):
             chosen = leader[:d]
-            state = solve._child_leader(group, state, chosen)
+            state = symmetry._child_leader(group, state, chosen)
             classes = dict(zip(state.thr, state.cls))
             for r, g in enumerate(rows):
                 t = brute_threshold(g, chosen)
@@ -533,7 +535,7 @@ def _orbit_census(group, L, copies):
     the popcounts of everyone and of its _Leader's fixed rows; returns their
     sum at each size."""
     census = [0] * (L + 1)
-    stack = [((), 0, solve._root_leader(group))]
+    stack = [((), 0, symmetry._root_leader(group))]
     while stack:
         chosen, mask, leader = stack.pop()
         everyone, fixed = group.everyone.bit_count(), leader.fixed.bit_count()
@@ -548,7 +550,7 @@ def _orbit_census(group, L, copies):
             if not leader.admits(group, s):
                 continue
             child = chosen + (s,)
-            stack.append((child, mask | 1 << s, solve._child_leader(group, leader, child)))
+            stack.append((child, mask | 1 << s, symmetry._child_leader(group, leader, child)))
     return census
 
 
@@ -567,7 +569,7 @@ def test_orbit_census_counts_every_labelled_free_set(H, n):
     exactly one set per orbit (the double-counting check of Kaski and
     Ostergard)."""
     host = BlowupHost(H, n)
-    group = solve._symmetry_group(solve._SlotSystem(host))
+    group = symmetry._symmetry_group(host)
     census = _orbit_census(group, len(host.slots()), brute_copy_masks(H, n))
     assert census == brute_free_set_counts(H, n)
 
@@ -576,7 +578,7 @@ def test_orbit_census_counts_every_labelled_free_set(H, n):
 def test_orbit_census_counts_every_labelled_clique_free_set(sizes, s):
     """The census above on the group of an m-value split: one canonical
     K_s-free set per orbit of index permutations within the parts."""
-    group = solve._MPartition(sizes, s).group
+    group = mvalue._MPartition(sizes, s).group
     cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
     census = _orbit_census(group, len(brute_m_slots(sizes)), cliques)
     assert census == brute_m_free_set_counts(sizes, s)
@@ -1115,8 +1117,8 @@ def test_reach_never_passes_a_completion(H, require_free):
     of the slots settled for it), drops every remaining child of P at once,
     and bounds an UNKNOWN from below: at every set P of a random prefix and
     every t above its last slot, as the walk's frame keeps it and as
-    _SlotSystem.reach finds it afresh, it never exceeds the size of a valid
-    set that extends P through a child P + (s,) with s >= t."""
+    brute_reach finds it from its definition, it never exceeds the size of
+    a valid set that extends P through a child P + (s,) with s >= t."""
     n = 2
     host = BlowupHost(H, n)
     L = len(host.slots())
@@ -1135,7 +1137,7 @@ def test_reach_never_passes_a_completion(H, require_free):
             probe = _probe(frame)
             for t in range(top + 1, L):
                 reach = m + max(1, sys_.settle(masks, probe, t))
-                assert reach == sys_.reach(masks, frame.uncovered, frame.open_, t, m)
+                assert reach == brute_reach(host, masks, frame.uncovered, frame.open_, t, m)
                 sizes = [D.bit_count() for D in above if (D ^ chosen) & (1 << t) - 1 == 0]
                 if sizes:
                     assert reach <= min(sizes), (prefix[:m], t)
@@ -1185,14 +1187,14 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
                 settled = frame.uncovered | frame.open_ & (1 << t) - 1
                 # the frame moved up to t, and the child derived from it
                 # before or after the move
-                assert sys_.settle(masks, probe, t) == sys_.need(masks, settled)
+                assert sys_.settle(masks, probe, t) == brute_need(host, masks, settled)
                 assert probe.lack == every_vertex(masks, settled)
                 sys_.flip(masks, 1 << t)
                 left = sys_.settled_uncovered(masks, frame, t)
                 lack = sys_.child_lack(masks, frame, left, t)
                 assert lack == sys_.child_lack(masks, probe, left, t)
                 assert lack == every_vertex(masks, left)
-                assert sys_.total(lack) == sys_.need(masks, left)
+                assert sys_.total(lack) == brute_need(host, masks, left)
                 was = stand[1]
                 reason, _, siblings = sys_.cut(
                     masks, stand, require_free, frame, chosen, left, t, L + m
@@ -1217,15 +1219,15 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
     # saturation leaves no child when every slot closes a copy on its own
     assert checked > 0 or require_free and not _start(sys_, H, n)[1].open_
 
-    group = solve._symmetry_group(sys_)
+    group = symmetry._symmetry_group(host)
     if group is None:
         return
     rows = _rows(group)
     for trial in range(10):
         leader = _random_lex_leader(rows, L, rng.randrange(1, L + 1), rng)
-        state = solve._root_leader(group)
+        state = symmetry._root_leader(group)
         for d in range(1, len(leader) + 1):
-            state = solve._child_leader(group, state, leader[:d])
+            state = symmetry._child_leader(group, state, leader[:d])
             if rng.random() < 0.5:
                 continue  # left unread, so a later read walks further up
             for y in rng.sample(range(L), rng.randrange(L + 1)):
@@ -1279,7 +1281,7 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
                 )
                 graph = solve._build_masks(H.vertex_count, n, ())
                 sys_.flip(graph, chosen)
-                want = min(want, d + max(1, sys_.need(graph, settled)))
+                want = min(want, d + max(1, brute_need(host, graph, settled)))
         seen.append(tuple(path) + (_lowest(stack[-1].todo),))
         seen.append(open_bound(walk_sys, masks, path, stack))
         assert seen[-1] == want
@@ -1349,14 +1351,14 @@ def test_m_3_3():
 
 
 def test_m_4_3():
-    result = solve._m_search(4, 3, None, None, prune=False)
+    result = mvalue._m_search(4, 3, None, None, prune=False)
     assert result.value == 6
     assert result.nodes_explored == 622
     _check_m_witness(result)
 
 
 def test_m_4_4():
-    result = solve._m_search(4, 4, None, None, prune=False)
+    result = mvalue._m_search(4, 4, None, None, prune=False)
     assert result.value == 6
     assert result.nodes_explored == 387
     _check_m_witness(result)
@@ -1401,7 +1403,7 @@ def test_m_value_is_pinned(r, s, value, nodes, sizes, witness):
 
 @pytest.mark.parametrize("r, s, value, nodes, sizes, witness", M_PINS[:3])
 def test_m_value_reference_path_finds_the_same_witness(r, s, value, nodes, sizes, witness):
-    result = solve._m_search(r, s, None, None, prune=False)
+    result = mvalue._m_search(r, s, None, None, prune=False)
     assert result.value == value and result.nodes_explored > nodes
     assert result.witness.part_sizes == sizes
     assert _m_edge_string(result.witness) == witness
@@ -1422,7 +1424,7 @@ def _small_partitions(r, most_slots=14):
     while True:
         found = [
             sizes
-            for sizes in solve._partitions(total, r)
+            for sizes in mvalue._partitions(total, r)
             if len(brute_m_slots(sizes)) <= most_slots
         ]
         if not found:
@@ -1435,10 +1437,10 @@ def _small_partitions(r, most_slots=14):
 @pytest.mark.parametrize("prune", [True, False])
 def test_m_search_matches_brute_force(r, s, prune):
     for sizes in _small_partitions(r):
-        edges = solve._m_search_partition(sizes, s, prune=prune)
+        edges = mvalue._m_search_partition(sizes, s, prune=prune)
         assert (edges is not None) == brute_m_feasible(sizes, s), sizes
         if edges is not None:
-            w = solve.MultipartiteGraph(sizes, edges)
+            w = mvalue.MultipartiteGraph(sizes, edges)
             assert not w.has_clique(s)
             for parts in itertools.combinations(range(1, r + 1), s - 1):
                 assert w.parts_have_transversal_clique(parts)
@@ -1453,7 +1455,7 @@ def test_m_cut_never_drops_a_covered_completion(sizes, s):
     state.  The carried free slots equal their definition, the cut leaves
     the graph as it was, and whenever the cut fires no covered K_s-free set
     agrees with the prefix up to its last slot."""
-    part = solve._MPartition(sizes, s)
+    part = mvalue._MPartition(sizes, s)
     L = part.L
     assert part.L == len(brute_m_slots(sizes))
     cliques = [c for masks in brute_m_cliques(sizes, s).values() for c in masks]
@@ -1487,24 +1489,24 @@ def _check_m_stats(result):
     rows = result.stats["vertex_counts"]
     assert [row["vertices"] for row in rows] == list(range(result.r, result.r + len(rows)))
     for row in rows:
-        assert set(row["cuts"]) == set(solve._M_CUT_REASONS)
+        assert set(row["cuts"]) == set(mvalue._M_CUT_REASONS)
         assert row["candidates"] == row["nodes"] + sum(row["cuts"].values()), row
         assert 0 <= row["partitions"] <= row["nodes"]
     assert sum(row["nodes"] for row in rows) == result.nodes_explored
     assert result.stats["cuts"] == {
-        reason: sum(row["cuts"][reason] for row in rows) for reason in solve._M_CUT_REASONS
+        reason: sum(row["cuts"][reason] for row in rows) for reason in mvalue._M_CUT_REASONS
     }
 
 
 @pytest.mark.parametrize("r, s", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 5)])
 @pytest.mark.parametrize("prune", [True, False])
 def test_m_stats_account_for_every_candidate(r, s, prune):
-    result = solve._m_search(r, s, None, None, prune=prune)
+    result = mvalue._m_search(r, s, None, None, prune=prune)
     _check_m_stats(result)
     rows = result.stats["vertex_counts"]
     assert len(rows) == result.value - r + 1  # stops at the witness
     for row in rows[:-1]:  # every split of a vertex count below the value
-        assert row["partitions"] == len(list(solve._partitions(row["vertices"], r)))
+        assert row["partitions"] == len(list(mvalue._partitions(row["vertices"], r)))
     if not prune:
         assert result.stats["cuts"]["uncoverable"] == 0
     elif r > 3:
@@ -1608,7 +1610,7 @@ def test_kr_sat_bounds_validation():
     ],
 )
 def test_pattern_automorphisms_match_brute_force(H):
-    assert solve._pattern_automorphisms(H) == brute_automorphisms(H)
+    assert symmetry._pattern_automorphisms(H) == brute_automorphisms(H)
 
 
 @pytest.mark.parametrize("shape, count", [("path", 2), ("cycle", 20)])
@@ -1617,6 +1619,6 @@ def test_pattern_automorphisms_of_ten_vertices_are_quick(shape, count):
     text = f"pattern 10 {len(edges)}\n" + "".join(f"e {i} {j}\n" for i, j in edges)
     H = parse_pattern(text)
     start = time.perf_counter()
-    auts = solve._pattern_automorphisms(H)
+    auts = symmetry._pattern_automorphisms(H)
     assert time.perf_counter() - start < 0.5
     assert len(auts) == count
