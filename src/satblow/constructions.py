@@ -23,7 +23,6 @@ from typing import Optional
 from .core import (
     BlowupHost,
     PartiteGraph,
-    PartiteVertex,
     PatternGraph,
     is_two_connected,
 )
@@ -89,13 +88,11 @@ def k4_construction(n: int) -> PartiteGraph:
     if n == 2:
         _warn_range("k4_construction(2) is outside the verified saturation range n >= 3")
     host = BlowupHost(PatternGraph.complete(4), n)
-    edges = [
-        (PartiteVertex(i, a), PartiteVertex(j, b)) for (i, a), (j, b) in _K4_CORE
-    ]
+    edges = list(_K4_CORE)
     for part, anchors in _K4_ATTACH.items():
         for index in range(3, n + 1):
-            u = PartiteVertex(part, index)
-            edges.extend((u, PartiteVertex(p, t)) for p, t in anchors)
+            u = (part, index)
+            edges.extend((u, (p, t)) for p, t in anchors)
     G = PartiteGraph(host, edges)
     assert G.edge_count() == want
     return G
@@ -122,7 +119,7 @@ def star_construction(r: int, n: int) -> PartiteGraph:
     host = BlowupHost(PatternGraph.star(r), n)
     rng = range(1, n + 1)
     edges = [
-        (PartiteVertex(1, a), PartiteVertex(leaf, b))
+        ((1, a), (leaf, b))
         for leaf in range(2, r + 1)
         for a in rng
         for b in rng
@@ -188,11 +185,11 @@ def path_construction(r: int, n: int) -> PartiteGraph:
         a_here, a_next = sizes[i], sizes[i + 1]
         for a in range(1, a_here + 1):
             edges.extend(
-                (PartiteVertex(i, a), PartiteVertex(i + 1, b)) for b in range(1, a_next + 1)
+                ((i, a), (i + 1, b)) for b in range(1, a_next + 1)
             )
         for a in range(a_here + 1, n + 1):
             edges.extend(
-                (PartiteVertex(i, a), PartiteVertex(i + 1, b)) for b in range(1, n + 1)
+                ((i, a), (i + 1, b)) for b in range(1, n + 1)
             )
     G = PartiteGraph(host, edges)
     assert G.edge_count() == want
@@ -232,7 +229,7 @@ def two_connected_stages(pattern: PatternGraph, n: int) -> tuple[PartiteGraph, P
         for u, w in pattern.edges:
             if u in (i, j) or w in (i, j):
                 continue
-            g1_edges.append((PartiteVertex(u, k), PartiteVertex(w, k)))
+            g1_edges.append(((u, k), (w, k)))
     G1 = PartiteGraph(host, g1_edges)
 
     g2_edges = list(g1_edges)
@@ -243,7 +240,7 @@ def two_connected_stages(pattern: PatternGraph, n: int) -> tuple[PartiteGraph, P
                 if u in (i, j):
                     continue
                 g2_edges.extend(
-                    (PartiteVertex(u, k), PartiteVertex(center, b)) for b in outside
+                    ((u, k), (center, b)) for b in outside
                 )
     G2 = PartiteGraph(host, g2_edges)
     return G1, G2
@@ -301,8 +298,8 @@ def generic_exsat_construction(pattern: PatternGraph, n: int) -> PartiteGraph:
     edges = set()
     for i, j in pattern.edges:
         for b in range(1, n + 1):
-            edges.add((PartiteVertex(i, 1), PartiteVertex(j, b)))
-            edges.add((PartiteVertex(i, b), PartiteVertex(j, 1)))
+            edges.add(((i, 1), (j, b)))
+            edges.add(((i, b), (j, 1)))
     G = PartiteGraph(host, edges)
     assert G.edge_count() == want
     return G
@@ -329,7 +326,7 @@ def tree_exsat_construction(tree: PatternGraph, n: int) -> PartiteGraph:
         )
     host = BlowupHost(tree, n)
     edges = [
-        (PartiteVertex(i, k), PartiteVertex(j, k))
+        ((i, k), (j, k))
         for k in range(1, n + 1)
         for i, j in tree.edges
     ]

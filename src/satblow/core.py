@@ -164,13 +164,14 @@ class BlowupHost:
     bundles along pattern edges.  Carries no edge set of its own; subgraphs
     live in PartiteGraph."""
 
-    __slots__ = ("pattern", "n", "_slots", "_ends0")
+    __slots__ = ("pattern", "n", "_vertex", "_slots", "_ends0")
 
     def __init__(self, pattern: PatternGraph, n: int):
         if n < 1:
             raise ValueError("blow-up needs n >= 1")
         self.pattern = pattern
         self.n = n
+        self._vertex: Optional[tuple[tuple[PartiteVertex, ...], ...]] = None
         self._slots: Optional[tuple[Slot, ...]] = None
         self._ends0: Optional[tuple[tuple[int, int, int, int], ...]] = None
 
@@ -182,9 +183,17 @@ class BlowupHost:
         return self.pattern.edge_count() * self.n * self.n
 
     def vertices(self) -> Iterator[PartiteVertex]:
-        for part in self.pattern.vertices:
-            for index in range(1, self.n + 1):
-                yield PartiteVertex(part, index)
+        for part in self._vertex_table():
+            yield from part
+
+    def _vertex_table(self) -> tuple[tuple[PartiteVertex, ...], ...]:
+        """The vertices by 0-based part and index: _vertex_table()[p][a] is
+        PartiteVertex(p + 1, a + 1).  Slots and graph edges are built from
+        these objects, so a host holds one object per vertex."""
+        if self._vertex is None:
+            rng = range(1, self.n + 1)
+            self._vertex = tuple(tuple(PartiteVertex(p, a) for a in rng) for p in self.pattern.vertices)
+        return self._vertex
 
     def contains_vertex(self, u: PartiteVertex) -> bool:
         return 1 <= u.part <= self.pattern.vertex_count and 1 <= u.index <= self.n
@@ -199,8 +208,7 @@ class BlowupHost:
     def slots(self) -> tuple[Slot, ...]:
         """All edge slots in lexicographic order on (part, index) endpoint pairs."""
         if self._slots is None:
-            rng = range(1, self.n + 1)
-            vertex = [[PartiteVertex(p, a) for a in rng] for p in self.pattern.vertices]
+            vertex = self._vertex_table()
             self._slots = tuple((vertex[p][a], vertex[q][b]) for p, a, q, b in self.ends0())
         return self._slots
 
@@ -257,25 +265,10 @@ class PartiteSelection:
         return tuple(PartiteVertex(p + 1, a) for p, a in enumerate(self.indices))
 
 
-def _normalize_edge(host: BlowupHost, edge) -> Slot:
-    (ip, ia), (jp, jb) = edge
-    u = PartiteVertex(int(ip), int(ia))
-    v = PartiteVertex(int(jp), int(jb))
-    if v < u:
-        u, v = v, u
-    if not host.is_allowed_slot(u, v):
-        raise ValueError(f"edge {u}-{v} is not an allowed slot of this host")
-    return (u, v)
-
-
-def _build_masks(v: int, n: int, edges0) -> list[list[list[int]]]:
-    """Adjacency bitmasks: masks[p][a][q] has bit b set when (p+1,a+1)-(q+1,b+1)
-    is an edge.  All arguments 0-based."""
-    masks = [[[0] * v for _ in range(n)] for _ in range(v)]
-    for (p, a), (q, b) in edges0:
-        masks[p][a][q] |= 1 << b
-        masks[q][b][p] |= 1 << a
-    return masks
+def _empty_masks(v: int, n: int) -> list[list[list[int]]]:
+    """The adjacency bitmasks of the empty graph on v parts of size n:
+    masks[p][a][q] has bit b set when (p+1,a+1)-(q+1,b+1) is an edge."""
+    return [[[0] * v for _ in range(n)] for _ in range(v)]
 
 
 class PartiteGraph:
@@ -284,13 +277,29 @@ class PartiteGraph:
     __slots__ = ("host", "edges", "_masks")
 
     def __init__(self, host: BlowupHost, edges: Iterable = ()):
+        """edges: pairs of 1-based (part, index) endpoints, either end first;
+        a repeat is kept once.  One pass checks each edge on ints and fills
+        the masks."""
+        pattern, n = host.pattern, host.n
+        allowed = pattern.edges
+        vertex = host._vertex_table()
+        masks = _empty_masks(pattern.vertex_count, n)
+        kept = []
+        for (i, a), (j, b) in edges:
+            i, a, j, b = int(i), int(a), int(j), int(b)
+            if j < i or (j == i and b < a):
+                i, a, j, b = j, b, i, a
+            # every pattern edge (i, j) has 1 <= i < j <= v, so this test
+            # also refuses a part out of range and two ends in one part
+            if (i, j) not in allowed or not (0 < a <= n and 0 < b <= n):
+                raise ValueError(f"edge {i}.{a}-{j}.{b} is not an allowed slot of this host")
+            i, a, j, b = i - 1, a - 1, j - 1, b - 1
+            kept.append((vertex[i][a], vertex[j][b]))
+            masks[i][a][j] |= 1 << b
+            masks[j][b][i] |= 1 << a
         self.host = host
-        self.edges = frozenset(_normalize_edge(host, e) for e in edges)
-        self._masks = _build_masks(
-            host.pattern.vertex_count,
-            host.n,
-            (((u.part - 1, u.index - 1), (v.part - 1, v.index - 1)) for u, v in self.edges),
-        )
+        self.edges = frozenset(kept)
+        self._masks = masks
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -301,13 +310,13 @@ class PartiteGraph:
         return (u, v) in self.edges or (v, u) in self.edges
 
     def with_edge(self, u, v) -> "PartiteGraph":
-        e = _normalize_edge(self.host, (u, v))
+        e = _slot(self.host, u, v)
         if e in self.edges:
             return self
         return PartiteGraph(self.host, self.edges | {e})
 
     def without_edge(self, u, v) -> "PartiteGraph":
-        e = _normalize_edge(self.host, (u, v))
+        e = _slot(self.host, u, v)
         if e not in self.edges:
             return self
         return PartiteGraph(self.host, self.edges - {e})
@@ -333,6 +342,13 @@ class PartiteGraph:
         return f"PartiteGraph({self.host!r}, {len(self.edges)} edges)"
 
 
+def _slot(host: BlowupHost, u, v) -> Slot:
+    """The slot u-v as host.slots() holds it, checked as PartiteGraph
+    checks an edge."""
+    (e,) = PartiteGraph(host, ((u, v),)).edges
+    return e
+
+
 def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
     """The complete blow-up H[n]: every slot of every bundle is an edge."""
     host = BlowupHost(pattern, n)
@@ -355,11 +371,12 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # through every b' that all of q's other neighbours in it meet, so those
 # non-edges need no search of their own.
 # Counting, pinned the same way (count_copies_through): the product of the
-# counts of the plan's components, each counted by _tally.  An unpinned count
-# is the sum of pinned counts over the present slots of one bundle, since
-# every copy uses exactly one slot of each bundle.  The unpinned lex-least
-# copy (_find) runs _extend on one component that places the parts in
-# ascending order, so that the first copy it meets is the least.
+# counts of the plan's components, each counted by _tally.  Every copy uses
+# exactly one slot of each bundle, so an unpinned count is the sum of pinned
+# counts over the present slots of one bundle (_sparsest_bundle), and
+# has_partite_copy asks _closes_copy of those slots.  The lex-least copy
+# (_find) runs _extend on one component that places the parts in ascending
+# order, so that the first copy it meets is the least.
 # --------------------------------------------------------------------------
 
 
@@ -541,10 +558,14 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
     k = 0  # the index of the current row's first slot
     for p, adj in enumerate(pattern._adj0):
         ups = [q for q in adj if q > p]
-        if k + n * n * len(ups) <= start:
-            k += n * n * len(ups)
+        width = n * len(ups)  # the slots of one vertex (p, a)
+        if k + n * width <= start:
+            k += n * width
             continue
-        for a in range(n):
+        # the scan starts at the first vertex of part p with a slot >= start
+        first = (start - k) // width if start > k else 0
+        k += first * width
+        for a in range(first, n):
             row = masks[p][a]
             chosen[p] = a
             for q in ups:
@@ -637,18 +658,21 @@ def _through(masks, plan, chosen: list[int], full: int) -> int:
     return total
 
 
+def _sparsest_bundle(pattern: PatternGraph, masks) -> tuple[int, int]:
+    """The pattern edge (p, q), 0-based, p < q, whose bundle holds the
+    fewest edges, the least on a tie: the fewest slots to pin."""
+    return min(
+        ((i - 1, j - 1) for i, j in sorted(pattern.edges)),
+        key=lambda e: sum(row[e[1]].bit_count() for row in masks[e[0]]),
+    )
+
+
 def count_partite_copies(G: PartiteGraph) -> int:
     """Exact number of partite copies of the pattern inside G."""
     pattern, n, masks = G.host.pattern, G.host.n, G._masks
     if not pattern.edges:
         return n ** pattern.vertex_count
-    # every copy uses exactly one slot of each bundle, so the through-counts
-    # of the present slots of any one bundle sum to the total; the sparsest
-    # bundle has the fewest slots to pin
-    p, q = min(
-        ((i - 1, j - 1) for i, j in sorted(pattern.edges)),
-        key=lambda e: sum(row[e[1]].bit_count() for row in masks[e[0]]),
-    )
+    p, q = _sparsest_bundle(pattern, masks)
     plan = pattern._plan(p, q)[0]
     chosen = [0] * pattern.vertex_count
     full = (1 << n) - 1
@@ -665,7 +689,20 @@ def count_partite_copies(G: PartiteGraph) -> int:
 
 
 def has_partite_copy(G: PartiteGraph) -> bool:
-    return _find(G.host.pattern, G.host.n, G._masks) is not None
+    """Does G hold a partite copy?  Asks _closes_copy of the present slots
+    of the sparsest bundle, and stops at the first that closes one."""
+    pattern, n, masks = G.host.pattern, G.host.n, G._masks
+    if not pattern.edges:
+        return True
+    p, q = _sparsest_bundle(pattern, masks)
+    for a, row in enumerate(masks[p]):
+        bits = row[q]
+        while bits:
+            bit = bits & -bits
+            if _closes_copy(pattern, n, masks, p, a, q, bit.bit_length() - 1):
+                return True
+            bits ^= bit
+    return False
 
 
 def find_partite_copy(G: PartiteGraph) -> Optional[PartiteSelection]:
@@ -720,11 +757,10 @@ def creates_copy_through(G: PartiteGraph, u, v) -> bool:
 
 
 def degree(G: PartiteGraph, v) -> int:
-    v = PartiteVertex(*v)
-    if not G.host.contains_vertex(v):
-        raise ValueError(f"{v} is not a vertex of this host")
-    row = G._masks[v.part - 1][v.index - 1]
-    return sum(m.bit_count() for m in row)
+    part, index = PartiteVertex(*v)
+    if not (1 <= part <= G.host.pattern.vertex_count and 1 <= index <= G.host.n):
+        raise ValueError(f"{part}.{index} is not a vertex of this host")
+    return sum(m.bit_count() for m in G._masks[part - 1][index - 1])
 
 
 def min_degree_per_part(G: PartiteGraph) -> list[int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from .core import BlowupHost, PartiteGraph, PartiteVertex, PatternGraph
+from .core import BlowupHost, PartiteGraph, PatternGraph
 
 # Header caps, checked before anything is built from a header.  A blow-up
 # graph holds one adjacency mask per vertex and part, parts * size * parts
@@ -39,12 +39,9 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str):
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield ln, stripped
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a comment."""
+    return [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#"]
 
 
 def _int_field(ln: int, token: str, what: str) -> int:
@@ -59,7 +56,7 @@ def _header(text: str, form: str, prefix: str, *more: str) -> tuple[list, list[i
     which must read `form`: the pattern's vertex and edge counts, checked
     here, then one field per name of `more`.  prefix leads the counts'
     names in messages."""
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise FormatError(1, f"empty file, expected a '{form}' header")
     ln, header = lines[0]
@@ -134,39 +131,57 @@ def parse_blowup_graph(text: str) -> PartiteGraph:
         )
     if len(lines) - 1 < e:
         raise FormatError(ln, f"header promises {e} pattern edges but file ends early")
-    host = BlowupHost(_pattern(lines[1 : 1 + e], v, "p", "pattern "), n)
-    edges = set()
+    pattern = _pattern(lines[1 : 1 + e], v, "p", "pattern ")
+    allowed = pattern.edges
+    edges = []
+    seen = set()
     for ln, line in lines[1 + e :]:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "e":
             raise FormatError(ln, f"expected 'e <i>.<a> <j>.<b>', got {line!r}")
-        pi, ai = _parse_endpoint(ln, tokens[1])
-        pj, bj = _parse_endpoint(ln, tokens[2])
-        u = PartiteVertex(pi, ai)
-        w = PartiteVertex(pj, bj)
-        if not host.contains_vertex(u):
+        try:
+            pi, ai = tokens[1].split(".")
+            pj, bj = tokens[2].split(".")
+            pi, ai, pj, bj = int(pi), int(ai), int(pj), int(bj)
+        except ValueError:  # _parse_endpoint says which field is at fault
+            pi, ai = _parse_endpoint(ln, tokens[1])
+            pj, bj = _parse_endpoint(ln, tokens[2])
+        if not (1 <= pi <= v and 1 <= ai <= n):
             raise FormatError(ln, f"endpoint {pi}.{ai} out of range ({v} parts of size {n})")
-        if not host.contains_vertex(w):
+        if not (1 <= pj <= v and 1 <= bj <= n):
             raise FormatError(ln, f"endpoint {pj}.{bj} out of range ({v} parts of size {n})")
-        if not host.is_allowed_slot(u, w):
+        if (pi, pj) not in allowed and (pj, pi) not in allowed:
             raise FormatError(
                 ln, f"slot {pi}.{ai} {pj}.{bj} is not allowed, parts {pi} and {pj} are not pattern-adjacent"
             )
-        key = (u, w) if u < w else (w, u)
-        if key in edges:
+        key = (pi, ai, pj, bj) if pi < pj else (pj, bj, pi, ai)
+        if key in seen:
             raise FormatError(ln, f"duplicate edge {pi}.{ai} {pj}.{bj}")
-        edges.add(key)
-    return PartiteGraph(host, edges)
+        seen.add(key)
+        edges.append(((pi, ai), (pj, bj)))
+    return PartiteGraph(BlowupHost(pattern, n), edges)
 
 
 def dump_blowup_graph(G: PartiteGraph, comment: str | None = None) -> str:
-    pattern = G.host.pattern
+    """The .pbg text of G.  Edge lines come off the mask rows in the order
+    of host.ends0(), which is the order of G.sorted_edges()."""
+    pattern, n = G.host.pattern, G.host.n
     lines = []
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"blowup {pattern.vertex_count} {pattern.edge_count()} {G.host.n}")
+    lines.append(f"blowup {pattern.vertex_count} {pattern.edge_count()} {n}")
     lines.extend(f"p {i} {j}" for i, j in sorted(pattern.edges))
-    lines.extend(f"e {u} {v}" for u, v in G.sorted_edges())
+    names = [[f"{p}.{a}" for a in range(1, n + 1)] for p in pattern.vertices]
+    for p, adj in enumerate(pattern._adj0):
+        ups = [q for q in adj if q > p]
+        for a, row in enumerate(G._masks[p]):
+            head = f"e {names[p][a]} "
+            for q in ups:
+                bits = row[q]
+                while bits:
+                    bit = bits & -bits
+                    lines.append(head + names[q][bit.bit_length() - 1])
+                    bits ^= bit
     return "\n".join(lines) + "\n"
 
 

@@ -173,8 +173,8 @@ from .core import (
     BlowupHost,
     PartiteGraph,
     PatternGraph,
-    _build_masks,
     _closes_copy,
+    _empty_masks,
     first_uncovered_slot,
     has_partite_copy,
 )
@@ -690,7 +690,7 @@ def _exact_minimum(
     sys_ = _SlotSystem(host)
     L = sys_.L
     group = _symmetry_group(host) if use_symmetry else None
-    masks = _build_masks(pattern.vertex_count, n, ())
+    masks = _empty_masks(pattern.vertex_count, n)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
     best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
@@ -700,7 +700,7 @@ def _exact_minimum(
     path: list[int] = []
     chosen = 0
     stack: list[_Frame] = []
-    stand = [_build_masks(pattern.vertex_count, n, ()), 0]
+    stand = [_empty_masks(pattern.vertex_count, n), 0]
     every = (1 << L) - 1
 
     def expand(top: int, frame: _Frame) -> None:

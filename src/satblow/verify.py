@@ -33,10 +33,9 @@ from .core import (
     PartiteVertex,
     PatternGraph,
     count_partite_copies,
-    degree,
     find_partite_copy,
     first_uncovered_slot,
-    min_degree_per_part,
+    has_partite_copy,
 )
 
 NonEdge = tuple[PartiteVertex, PartiteVertex]
@@ -68,11 +67,12 @@ class Verdict:
 
 
 def is_partite_free(G: PartiteGraph) -> Verdict:
-    """OK iff G has no partite copy; otherwise the least copy is the witness."""
-    copy = find_partite_copy(G)
-    if copy is None:
+    """OK iff G has no partite copy; otherwise the least copy is the witness.
+    Existence is asked first, pinned; only a graph with a copy pays for the
+    unpinned search of the least one."""
+    if not has_partite_copy(G):
         return Verdict(VerdictStatus.OK, baseline_count=0)
-    return Verdict(VerdictStatus.NOT_FREE, witness=copy)
+    return Verdict(VerdictStatus.NOT_FREE, witness=find_partite_copy(G))
 
 
 def _first_uncovered_non_edge(G: PartiteGraph) -> Optional[NonEdge]:
@@ -124,41 +124,40 @@ def _is_k4(pattern: PatternGraph) -> bool:
     return pattern.vertex_count == 4 and pattern.edge_count() == 6
 
 
-def _neighbors_of(G: PartiteGraph, v: PartiteVertex) -> list[PartiteVertex]:
-    out = []
-    row = G._masks[v.part - 1][v.index - 1]
-    for q, mask in enumerate(row):
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out.append(PartiteVertex(q + 1, bit.bit_length()))
-    return sorted(out)
+def _degrees(G: PartiteGraph) -> list[list[int]]:
+    """deg[p][a] is the degree of vertex (p+1, a+1), read off its mask row."""
+    return [[sum(m.bit_count() for m in row) for row in part] for part in G._masks]
 
 
-def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex) -> tuple[bool, str]:
-    nbrs = _neighbors_of(G, v)
-    parts = sorted(u.part for u in nbrs)
-    counts = sorted((parts.count(p) for p in set(parts)), reverse=True)
+def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex, deg: list[list[int]]) -> tuple[bool, str]:
+    """The degree-4 neighbourhood facts at v, read from G's masks and the
+    degree table deg of _degrees."""
+    masks = G._masks
+    row = masks[v.part - 1][v.index - 1]
+    # (part, index) 0-based, in sorted order
+    nbrs = [(q, b) for q, mask in enumerate(row) for b in range(mask.bit_length()) if mask >> b & 1]
+    counts = sorted((m.bit_count() for m in row if m), reverse=True)
     if counts != [2, 1, 1]:
         return False, f"neighbor part profile {counts} is not [2, 1, 1]"
-    induced = [
-        (x, y) for k, x in enumerate(nbrs) for y in nbrs[k + 1 :] if G.has_edge(x, y)
-    ]
-    if len(induced) != 3:
-        return False, f"neighborhood induces {len(induced)} edges, a path needs 3"
-    deg = {u: 0 for u in nbrs}
-    for x, y in induced:
-        deg[x] += 1
-        deg[y] += 1
-    if sorted(deg.values()) != [1, 1, 2, 2]:
+    ends = [0] * len(nbrs)  # each neighbour's degree inside the neighbourhood
+    induced = 0
+    for k, (p, a) in enumerate(nbrs):
+        for m, (q, b) in enumerate(nbrs[k + 1 :], start=k + 1):
+            if masks[p][a][q] >> b & 1:
+                induced += 1
+                ends[k] += 1
+                ends[m] += 1
+    if induced != 3:
+        return False, f"neighborhood induces {induced} edges, a path needs 3"
+    if sorted(ends) != [1, 1, 2, 2]:
         return False, "neighborhood edges do not form a path"
-    ends = [u for u, d in deg.items() if d == 1]
-    if ends[0].part != ends[1].part:
-        return False, f"induced path ends {ends[0]} and {ends[1]} lie in different parts"
+    x, y = (PartiteVertex(p + 1, a + 1) for (p, a), d in zip(nbrs, ends) if d == 1)
+    if x.part != y.part:
+        return False, f"induced path ends {x} and {y} lie in different parts"
     n = G.host.n
-    weak = [u for u in nbrs if degree(G, u) < n - 2]
-    if weak:
-        return False, f"neighbor {weak[0]} has degree {degree(G, weak[0])} < n - 2"
+    for p, a in nbrs:
+        if deg[p][a] < n - 2:
+            return False, f"neighbor {p + 1}.{a + 1} has degree {deg[p][a]} < n - 2"
     return True, ""
 
 
@@ -201,6 +200,7 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
             for name in _K4_LEMMAS
         ]
     n = G.host.n
+    deg = _degrees(G)
     checks: list[LemmaCheck] = []
 
     if n < 2:
@@ -208,7 +208,7 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
     else:
         bad = None
         for v in G.host.vertices():
-            if degree(G, v) < 4:
+            if deg[v.part - 1][v.index - 1] < 4:
                 bad = v
                 break
         if bad is None:
@@ -219,7 +219,7 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
                     "min_degree_4",
                     "fail",
                     counterexample=bad,
-                    note=f"degree {degree(G, bad)}",
+                    note=f"degree {deg[bad.part - 1][bad.index - 1]}",
                 )
             )
 
@@ -231,9 +231,9 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
         bad = None
         why = ""
         for v in G.host.vertices():
-            if degree(G, v) != 4:
+            if deg[v.part - 1][v.index - 1] != 4:
                 continue
-            ok, why = _degree4_profile_ok(G, v)
+            ok, why = _degree4_profile_ok(G, v, deg)
             if not ok:
                 bad = v
                 break
@@ -249,7 +249,7 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
             LemmaCheck("few_min_degree_4_parts", "not_applicable", note="needs n >= 22")
         )
     else:
-        mins = min_degree_per_part(G)
+        mins = [min(part) for part in deg]
         parts4 = [p + 1 for p, d in enumerate(mins) if d == 4]
         if len(parts4) <= 2:
             checks.append(LemmaCheck("few_min_degree_4_parts", "pass"))

@@ -303,3 +303,95 @@ def _free_set_counts(copies, L):
         if not any(c & chosen == c for c in copies):
             counts[chosen.bit_count()] += 1
     return counts
+
+
+# --------------------------------------------------------------------------
+# graph building and the .pbg round trip, the way they were written before
+# both moved onto ints: every edge normalised through PartiteVertex and
+# BlowupHost.is_allowed_slot, every "e" line checked through
+# contains_vertex, and the edge lines dumped from sorted_edges().
+
+
+def ref_edge_set(host, edges):
+    """The edge set PartiteGraph(host, edges) holds; raises ValueError with
+    the same text on the first edge that is not an allowed slot."""
+    out = set()
+    for (ip, ia), (jp, jb) in edges:
+        u = PartiteVertex(int(ip), int(ia))
+        v = PartiteVertex(int(jp), int(jb))
+        if v < u:
+            u, v = v, u
+        if not host.is_allowed_slot(u, v):
+            raise ValueError(f"edge {u}-{v} is not an allowed slot of this host")
+        out.add((u, v))
+    return frozenset(out)
+
+
+def ref_masks(host, edge_set):
+    """masks[p][a][q] with bit b set for each edge (p+1,a+1)-(q+1,b+1)."""
+    v, n = host.pattern.vertex_count, host.n
+    masks = [[[0] * v for _ in range(n)] for _ in range(v)]
+    for x, y in edge_set:
+        masks[x.part - 1][x.index - 1][y.part - 1] |= 1 << (y.index - 1)
+        masks[y.part - 1][y.index - 1][x.part - 1] |= 1 << (x.index - 1)
+    return masks
+
+
+def ref_parse_blowup_graph(text):
+    """(host, edge set) of a .pbg text, or the FormatError the parser raises."""
+    from satblow.formats import (
+        _MAX_MASKS,
+        _MAX_PART_SIZE,
+        FormatError,
+        _header,
+        _parse_endpoint,
+        _pattern,
+    )
+
+    lines, (v, e, n) = _header(text, "blowup <vH> <eH> <n>", "pattern ", "part size")
+    ln = lines[0][0]
+    if n < 1:
+        raise FormatError(ln, f"part size must be positive, got {n}")
+    if n > _MAX_PART_SIZE:
+        raise FormatError(ln, f"part size {n} is above the cap of {_MAX_PART_SIZE}")
+    if v * v * n > _MAX_MASKS:
+        raise FormatError(
+            ln, f"{v} parts of size {n} need {v * v * n} masks, above the cap of {_MAX_MASKS}"
+        )
+    if len(lines) - 1 < e:
+        raise FormatError(ln, f"header promises {e} pattern edges but file ends early")
+    host = BlowupHost(_pattern(lines[1 : 1 + e], v, "p", "pattern "), n)
+    edges = set()
+    for ln, line in lines[1 + e :]:
+        tokens = line.split()
+        if len(tokens) != 3 or tokens[0] != "e":
+            raise FormatError(ln, f"expected 'e <i>.<a> <j>.<b>', got {line!r}")
+        pi, ai = _parse_endpoint(ln, tokens[1])
+        pj, bj = _parse_endpoint(ln, tokens[2])
+        u = PartiteVertex(pi, ai)
+        w = PartiteVertex(pj, bj)
+        if not host.contains_vertex(u):
+            raise FormatError(ln, f"endpoint {pi}.{ai} out of range ({v} parts of size {n})")
+        if not host.contains_vertex(w):
+            raise FormatError(ln, f"endpoint {pj}.{bj} out of range ({v} parts of size {n})")
+        if not host.is_allowed_slot(u, w):
+            raise FormatError(
+                ln, f"slot {pi}.{ai} {pj}.{bj} is not allowed, parts {pi} and {pj} are not pattern-adjacent"
+            )
+        key = (u, w) if u < w else (w, u)
+        if key in edges:
+            raise FormatError(ln, f"duplicate edge {pi}.{ai} {pj}.{bj}")
+        edges.add(key)
+    return host, frozenset(edges)
+
+
+def ref_dump_blowup_graph(G, comment=None):
+    """The .pbg text of G, its edge lines from G.sorted_edges()."""
+    pattern = G.host.pattern
+    lines = []
+    if comment:
+        lines.extend(f"# {c}" for c in comment.splitlines())
+    lines.append(f"blowup {pattern.vertex_count} {pattern.edge_count()} {G.host.n}")
+    lines.extend(f"p {i} {j}" for i, j in sorted(pattern.edges))
+    lines.extend(f"e {u} {v}" for u, v in G.sorted_edges())
+    return "\n".join(lines) + "\n"

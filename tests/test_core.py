@@ -29,7 +29,14 @@ from satblow import (
     selection_carries_pattern,
 )
 from satblow.core import _closes_copy, first_uncovered_slot
-from oracles import brute_count, brute_count_through, brute_find, per_slot_first_uncovered
+from oracles import (
+    brute_count,
+    brute_count_through,
+    brute_find,
+    per_slot_first_uncovered,
+    ref_edge_set,
+    ref_masks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +109,71 @@ def test_partite_graph_rejects_foreign_slots():
         PartiteGraph(host, [((1, 1), (3, 1))])  # parts 1,3 not pattern-adjacent
     with pytest.raises(ValueError):
         PartiteGraph(host, [((1, 1), (2, 3))])
+
+
+EDGE_PATTERNS = (
+    PatternGraph.path(3),
+    PatternGraph.complete(3),
+    PatternGraph.star(3),
+    PatternGraph.cycle(4),
+    PatternGraph(4, [(1, 3), (2, 3)]),  # part 4 isolated
+)
+
+
+def _random_edge(rng, host):
+    """A pair of endpoints, usually an allowed slot, else out of range,
+    inside one part or across parts that are not pattern-adjacent; either
+    end first, fields now and then as strings, rarely not a number."""
+    v, n = host.pattern.vertex_count, host.n
+    roll = rng.random()
+    if roll < 0.7:
+        u, w = rng.choice(host.slots())
+    elif roll < 0.8:
+        u, w = (rng.randint(-1, v + 1), rng.randint(-1, n + 1)), (rng.randint(-1, v + 1), rng.randint(-1, n + 1))
+    elif roll < 0.9:
+        p = rng.randint(1, v)
+        u, w = (p, rng.randint(1, n)), (p, rng.randint(1, n))
+    else:
+        p, q = rng.sample(range(1, v + 1), 2)
+        u, w = (p, rng.randint(1, n)), (q, rng.randint(1, n))
+    if rng.random() < 0.5:
+        u, w = w, u
+    if rng.random() < 0.1:
+        u, w = tuple(map(str, u)), tuple(map(str, w))
+    if rng.random() < 0.02:
+        u = ("x", u[1])
+    return (u, w)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_partite_graph_build_matches_the_reference_rules(seed):
+    """PartiteGraph's one-pass build against the PartiteVertex rules of
+    oracles.ref_edge_set: the same edge set, or the same ValueError text;
+    masks as the edge set gives them.  Inputs repeat edges, reverse them,
+    give string fields and go out of range, into one part or across parts
+    that are not adjacent."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        host = BlowupHost(rng.choice(EDGE_PATTERNS), rng.randint(1, 4))
+        edges = [_random_edge(rng, host) for _ in range(rng.randint(0, 12))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))  # repeats
+        rng.shuffle(edges)
+        got = _outcome(lambda: PartiteGraph(host, edges))
+        want = _outcome(lambda: ref_edge_set(host, edges))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.edges == want
+        assert got._masks == ref_masks(host, want)
+        u, w = _random_edge(rng, host)
+        assert _outcome(lambda: got.with_edge(u, w).edges) == _outcome(lambda: ref_edge_set(host, [*want, (u, w)]))
 
 
 def test_partite_graph_edge_interface():

@@ -1,10 +1,13 @@
+import random
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satblow import (
+    BlowupHost,
     FormatError,
     PartiteGraph,
     PatternGraph,
@@ -12,6 +15,7 @@ from satblow import (
     builtin_pattern,
     dump_blowup_graph,
     dump_pattern,
+    greedy_saturate,
     load_blowup_graph,
     load_pattern,
     parse_blowup_graph,
@@ -20,6 +24,8 @@ from satblow import (
     save_blowup_graph,
     save_pattern,
 )
+from satblow import constructions as cons
+from oracles import ref_dump_blowup_graph, ref_parse_blowup_graph
 
 
 def test_pattern_round_trip():
@@ -154,6 +160,103 @@ def test_dump_is_deterministic_and_sorted():
     a = dump_blowup_graph(G)
     b = dump_blowup_graph(PartiteGraph(G.host, reversed(G.sorted_edges())))
     assert a == b
+
+
+def _family_graphs():
+    """One or more graphs of every construction family, greedy fills and
+    an empty graph."""
+    P = PatternGraph
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cons.VerificationRangeWarning)
+        yield from (cons.k4_construction(n) for n in (2, 3, 7))
+        yield from (cons.star_construction(r, n) for r, n in ((2, 3), (4, 5)))
+        yield from (cons.path_construction(r, n) for r, n in ((4, 8), (5, 7)))
+        yield from cons.two_connected_stages(P.cycle(4), 5)
+        yield cons.two_connected_upper(P.complete(3), 4, 7)
+        yield from (cons.clique_exsat_construction(r, n) for r, n in ((3, 4), (4, 3)))
+        yield from (cons.generic_exsat_construction(H, 4) for H in (P.cycle(5), P.path(4)))
+        yield from (cons.tree_exsat_construction(H, 5) for H in (P.star(3), P.path(5)))
+    yield greedy_saturate(PartiteGraph(BlowupHost(P.cycle(5), 3)), 3)
+    yield PartiteGraph(BlowupHost(P(4, [(1, 3), (2, 3)]), 2))
+
+
+def test_dump_matches_the_sorted_edges_form_on_every_family():
+    for G in _family_graphs():
+        for comment in (None, "a note\nover two lines"):
+            text = dump_blowup_graph(G, comment)
+            assert text == ref_dump_blowup_graph(G, comment)
+            assert parse_blowup_graph(text) == G
+
+
+def _mutated_line(rng, line, v, n):
+    """An 'e' line changed in one way: ends swapped, one end out of range,
+    both ends in one part, ends in parts that may not be adjacent, or a
+    token that is not an endpoint; sometimes the line itself."""
+    try:
+        _, x, y = line.split()
+        (p, a), (q, b) = (map(int, t.split(".")) for t in (x, y))
+    except ValueError:  # mutated already
+        return line
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"e {y} {x}"
+    if kind == 1:
+        p = rng.choice((0, -1, v + 1))
+    elif kind == 2:
+        b = rng.choice((0, n + 1))
+    elif kind == 3:
+        q = p
+    elif kind == 4:
+        p, q = rng.randint(1, v), rng.randint(1, v)
+    elif kind == 5:
+        y = rng.choice(("1", "1.x", "x.1", "1.2.3", "1..2", ".", "+1.1", "1.-1"))
+        return f"e {x} {y}"
+    else:
+        return line
+    return f"e {p}.{a} {q}.{b}"
+
+
+def _parse_outcome(parse, text):
+    try:
+        got = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc), exc.line)
+    if isinstance(got, PartiteGraph):
+        return ("graph", got.host, got.edges)
+    return ("graph", *got)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_parse_of_mutated_texts_matches_the_reference_parser(seed):
+    """parse_blowup_graph on ints against oracles.ref_parse_blowup_graph on
+    PartiteVertex checks: the same graph, or the same FormatError message
+    and line, on .pbg texts with 'e' lines mutated, repeated, moved or
+    dropped, and now and then a line of junk."""
+    rng = random.Random(seed)
+    graphs = list(_family_graphs())
+    for _ in range(20):
+        G = rng.choice(graphs)
+        lines = dump_blowup_graph(G).splitlines()
+        head = 1 + G.host.pattern.edge_count()
+        body = lines[head:]
+        v, n = G.host.pattern.vertex_count, G.host.n
+        if body:
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randrange(len(body))
+                body[k] = _mutated_line(rng, body[k], v, n)
+            for _ in range(rng.randint(0, 2)):  # repeats, either way round
+                line = rng.choice(body)
+                if rng.random() < 0.5:
+                    _, x, y = line.split()
+                    line = f"e {y} {x}"
+                body.insert(rng.randrange(len(body) + 1), line)
+            if rng.random() < 0.2:
+                body.insert(rng.randrange(len(body) + 1), rng.choice(("e 1.1", "f 1.1 2.1", "e 1.1 2.1 3")))
+            if rng.random() < 0.3:
+                rng.shuffle(body)
+            del body[rng.randrange(len(body))]
+        text = "\n".join(lines[:head] + body) + "\n"
+        assert _parse_outcome(parse_blowup_graph, text) == _parse_outcome(ref_parse_blowup_graph, text)
 
 
 # ---------------------------------------------------------------------------

@@ -992,8 +992,8 @@ def _probe(frame):
 def _start(sys_, H, n):
     """The walk's state at its root: the graph, the root frame and the
     graph of the uncoverable tests."""
-    masks = solve._build_masks(H.vertex_count, n, ())
-    return masks, sys_.root(masks), [solve._build_masks(H.vertex_count, n, ()), 0]
+    masks = solve._empty_masks(H.vertex_count, n)
+    return masks, sys_.root(masks), [solve._empty_masks(H.vertex_count, n), 0]
 
 
 @pytest.mark.parametrize("require_free", [True, False])
@@ -1164,7 +1164,7 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
     rng = random.Random(5 * L + require_free)
 
     def graph(slots):
-        masks = solve._build_masks(H.vertex_count, n, ())
+        masks = solve._empty_masks(H.vertex_count, n)
         sys_.flip(masks, slots)
         return masks
 
@@ -1279,7 +1279,7 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
                     for y in range(_lowest(todo))
                     if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
                 )
-                graph = solve._build_masks(H.vertex_count, n, ())
+                graph = solve._empty_masks(H.vertex_count, n)
                 sys_.flip(graph, chosen)
                 want = min(want, d + max(1, brute_need(host, graph, settled)))
         seen.append(tuple(path) + (_lowest(stack[-1].todo),))
