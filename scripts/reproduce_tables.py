@@ -15,23 +15,19 @@ verdict, so a single run visibly reconfirms the headline formulas:
 """
 
 import argparse
+from itertools import product
 
 from satblow import (
+    ConstructionSpec,
     PatternGraph,
-    clique_exsat_construction,
-    clique_exsat_edges,
     is_extra_saturated,
     is_partite_saturated,
-    k4_construction,
-    k4_saturation_edges,
     kr_sat_bounds,
-    path_construction,
-    path_saturation_edges,
-    star_construction,
-    star_saturation_edges,
-    tree_exsat_construction,
-    tree_exsat_edges,
 )
+
+R_N = (("r", 4), ("n", 4))  # the key columns of the (r, n) families, as (label, width)
+TREES = (("p3", PatternGraph.path(3)), ("p4", PatternGraph.path(4)),
+         ("star-3", PatternGraph.star(3)))
 
 
 def _verdict(flag: bool) -> str:
@@ -44,81 +40,28 @@ def section(title: str) -> None:
     print("-" * len(title))
 
 
-def k4_table(n_max: int) -> None:
-    section(f"saturated K4 blow-ups, n = 3..{n_max}")
-    print(f"{'n':>4} {'edges':>8} {'18n-21':>8}  verified")
-    for n in range(3, n_max + 1):
-        G = k4_construction(n)
-        good = G.edge_count() == k4_saturation_edges(n) and is_partite_saturated(G).ok
-        print(f"{n:>4} {G.edge_count():>8} {k4_saturation_edges(n):>8}  {_verdict(good)}")
+def _cells(values, widths) -> str:
+    return " ".join(f"{v:>{w}}" for v, w in zip(values, widths))
 
 
-def star_table() -> None:
-    section("saturated star blow-ups (every saturated graph has this size)")
-    print(f"{'r':>4} {'n':>4} {'edges':>8} {'(r-1)n^2':>9}  verified")
-    for r in (2, 3, 4):
-        for n in (2, 3, 4):
-            G = star_construction(r, n)
-            good = (
-                G.edge_count() == star_saturation_edges(r, n)
-                and is_partite_saturated(G).ok
-            )
-            print(
-                f"{r:>4} {n:>4} {G.edge_count():>8} "
-                f"{star_saturation_edges(r, n):>9}  {_verdict(good)}"
-            )
+def _r_n(pairs) -> list:
+    return [((r, n), {"r": r, "n": n}) for r, n in pairs]
 
 
-def path_table() -> None:
-    section("saturated path blow-ups, n = 2r .. 2r+2")
-    print(f"{'r':>4} {'n':>4} {'edges':>8} {'formula':>8}  verified")
-    for r in (4, 5, 6):
-        for n in range(2 * r, 2 * r + 3):
-            G = path_construction(r, n)
-            good = (
-                G.edge_count() == path_saturation_edges(r, n)
-                and is_partite_saturated(G).ok
-            )
-            print(
-                f"{r:>4} {n:>4} {G.edge_count():>8} "
-                f"{path_saturation_edges(r, n):>8}  {_verdict(good)}"
-            )
-
-
-def clique_exsat_table() -> None:
-    section("extra-saturated clique blow-ups")
-    print(f"{'r':>4} {'n':>4} {'edges':>8} {'(2n-1)e':>8}  verified")
-    for r in (3, 4):
-        for n in (2, 3, 4):
-            G = clique_exsat_construction(r, n)
-            good = (
-                G.edge_count() == clique_exsat_edges(r, n)
-                and is_extra_saturated(G).ok
-            )
-            print(
-                f"{r:>4} {n:>4} {G.edge_count():>8} "
-                f"{clique_exsat_edges(r, n):>8}  {_verdict(good)}"
-            )
-
-
-def tree_exsat_table() -> None:
-    section("extra-saturated tree blow-ups")
-    trees = [
-        ("p3", PatternGraph.path(3)),
-        ("p4", PatternGraph.path(4)),
-        ("star-3", PatternGraph.star(3)),
-    ]
-    print(f"{'tree':>8} {'n':>4} {'edges':>8} {'(v-1)n':>8}  verified")
-    for name, T in trees:
-        for n in (4, 5, 6):
-            G = tree_exsat_construction(T, n)
-            good = (
-                G.edge_count() == tree_exsat_edges(T, n) and is_extra_saturated(G).ok
-            )
-            print(
-                f"{name:>8} {n:>4} {G.edge_count():>8} "
-                f"{tree_exsat_edges(T, n):>8}  {_verdict(good)}"
-            )
+def family_table(title, family, check, head, rows) -> None:
+    """One section: each row builds its ConstructionSpec, and is ok when its
+    edge count equals the closed form and check passes.  head holds (label,
+    width) for each key column and, last, for the closed form; each row is
+    its key cells and the spec fields of its graph."""
+    section(title)
+    labels, widths = zip(*head)
+    print(f"{_cells(labels[:-1], widths)} {'edges':>8} {labels[-1]:>{widths[-1]}}  verified")
+    for cells, fields in rows:
+        spec = ConstructionSpec(family, **fields)
+        G = spec.build()
+        edges, formula = G.edge_count(), spec.formula_value()
+        good = edges == formula and check(G).ok
+        print(f"{_cells(cells, widths)} {edges:>8} {formula:>{widths[-1]}}  {_verdict(good)}")
 
 
 def bounds_table(n_max: int) -> None:
@@ -134,11 +77,19 @@ def main() -> None:
     parser.add_argument("--k4-max-n", type=int, default=12)
     parser.add_argument("--bounds-max-n", type=int, default=8)
     args = parser.parse_args()
-    k4_table(args.k4_max_n)
-    star_table()
-    path_table()
-    clique_exsat_table()
-    tree_exsat_table()
+    n_max = args.k4_max_n
+    family_table(f"saturated K4 blow-ups, n = 3..{n_max}", "k4", is_partite_saturated,
+                 (("n", 4), ("18n-21", 8)), [((n,), {"n": n}) for n in range(3, n_max + 1)])
+    family_table("saturated star blow-ups (every saturated graph has this size)", "star",
+                 is_partite_saturated, R_N + (("(r-1)n^2", 9),), _r_n(product((2, 3, 4), repeat=2)))
+    family_table("saturated path blow-ups, n = 2r .. 2r+2", "path", is_partite_saturated,
+                 R_N + (("formula", 8),),
+                 _r_n((r, n) for r in (4, 5, 6) for n in range(2 * r, 2 * r + 3)))
+    family_table("extra-saturated clique blow-ups", "clique-exsat", is_extra_saturated,
+                 R_N + (("(2n-1)e", 8),), _r_n(product((3, 4), (2, 3, 4))))
+    family_table("extra-saturated tree blow-ups", "tree-exsat", is_extra_saturated,
+                 (("tree", 8), ("n", 4), ("(v-1)n", 8)),
+                 [((name, n), {"pattern": T, "n": n}) for name, T in TREES for n in (4, 5, 6)])
     bounds_table(args.bounds_max_n)
 
 

@@ -9,27 +9,24 @@ reported as UNKNOWN with the verified upper bound.
 
 import argparse
 
-from satblow import (
-    PatternGraph,
-    clique_exsat_edges,
-    min_exsat_exact,
-    min_sat_exact,
-    star_saturation_edges,
-    tree_exsat_edges,
-)
+from satblow import ConstructionSpec, PatternGraph, min_exsat_exact, min_sat_exact
 
+P3 = PatternGraph.path(3)
+
+# each row: name, pattern, part sizes, and the ConstructionSpec fields other
+# than n of the matching construction, or None
 SAT_GRID = [
     ("k2", PatternGraph.complete(2), (2, 3, 4), None),
-    ("star-2", PatternGraph.star(2), (2, 3), lambda H, n: star_saturation_edges(2, n)),
-    ("star-3", PatternGraph.star(3), (2,), lambda H, n: star_saturation_edges(3, n)),
+    ("star-2", PatternGraph.star(2), (2, 3), {"family": "star", "r": 2}),
+    ("star-3", PatternGraph.star(3), (2,), {"family": "star", "r": 3}),
     ("k3", PatternGraph.complete(3), (2, 3), None),
     ("p4", PatternGraph.path(4), (2,), None),
 ]
 
 EXSAT_GRID = [
     ("k2", PatternGraph.complete(2), (2, 3, 4), None),
-    ("p3", PatternGraph.path(3), (2, 3, 4), lambda H, n: tree_exsat_edges(H, n)),
-    ("k3", PatternGraph.complete(3), (2,), lambda H, n: clique_exsat_edges(3, n)),
+    ("p3", P3, (2, 3, 4), {"family": "tree-exsat", "pattern": P3}),
+    ("k3", PatternGraph.complete(3), (2,), {"family": "clique-exsat", "r": 3}),
 ]
 
 
@@ -38,11 +35,11 @@ def run_grid(title, grid, solver, budget):
     print(title)
     print("-" * len(title))
     print(f"{'pattern':>8} {'n':>3} {'minimum':>8} {'bound':>6} {'nodes':>9} {'time':>7}")
-    for name, H, n_values, bound_fn in grid:
+    for name, H, n_values, spec in grid:
         for n in n_values:
             result = solver(H, n, budget=budget)
             value = "UNKNOWN" if result.value is None else result.value
-            bound = "" if bound_fn is None else bound_fn(H, n)
+            bound = "" if spec is None else ConstructionSpec(n=n, **spec).formula_value()
             mark = ""
             if bound != "" and result.value is not None:
                 mark = "  <- construction optimal" if result.value == bound else ""

@@ -59,7 +59,8 @@ class MResult:
     """Smallest vertex count of an r-partite graph (all parts non-empty)
     that is K_s-free yet has a transversal K_{s-1} inside every choice of
     s - 1 parts.  value None means the search space was exhausted or the
-    budget ran out before a witness appeared.
+    budget ran out before a witness appeared.  A witness is re-checked from
+    the definition, on its own edges, before it is returned.
 
     stats says where the search went, as plain JSON-ready data:
     stats["vertex_counts"] holds one record per vertex count searched, with
@@ -287,6 +288,17 @@ def _m_search(
     rows: list[dict] = []
 
     def result(value, witness, exhausted) -> MResult:
+        # an independent path: the definition, on the witness's own edges
+        if witness is not None and (
+            witness.has_clique(s)
+            or not all(
+                witness.parts_have_transversal_clique(parts)
+                for parts in itertools.combinations(range(1, r + 1), s - 1)
+            )
+        ):
+            raise RuntimeError(
+                f"the m({r}, {s}) search returned a {value}-vertex witness that is not valid"
+            )
         for row in rows:  # each candidate is a node or cut exactly once
             row["candidates"] = row["nodes"] + sum(row["cuts"].values())
         totals = {c: sum(row["cuts"][c] for row in rows) for c in _M_CUT_REASONS}

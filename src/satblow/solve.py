@@ -619,6 +619,11 @@ class SolveResult:
     stops as soon as it meets a valid set of that size (of one slot when
     it is 0), so an exact result whose value equals it may leave children
     untried.
+
+    The budget is a deadline set when the search starts, and only the walk
+    reads it: greedy fill, the build of the symmetry group and the witness
+    re-check run to their end, so on a large host elapsed can pass the
+    budget by seconds.
     """
 
     value: Optional[int]

@@ -161,8 +161,48 @@ def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex, deg: list[list[int]])
     return True, ""
 
 
+# what a lemma's finder returns: a counterexample (None when no one vertex is
+# to blame) and a note, or None when the lemma holds
+_Found = Optional[tuple[Optional[PartiteVertex], str]]
+
+
+def _low_degree(G: PartiteGraph, deg: list[list[int]]) -> _Found:
+    """The least vertex of degree below 4, with its degree."""
+    for v in G.host.vertices():
+        d = deg[v.part - 1][v.index - 1]
+        if d < 4:
+            return v, f"degree {d}"
+    return None
+
+
+def _bad_degree4_neighborhood(G: PartiteGraph, deg: list[list[int]]) -> _Found:
+    """The least degree-4 vertex whose neighbourhood breaks the facts of
+    _degree4_profile_ok, with the first fact it breaks."""
+    for v in G.host.vertices():
+        if deg[v.part - 1][v.index - 1] == 4:
+            ok, why = _degree4_profile_ok(G, v, deg)
+            if not ok:
+                return v, why
+    return None
+
+
+def _three_min_degree_4_parts(G: PartiteGraph, deg: list[list[int]]) -> _Found:
+    """More than two parts whose minimum degree is exactly 4; no single
+    vertex is to blame."""
+    parts4 = [p + 1 for p, part in enumerate(deg) if min(part) == 4]
+    if len(parts4) > 2:
+        return None, f"parts {parts4} all have minimum degree exactly 4"
+    return None
+
+
 _NOT_K4 = "check_k4_lemmas needs a subgraph of a K4 blow-up"
-_K4_LEMMAS = ("min_degree_4", "degree_4_neighborhoods", "few_min_degree_4_parts")
+# one row per lemma: its name, the least part size it needs, and its finder,
+# which reads G and its degree table of _degrees
+_K4_LEMMAS = (
+    ("min_degree_4", 2, _low_degree),
+    ("degree_4_neighborhoods", 3, _bad_degree4_neighborhood),
+    ("few_min_degree_4_parts", 22, _three_min_degree_4_parts),
+)
 
 
 def check_k4_lemmas(G: PartiteGraph) -> list[LemmaCheck]:
@@ -186,10 +226,10 @@ def check_k4_lemmas(G: PartiteGraph) -> list[LemmaCheck]:
 
 
 def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[LemmaCheck]:
-    """The checks of check_k4_lemmas, given G's is_partite_saturated
-    verdict (scanned here when None, so a caller that has it scans nothing
-    twice): on a graph that is not saturated each is not_applicable.
-    Raises if the pattern is not K4."""
+    """The checks of check_k4_lemmas, one per row of _K4_LEMMAS, given G's
+    is_partite_saturated verdict (scanned here when None, so a caller that
+    has it scans nothing twice): on a graph that is not saturated each is
+    not_applicable.  Raises if the pattern is not K4."""
     if not _is_k4(G.host.pattern):
         raise ValueError(_NOT_K4)
     if saturation is None:
@@ -197,71 +237,18 @@ def _k4_lemmas(G: PartiteGraph, saturation: Optional[Verdict] = None) -> list[Le
     if not saturation.ok:
         return [
             LemmaCheck(name, "not_applicable", note="needs a saturated graph")
-            for name in _K4_LEMMAS
+            for name, _, _ in _K4_LEMMAS
         ]
     n = G.host.n
     deg = _degrees(G)
     checks: list[LemmaCheck] = []
-
-    if n < 2:
-        checks.append(LemmaCheck("min_degree_4", "not_applicable", note="needs n >= 2"))
-    else:
-        bad = None
-        for v in G.host.vertices():
-            if deg[v.part - 1][v.index - 1] < 4:
-                bad = v
-                break
-        if bad is None:
-            checks.append(LemmaCheck("min_degree_4", "pass"))
+    for name, least_n, finder in _K4_LEMMAS:
+        if n < least_n:
+            checks.append(LemmaCheck(name, "not_applicable", note=f"needs n >= {least_n}"))
+        elif (found := finder(G, deg)) is None:
+            checks.append(LemmaCheck(name, "pass"))
         else:
-            checks.append(
-                LemmaCheck(
-                    "min_degree_4",
-                    "fail",
-                    counterexample=bad,
-                    note=f"degree {deg[bad.part - 1][bad.index - 1]}",
-                )
-            )
-
-    if n < 3:
-        checks.append(
-            LemmaCheck("degree_4_neighborhoods", "not_applicable", note="needs n >= 3")
-        )
-    else:
-        bad = None
-        why = ""
-        for v in G.host.vertices():
-            if deg[v.part - 1][v.index - 1] != 4:
-                continue
-            ok, why = _degree4_profile_ok(G, v, deg)
-            if not ok:
-                bad = v
-                break
-        if bad is None:
-            checks.append(LemmaCheck("degree_4_neighborhoods", "pass"))
-        else:
-            checks.append(
-                LemmaCheck("degree_4_neighborhoods", "fail", counterexample=bad, note=why)
-            )
-
-    if n < 22:
-        checks.append(
-            LemmaCheck("few_min_degree_4_parts", "not_applicable", note="needs n >= 22")
-        )
-    else:
-        mins = [min(part) for part in deg]
-        parts4 = [p + 1 for p, d in enumerate(mins) if d == 4]
-        if len(parts4) <= 2:
-            checks.append(LemmaCheck("few_min_degree_4_parts", "pass"))
-        else:
-            checks.append(
-                LemmaCheck(
-                    "few_min_degree_4_parts",
-                    "fail",
-                    note=f"parts {parts4} all have minimum degree exactly 4",
-                )
-            )
-
+            checks.append(LemmaCheck(name, "fail", *found))
     return checks
 
 

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts in scripts/, run as a user would run them."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -28,7 +29,30 @@ def test_reproduce_tables_small_run_has_no_mismatch():
     )
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
-    assert " ok" in proc.stdout
+    sections = _sections(proc.stdout)
+    assert [title for title, _ in sections] == [
+        "saturated K4 blow-ups, n = 3..6",
+        "saturated star blow-ups (every saturated graph has this size)",
+        "saturated path blow-ups, n = 2r .. 2r+2",
+        "extra-saturated clique blow-ups",
+        "extra-saturated tree blow-ups",
+        "saturation bounds for K4 blow-ups",
+    ]
+    # k4 rows n = 3..6, then star, path, clique and tree, then bounds n = 1..4
+    assert [len(rows) for _, rows in sections] == [4, 9, 9, 6, 9, 4]
+    for title, rows in sections[:5]:
+        assert all(row.split()[-1] == "ok" for row in rows), title
+
+
+def _sections(stdout):
+    """Each section of a reproduce_tables run, in order, as its title and
+    its table rows (the lines after its underline and column header)."""
+    lines = stdout.splitlines()
+    return [
+        (lines[i - 1], list(itertools.takewhile(bool, lines[i + 2 :])))
+        for i, line in enumerate(lines)
+        if line and set(line) == {"-"}
+    ]
 
 
 def test_search_small_optima_proves_every_row_under_a_short_budget():

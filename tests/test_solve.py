@@ -1519,6 +1519,23 @@ def test_m_stats_of_an_unknown_account_for_every_candidate():
         _check_m_stats(result)
 
 
+@pytest.mark.parametrize("bad", ["uncovered", "clique"])
+def test_m_value_rechecks_its_witness(monkeypatch, bad):
+    """A search that hands back a graph failing the definition is caught
+    before m_value returns it: the empty graph misses a transversal K_2,
+    and every slot taken closes a K_3."""
+
+    def search(sizes, s, *args, **kwargs):
+        if bad == "uncovered":
+            return frozenset()
+        verts = [(p + 1, i + 1) for p, size in enumerate(sizes) for i in range(size)]
+        return frozenset((u, v) for u, v in itertools.combinations(verts, 2) if u[0] != v[0])
+
+    monkeypatch.setattr(mvalue, "_m_search_partition", search)
+    with pytest.raises(RuntimeError, match=r"m\(3, 3\) search returned a 3-vertex witness"):
+        m_value(3, 3)
+
+
 def test_m_validation():
     with pytest.raises(ValueError):
         m_value(3, 2)

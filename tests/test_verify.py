@@ -6,6 +6,7 @@ from satblow import (
     BlowupHost,
     PartiteGraph,
     PartiteSelection,
+    PartiteVertex,
     PatternGraph,
     Verdict,
     VerdictStatus,
@@ -25,6 +26,7 @@ from satblow import (
     star_construction,
     tree_exsat_construction,
 )
+from satblow import verify
 
 
 def test_free_verdicts():
@@ -162,6 +164,7 @@ def test_k4_lemmas_pass_on_construction():
     assert by_name["min_degree_4"].status == "pass"
     assert by_name["degree_4_neighborhoods"].status == "pass"
     assert by_name["few_min_degree_4_parts"].status == "not_applicable"
+    assert by_name["few_min_degree_4_parts"].note == "needs n >= 22"
 
 
 def test_k4_lemmas_all_applicable_at_large_n():
@@ -177,6 +180,49 @@ def test_k4_lemmas_small_n_gating():
     by_name = {c.name: c for c in checks}
     assert by_name["min_degree_4"].status == "pass"
     assert by_name["degree_4_neighborhoods"].status == "not_applicable"
+    assert by_name["degree_4_neighborhoods"].note == "needs n >= 3"
+
+
+# Every lemma is a theorem, so no saturated graph fails one: the fail paths
+# are reached through the row finders on graphs that are not saturated.
+
+
+def test_low_degree_finder_names_the_least_low_vertex():
+    G = k4_construction(5)
+    u = PartiteVertex(1, 3)  # attached to four anchors only
+    H = G.without_edge(u, PartiteVertex(2, 1))
+    assert verify._low_degree(G, verify._degrees(G)) is None
+    assert verify._low_degree(H, verify._degrees(H)) == (u, "degree 3")
+    # the loop of _k4_lemmas turns a finder's answer into a failed check
+    checks = verify._k4_lemmas(H, Verdict(VerdictStatus.OK))
+    assert checks[0] == verify.LemmaCheck("min_degree_4", "fail", u, "degree 3")
+    assert not all_applicable_pass(checks)
+
+
+def test_degree4_neighborhood_finder_names_a_bad_profile():
+    G = k4_construction(5)
+    u = PartiteVertex(1, 3)
+    for w in [w for w in G.host.vertices() if G.has_edge(u, w)]:
+        G = G.without_edge(u, w)
+    for w in ((2, 1), (2, 2), (3, 1), (3, 2)):  # two parts twice each
+        G = G.with_edge(u, PartiteVertex(*w))
+    assert verify._bad_degree4_neighborhood(G, verify._degrees(G)) == (
+        u,
+        "neighbor part profile [2, 2] is not [2, 1, 1]",
+    )
+    H = k4_construction(5)
+    assert verify._bad_degree4_neighborhood(H, verify._degrees(H)) is None
+
+
+def test_min_degree_4_parts_finder_blames_no_vertex():
+    G = k4_construction(3)
+    three = [[4, 5], [4, 6], [4, 7], [5, 5]]
+    two = [[4, 5], [4, 6], [5, 7], [5, 5]]
+    assert verify._three_min_degree_4_parts(G, three) == (
+        None,
+        "parts [1, 2, 3] all have minimum degree exactly 4",
+    )
+    assert verify._three_min_degree_4_parts(G, two) is None
 
 
 def test_k4_lemmas_preconditions():
