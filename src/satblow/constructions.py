@@ -16,6 +16,7 @@ then index 2), so equal parameters give identical graphs.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +35,12 @@ class VerificationRangeWarning(UserWarning):
 
 
 def _warn_range(message: str) -> None:
-    warnings.warn(message, VerificationRangeWarning, stacklevel=3)
+    # name the first caller outside this module, whether it called a
+    # generator directly or through ConstructionSpec.build
+    frame, level = sys._getframe(2), 3
+    while frame.f_globals["__name__"] == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, VerificationRangeWarning, stacklevel=level)
 
 
 # --------------------------------------------------------------------------

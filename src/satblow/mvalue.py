@@ -6,13 +6,12 @@ proof of its one cut are given in its docstring.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .solve import _deadline
-from .symmetry import _Leader, _SlotGroup, _child_leader, _root_leader, _slot_maps
+from .symmetry import _POOLS, _Leader, _child_leader, _root_leader, _slot_group
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,14 @@ class MResult:
     "not_canonical" (not the lex leader of its orbit) and "uncoverable"
     (every slot above an uncoverable node, see m_value).  Each candidate is
     a node or cut exactly once, so candidates = nodes + the sum of the cuts
-    on every record.  stats["cuts"] holds each reason's total, and
-    nodes_explored the total of the nodes."""
+    on every record.  "pools" counts the splits tried by the group their
+    lex-leader test ran on (see symmetry._slot_group): "full" (every
+    permutation within each part), "cyclic" (index shifts, where the full
+    group passes the caps), "automorphisms" (never, as m_value has no part
+    map but the identity) and "none" (no test); a node count from a split
+    run on "cyclic" or "none" is larger than under the full group.
+    stats["cuts"] holds each reason's total, and nodes_explored the total
+    of the nodes."""
 
     r: int
     s: int
@@ -110,40 +115,35 @@ def _m_stats(vertices: int) -> dict:
         "candidates": 0,
         "nodes": 0,
         "cuts": dict.fromkeys(_M_CUT_REASONS, 0),
+        "pools": dict.fromkeys([name for name, _, _ in _POOLS] + ["none"], 0),
     }
 
 
 class _MPartition:
     """One split into part sizes: its slots (vertex pairs in different
     parts, vertices numbered part by part), the index permutations within
-    each part as a _SlotGroup (None when every part has size 1), and a graph
-    held as one adjacency bitmask per vertex."""
+    each part from the largest pool that fits the caps of
+    symmetry._slot_group (None when only the identity does, as when every
+    part has size 1), and a graph held as one adjacency bitmask per
+    vertex."""
 
     def __init__(self, sizes: tuple[int, ...], s: int):
         r = len(sizes)
-        offsets = [0]
-        for size in sizes:
-            offsets.append(offsets[-1] + size)
+        offsets = list(itertools.accumulate(sizes, initial=0))
         total = offsets[-1]
-        part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
-        slots = [
-            (x, y)
-            for x in range(total)
-            for y in range(x + 1, total)
-            if part_of[x] != part_of[y]
+        # index a of part p to index b of part q, p < q, in the order of
+        # the vertex pairs (offsets[p] + a, offsets[q] + b)
+        ends = [
+            (p, a, q, b)
+            for p in range(r)
+            for a in range(sizes[p])
+            for q in range(p + 1, r)
+            for b in range(sizes[q])
         ]
-        self.group = None
-        if total > r:
-            pools = [list(itertools.permutations(range(size))) for size in sizes]
-            ends = [
-                (part_of[x], x - offsets[part_of[x]], part_of[y], y - offsets[part_of[y]])
-                for x, y in slots
-            ]
-            maps = _slot_maps(pools, [tuple(range(r))], ends)
-            self.group = _SlotGroup(maps, math.prod(map(len, pools)), "full")
+        slots = [(offsets[p] + a, offsets[q] + b) for p, a, q, b in ends]
+        self.group = _slot_group(sizes, [tuple(range(r))], ends)
         part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
-        self.s, self.slots, self.L = s, slots, len(slots)
-        self.offsets, self.part_of = offsets, part_of
+        self.s, self.slots, self.ends, self.L = s, slots, ends, len(slots)
         self.adj = [0] * total
         # each choice of s - 1 parts, as the vertex masks of its parts
         self.choices = [
@@ -212,12 +212,8 @@ class _MPartition:
 
     def edges(self, chosen) -> frozenset:
         """The slots `chosen` as MultipartiteGraph edges."""
-        out = []
-        for k in chosen:
-            x, y = self.slots[k]
-            px, py = self.part_of[x], self.part_of[y]
-            out.append(((px + 1, x - self.offsets[px] + 1), (py + 1, y - self.offsets[py] + 1)))
-        return frozenset(out)
+        ends = map(self.ends.__getitem__, chosen)
+        return frozenset(((p + 1, a + 1), (q + 1, b + 1)) for p, a, q, b in ends)
 
 
 def _m_search_partition(
@@ -268,6 +264,7 @@ def _m_search_partition(
         return None
 
     row["partitions"] += 1
+    row["pools"]["none" if group is None else group.pool] += 1
     witness = dfs((), part.free_of(range(L)), None)
     return None if witness is None else part.edges(witness)
 
@@ -332,10 +329,14 @@ def m_value(
     Each split of the vertex count into part sizes is searched depth-first
     over slot sets, up to index permutations within each part.  A child set
     is kept only when it is the lex leader of its orbit, by the test the
-    exact search uses (see symmetry.py): the permutations are held
-    as a _SlotGroup, each node with free slots derives its _Leader from its
-    parent's, and _Leader.admits tests each free slot as the loop reaches
-    it.
+    exact search uses (see symmetry.py): symmetry._slot_group builds the
+    permutations under the caps the exact search's group meets, all of
+    them or, on a split whose full group passes the caps, the cyclic
+    shifts of each part; each node with free slots derives its _Leader
+    from its parent's, and _Leader.admits tests each free slot as the loop
+    reaches it.  A smaller group leaves the search complete, with more
+    nodes: every split up to 2r vertices keeps its full group for r <= 7,
+    and m(10, 3) = 18 runs (1 x 9, 9) on 9 shifts, not 9! permutations.
 
     Every node S carries its free slots F: those above max S that close no
     K_s with S.  Its children are S + (k,) for k in F, and the free slots

@@ -611,7 +611,7 @@ class SolveResult:
     bound before it; the last size is value on an exact result.
     stats["group"] is {"pool", "rows"}: the index permutations of the group
     the lex-leader test runs on ("full", "cyclic" or "automorphisms", see
-    _symmetry_group) and its element count, or None and 0 when no test runs
+    symmetry._slot_group) and its element count, or None and 0 when no test runs
     (use_symmetry off, a trivial search, or a group that acts trivially or
     does not fit the caps).  stats["leaders"] counts the _Leader
     derivations, the root's included.  stats["floor"] is

@@ -48,14 +48,19 @@ node whose children all fall to a cut made before the test derives none.
 m_value derives the _Leader of each node with free slots and tests each
 free slot as its loop reaches it.
 
-When the full group of H[n] is too large to hold, a subgroup (cyclic index
-shifts, or pattern automorphisms alone) is used instead; the search then
-revisits some orbits but stays complete.
+Both searches take their group from _slot_group, under one set of caps on
+its rows, table entries and map bytes.  Every part draws on one pool of
+index permutations: the full symmetric group if the group fits, else
+cyclic shifts, else the identity alone, which leaves the walk its pattern
+automorphisms and m_value no group.  Under a subgroup a search revisits
+some orbits but stays complete; m(10, 3) reaches splits such as
+(1 x 9, 9), whose 9! rows pass the cap, and runs them on 9 shifts.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from typing import Iterator, Optional, Sequence
@@ -205,62 +210,63 @@ def _slot_maps(
     return maps
 
 
-def _group_pool(host: BlowupHost, auts: list[tuple[int, ...]]) -> Optional[list]:
-    """The index permutations of the largest pool whose group fits the caps
-    (see _symmetry_group), or None when not even the identity does.  The
-    maps take sum over slots x of |orbit(x)| ints of one bit per row, and
-    that sum is counted before anything is built: a pool that moves every
-    index sends a slot onto all n^2 slots of each bundle that an
-    automorphism sends its bundle to."""
-    n, L, v = host.n, host.slot_count(), host.pattern.vertex_count
+# the index permutations a part of k indices can draw on, largest first:
+# (pool name, pool size, the pool)
+_POOLS = (
+    ("full", math.factorial, lambda k: list(itertools.permutations(range(k)))),
+    ("cyclic", lambda k: k, lambda k: [tuple((a + t) % k for a in range(k)) for t in range(k)]),
+    ("automorphisms", lambda k: 1, lambda k: [tuple(range(k))]),
+)
 
-    def fits(rows: int, orbits) -> bool:
-        return (
-            rows <= _GROUP_ROW_CAP
-            and rows * L <= _GROUP_ENTRY_CAP
-            and rows * orbits() <= 8 * _GROUP_MAP_BYTES_CAP
-        )
 
-    def moved() -> int:
-        images = sum(
-            len({frozenset((g[p - 1], g[r - 1])) for g in auts}) for p, r in host.pattern.edges
-        )
-        return n**4 * images
+def _slot_group(
+    sizes: Sequence[int],
+    auts: list[tuple[int, ...]],
+    ends: Sequence[tuple[int, int, int, int]],
+) -> Optional[_SlotGroup]:
+    """The group of slot permutations pairing a part map of auts with one
+    index permutation per part, every part drawing on the same pool of
+    _POOLS: the first whose rows, table entries (rows per slot) and map bytes
+    fit the caps.  ends lists the slots as for _slot_maps, over parts of
+    these sizes.  Returns None when the group is trivial (one row, or every
+    slot fixed) or not even the identity pool fits.
 
-    def still() -> int:
-        return sum(
-            len({frozenset(((g[p], a), (g[q], b))) for g in auts}) for p, a, q, b in host.ends0()
-        )
-
-    if fits(math.factorial(n) ** v * len(auts), moved):
-        return list(itertools.permutations(range(n)))
-    if fits(n**v * len(auts), moved):
-        return [tuple((a + t) % n for a in range(n)) for t in range(n)]
-    if fits(len(auts), still):
-        return [tuple(range(n))]
-    return None
+    The maps take the sum over slots x of |orbit(x)| ints of one bit per
+    row, counted before anything is built.  A pool that moves every index
+    sends x onto every slot of each bundle that an element of auts sends
+    x's bundle to, so that count goes bundle by bundle."""
+    for name, size, make in _POOLS:
+        rows = len(auts) * math.prod(map(size, sizes))
+        if rows == 1:
+            return None
+        if rows > _GROUP_ROW_CAP or rows * len(ends) > _GROUP_ENTRY_CAP:
+            continue
+        if name == "automorphisms":
+            orbits = sum(
+                len({frozenset(((g[p], a), (g[q], b))) for g in auts}) for p, a, q, b in ends
+            )
+        else:
+            bundles = collections.Counter((p, q) for p, _, q, _ in ends)
+            orbits = sum(
+                count * sum(sizes[t] * sizes[u] for t, u in {frozenset((g[p], g[q])) for g in auts})
+                for (p, q), count in bundles.items()
+            )
+        if rows * orbits <= 8 * _GROUP_MAP_BYTES_CAP:
+            break
+    else:
+        return None
+    maps = _slot_maps([make(k) for k in sizes], auts, ends)
+    if all(len(images) == 1 for images in maps):
+        return None
+    return _SlotGroup(maps, rows, "automorphisms" if rows == len(auts) else name)
 
 
 def _symmetry_group(host: BlowupHost) -> Optional[_SlotGroup]:
-    """The slot permutations of the symmetry group of H[n], or None when
-    only the identity fits the caps or the group fixes every slot (n = 1,
-    or an isolated vertex, can make it act trivially).  A row is a pattern
-    automorphism with one index permutation per part from a pool: the full
-    S_n, else cyclic shifts, else the identity alone, the first whose rows,
-    table entries and map bytes fit the caps."""
-    n, v = host.n, host.pattern.vertex_count
+    """The slot permutations of the symmetry group of H[n] that fit the caps
+    (see _slot_group), or None.  n = 1, or an isolated vertex, can make the
+    group act trivially."""
     auts = _pattern_automorphisms(host.pattern)
-    pool = _group_pool(host, auts)
-    if pool is None or len(pool) == 1 and len(auts) == 1:
-        return None
-    maps = _slot_maps([pool] * v, auts, host.ends0())
-    if all(len(images) == 1 for images in maps):
-        return None
-    if len(pool) == 1:
-        name = "automorphisms"
-    else:
-        name = "full" if len(pool) == math.factorial(n) else "cyclic"
-    return _SlotGroup(maps, len(auts) * len(pool) ** v, name)
+    return _slot_group([host.n] * host.pattern.vertex_count, auts, host.ends0())
 
 
 class _Leader:

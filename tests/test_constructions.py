@@ -51,6 +51,18 @@ def test_k4_at_n2_is_the_bare_anchor():
     assert is_partite_free(G).ok
 
 
+def test_range_warning_names_the_caller():
+    # both the direct call and the call through the spec report the line of
+    # this file that made them
+    for build in (lambda: k4_construction(2), lambda: ConstructionSpec("k4", 2).build()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        (w,) = caught
+        assert issubclass(w.category, VerificationRangeWarning)
+        assert (w.filename, w.lineno) == (__file__, build.__code__.co_firstlineno)
+
+
 def test_k4_attached_vertex_degrees():
     G = k4_construction(10)
     # attached vertices keep a constant degree; the anchor absorbs the rest

@@ -2,7 +2,8 @@
 
 symmetry.py (the group and lex-leader layer) knows neither of its users,
 the exact walk (solve.py) and m_value (mvalue.py), and the walk does not
-know m_value.
+know m_value.  m_value takes its groups from symmetry._slot_group, as the
+walk does, and names none of the pieces a group is built from.
 """
 
 import ast
@@ -43,3 +44,17 @@ def test_the_reader_sees_the_package_imports():
 )
 def test_layers_import_only_downward(module, forbidden):
     assert not _imports(module) & forbidden
+
+
+def test_m_value_builds_no_group_of_its_own():
+    tree = ast.parse((SRC / "mvalue.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "_slot_group" in names
+    assert not names & {"_slot_maps", "_SlotGroup", "_index_rows"}

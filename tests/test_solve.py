@@ -424,15 +424,32 @@ def test_group_maps_of_a_large_host():
     assert max(len(images) for images in group.maps) == 2
 
 
-def test_group_pool_keeps_the_maps_under_the_byte_cap():
+def _host_group(H, n):
+    """_slot_group called as _symmetry_group calls it."""
+    host = BlowupHost(H, n)
+    auts = symmetry._pattern_automorphisms(H)
+    return symmetry._slot_group([n] * H.vertex_count, auts, host.ends0())
+
+
+def test_slot_group_keeps_the_maps_under_the_byte_cap():
     # C4[7]: the cyclic group's maps would take 196 * 196 * 19 208 bits
     # (88 MiB), so only the pattern automorphisms are held
-    host = BlowupHost(PatternGraph.cycle(4), 7)
-    assert len(symmetry._group_pool(host, symmetry._pattern_automorphisms(host.pattern))) == 1
-    assert symmetry._symmetry_group(host).everyone.bit_count() == 8
+    group = _host_group(PatternGraph.cycle(4), 7)
+    assert (group.pool, group.everyone.bit_count()) == ("automorphisms", 8)
     # K3[4] keeps the full group: 48 * 48 * 82 944 bits (22.8 MiB)
-    host = BlowupHost(PatternGraph.complete(3), 4)
-    assert len(symmetry._group_pool(host, symmetry._pattern_automorphisms(host.pattern))) == 24
+    group = _host_group(PatternGraph.complete(3), 4)
+    assert (group.pool, group.everyone.bit_count()) == ("full", 82_944)
+
+
+def test_slot_group_of_a_large_m_split_falls_to_cyclic_shifts():
+    # S_9 has 362 880 elements, over the row cap: the split takes the 9
+    # shifts of its large part, and is built before counting any 9! rows
+    start = time.monotonic()
+    group = mvalue._MPartition((1,) * 8 + (9,), 3).group
+    assert time.monotonic() - start < 0.5
+    assert (group.pool, group.everyone.bit_count()) == ("cyclic", 9)
+    assert mvalue._MPartition((1,) * 7 + (8,), 3).group.pool == "full"
+    assert mvalue._MPartition((1,) * 5, 3).group is None
 
 
 def _leader(group, chosen):
@@ -1492,6 +1509,8 @@ def _check_m_stats(result):
         assert set(row["cuts"]) == set(mvalue._M_CUT_REASONS)
         assert row["candidates"] == row["nodes"] + sum(row["cuts"].values()), row
         assert 0 <= row["partitions"] <= row["nodes"]
+        assert set(row["pools"]) == {"full", "cyclic", "automorphisms", "none"}
+        assert sum(row["pools"].values()) == row["partitions"], row
     assert sum(row["nodes"] for row in rows) == result.nodes_explored
     assert result.stats["cuts"] == {
         reason: sum(row["cuts"][reason] for row in rows) for reason in mvalue._M_CUT_REASONS
@@ -1546,6 +1565,49 @@ def test_m_validation():
 def test_m_budget_exhaustion():
     result = m_value(5, 4, budget=0.0)
     assert result.value is None and result.exhausted_budget
+
+
+def test_m_value_past_the_row_cap_returns_within_its_budget():
+    # at 18 vertices m(10, 3) reaches (1 x 9, 9), whose full group passes
+    # the row cap, and (1 x 8, 2, 8), whose passes the entry cap: both run
+    # on cyclic shifts
+    start = time.monotonic()
+    result = m_value(10, 3, budget=2.0)
+    assert time.monotonic() - start < 2.5
+    assert result.value == 18 and not result.exhausted_budget
+    assert result.stats["vertex_counts"][-1]["pools"]["cyclic"] > 0
+    _check_m_witness(result)
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_m_search_under_smaller_groups_succeeds_on_the_same_splits(monkeypatch, cap):
+    """With the row cap so low that every split holding a part of 3 or more
+    indices falls to cyclic shifts or to no group at all, each split is
+    feasible exactly when it is under the full group, and m(5, 3) and
+    m(5, 4) keep their values."""
+    cases = [(3, 3, 6), (4, 3, 8), (4, 4, 8), (5, 3, 10), (5, 4, 9), (5, 5, 8)]
+    splits = [
+        (sizes, s)
+        for r, s, most in cases
+        for total in range(r, most + 1)
+        for sizes in mvalue._partitions(total, r)
+    ]
+    full = {}
+    for sizes, s in splits:
+        group = mvalue._MPartition(sizes, s).group
+        assert group is None or group.pool == "full"
+        full[sizes, s] = mvalue._m_search_partition(sizes, s) is not None
+    monkeypatch.setattr(symmetry, "_GROUP_ROW_CAP", cap)
+    for sizes, s in splits:
+        group = mvalue._MPartition(sizes, s).group
+        if max(sizes) >= 3:
+            assert group is None or group.pool == "cyclic", sizes
+        assert (mvalue._m_search_partition(sizes, s) is not None) == full[sizes, s], sizes
+    assert any(full.values())
+    for r, s, value in [(5, 3, 8), (5, 4, 9)]:
+        result = m_value(r, s)
+        assert result.value == value
+        _check_m_witness(result)
 
 
 def test_m_budget_is_kept_on_wide_hosts():
