@@ -11,7 +11,7 @@ verdict, so a single run visibly reconfirms the headline formulas:
             upper bound and not the minimum: for K3 it gives 6 n - 3 = 9, 15,
             21 at n = 2, 3, 4, where the exact minima are 6, 12 and 18
   trees     (|T| - 1) n extra-saturated subgraphs of T[n]
-  bounds    8 n <= sat <= 18 n for K4[n] via multipartite witnesses
+  bounds    8 n <= sat <= 18 n for K4[n], n >= 2, via multipartite witnesses
 """
 
 import argparse
@@ -67,7 +67,7 @@ def family_table(title, family, check, head, rows) -> None:
 def bounds_table(n_max: int) -> None:
     section("saturation bounds for K4 blow-ups")
     print(f"{'n':>4} {'lower 8n':>9} {'upper 18n':>10}")
-    for n in range(1, n_max + 1):
+    for n in range(2, n_max + 1):  # the lower bound needs n >= 2
         b = kr_sat_bounds(4, n)
         print(f"{n:>4} {b.lower:>9} {b.upper:>10}")
 

@@ -118,16 +118,21 @@ class PatternGraph:
 
     def _plan(self, p: int, q: int) -> tuple:
         """The search plan of pattern edge (p, q), 0-based: the components of
-        _search_plan, each with the memo keys of _counting_steps, and the
-        neighbours of q other than p, the parts a copy's q-end meets."""
+        _search_plan, each with the memo keys of _counting_steps; the
+        neighbours of q other than p, the parts a copy's q-end meets; and
+        each component split by _cut_and_forest, for counting."""
         key = p * self.vertex_count + q
         plan = self._plans.get(key)
         if plan is None:
             other = self._plans.get(q * self.vertex_count + p)
-            components = other[0] if other else tuple(
-                _counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q))
-            )
-            plan = self._plans[key] = (components, tuple(x for x in self._adj0[q] if x != p))
+            if other:
+                components, splits = other[0], other[2]
+            else:
+                components = tuple(
+                    _counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q))
+                )
+                splits = tuple(_cut_and_forest(steps) for steps in components)
+            plan = self._plans[key] = (components, tuple(x for x in self._adj0[q] if x != p), splits)
         return plan
 
     def _check_vertex(self, v: int) -> None:
@@ -360,9 +365,10 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # (part, nbrs, branch, key).  The plan of pattern edge (p, q) is compiled once
 # (PatternGraph._plan): the other parts, split into the components of the
 # pattern minus p and q, each in breadth-first order (_search_plan), with the
-# memo keys of _counting_steps, and the neighbours of q other than p.  Two
-# loops walk a component, and neither calls itself: _extend asks whether it
-# can be placed, _tally in how many ways.
+# memo keys of _counting_steps; the neighbours of q other than p; and each
+# component split into a cutset and a forest (_cut_and_forest).  No walk of a
+# component calls itself: _extend asks whether it can be placed, _count in
+# how many ways.
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
@@ -371,12 +377,19 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # through every b' that all of q's other neighbours in it meet, so those
 # non-edges need no search of their own.
 # Counting, pinned the same way (count_copies_through): the product of the
-# counts of the plan's components, each counted by _tally.  Every copy uses
-# exactly one slot of each bundle, so an unpinned count is the sum of pinned
-# counts over the present slots of one bundle (_sparsest_bundle), and
-# has_partite_copy asks _closes_copy of those slots.  The lex-least copy
-# (_find) runs _extend on one component that places the parts in ascending
-# order, so that the first copy it meets is the least.
+# counts of the plan's components.  With the pinned parts placed, what is left
+# of a component is almost always a forest, counted by one sum-product
+# (_forest_ways) with no candidate tried: every component of K3, K4, the
+# cycles, paths, stars and trees.  Each domain is first cut down from the
+# pinned end of its tree, so a sparse host is weighed only at reachable
+# indices.  Otherwise _count tries each placement of the component's cutset,
+# the few steps before its forest, and sums the forest's counts
+# (cycle-cutset conditioning; Dechter and Pearl, 1987).
+# Every copy uses exactly one slot of each bundle, so an unpinned count is
+# the sum of pinned counts over the present slots of one bundle
+# (_sparsest_bundle), and has_partite_copy asks _closes_copy of those slots.
+# The lex-least copy (_find) runs _extend on one component that places the
+# parts in ascending order, so that the first copy it meets is the least.
 # --------------------------------------------------------------------------
 
 
@@ -412,15 +425,15 @@ def _search_plan(adj0, p: int, q: int) -> tuple[tuple[tuple[int, tuple[int, ...]
 
 
 def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]:
-    """One component of a search plan with its memo keys: each step
-    (part, nbrs, branch) gains the free part whose index alone decides
-    whether, and in how many ways, this step and the later ones can be
-    placed, or -1.
+    """One component of a search plan with the memo keys of _extend: each
+    step (part, nbrs, branch) gains the free part whose index alone decides
+    whether this step and the later ones can be placed, or -1.  Counting
+    (_count) reads no key.
 
-    Those placements depend on the free parts placed before the step that it
-    or a later step reads (the pinned parts are fixed for a whole search).
-    When that is one part y, the outcome of the suffix is a function of y's
-    index, and _extend and _tally remember it by that index.  Only branching
+    That depends on the free parts placed before the step that it or a
+    later step reads (the pinned parts are fixed for a whole search).  When
+    that is one part y, the outcome of the suffix is a function of y's
+    index, and _extend remembers a failure by that index.  Only branching
     steps get a key, and only after at least two branching steps, y and
     another: otherwise each index of y reaches the step once and the memo
     could never hit."""
@@ -436,6 +449,72 @@ def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]
             live.add(x)
             branching += 1
     return tuple(out)
+
+
+def _cut_and_forest(steps) -> tuple[tuple, tuple]:
+    """One component of a search plan split for counting (_count) into a
+    cutset prefix and a forest.  The tail is the longest run of last steps
+    in which each step has at most one earlier neighbour inside the run, so
+    its parts form a forest once the prefix is placed.  A prefix step that a
+    later step reads is a cutset step (part, nbrs); the others join the
+    forest as trees of one part.
+
+    A forest step is (part, fixed, source, parent, leaves, inner).  fixed
+    are its pinned and cutset neighbours, whose rows bound its domain to a
+    row's size.  Each tree is walked breadth-first from a part with a fixed
+    neighbour, if it has one.  A step with children and no fixed neighbour
+    has the neighbour it is reached from as its source, whose domain cuts
+    its own down, so that on a sparse graph no step is weighed at indices
+    no placement reaches; source is -1 elsewhere.  The tree is weighed from
+    the same part, parent being -1 at its root, except that a first part
+    with one neighbour, which has others, becomes a leaf of that neighbour,
+    so that as few children as possible have children.  leaves and inner
+    are a step's children without and with children of their own.  Steps
+    come in the reverse of the walk's order: a source after the step it
+    cuts down, an inner child before its parent."""
+    pos = {x: k for k, (x, _, _, _) in enumerate(steps)}
+    nbrs = {x: ys for x, ys, _, _ in steps}
+    s, worst = len(steps), -1  # the latest second free neighbour of a step >= s
+    while s:
+        free = sorted(pos[y] for y in steps[s - 1][1] if y in pos)
+        worst = max([worst] + free[-2:-1])
+        if worst >= s - 1:
+            break
+        s -= 1
+    near: dict[int, list[int]] = {x: [] for x, _, branch, _ in steps if pos[x] >= s or not branch}
+    for x in near:
+        for y in nbrs[x]:
+            if y in near:
+                near[x].append(y)
+                near[y].append(x)
+    fixed = {x: tuple(y for y in nbrs[x] if y not in near) for x in near}
+    source: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    order: list[int] = []
+    for root in sorted(near, key=lambda x: (not fixed[x], -len(near[x]))):
+        if root not in source:
+            source[root], tree = -1, [root]
+            for x in tree:  # the list grows as it is read: breadth-first
+                for y in near[x]:
+                    if y not in source:
+                        source[y] = x
+                        tree.append(y)
+            parent.update((x, source[x]) for x in tree)
+            if len(near[root]) == 1 and len(near[tree[1]]) > 1:
+                parent[root], parent[tree[1]] = tree[1], -1
+            order += tree
+    kids = {x: [y for y in near[x] if parent[y] == x] for x in order}
+    return tuple((x, nbrs[x]) for x, _, branch, _ in steps[:s] if branch), tuple(
+        (
+            x,
+            fixed[x],
+            source[x] if kids[x] and not fixed[x] else -1,
+            parent[x],
+            tuple(y for y in kids[x] if not kids[y]),
+            tuple(y for y in kids[x] if kids[y]),
+        )
+        for x in reversed(order)
+    )
 
 
 def _extend(masks, steps, chosen: list[int], full: int) -> bool:
@@ -574,7 +653,7 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
                     todo &= -1 << min(start - k, n)
                 k += n
                 while todo:
-                    components, others = pattern._plan(p, q)
+                    components, others, _ = pattern._plan(p, q)
                     bit = todo & -todo
                     chosen[q] = bit.bit_length() - 1
                     for steps in components:
@@ -588,71 +667,103 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
     return None
 
 
-def _tally(masks, steps, chosen: list[int], full: int) -> int:
+def _count(masks, split, chosen: list[int], full: int) -> int:
     """In how many ways can one plan component be placed, given the indices
-    of the parts already placed in `chosen`?  A step that no later step
-    reads is multiplied out by its candidate count, not enumerated.
-
-    The innermost open branching step `top` keeps, in locals, its untried
-    candidates, the product `before` of the steps between it and the open
-    branching step below it, and the `ways` counted through its candidates
-    tried so far; the open steps below it are saved on `below`.  When `top`
-    runs out of candidates it closes: its count, remembered by its key
-    part's index if it has a key (see _counting_steps), is one result for
-    the open step below."""
-    size = len(steps)
-    memo = None  # made at the first keyed step that closes
-    below = []
-    top, untried, before, ways = -1, 0, 1, 0  # top -1: no step is open
-    k, total = 0, 1
+    of the parts already placed in `chosen`?  `split` is its cutset and
+    forest (_cut_and_forest).  One loop tries each placement of the cutset
+    in turn, keeping each step's untried candidates in `pending`, and adds
+    the forest's count under it (_forest_ways).  A tree has no cutset, so
+    it is counted without trying any candidate."""
+    cut, forest = split
+    size = len(cut)
+    pending = [0] * size
+    total = k = 0
     while True:
-        while k < size:
-            x, nbrs, branch, key = steps[k]
-            if key >= 0 and memo:
-                known = memo.get(chosen[key] * size + k)
-                if known is not None:
-                    total *= known
-                    break
+        if k < size:
+            x, nbrs = cut[k]
             cand = full
             for y in nbrs:
                 cand &= masks[y][chosen[y]][x]
-            if not cand:
-                total = 0
-                break
-            if branch:
-                below.append((top, untried, before, ways))
-                bit = cand & -cand
-                chosen[x] = bit.bit_length() - 1
-                top, untried, before, ways, total = k, cand ^ bit, total, 0, 1
-            else:
-                total *= cand.bit_count()
-            k += 1
-        # total counts the steps above top for top's current candidate
-        while top >= 0:
-            ways += total
-            if untried:
-                break
-            key = steps[top][3]
-            if key >= 0:
-                if memo is None:
-                    memo = {}
-                memo[chosen[key] * size + top] = ways
-            total = before * ways
-            top, untried, before, ways = below.pop()
-        if top < 0:
+            pending[k] = cand
+        else:
+            total += _forest_ways(masks, forest, chosen, full)
+            k -= 1
+        while k >= 0 and not pending[k]:
+            k -= 1
+        if k < 0:
             return total
-        bit = untried & -untried
-        untried ^= bit
-        chosen[steps[top][0]] = bit.bit_length() - 1
-        k, total = top + 1, 1
+        bit = pending[k] & -pending[k]
+        pending[k] ^= bit
+        chosen[cut[k][0]] = bit.bit_length() - 1
+        k += 1
+
+
+def _forest_ways(masks, forest, chosen: list[int], full: int) -> int:
+    """The placements of a component's forest once its pinned and cutset
+    parts are placed in `chosen`: a sum-product.  In the walk's order, a
+    step's domain is the candidates its fixed neighbours' rows allow, cut
+    down, if it has a source, to those that some index of the source's
+    domain meets; an empty one means no placement.  Children before
+    parents, a step with children weighs each index of its domain by the
+    placements of its subtree with the step there: the product, over its
+    children, of a leaf's candidates in that index's row or an inner
+    child's weights summed over them.  The count is the product of the
+    roots' summed weights."""
+    dom = {}
+    for x, fixed, source, _, _, _ in reversed(forest):
+        d = full
+        for y in fixed:
+            d &= masks[y][chosen[y]][x]
+        if source >= 0:
+            rows, rest, reach = masks[source], dom[source], 0
+            while rest and d & ~reach:
+                bit = rest & -rest
+                rest ^= bit
+                reach |= rows[bit.bit_length() - 1][x]
+            d &= reach
+        if not d:
+            return 0
+        dom[x] = d
+    weight, total = {}, 1
+    for x, _, _, parent, leaves, inner in forest:
+        d = dom[x]
+        ways_x = d.bit_count()
+        if leaves or inner:
+            rows, w, rest, ways_x = masks[x], {}, d, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                row = rows[bit.bit_length() - 1]
+                ways = 1
+                for y in leaves:
+                    ways *= (row[y] & dom[y]).bit_count()
+                for y in inner:
+                    wy, m, t = weight[y], row[y] & dom[y], 0
+                    while m:
+                        b = m & -m
+                        t += wy[b]
+                        m ^= b
+                    ways *= t
+                if ways:
+                    w[bit] = ways
+                    ways_x += ways
+                else:
+                    d ^= bit
+            weight[x] = w
+        if not ways_x:
+            return 0
+        if parent < 0:
+            total *= ways_x
+        dom[x] = d
+    return total
 
 
 def _through(masks, plan, chosen: list[int], full: int) -> int:
     """Copies through the pinned slot in `chosen`: the product of the
     counts of the plan's components, which share no edge."""
     total = 1
-    for steps in plan:
-        total *= _tally(masks, steps, chosen, full)
+    for split in plan:
+        total *= _count(masks, split, chosen, full)
         if not total:
             return 0
     return total
@@ -673,7 +784,7 @@ def count_partite_copies(G: PartiteGraph) -> int:
     if not pattern.edges:
         return n ** pattern.vertex_count
     p, q = _sparsest_bundle(pattern, masks)
-    plan = pattern._plan(p, q)[0]
+    plan = pattern._plan(p, q)[2]
     chosen = [0] * pattern.vertex_count
     full = (1 << n) - 1
     total = 0
@@ -743,7 +854,7 @@ def count_copies_through(G: PartiteGraph, u, v) -> int:
     chosen = [0] * G.host.pattern.vertex_count
     chosen[p] = a
     chosen[q] = b
-    return _through(G._masks, G.host.pattern._plan(p, q)[0], chosen, (1 << G.host.n) - 1)
+    return _through(G._masks, G.host.pattern._plan(p, q)[2], chosen, (1 << G.host.n) - 1)
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:

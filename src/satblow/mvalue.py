@@ -375,11 +375,15 @@ def kr_sat_bounds(
 ) -> KrSatBounds:
     """Bounds m(r-1, r-1) * r * n / 2 <= sat <= m(r, r-1) * (r-1) * n, with
     the m-values computed by m_value.  budget is the wall-clock limit of
-    both searches together: the second gets what the first left."""
+    both searches together: the second gets what the first left.
+
+    n = 1 is refused: the lower bound's degree argument needs each vertex to
+    miss some vertex of every other part, and at n = 1 a vertex can see a
+    whole part (sat of K4[1] is 5, not 8)."""
     if r < 4:
         raise ValueError("kr_sat_bounds needs r >= 4")
-    if n < 1:
-        raise ValueError("kr_sat_bounds needs n >= 1")
+    if n < 2:
+        raise ValueError("kr_sat_bounds needs n >= 2: at n = 1 the lower bound does not hold")
     deadline = _deadline(budget)
     m_lower = m_value(r - 1, r - 1, max_vertices, budget)
     left = None if deadline is None else max(0.0, deadline - time.monotonic())

@@ -618,12 +618,17 @@ class SolveResult:
     saturation_lower_bound, the proven bound the walk starts from: the walk
     stops as soon as it meets a valid set of that size (of one slot when
     it is 0), so an exact result whose value equals it may leave children
-    untried.
+    untried.  stats["phases"] gives the seconds of each phase: "greedy"
+    (the greedy fill that sets the first upper bound), "group" (building
+    the symmetry group, 0 without one), "walk" (building the slot system
+    and walking) and "recheck" (re-checking the witness from the
+    definition); a search with an empty greedy graph has no group or walk.
 
     The budget is a deadline set when the search starts, and only the walk
     reads it: greedy fill, the build of the symmetry group and the witness
     re-check run to their end, so on a large host elapsed can pass the
-    budget by seconds.
+    budget by seconds (min_sat_exact(C6, 60, budget=0.5) takes about 2.5 s,
+    its walk about 0.1 s of it).
     """
 
     value: Optional[int]
@@ -656,6 +661,7 @@ def _exact_minimum(
     deadline = _deadline(budget)
     host = BlowupHost(pattern, n)
     ub_graph = _greedy_fill(PartiteGraph(host), seed)
+    phases = {"greedy": time.monotonic() - start, "group": 0.0, "walk": 0.0, "recheck": 0.0}
     ub = ub_graph.edge_count()
     lb = saturation_lower_bound(pattern, n)
     levels = [_level_stats(0)]
@@ -665,12 +671,16 @@ def _exact_minimum(
     leaders = 0  # _Leader objects built
 
     def result(value, witness, exhausted, upper, lower) -> SolveResult:
+        if ub:  # an empty greedy graph returns before the walk
+            phases["walk"] = time.monotonic() - walk_start
         # an independent path: the definition, on a graph built afresh
         check = is_partite_saturated if require_free else is_extra_saturated
+        recheck_start = time.monotonic()
         if not check(PartiteGraph(host, witness.edges)).ok:
             raise RuntimeError(
                 f"the exact search returned a witness of size {upper} that fails {check.__name__}"
             )
+        phases["recheck"] = time.monotonic() - recheck_start
         for row in levels:  # each candidate is admitted or cut exactly once
             row["candidates"] = row["admitted"] + sum(row["cuts"].values())
         totals = {r: sum(row["cuts"][r] for row in levels) for r in _CUT_REASONS}
@@ -684,6 +694,7 @@ def _exact_minimum(
             },
             "leaders": leaders,
             "floor": lb,
+            "phases": {name: round(t, 6) for name, t in phases.items()},
         }
         nodes = sum(row["admitted"] for row in levels)
         elapsed = time.monotonic() - start
@@ -692,9 +703,12 @@ def _exact_minimum(
     if ub == 0:
         return result(0, ub_graph, False, 0, 0)
 
+    group_start = time.monotonic()
+    group = _symmetry_group(host) if use_symmetry else None
+    walk_start = time.monotonic()
+    phases["group"] = walk_start - group_start
     sys_ = _SlotSystem(host)
     L = sys_.L
-    group = _symmetry_group(host) if use_symmetry else None
     masks = _empty_masks(pattern.vertex_count, n)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots

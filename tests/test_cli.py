@@ -272,6 +272,9 @@ def test_solve_json_reports_stats(capsys):
     assert stats["group"] == {"pool": "full", "rows": 1296}
     assert 1 <= stats["leaders"] <= sum(row["expanded"] for row in levels)
     assert stats["floor"] == 9  # y = 1/2 on three parts of demand 2, times n = 3
+    assert list(stats["phases"]) == ["greedy", "group", "walk", "recheck"]
+    assert all(t >= 0 for t in stats["phases"].values())
+    assert sum(stats["phases"].values()) <= doc["elapsed"] + 1e-3  # elapsed is rounded to ms
 
 
 def test_solve_json_reports_no_group_without_symmetry(capsys):
@@ -330,12 +333,18 @@ def test_bounds_json(capsys):
     assert doc["m_lower"] == 4 and doc["m_upper"] == 6
 
 
+def test_bounds_refuses_n1_with_a_message(capsys):
+    code, out, err = run_cli(capsys, "bounds", "-r", "4", "-n", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n >= 2" in err and err.count("\n") == 1
+
+
 def test_bounds_budget_is_kept_in_total(capsys):
     """--budget bounds both m-value searches together, not each of them:
     at r = 51 both come back UNKNOWN, and the command takes about one
     budget (two, when each search had the whole of it)."""
     start = time.monotonic()
-    code, doc, _ = run_json(capsys, "bounds", "-r", "51", "-n", "1", "--budget", "1")
+    code, doc, _ = run_json(capsys, "bounds", "-r", "51", "-n", "2", "--budget", "1")
     assert time.monotonic() - start < 1.5
     assert code == 3
     assert doc["m_lower"] == doc["m_upper"] == "UNKNOWN"

@@ -27,6 +27,7 @@ from satblow import (
     is_two_connected,
     min_degree_per_part,
     selection_carries_pattern,
+    tree_exsat_construction,
 )
 from satblow.core import _closes_copy, first_uncovered_slot
 from oracles import (
@@ -280,9 +281,9 @@ def test_find_has_and_carry_agree(G):
         assert selection_carries_pattern(G, copy)
 
 
-# The six-part path and cycle have counting steps remembered by one earlier
-# part's index; the spider with legs 2, 2, 1 and the 4-cycle with a pendant
-# path have steps whose count depends on two earlier parts.
+# The six-part path and cycle have steps that _extend remembers by one
+# earlier part's index; the spider with legs 2, 2, 1 and the 4-cycle with a
+# pendant path have steps whose outcome depends on two earlier parts.
 SIX_PART_PATTERNS = [
     PatternGraph.path(6),
     PatternGraph.cycle(6),
@@ -402,8 +403,9 @@ def test_row_scan_on_greedy_fills_and_one_edge_less(H, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("H", SIX_PART_PATTERNS, ids=repr)
 def test_count_through_on_half_full_six_part_graphs(H, seed):
-    # where the memo and the two-part dependences are: at n = 3 every one of
-    # them is met on every slot of an edge, not just on some drawn graphs
+    # where the forests have inner steps and steps with two fixed
+    # neighbours: at n = 3 every slot of an edge is counted, not just some
+    # slots of drawn graphs
     rng = random.Random(seed)
     host = BlowupHost(H, 3)
     assert_through_counts_match_brute_force(
@@ -437,11 +439,9 @@ class _CountingMasks:
 @pytest.mark.parametrize(
     "H, p, q",
     [
-        # pinned at parts 2 and 3, parts 5 and 6 are read by no later step:
-        # multiplied out
+        # pinned at parts 2 and 3, the rest is a tree hanging off part 1
         (SIX_PART_PATTERNS[2], 2, 3),
-        # pinned at parts 1 and 2, the count from part 5 on depends on
-        # part 4's index alone: remembered by it
+        # pinned at parts 1 and 2, the rest is the path 3-4-5-6
         (SIX_PART_PATTERNS[0], 1, 2),
     ],
 )
@@ -450,7 +450,8 @@ def test_pinned_count_reads_polynomially_many_rows(H, p, q):
     G = blow_up(H, n)
     G._masks = masks = _CountingMasks(G._masks)
     assert count_copies_through(G, (p, 1), (q, 1)) == n ** (H.vertex_count - 2)
-    # trying every index of the last three placed parts in turn reads > n^3 rows
+    # trying every index of the last three placed parts in turn reads > n^3
+    # rows; the sum-product over a tree reads each part's rows once per step
     assert masks.reads < n ** 3
 
 
@@ -458,10 +459,11 @@ def test_pinned_count_reads_polynomially_many_rows(H, p, q):
 def test_search_plans_place_every_part_and_check_every_edge_once(H):
     for i, j in H.edges:
         p, q = i - 1, j - 1
-        plan, others = H._plan(p, q)
-        assert H._plan(q, p)[0] is plan
+        plan, others, splits = H._plan(p, q)
+        assert H._plan(q, p)[0] is plan and H._plan(q, p)[2] is splits
         assert set(others) == set(H._adj0[q]) - {p}
         assert all(plan)  # no empty component, so K2's plan is empty
+        assert len(splits) == len(plan)
         steps = [step for component in plan for step in component]
         assert sorted(x for x, _, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
         placed = {p, q}
@@ -481,6 +483,110 @@ def test_search_plans_place_every_part_and_check_every_edge_once(H):
         assert checked | {frozenset((p, q))} == {frozenset((a - 1, b - 1)) for a, b in H.edges}
         for k, (x, _, branch, _) in enumerate(steps):
             assert branch == any(x in nbrs for _, nbrs, _, _ in steps[k + 1 :])
+
+
+# Patterns for the counting splits.  K5, K4 with a pendant triangle, the
+# octahedron K(2,2,2) and the last pattern have pinned components that are
+# not forests, so a count tries each placement of their cutset; the diamond
+# and K4 beside a part with no edges have none.  Pinned at parts 1 and 2,
+# the last pattern's cutset prefix holds part 4, which no later step reads,
+# so part 4 joins the forest as a tree of its own.
+CUTSET_PATTERNS = [
+    PatternGraph.complete(5),
+    PatternGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    PatternGraph(6, [*itertools.combinations(range(1, 5), 2), (4, 5), (4, 6), (5, 6)]),
+    PatternGraph(5, itertools.combinations(range(1, 5), 2)),
+    PatternGraph(6, [(a, b) for a, b in itertools.combinations(range(1, 7), 2) if b != a + 3]),
+    PatternGraph(7, [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (6, 7), (5, 7)]),
+]
+
+
+@pytest.mark.parametrize("H", [*PINNED_PATTERNS, *CUTSET_PATTERNS], ids=repr)
+def test_counting_splits_are_a_minimal_cutset_and_a_forest(H):
+    adj = H._adj0
+    for i, j in H.edges:
+        for steps, (cut, forest) in zip(H._plan(i - 1, j - 1)[0], H._plan(i - 1, j - 1)[2]):
+            pos = {x: k for k, (x, _, _, _) in enumerate(steps)}
+            # the cutset is the steps before the tail that a later step reads
+            s = 1 + max((pos[x] for x, _ in cut), default=-1)
+            assert cut == tuple((x, nbrs) for x, nbrs, branch, _ in steps[:s] if branch)
+            parts = [x for x, *_ in forest]
+            assert sorted(parts) == sorted(x for x, _, branch, _ in steps if pos[x] >= s or not branch)
+            # the tail is a forest: each step has at most one earlier neighbour in it
+            assert all(sum(pos[y] >= s for y in nbrs if y in pos) <= 1 for x, nbrs, _, _ in steps[s:])
+            # and no longer tail is
+            assert s == 0 or any(
+                sum(pos[y] >= s - 1 for y in nbrs if y in pos) > 1 for x, nbrs, _, _ in steps[s - 1 :]
+            )
+            # the parent links are every pattern edge inside the forest, and
+            # each step's other neighbours are its pinned and cutset parts
+            inside = set(parts)
+            links = {frozenset((x, parent)) for x, _, _, parent, _, _ in forest if parent >= 0}
+            assert links == {frozenset((x, y)) for x in inside for y in adj[x] if y in inside}
+            up = {x: parent for x, _, _, parent, _, _ in forest}
+            # trees with a fixed neighbour, by their roots
+            bounded = {_tree_of(up, x) for x, fixed, *_ in forest if fixed}
+            for k, (x, fixed, source, parent, leaves, inner) in enumerate(forest):
+                assert set(fixed) == set(adj[x]) - inside
+                children = {c for c in parts if up[c] == x}
+                assert set(leaves) | set(inner) == children
+                assert all(c not in up.values() for c in leaves)
+                assert all(c in up.values() for c in inner)
+                assert set(inner) <= set(parts[:k])  # weighed before their parent
+                # in a tree with a fixed neighbour, a step with children and
+                # none of its own is cut down by a forest neighbour whose
+                # domain is set before its own
+                if source >= 0:
+                    assert children and not fixed
+                    assert source in adj[x] and source in parts[k + 1 :]
+                elif children and not fixed:
+                    assert _tree_of(up, x) not in bounded
+
+
+def _tree_of(up, x):
+    while up[x] >= 0:
+        x = up[x]
+    return x
+
+
+class _CountingRows(_CountingMasks):
+    """Mask rows that count how often a search reads the row of one vertex."""
+
+    def __getitem__(self, part):
+        return _CountedPart(self, self.masks[part])
+
+
+class _CountedPart:
+    def __init__(self, owner, rows):
+        self.owner, self.rows = owner, rows
+
+    def __getitem__(self, index):
+        self.owner.reads += 1
+        return self.rows[index]
+
+
+def test_sparse_counts_read_no_row_of_an_unreachable_index():
+    # n disjoint copies of P5: pinned at an edge, the parts with no pinned
+    # neighbour have every index in their domain, and weighing each would
+    # read n rows per count, about n^2 in all
+    n = 200
+    G = tree_exsat_construction(PatternGraph.path(5), n)
+    G._masks = masks = _CountingRows(G._masks)
+    assert count_partite_copies(G) == n
+    assert all(count_copies_through(G, u, v) == 1 for u, v in G.edges)
+    assert masks.reads < 40 * len(G.edges)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("H", CUTSET_PATTERNS, ids=repr)
+def test_cutset_counts_match_brute_force_on_every_slot(H, seed):
+    rng = random.Random(seed)
+    for n in (2, 3):
+        host = BlowupHost(H, n)
+        for density in (0.4, 0.7, 0.9):
+            G = PartiteGraph(host, [s for s in host.slots() if rng.random() < density])
+            assert count_partite_copies(G) == brute_count(G)
+            assert_through_counts_match_brute_force(G)
 
 
 @pytest.mark.parametrize("L, n", [(1500, 1), (2048, 2)])

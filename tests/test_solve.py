@@ -890,6 +890,10 @@ def _check_stats(r):
     assert r.stats["cuts"] == {
         reason: sum(row["cuts"][reason] for row in levels) for reason in solve._CUT_REASONS
     }
+    phases = r.stats["phases"]
+    assert list(phases) == ["greedy", "group", "walk", "recheck"]
+    assert all(t >= 0 for t in phases.values())
+    assert sum(phases.values()) <= r.elapsed + 1e-5  # each is rounded to a microsecond
 
 
 @pytest.mark.parametrize(
@@ -941,6 +945,7 @@ def test_stats_of_a_trivial_search():
     _check_stats(r)
     assert len(r.stats["levels"]) == 1
     assert r.stats["group"] == {"pool": None, "rows": 0} and r.stats["leaders"] == 0
+    assert r.stats["phases"]["group"] == r.stats["phases"]["walk"] == 0
 
 
 @pytest.mark.parametrize(
@@ -1634,8 +1639,16 @@ def test_kr_sat_bounds_k4():
     b = kr_sat_bounds(4, 10)
     assert (b.lower, b.upper) == (80, 180)
     assert b.m_lower.value == 4 and b.m_upper.value == 6
-    assert kr_sat_bounds(4, 1).lower == 8
-    assert kr_sat_bounds(4, 1).upper == 18
+    assert kr_sat_bounds(4, 2).lower == 16 == min_sat_exact(PatternGraph.complete(4), 2).value
+
+
+@pytest.mark.parametrize("r, proved", [(4, 5), (5, 9)])
+def test_kr_sat_bounds_refuse_n1(r, proved):
+    # at n = 1 a vertex can see a whole part, so the degree argument behind
+    # the lower bound fails: it would give 8 and 15 against the proved 5 and 9
+    assert min_sat_exact(PatternGraph.complete(r), 1).value == proved
+    with pytest.raises(ValueError, match="n >= 2"):
+        kr_sat_bounds(r, 1)
 
 
 def test_kr_sat_bounds_k5():
