@@ -51,8 +51,10 @@ class PatternGraph:
             adj[j - 1].append(i - 1)
         self._adj0 = tuple(tuple(sorted(a)) for a in adj)
         # pinned-search plans, one per pattern edge and orientation, keyed
-        # p * v + q; filled by _plan on first use, since building all of
-        # them costs O(e * (v + e)) and a scan may stop at its first slot
+        # p * v + q, and their counting splits, keyed -1 - (p * v + q) for
+        # p < q; filled by _plan and _splits on first use, since building
+        # all of them costs O(e * (v + e)) and a scan may stop at its first
+        # slot
         self._plans: dict[int, tuple] = {}
 
     # -- constructors for the usual suspects ---------------------------------
@@ -118,22 +120,27 @@ class PatternGraph:
 
     def _plan(self, p: int, q: int) -> tuple:
         """The search plan of pattern edge (p, q), 0-based: the components of
-        _search_plan, each with the memo keys of _counting_steps; the
-        neighbours of q other than p, the parts a copy's q-end meets; and
-        each component split by _cut_and_forest, for counting."""
+        _search_plan, each with the memo keys of _counting_steps, and the
+        neighbours of q other than p, the parts a copy's q-end meets."""
         key = p * self.vertex_count + q
         plan = self._plans.get(key)
         if plan is None:
             other = self._plans.get(q * self.vertex_count + p)
-            if other:
-                components, splits = other[0], other[2]
-            else:
-                components = tuple(
-                    _counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q))
-                )
-                splits = tuple(_cut_and_forest(steps) for steps in components)
-            plan = self._plans[key] = (components, tuple(x for x in self._adj0[q] if x != p), splits)
+            components = other[0] if other else tuple(
+                _counting_steps(steps) for steps in _search_plan(self._adj0, min(p, q), max(p, q))
+            )
+            plan = self._plans[key] = (components, tuple(x for x in self._adj0[q] if x != p))
         return plan
+
+    def _splits(self, p: int, q: int) -> tuple:
+        """The components of the plan of pattern edge (p, q), each split by
+        _cut_and_forest for counting; compiled at the first count, kept
+        under key -1 - (p * v + q) with p < q."""
+        key = -1 - min(p, q) * self.vertex_count - max(p, q)
+        splits = self._plans.get(key)
+        if splits is None:
+            splits = self._plans[key] = tuple(_cut_and_forest(steps) for steps in self._plan(p, q)[0])
+        return splits
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.vertex_count):
@@ -365,10 +372,11 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # (part, nbrs, branch, key).  The plan of pattern edge (p, q) is compiled once
 # (PatternGraph._plan): the other parts, split into the components of the
 # pattern minus p and q, each in breadth-first order (_search_plan), with the
-# memo keys of _counting_steps; the neighbours of q other than p; and each
-# component split into a cutset and a forest (_cut_and_forest).  No walk of a
-# component calls itself: _extend asks whether it can be placed, _count in
-# how many ways.
+# memo keys of _counting_steps, and the neighbours of q other than p.  The
+# first count on the edge also splits each component into the steps before
+# its forest and the forest (PatternGraph._splits, _cut_and_forest).  No walk
+# of a component calls itself: _extend asks whether it can be placed, _count
+# in how many ways.
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
@@ -382,9 +390,10 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # (_forest_ways) with no candidate tried: every component of K3, K4, the
 # cycles, paths, stars and trees.  Each domain is first cut down from the
 # pinned end of its tree, so a sparse host is weighed only at reachable
-# indices.  Otherwise _count tries each placement of the component's cutset,
-# the few steps before its forest, and sums the forest's counts
-# (cycle-cutset conditioning; Dechter and Pearl, 1987).
+# indices.  Otherwise _count tries each placement of the steps before the
+# forest and sums the forest's counts under it (cycle-cutset conditioning;
+# Dechter and Pearl, 1987), remembering a count by the index of the one
+# earlier part it depends on, so a chain of cycles costs a polynomial.
 # Every copy uses exactly one slot of each bundle, so an unpinned count is
 # the sum of pinned counts over the present slots of one bundle
 # (_sparsest_bundle), and has_partite_copy asks _closes_copy of those slots.
@@ -425,18 +434,18 @@ def _search_plan(adj0, p: int, q: int) -> tuple[tuple[tuple[int, tuple[int, ...]
 
 
 def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]:
-    """One component of a search plan with the memo keys of _extend: each
-    step (part, nbrs, branch) gains the free part whose index alone decides
-    whether this step and the later ones can be placed, or -1.  Counting
-    (_count) reads no key.
+    """One component of a search plan with its memo keys: each step
+    (part, nbrs, branch) gains the free part whose index alone decides
+    whether, and in how many ways, this step and the later ones can be
+    placed, or -1.
 
-    That depends on the free parts placed before the step that it or a
-    later step reads (the pinned parts are fixed for a whole search).  When
-    that is one part y, the outcome of the suffix is a function of y's
-    index, and _extend remembers a failure by that index.  Only branching
-    steps get a key, and only after at least two branching steps, y and
-    another: otherwise each index of y reaches the step once and the memo
-    could never hit."""
+    Those placements depend on the free parts placed before the step that it
+    or a later step reads (the pinned parts are fixed for a whole search).
+    When that is one part y, the outcome of the suffix is a function of y's
+    index: _extend remembers a failure by that index, and _count, in the
+    steps before a forest, a count.  Only branching steps get a key, and
+    only after at least two branching steps, y and another: otherwise each
+    index of y reaches the step once and the memo could never hit."""
     last = {y: k for k, (_, nbrs, _) in enumerate(steps) for y in nbrs}
     live: set[int] = set()  # free parts placed so far that a later step reads
     branching = 0
@@ -452,28 +461,24 @@ def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]
 
 
 def _cut_and_forest(steps) -> tuple[tuple, tuple]:
-    """One component of a search plan split for counting (_count) into a
-    cutset prefix and a forest.  The tail is the longest run of last steps
-    in which each step has at most one earlier neighbour inside the run, so
-    its parts form a forest once the prefix is placed.  A prefix step that a
-    later step reads is a cutset step (part, nbrs); the others join the
-    forest as trees of one part.
+    """One component of a search plan split for counting (_count): its
+    steps before the forest, and the forest.  The forest is the longest run
+    of last steps in which each step has at most one earlier neighbour
+    inside the run, so its parts form a forest once the steps before it are
+    placed.
 
-    A forest step is (part, fixed, source, parent, leaves, inner).  fixed
-    are its pinned and cutset neighbours, whose rows bound its domain to a
-    row's size.  Each tree is walked breadth-first from a part with a fixed
-    neighbour, if it has one.  A step with children and no fixed neighbour
-    has the neighbour it is reached from as its source, whose domain cuts
-    its own down, so that on a sparse graph no step is weighed at indices
-    no placement reaches; source is -1 elsewhere.  The tree is weighed from
-    the same part, parent being -1 at its root, except that a first part
-    with one neighbour, which has others, becomes a leaf of that neighbour,
-    so that as few children as possible have children.  leaves and inner
-    are a step's children without and with children of their own.  Steps
-    come in the reverse of the walk's order: a source after the step it
-    cuts down, an inner child before its parent."""
+    A forest step is (part, fixed, source, parent, leaves, inner), in the
+    reverse of the plan's order.  fixed are its pinned neighbours and those
+    placed before the forest.  A step with children and no fixed neighbour
+    has its earlier forest neighbour as its source, whose domain cuts its
+    own down, so that on a sparse graph no step is weighed at an index no
+    placement reaches; source is -1 elsewhere.  The parent is that same
+    neighbour, -1 at a root, except that a root with one child that has
+    children becomes that child's leaf: a leaf costs one popcount per index
+    of its parent, a step with children a pass over its own domain.  leaves
+    and inner are a step's children without and with children of their
+    own, and an inner child comes before its parent."""
     pos = {x: k for k, (x, _, _, _) in enumerate(steps)}
-    nbrs = {x: ys for x, ys, _, _ in steps}
     s, worst = len(steps), -1  # the latest second free neighbour of a step >= s
     while s:
         free = sorted(pos[y] for y in steps[s - 1][1] if y in pos)
@@ -481,40 +486,20 @@ def _cut_and_forest(steps) -> tuple[tuple, tuple]:
         if worst >= s - 1:
             break
         s -= 1
-    near: dict[int, list[int]] = {x: [] for x, _, branch, _ in steps if pos[x] >= s or not branch}
-    for x in near:
-        for y in nbrs[x]:
-            if y in near:
-                near[x].append(y)
-                near[y].append(x)
-    fixed = {x: tuple(y for y in nbrs[x] if y not in near) for x in near}
-    source: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    order: list[int] = []
-    for root in sorted(near, key=lambda x: (not fixed[x], -len(near[x]))):
-        if root not in source:
-            source[root], tree = -1, [root]
-            for x in tree:  # the list grows as it is read: breadth-first
-                for y in near[x]:
-                    if y not in source:
-                        source[y] = x
-                        tree.append(y)
-            parent.update((x, source[x]) for x in tree)
-            if len(near[root]) == 1 and len(near[tree[1]]) > 1:
-                parent[root], parent[tree[1]] = tree[1], -1
-            order += tree
-    kids = {x: [y for y in near[x] if parent[y] == x] for x in order}
-    return tuple((x, nbrs[x]) for x, _, branch, _ in steps[:s] if branch), tuple(
-        (
-            x,
-            fixed[x],
-            source[x] if kids[x] and not fixed[x] else -1,
-            parent[x],
-            tuple(y for y in kids[x] if not kids[y]),
-            tuple(y for y in kids[x] if kids[y]),
-        )
-        for x in reversed(order)
-    )
+    up = {x: next((y for y in nbrs if pos.get(y, -1) >= s), -1) for x, nbrs, _, _ in steps[s:]}
+    kids = {x: [y for y in up if up[y] == x] for x in up}
+    parent = dict(up)
+    for x in up:
+        if up[x] < 0 and len(kids[x]) == 1 and kids[kids[x][0]]:
+            parent[x], parent[kids[x][0]] = kids[x][0], -1
+    kids = {x: [y for y in parent if parent[y] == x] for x in parent}
+    forest = []
+    for x, nbrs, _, _ in reversed(steps[s:]):
+        fixed = tuple(y for y in nbrs if pos.get(y, -1) < s)
+        source = up[x] if kids[x] and not fixed else -1
+        leaves = tuple(y for y in kids[x] if not kids[y])
+        forest.append((x, fixed, source, parent[x], leaves, tuple(y for y in kids[x] if kids[y])))
+    return steps[:s], tuple(forest)
 
 
 def _extend(masks, steps, chosen: list[int], full: int) -> bool:
@@ -653,7 +638,7 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
                     todo &= -1 << min(start - k, n)
                 k += n
                 while todo:
-                    components, others, _ = pattern._plan(p, q)
+                    components, others = pattern._plan(p, q)
                     bit = todo & -todo
                     chosen[q] = bit.bit_length() - 1
                     for steps in components:
@@ -669,46 +654,80 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
 
 def _count(masks, split, chosen: list[int], full: int) -> int:
     """In how many ways can one plan component be placed, given the indices
-    of the parts already placed in `chosen`?  `split` is its cutset and
-    forest (_cut_and_forest).  One loop tries each placement of the cutset
-    in turn, keeping each step's untried candidates in `pending`, and adds
-    the forest's count under it (_forest_ways).  A tree has no cutset, so
-    it is counted without trying any candidate."""
-    cut, forest = split
-    size = len(cut)
-    pending = [0] * size
-    total = k = 0
+    of the parts already placed in `chosen`?  `split` is the steps before
+    its forest and the forest (_cut_and_forest).  Each placement of the
+    steps before the forest is tried in turn, and the forest's count under
+    it (_forest_ways) added; a step that no later step reads is multiplied
+    out by its candidate count, not tried.  Most components are all forest,
+    and are counted without trying any candidate.
+
+    The innermost open branching step `top` keeps, in locals, its untried
+    candidates, the product `before` of the steps between it and the open
+    branching step below it, and the `ways` counted through its candidates
+    tried so far; the open steps below it are saved on `below`.  When `top`
+    runs out of candidates it closes: its count, remembered by its key
+    part's index if it has a key (see _counting_steps), is one result for
+    the open step below."""
+    steps, forest = split
+    size = len(steps)
+    memo = None  # made at the first keyed step that closes
+    below = []
+    top, untried, before, ways = -1, 0, 1, 0  # top -1: no step is open
+    k, total = 0, 1
     while True:
-        if k < size:
-            x, nbrs = cut[k]
+        while k < size:
+            x, nbrs, branch, key = steps[k]
+            if key >= 0 and memo:
+                known = memo.get(chosen[key] * size + k)
+                if known is not None:
+                    total *= known
+                    break
             cand = full
             for y in nbrs:
                 cand &= masks[y][chosen[y]][x]
-            pending[k] = cand
+            if not cand:
+                total = 0
+                break
+            if branch:
+                below.append((top, untried, before, ways))
+                bit = cand & -cand
+                chosen[x] = bit.bit_length() - 1
+                top, untried, before, ways, total = k, cand ^ bit, total, 0, 1
+            else:
+                total *= cand.bit_count()
+            k += 1
         else:
-            total += _forest_ways(masks, forest, chosen, full)
-            k -= 1
-        while k >= 0 and not pending[k]:
-            k -= 1
-        if k < 0:
+            total *= _forest_ways(masks, forest, chosen, full)
+        # total counts the steps above top for top's current candidate
+        while top >= 0:
+            ways += total
+            if untried:
+                break
+            key = steps[top][3]
+            if key >= 0:
+                if memo is None:
+                    memo = {}
+                memo[chosen[key] * size + top] = ways
+            total = before * ways
+            top, untried, before, ways = below.pop()
+        if top < 0:
             return total
-        bit = pending[k] & -pending[k]
-        pending[k] ^= bit
-        chosen[cut[k][0]] = bit.bit_length() - 1
-        k += 1
+        bit = untried & -untried
+        untried ^= bit
+        chosen[steps[top][0]] = bit.bit_length() - 1
+        k, total = top + 1, 1
 
 
 def _forest_ways(masks, forest, chosen: list[int], full: int) -> int:
-    """The placements of a component's forest once its pinned and cutset
-    parts are placed in `chosen`: a sum-product.  In the walk's order, a
-    step's domain is the candidates its fixed neighbours' rows allow, cut
-    down, if it has a source, to those that some index of the source's
-    domain meets; an empty one means no placement.  Children before
-    parents, a step with children weighs each index of its domain by the
-    placements of its subtree with the step there: the product, over its
-    children, of a leaf's candidates in that index's row or an inner
-    child's weights summed over them.  The count is the product of the
-    roots' summed weights."""
+    """The placements of a component's forest once the parts before it are
+    placed in `chosen`: a sum-product.  In the plan's order, a step's
+    domain is the candidates its fixed neighbours' rows allow, cut down, if
+    it has a source, to those that some index of the source's domain
+    meets; an empty one means no placement.  Then, children first, a
+    step with children weighs each index of its domain by the placements of
+    its subtree with the step there: the product, over its children, of a
+    leaf's candidates in that index's row or an inner child's weights
+    summed over them.  The count is the product of the roots' weights."""
     dom = {}
     for x, fixed, source, _, _, _ in reversed(forest):
         d = full
@@ -784,7 +803,7 @@ def count_partite_copies(G: PartiteGraph) -> int:
     if not pattern.edges:
         return n ** pattern.vertex_count
     p, q = _sparsest_bundle(pattern, masks)
-    plan = pattern._plan(p, q)[2]
+    plan = pattern._splits(p, q)
     chosen = [0] * pattern.vertex_count
     full = (1 << n) - 1
     total = 0
@@ -854,7 +873,7 @@ def count_copies_through(G: PartiteGraph, u, v) -> int:
     chosen = [0] * G.host.pattern.vertex_count
     chosen[p] = a
     chosen[q] = b
-    return _through(G._masks, G.host.pattern._plan(p, q)[2], chosen, (1 << G.host.n) - 1)
+    return _through(G._masks, G.host.pattern._splits(p, q), chosen, (1 << G.host.n) - 1)
 
 
 def creates_copy_through(G: PartiteGraph, u, v) -> bool:

@@ -436,6 +436,13 @@ class _CountingMasks:
         return self.masks[part]
 
 
+def _triangle_chain(k):
+    """k triangles in a row, (v0, a1, v1), (v1, a2, v2), ...: v_i is part
+    i + 1 and a_i is part k + 1 + i."""
+    edges = [((i, i + 1), (i, k + 1 + i), (i + 1, k + 1 + i)) for i in range(1, k + 1)]
+    return PatternGraph(2 * k + 1, itertools.chain(*edges))
+
+
 @pytest.mark.parametrize(
     "H, p, q",
     [
@@ -443,6 +450,10 @@ class _CountingMasks:
         (SIX_PART_PATTERNS[2], 2, 3),
         # pinned at parts 1 and 2, the rest is the path 3-4-5-6
         (SIX_PART_PATTERNS[0], 1, 2),
+        # pinned at v0 and a1, only the last two triangles' parts are a
+        # forest; the count of the steps before it from each triangle on
+        # depends on the index of the v placed before it alone
+        (_triangle_chain(6), 1, 8),
     ],
 )
 def test_pinned_count_reads_polynomially_many_rows(H, p, q):
@@ -451,19 +462,21 @@ def test_pinned_count_reads_polynomially_many_rows(H, p, q):
     G._masks = masks = _CountingMasks(G._masks)
     assert count_copies_through(G, (p, 1), (q, 1)) == n ** (H.vertex_count - 2)
     # trying every index of the last three placed parts in turn reads > n^3
-    # rows; the sum-product over a tree reads each part's rows once per step
-    assert masks.reads < n ** 3
+    # rows, and the triangle chain's steps before its forest without their
+    # memo read about n^8; the sum-product reads each forest part's rows
+    # once per index, and the memoised walk each part's once per index of
+    # the part its count depends on (v * n^2 is n^3 at six parts)
+    assert masks.reads < H.vertex_count * n**2
 
 
 @pytest.mark.parametrize("H", PINNED_PATTERNS, ids=repr)
 def test_search_plans_place_every_part_and_check_every_edge_once(H):
     for i, j in H.edges:
         p, q = i - 1, j - 1
-        plan, others, splits = H._plan(p, q)
-        assert H._plan(q, p)[0] is plan and H._plan(q, p)[2] is splits
+        plan, others = H._plan(p, q)
+        assert H._plan(q, p)[0] is plan
         assert set(others) == set(H._adj0[q]) - {p}
         assert all(plan)  # no empty component, so K2's plan is empty
-        assert len(splits) == len(plan)
         steps = [step for component in plan for step in component]
         assert sorted(x for x, _, _, _ in steps) == sorted(set(range(H.vertex_count)) - {p, q})
         placed = {p, q}
@@ -487,10 +500,10 @@ def test_search_plans_place_every_part_and_check_every_edge_once(H):
 
 # Patterns for the counting splits.  K5, K4 with a pendant triangle, the
 # octahedron K(2,2,2) and the last pattern have pinned components that are
-# not forests, so a count tries each placement of their cutset; the diamond
-# and K4 beside a part with no edges have none.  Pinned at parts 1 and 2,
-# the last pattern's cutset prefix holds part 4, which no later step reads,
-# so part 4 joins the forest as a tree of its own.
+# not forests, so a count tries each placement of the steps before the
+# forest; the diamond and K4 beside a part with no edges have none.  Pinned
+# at parts 1 and 2, the last pattern has part 4 before its forest, which no
+# later step reads, so the walk multiplies it out by its candidate count.
 CUTSET_PATTERNS = [
     PatternGraph.complete(5),
     PatternGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
@@ -501,52 +514,46 @@ CUTSET_PATTERNS = [
 ]
 
 
-@pytest.mark.parametrize("H", [*PINNED_PATTERNS, *CUTSET_PATTERNS], ids=repr)
+@pytest.mark.parametrize("H", [*PINNED_PATTERNS, *CUTSET_PATTERNS, _triangle_chain(4)], ids=repr)
 def test_counting_splits_are_a_minimal_cutset_and_a_forest(H):
     adj = H._adj0
     for i, j in H.edges:
-        for steps, (cut, forest) in zip(H._plan(i - 1, j - 1)[0], H._plan(i - 1, j - 1)[2]):
-            pos = {x: k for k, (x, _, _, _) in enumerate(steps)}
-            # the cutset is the steps before the tail that a later step reads
-            s = 1 + max((pos[x] for x, _ in cut), default=-1)
-            assert cut == tuple((x, nbrs) for x, nbrs, branch, _ in steps[:s] if branch)
-            parts = [x for x, *_ in forest]
-            assert sorted(parts) == sorted(x for x, _, branch, _ in steps if pos[x] >= s or not branch)
-            # the tail is a forest: each step has at most one earlier neighbour in it
-            assert all(sum(pos[y] >= s for y in nbrs if y in pos) <= 1 for x, nbrs, _, _ in steps[s:])
-            # and no longer tail is
+        p, q = i - 1, j - 1
+        plan, splits = H._plan(p, q)[0], H._splits(p, q)
+        assert H._splits(q, p) is splits and len(splits) == len(plan)
+        for steps, (before, forest) in zip(plan, splits):
+            # the steps before the forest are a prefix of the plan's, and
+            # the forest is the rest, children before parents
+            s = len(before)
+            assert before == steps[:s]
+            tail = {x for x, *_ in steps[s:]}
+            placed = {x: nbrs for x, nbrs, _, _ in steps}
+            assert [x for x, *_ in forest] == [x for x, *_ in reversed(steps[s:])]
+            # in the forest each step has at most one earlier neighbour
+            earlier = {x: [y for y in nbrs if y in tail] for x, nbrs, _, _ in steps[s:]}
+            assert all(len(ys) <= 1 for ys in earlier.values())
+            # and no longer tail is a forest
             assert s == 0 or any(
-                sum(pos[y] >= s - 1 for y in nbrs if y in pos) > 1 for x, nbrs, _, _ in steps[s - 1 :]
+                sum(y in tail or y == steps[s - 1][0] for y in nbrs) > 1 for _, nbrs, _, _ in steps[s - 1 :]
             )
-            # the parent links are every pattern edge inside the forest, and
-            # each step's other neighbours are its pinned and cutset parts
-            inside = set(parts)
+            # the parent links are every pattern edge inside the forest
             links = {frozenset((x, parent)) for x, _, _, parent, _, _ in forest if parent >= 0}
-            assert links == {frozenset((x, y)) for x in inside for y in adj[x] if y in inside}
+            assert links == {frozenset((x, y)) for x in tail for y in adj[x] if y in tail}
             up = {x: parent for x, _, _, parent, _, _ in forest}
-            # trees with a fixed neighbour, by their roots
-            bounded = {_tree_of(up, x) for x, fixed, *_ in forest if fixed}
+            parts = [x for x, *_ in forest]
             for k, (x, fixed, source, parent, leaves, inner) in enumerate(forest):
-                assert set(fixed) == set(adj[x]) - inside
-                children = {c for c in parts if up[c] == x}
+                # each step's other neighbours are its pinned and earlier parts
+                assert set(fixed) == set(adj[x]) - tail == set(placed[x]) - set(earlier[x])
+                children = {y for y in tail if up[y] == x}
                 assert set(leaves) | set(inner) == children
-                assert all(c not in up.values() for c in leaves)
-                assert all(c in up.values() for c in inner)
-                assert set(inner) <= set(parts[:k])  # weighed before their parent
-                # in a tree with a fixed neighbour, a step with children and
-                # none of its own is cut down by a forest neighbour whose
-                # domain is set before its own
-                if source >= 0:
-                    assert children and not fixed
-                    assert source in adj[x] and source in parts[k + 1 :]
-                elif children and not fixed:
-                    assert _tree_of(up, x) not in bounded
-
-
-def _tree_of(up, x):
-    while up[x] >= 0:
-        x = up[x]
-    return x
+                assert all(y not in up.values() for y in leaves)
+                assert set(inner) <= set(parts[:k]) and all(y in up.values() for y in inner)
+                # a step with children and no fixed neighbour is cut down by
+                # its earlier forest neighbour, whose domain is set first
+                assert source == (earlier[x][0] if children and not fixed and earlier[x] else -1)
+                # a root with one neighbour has no grandchildren
+                if parent < 0 and len(children) == 1:
+                    assert not any(up[y] in children for y in tail)
 
 
 class _CountingRows(_CountingMasks):
