@@ -380,10 +380,12 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
-# The scan goes one row at a time, a row being the slots (p, a)-(q, b) of one
-# vertex (p, a) and one part q > p: a copy found through b carries one
-# through every b' that all of q's other neighbours in it meet, so those
-# non-edges need no search of their own.
+# _extend places each step at its least candidate as it passes it, so a
+# component it places leaves a whole copy in its index list.  The scan goes
+# one row at a time, a row being the slots (p, a)-(q, b) of one vertex (p, a)
+# and one part q > p: the copy found through b carries one through every b'
+# that all of q's other neighbours in it meet, so those non-edges need no
+# search of their own.
 # Counting, pinned the same way (count_copies_through): the product of the
 # counts of the plan's components.  With the pinned parts placed, what is left
 # of a component is almost always a forest, counted by one sum-product
@@ -397,8 +399,8 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # Every copy uses exactly one slot of each bundle, so an unpinned count is
 # the sum of pinned counts over the present slots of one bundle
 # (_sparsest_bundle), and has_partite_copy asks _closes_copy of those slots.
-# The lex-least copy (_find) runs _extend on one component that places the
-# parts in ascending order, so that the first copy it meets is the least.
+# The lex-least copy (_find) is the copy _extend leaves on one component that
+# places the parts in ascending order: the first copy it meets is the least.
 # --------------------------------------------------------------------------
 
 
@@ -443,20 +445,17 @@ def _counting_steps(steps) -> tuple[tuple[int, tuple[int, ...], bool, int], ...]
     or a later step reads (the pinned parts are fixed for a whole search).
     When that is one part y, the outcome of the suffix is a function of y's
     index: _extend remembers a failure by that index, and _count, in the
-    steps before a forest, a count.  Only branching steps get a key, and
-    only after at least two branching steps, y and another: otherwise each
-    index of y reaches the step once and the memo could never hit."""
+    steps before a forest, a count.  So a branching step has a key exactly
+    when one earlier free part is still read."""
     last = {y: k for k, (_, nbrs, _) in enumerate(steps) for y in nbrs}
     live: set[int] = set()  # free parts placed so far that a later step reads
-    branching = 0
     out = []
     for k, (x, nbrs, branch) in enumerate(steps):
-        key = next(iter(live)) if branch and len(live) == 1 and branching > 1 else -1
+        key = next(iter(live)) if branch and len(live) == 1 else -1
         out.append((x, nbrs, branch, key))
         live.difference_update(y for y in nbrs if last[y] == k)
         if branch:
             live.add(x)
-            branching += 1
     return tuple(out)
 
 
@@ -504,9 +503,10 @@ def _cut_and_forest(steps) -> tuple[tuple, tuple]:
 
 def _extend(masks, steps, chosen: list[int], full: int) -> bool:
     """Can one plan component be placed, given the indices of the parts
-    already placed in `chosen`?  On success `chosen` holds an index for each
-    branching step; a step that no later step reads is only checked to have
-    a candidate.
+    already placed in `chosen`?  Each step passed takes its least candidate,
+    so on success `chosen` holds a whole copy of the component.  A step
+    that no later step reads needs some candidate, not a particular one, so
+    only branching steps are tried again.
 
     At a dead end the walk steps back to the nearest branching step and
     tries it again with the candidates above its current index only.  The
@@ -528,9 +528,9 @@ def _extend(masks, steps, chosen: list[int], full: int) -> bool:
             for y in nbrs:
                 cand &= masks[y][chosen[y]][x]
         if cand:
+            bit = cand & -cand
+            chosen[x] = bit.bit_length() - 1
             if branch:
-                bit = cand & -cand
-                chosen[x] = bit.bit_length() - 1
                 top, untried = k, cand ^ bit
             k, floor = k + 1, full
             continue
@@ -559,31 +559,18 @@ def _extend(masks, steps, chosen: list[int], full: int) -> bool:
     return True
 
 
-def _least(masks, steps, chosen: list[int], full: int) -> None:
-    """Give each step of a placed plan component that no later step reads
-    its least candidate, so that `chosen` holds a whole placement."""
-    for x, nbrs, branch, _ in steps:
-        if not branch:
-            cand = full
-            for y in nbrs:
-                cand &= masks[y][chosen[y]][x]
-            chosen[x] = (cand & -cand).bit_length() - 1
-
-
 def _find(pattern: PatternGraph, n: int, masks) -> Optional[tuple[int, ...]]:
     """The lexicographically least copy, as 0-based indices by part.  One
     component places parts 0..v-1 in turn, each bounded by its lower
-    neighbours, and _extend tries indices in ascending order, so the first
-    copy it meets is the least once each part that no later part reads
-    takes its least candidate."""
+    neighbours, and _extend tries indices in ascending order and gives each
+    part that no later part reads its least candidate, so the first copy
+    it meets is the least."""
     steps = _counting_steps(
         [(x, tuple(y for y in adj if y < x), any(y > x for y in adj)) for x, adj in enumerate(pattern._adj0)]
     )
     chosen = [0] * pattern.vertex_count
-    full = (1 << n) - 1
-    if not _extend(masks, steps, chosen, full):
+    if not _extend(masks, steps, chosen, (1 << n) - 1):
         return None
-    _least(masks, steps, chosen, full)
     return tuple(chosen)
 
 
@@ -610,26 +597,19 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
     validity test are all this one scan.
 
     The slots (p, a)-(q, b), p < q, of one row (p, a, q) are contiguous in
-    slot order.  The least non-edge b of a row not yet covered is searched
+    slot order, and every row is walked; a slot below `start` is masked out
+    of its row.  The least non-edge b of a row not yet covered is searched
     pinned; if that search fails, b is the answer.  Otherwise the copy
-    found, with each part that no later step reads at its least candidate,
-    also runs through every b' that q's neighbours other than p all meet in
-    it, and those slots are covered without a search.  So the scan runs at
-    most one search per non-edge, and its answer is the one a per-slot scan
-    gives."""
+    _extend leaves in `chosen` also runs through every b' that q's
+    neighbours other than p all meet in it, and those slots are covered
+    without a search.  So the scan runs at most one search per non-edge,
+    and its answer is the one a per-slot scan gives."""
     full = (1 << n) - 1
     chosen = [0] * pattern.vertex_count
     k = 0  # the index of the current row's first slot
     for p, adj in enumerate(pattern._adj0):
         ups = [q for q in adj if q > p]
-        width = n * len(ups)  # the slots of one vertex (p, a)
-        if k + n * width <= start:
-            k += n * width
-            continue
-        # the scan starts at the first vertex of part p with a slot >= start
-        first = (start - k) // width if start > k else 0
-        k += first * width
-        for a in range(first, n):
+        for a in range(n):
             row = masks[p][a]
             chosen[p] = a
             for q in ups:
@@ -644,7 +624,6 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
                     for steps in components:
                         if not _extend(masks, steps, chosen, full):
                             return k - n + chosen[q]
-                        _least(masks, steps, chosen, full)
                     cover = full
                     for x in others:
                         cover &= masks[x][chosen[x]][q]

@@ -89,14 +89,27 @@ class MResult:
     stats: Optional[dict] = None
 
 
-def _partitions(total: int, parts: int, minimum: int = 1) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
+def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The splits of total into `parts` sizes >= 1, each in ascending order,
+    in lexicographic order.  A loop, not a recursion, so any number of
+    parts can be split."""
+    if not 0 < parts <= total:
         return
-    for first in range(minimum, total - (parts - 1) * minimum + 1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    sizes = [1] * (parts - 1) + [total - parts + 1]
+    while True:
+        yield tuple(sizes)
+        # the next split raises the last size i that can be raised, and
+        # gives each size after it the least value it can take
+        i, rest = parts - 1, sizes[-1]
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            rest += sizes[i]
+            low = sizes[i] + 1
+            if rest >= low * (parts - i):
+                break
+        sizes[i:] = [low] * (parts - 1 - i) + [rest - low * (parts - 1 - i)]
 
 
 class _BudgetExceeded(Exception):
@@ -127,7 +140,7 @@ class _MPartition:
     part has size 1), and a graph held as one adjacency bitmask per
     vertex."""
 
-    def __init__(self, sizes: tuple[int, ...], s: int):
+    def __init__(self, sizes: tuple[int, ...], s: int, deadline: Optional[float] = None):
         r = len(sizes)
         offsets = list(itertools.accumulate(sizes, initial=0))
         total = offsets[-1]
@@ -142,18 +155,16 @@ class _MPartition:
         ]
         slots = [(offsets[p] + a, offsets[q] + b) for p, a, q, b in ends]
         self.group = _slot_group(sizes, [tuple(range(r))], ends)
-        part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
+        # the vertex masks of the parts, from which covered makes each
+        # choice of s - 1 parts as it reaches it
+        self.part_masks = [((1 << size) - 1) << offsets[p] for p, size in enumerate(sizes)]
         self.s, self.slots, self.ends, self.L = s, slots, ends, len(slots)
+        self.deadline = deadline
         self.adj = [0] * total
-        # each choice of s - 1 parts, as the vertex masks of its parts
-        self.choices = [
-            tuple(part_masks[p] for p in choice)
-            for choice in itertools.combinations(range(r), s - 1)
-        ]
         self.everything = (1 << total) - 1
         # the choice that failed last is tried first: a child adds one edge
         # to its parent, so it most often still lacks the same transversal
-        self.last_failed = 0
+        self.last_failed: tuple[int, ...] = ()
 
     def toggle(self, ks) -> None:
         adj, slots = self.adj, self.slots
@@ -180,8 +191,12 @@ class _MPartition:
         return [k for k in ks if not clique_in(self.s - 2, adj[slots[k][0]] & adj[slots[k][1]])]
 
     def covered(self) -> bool:
-        """Does the graph hold a transversal K_{s-1} on every s - 1 parts?"""
-        adj = self.adj
+        """Does the graph hold a transversal K_{s-1} on every s - 1 parts?
+        The choice that failed last is tried first, then every choice in
+        turn.  Choices are made as the scan reaches them, and the clock read
+        at every 4096th, since a host can have more than fit in memory or
+        in the budget: m(22, 11) has 646 646."""
+        adj, everything, deadline = self.adj, self.everything, self.deadline
 
         def grow(choice: tuple[int, ...], idx: int, pool: int) -> bool:
             # a transversal clique on the parts choice[idx:], inside pool
@@ -195,11 +210,14 @@ class _MPartition:
                     return True
             return False
 
-        first, choices = self.last_failed, self.choices
-        for i in itertools.chain(range(first, len(choices)), range(first)):
-            if not grow(choices[i], 0, self.everything):
-                self.last_failed = i
+        if self.last_failed and not grow(self.last_failed, 0, everything):
+            return False
+        for i, choice in enumerate(itertools.combinations(self.part_masks, self.s - 1)):
+            if not grow(choice, 0, everything):
+                self.last_failed = choice
                 return False
+            if deadline is not None and not i & 4095 and time.monotonic() > deadline:
+                raise _BudgetExceeded
         return True
 
     def uncoverable(self, free: list[int]) -> bool:
@@ -230,7 +248,7 @@ def _m_search_partition(
     if row is None:
         row = _m_stats(sum(sizes))
     cut = row["cuts"]
-    part = _MPartition(sizes, s)
+    part = _MPartition(sizes, s, deadline)
     L, group = part.L, part.group
 
     def dfs(
@@ -278,6 +296,8 @@ def _m_search(
         raise ValueError("m_value needs s >= 3")
     if r < s:
         raise ValueError("m_value needs r >= s")
+    if r > 100:  # the clique tests recurse once per part of a clique
+        raise ValueError("m_value needs r <= 100")
     if max_vertices is None:
         max_vertices = 2 * r
     deadline = _deadline(budget)
@@ -306,7 +326,7 @@ def _m_search(
     try:
         for total in range(r, max_vertices + 1):
             rows.append(_m_stats(total))
-            for sizes in sorted(_partitions(total, r)):
+            for sizes in _partitions(total, r):
                 if deadline is not None and time.monotonic() > deadline:
                     raise _BudgetExceeded
                 edges = _m_search_partition(sizes, s, deadline, rows[-1], prune)
@@ -348,7 +368,12 @@ def m_value(
     (uncoverable).  No dropped subtree holds a covered set, so the first
     covered set in depth-first preorder, the witness, is the one the search
     without the cut returns.  stats (see MResult) counts each split tried,
-    the nodes and the cuts."""
+    the nodes and the cuts.
+
+    The clock is read at every node, and in the cover test at every 4096th
+    choice of s - 1 parts (see _MPartition.covered).  More than 100 parts
+    are refused before anything is built, as the clique tests recurse once
+    per part of a clique."""
     return _m_search(r, s, max_vertices, budget)
 
 
@@ -384,6 +409,8 @@ def kr_sat_bounds(
         raise ValueError("kr_sat_bounds needs r >= 4")
     if n < 2:
         raise ValueError("kr_sat_bounds needs n >= 2: at n = 1 the lower bound does not hold")
+    if r > 100:  # m(r, r - 1) is refused, so fail before m(r - 1, r - 1) runs
+        raise ValueError("kr_sat_bounds needs r <= 100")
     deadline = _deadline(budget)
     m_lower = m_value(r - 1, r - 1, max_vertices, budget)
     left = None if deadline is None else max(0.0, deadline - time.monotonic())

@@ -295,6 +295,17 @@ def test_solve_budget_exhaustion_exits_3(capsys):
     assert 0 <= doc["lower_bound"] <= doc["upper_bound"]
 
 
+def test_solve_budget_spent_in_greedy_fill_exits_3_without_a_walk(capsys):
+    start = time.monotonic()
+    code, doc, _ = run_json(capsys, "solve", "sat", "--pattern", "c6", "-n", "60", "--budget", "0.5")
+    phases = doc["stats"]["phases"]
+    assert code == 3 and doc["value"] == "UNKNOWN"
+    assert phases["group"] == phases["walk"] == 0
+    assert doc["lower_bound"] == doc["stats"]["floor"]
+    assert doc["upper_bound"] == doc["witness_edges"]
+    assert time.monotonic() - start < phases["greedy"] + phases["recheck"] + 0.5
+
+
 def test_solve_exsat_mode(capsys):
     code, doc, _ = run_json(capsys, "solve", "exsat", "--pattern", "p3", "-n", "2")
     assert code == 0 and doc["value"] == 4
@@ -317,6 +328,30 @@ def test_mvalue_json_reports_stats(capsys):
         assert row["candidates"] == row["nodes"] + sum(row["cuts"].values())
     assert sum(row["nodes"] for row in rows) == doc["nodes"]
     assert doc["stats"]["cuts"]["uncoverable"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mvalue", "-r", "1200", "-s", "3"],
+        ["mvalue", "-r", "200", "-s", "150"],
+        ["bounds", "-r", "1200", "-n", "2"],
+        ["bounds", "-r", "101", "-n", "2"],
+    ],
+)
+def test_m_value_refuses_more_than_100_parts_with_a_message(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv, "--budget", "2")
+    assert time.monotonic() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "r <= 100" in err and err.count("\n") == 1
+
+
+def test_mvalue_with_many_choices_of_parts_keeps_its_budget(capsys):
+    start = time.monotonic()
+    code, doc, _ = run_json(capsys, "mvalue", "-r", "22", "-s", "11", "--budget", "1")
+    assert time.monotonic() - start < 1.3
+    assert code == 3 and doc["value"] == "UNKNOWN"
 
 
 def test_bounds_json_k5(capsys):

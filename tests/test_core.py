@@ -29,7 +29,7 @@ from satblow import (
     selection_carries_pattern,
     tree_exsat_construction,
 )
-from satblow.core import _closes_copy, first_uncovered_slot
+from satblow.core import _closes_copy, _extend, first_uncovered_slot
 from oracles import (
     brute_count,
     brute_count_through,
@@ -336,6 +336,24 @@ def test_closes_copy_matches_brute_force_on_every_slot(G):
         assert _closes_copy(host.pattern, host.n, G._masks, q, b, p, a) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(pinned_graphs())
+def test_extend_leaves_a_whole_copy_through_the_pinned_slot(G):
+    # once every component is placed, the pinned slot and `chosen` carry
+    # every pattern edge, parts that no later step reads included
+    host = G.host
+    pattern, n, masks = host.pattern, host.n, G._masks
+    edges = [(i - 1, j - 1) for i, j in pattern.edges]
+    for p, a, q, b in host.ends0():
+        for p, a, q, b in ((p, a, q, b), (q, b, p, a)):
+            chosen = [0] * pattern.vertex_count
+            chosen[p], chosen[q] = a, b
+            if all(_extend(masks, steps, chosen, (1 << n) - 1) for steps in pattern._plan(p, q)[0]):
+                assert all(
+                    {x, y} == {p, q} or masks[x][chosen[x]][y] >> chosen[y] & 1 for x, y in edges
+                )
+
+
 @st.composite
 def dense_pinned_graphs(draw):
     """Like pinned_graphs, but each slot is kept with probability 1/2 by a
@@ -486,13 +504,11 @@ def test_search_plans_place_every_part_and_check_every_edge_once(H):
                 assert set(nbrs) <= placed and set(nbrs) == placed & set(H._adj0[x])
                 checked |= {frozenset((x, y)) for y in nbrs}
                 placed.add(x)
-                # a key is a free part placed earlier in the component that
-                # this step or a later one reads
-                later = component[k:]
-                assert key == -1 or (
-                    key in [y for y, _, _, _ in component[:k]]
-                    and any(key in ys for _, ys, _, _ in later)
-                )
+                # a branching step's key is the one free part placed earlier
+                # in the component that this step or a later one reads, if
+                # there is exactly one; every other step has none
+                live = {y for y, _, _, _ in component[:k]} & {y for _, ys, _, _ in component[k:] for y in ys}
+                assert key == (next(iter(live)) if branch and len(live) == 1 else -1)
         assert checked | {frozenset((p, q))} == {frozenset((a - 1, b - 1)) for a, b in H.edges}
         for k, (x, _, branch, _) in enumerate(steps):
             assert branch == any(x in nbrs for _, nbrs, _, _ in steps[k + 1 :])

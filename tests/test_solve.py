@@ -948,6 +948,20 @@ def test_stats_of_a_trivial_search():
     assert r.stats["phases"]["group"] == r.stats["phases"]["walk"] == 0
 
 
+def test_a_budget_spent_in_greedy_fill_skips_the_group_and_the_walk():
+    # greedy fill of C6[60] takes about 1 s, past the budget; the group
+    # build and the walk would take about 0.5 s more
+    H = PatternGraph.cycle(6)
+    r = min_sat_exact(H, 60, budget=0.5)
+    phases = r.stats["phases"]
+    assert r.value is None and r.exhausted_budget and r.nodes_explored == 1
+    assert phases["group"] == phases["walk"] == 0
+    assert r.elapsed < phases["greedy"] + phases["recheck"] + 0.1
+    assert r.lower_bound == r.stats["floor"]
+    assert r.upper_bound == r.witness.edge_count() == r.stats["improvements"][0]["size"]
+    assert r.stats["group"] == {"pool": None, "rows": 0}
+
+
 @pytest.mark.parametrize(
     "H, n, pool, rows",
     [
@@ -1315,6 +1329,10 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
         r = solve._exact_minimum(H, n, require_free, k, False, seed)
         if r.value is not None:
             break
+        if not r.stats["phases"]["walk"]:
+            # the deadline passed during greedy fill, so no walk ran
+            assert r.lower_bound == saturation_lower_bound(H, n) and r.nodes_explored == 1
+            continue
         position, bound = seen[-2:]
         assert r.lower_bound == max(saturation_lower_bound(H, n), min(r.upper_bound, bound))
         unmet = [size for size, D in valid if size < r.upper_bound and D >= position]
@@ -1613,6 +1631,27 @@ def test_m_search_under_smaller_groups_succeeds_on_the_same_splits(monkeypatch, 
         result = m_value(r, s)
         assert result.value == value
         _check_m_witness(result)
+
+
+def test_m_value_reads_the_clock_while_it_scans_the_choices_of_parts():
+    # the root's uncoverable test of m(22, 11) makes the complete graph on
+    # 22 single-vertex parts, and each of the 646 646 choices of 10 parts
+    # holds a clique in it
+    start = time.monotonic()
+    result = m_value(22, 11, budget=1.0)
+    assert time.monotonic() - start < 1.3
+    assert result.value is None and result.exhausted_budget
+
+
+@pytest.mark.parametrize("r, s", [(1200, 3), (200, 150), (101, 3)])
+def test_m_value_refuses_more_than_100_parts(r, s):
+    # refused before anything is built; bounds at r = 101 would need m(101, 100)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="r <= 100"):
+        m_value(r, s, budget=2.0)
+    with pytest.raises(ValueError, match="r <= 100"):
+        kr_sat_bounds(r, 2, budget=2.0)
+    assert time.monotonic() - start < 0.5
 
 
 def test_m_budget_is_kept_on_wide_hosts():
