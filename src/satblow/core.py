@@ -284,9 +284,18 @@ def _empty_masks(v: int, n: int) -> list[list[list[int]]]:
 
 
 class PartiteGraph:
-    """An immutable subgraph of a blow-up host.  Edges must sit in slot bundles."""
+    """An immutable subgraph of a blow-up host.  Edges must sit in slot bundles.
 
-    __slots__ = ("host", "edges", "_masks")
+    The adjacency masks are the graph: _masks[p][a][q] has bit b set when
+    (p+1, a+1)-(q+1, b+1) is an edge.  The copy engine, the verdicts, the
+    dump, equality, edge_count, has_edge, sorted_edges and
+    allowed_non_edges read them alone.  The edges frozenset, which hash,
+    with_edge and without_edge read, is built from the masks, in slot
+    order, on its first read and kept.  _from_masks hands over rows that a
+    parser or a search has already filled and checked; the graph takes
+    ownership of them, so the caller must not change them afterwards."""
+
+    __slots__ = ("host", "_masks", "_size", "_edges")
 
     def __init__(self, host: BlowupHost, edges: Iterable = ()):
         """edges: pairs of 1-based (part, index) endpoints, either end first;
@@ -294,9 +303,8 @@ class PartiteGraph:
         the masks."""
         pattern, n = host.pattern, host.n
         allowed = pattern.edges
-        vertex = host._vertex_table()
         masks = _empty_masks(pattern.vertex_count, n)
-        kept = []
+        size = 0
         for (i, a), (j, b) in edges:
             i, a, j, b = int(i), int(a), int(j), int(b)
             if j < i or (j == i and b < a):
@@ -305,21 +313,41 @@ class PartiteGraph:
             # also refuses a part out of range and two ends in one part
             if (i, j) not in allowed or not (0 < a <= n and 0 < b <= n):
                 raise ValueError(f"edge {i}.{a}-{j}.{b} is not an allowed slot of this host")
-            i, a, j, b = i - 1, a - 1, j - 1, b - 1
-            kept.append((vertex[i][a], vertex[j][b]))
-            masks[i][a][j] |= 1 << b
-            masks[j][b][i] |= 1 << a
+            row, bit = masks[i - 1][a - 1], 1 << b - 1
+            if not row[j - 1] & bit:
+                row[j - 1] |= bit
+                masks[j - 1][b - 1][i - 1] |= 1 << a - 1
+                size += 1
         self.host = host
-        self.edges = frozenset(kept)
         self._masks = masks
+        self._size = size
+        self._edges: Optional[frozenset] = None
+
+    @classmethod
+    def _from_masks(cls, host: BlowupHost, masks, size: int) -> "PartiteGraph":
+        """The graph whose masks are `masks` (as _empty_masks lays them out,
+        symmetric, with `size` edges, all in slot bundles), with no check.
+        The graph owns the rows from here on."""
+        G = object.__new__(cls)
+        G.host, G._masks, G._size, G._edges = host, masks, size, None
+        return G
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as (u, v) slot pairs of host vertices, u before v."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._size
 
     def has_edge(self, u, v) -> bool:
-        u = PartiteVertex(*u)
-        v = PartiteVertex(*v)
-        return (u, v) in self.edges or (v, u) in self.edges
+        (i, a), (j, b) = u, v
+        v_, n = self.host.pattern.vertex_count, self.host.n
+        if not (1 <= i <= v_ and 1 <= a <= n and 1 <= j <= v_ and 1 <= b <= n):
+            return False
+        return bool(self._masks[i - 1][a - 1][j - 1] >> b - 1 & 1)
 
     def with_edge(self, u, v) -> "PartiteGraph":
         e = _slot(self.host, u, v)
@@ -335,23 +363,37 @@ class PartiteGraph:
 
     def allowed_non_edges(self) -> Iterator[Slot]:
         """Host slots not used by this graph, in lexicographic order."""
-        for slot in self.host.slots():
-            if slot not in self.edges:
+        masks = self._masks
+        for (p, a, q, b), slot in zip(self.host.ends0(), self.host.slots()):
+            if not masks[p][a][q] >> b & 1:
                 yield slot
 
     def sorted_edges(self) -> list[Slot]:
-        return sorted(self.edges)
+        """The edges in slot order, read off the mask rows: a sparse graph
+        is listed without a pass over the host's slots."""
+        vertex = self.host._vertex_table()
+        out = []
+        for p, adj in enumerate(self.host.pattern._adj0):
+            ups = [q for q in adj if q > p]
+            for u, row in zip(vertex[p], self._masks[p]):
+                for q in ups:
+                    bits = row[q]
+                    while bits:
+                        bit = bits & -bits
+                        out.append((u, vertex[q][bit.bit_length() - 1]))
+                        bits ^= bit
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartiteGraph):
             return NotImplemented
-        return self.host == other.host and self.edges == other.edges
+        return self.host == other.host and self._masks == other._masks
 
     def __hash__(self) -> int:
         return hash((self.host, self.edges))
 
     def __repr__(self) -> str:
-        return f"PartiteGraph({self.host!r}, {len(self.edges)} edges)"
+        return f"PartiteGraph({self.host!r}, {self._size} edges)"
 
 
 def _slot(host: BlowupHost, u, v) -> Slot:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from .core import BlowupHost, PartiteGraph, PatternGraph
+from .core import BlowupHost, PartiteGraph, PatternGraph, _empty_masks
 
 # Header caps, checked before anything is built from a header.  A blow-up
 # graph holds one adjacency mask per vertex and part, parts * size * parts
@@ -119,6 +119,17 @@ def _parse_endpoint(ln: int, token: str) -> tuple[int, int]:
 
 
 def parse_blowup_graph(text: str) -> PartiteGraph:
+    """The graph of a .pbg text, parsed straight into its mask rows.
+
+    The header and the pattern lines are checked first.  Each 'e' line is
+    then checked in this order, and the first fault raises FormatError
+    with the line's number: three tokens led by 'e'; the first endpoint's
+    part and index are integers, then the second's; the first endpoint is
+    in range, then the second; the two parts are pattern-adjacent; the
+    edge is not already present, either end first.  A token's check runs
+    once, at its first line: the checked endpoint is kept by its token, so
+    one vertex written two ways ('1.1', '01.1') is parsed once per
+    spelling, and messages print the integers, not the tokens."""
     lines, (v, e, n) = _header(text, "blowup <vH> <eH> <n>", "pattern ", "part size")
     ln = lines[0][0]
     if n < 1:
@@ -132,34 +143,46 @@ def parse_blowup_graph(text: str) -> PartiteGraph:
     if len(lines) - 1 < e:
         raise FormatError(ln, f"header promises {e} pattern edges but file ends early")
     pattern = _pattern(lines[1 : 1 + e], v, "p", "pattern ")
-    allowed = pattern.edges
-    edges = []
-    seen = set()
+    adjacent = [0] * (v + 1)  # adjacent[i] has bit j set for each pattern edge i-j
+    for i, j in pattern.edges:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    masks = _empty_masks(v, n)
+    # endpoint token -> (part, index, part - 1, its mask row, 1 << index - 1)
+    ends: dict[str, tuple] = {}
+
+    def checked(ln: int, x: str, y: str) -> tuple[tuple, tuple]:
+        # both tokens are parsed, first then second, before either is
+        # range-checked; a token met before is known to pass both
+        fields = [ends.get(t) or _parse_endpoint(ln, t) for t in (x, y)]
+        for token, f in zip((x, y), fields):
+            if len(f) == 2:
+                p, a = f
+                if not (1 <= p <= v and 1 <= a <= n):
+                    raise FormatError(ln, f"endpoint {p}.{a} out of range ({v} parts of size {n})")
+                ends[token] = (p, a, p - 1, masks[p - 1][a - 1], 1 << a - 1)
+        return ends[x], ends[y]
+
+    size = 0
     for ln, line in lines[1 + e :]:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "e":
             raise FormatError(ln, f"expected 'e <i>.<a> <j>.<b>', got {line!r}")
         try:
-            pi, ai = tokens[1].split(".")
-            pj, bj = tokens[2].split(".")
-            pi, ai, pj, bj = int(pi), int(ai), int(pj), int(bj)
-        except ValueError:  # _parse_endpoint says which field is at fault
-            pi, ai = _parse_endpoint(ln, tokens[1])
-            pj, bj = _parse_endpoint(ln, tokens[2])
-        if not (1 <= pi <= v and 1 <= ai <= n):
-            raise FormatError(ln, f"endpoint {pi}.{ai} out of range ({v} parts of size {n})")
-        if not (1 <= pj <= v and 1 <= bj <= n):
-            raise FormatError(ln, f"endpoint {pj}.{bj} out of range ({v} parts of size {n})")
-        if (pi, pj) not in allowed and (pj, pi) not in allowed:
+            pi, ai, qi, row_i, bit_i = ends[tokens[1]]
+            pj, bj, qj, row_j, bit_j = ends[tokens[2]]
+        except KeyError:
+            (pi, ai, qi, row_i, bit_i), (pj, bj, qj, row_j, bit_j) = checked(ln, tokens[1], tokens[2])
+        if not adjacent[pi] >> pj & 1:
             raise FormatError(
                 ln, f"slot {pi}.{ai} {pj}.{bj} is not allowed, parts {pi} and {pj} are not pattern-adjacent"
             )
-        key = (pi, ai, pj, bj) if pi < pj else (pj, bj, pi, ai)
-        if key in seen:
+        if row_i[qj] & bit_j:
             raise FormatError(ln, f"duplicate edge {pi}.{ai} {pj}.{bj}")
-        seen.add(key)
-        edges.append(((pi, ai), (pj, bj)))
-    return PartiteGraph(BlowupHost(pattern, n), edges)
+        row_i[qj] |= bit_j
+        row_j[qi] |= bit_i
+        size += 1
+    return PartiteGraph._from_masks(BlowupHost(pattern, n), masks, size)
 
 
 def dump_blowup_graph(G: PartiteGraph, comment: str | None = None) -> str:

@@ -192,18 +192,18 @@ def _greedy_fill(G: PartiteGraph, seed: int) -> PartiteGraph:
     copies), so a single pass reaches the fixpoint."""
     host = G.host
     pattern, n = host.pattern, host.n
-    slots, ends0 = host.slots(), host.ends0()
+    ends0 = host.ends0()
     masks = [[list(row) for row in part] for part in G._masks]
     candidates = [k for k, (p, a, q, b) in enumerate(ends0) if not masks[p][a][q] >> b & 1]
     random.Random(seed).shuffle(candidates)
-    edges = set(G.edges)
+    size = G.edge_count()
     for k in candidates:
         p, a, q, b = ends0[k]
         if not _closes_copy(pattern, n, masks, p, a, q, b):
             masks[p][a][q] |= 1 << b
             masks[q][b][p] |= 1 << a
-            edges.add(slots[k])
-    return PartiteGraph(host, edges)
+            size += 1
+    return PartiteGraph._from_masks(host, masks, size)
 
 
 def greedy_saturate(G: PartiteGraph, seed: int) -> PartiteGraph:
@@ -623,7 +623,8 @@ class SolveResult:
     the symmetry group, 0 without one), "walk" (building the slot system
     and walking) and "recheck" (re-checking the witness from the
     definition); a search with an empty greedy graph, or one whose greedy
-    fill ends past the deadline, has no group or walk.
+    fill ends past the deadline, has no group or walk, and one whose group
+    build ends past it has no walk.
 
     The budget is a deadline set when the search starts.  Greedy fill and
     the witness re-check always run to their end, so on a large host
@@ -631,8 +632,9 @@ class SolveResult:
     budget=0.5) spends about 1.1 s in greedy fill and 0.4 s in the
     re-check.  If greedy fill ends past the deadline, the result is UNKNOWN
     at once, with the greedy graph and lower_bound the floor.  Otherwise
-    the group is built to its end and the walk reads the deadline at each
-    node.
+    the group is built to its end, and a group build that ends past the
+    deadline gives the same UNKNOWN, with no walk; else the walk reads the
+    deadline at each node.
     """
 
     value: Optional[int]
@@ -712,8 +714,10 @@ def _exact_minimum(
 
     group_start = time.monotonic()
     group = _symmetry_group(host) if use_symmetry else None
+    phases["group"] = time.monotonic() - group_start
+    if deadline is not None and time.monotonic() > deadline:
+        return result(None, ub_graph, True, ub, lb)
     walk_start = time.monotonic()
-    phases["group"] = walk_start - group_start
     sys_ = _SlotSystem(host)
     L = sys_.L
     masks = _empty_masks(pattern.vertex_count, n)

@@ -6,8 +6,17 @@ these slow and obvious.
 """
 
 import itertools
+import warnings
 
-from satblow import BlowupHost, PartiteGraph, PartiteVertex, is_partite_saturated
+from satblow import (
+    BlowupHost,
+    PartiteGraph,
+    PartiteVertex,
+    PatternGraph,
+    constructions,
+    greedy_saturate,
+    is_partite_saturated,
+)
 from satblow.core import _closes_copy
 
 
@@ -395,3 +404,25 @@ def ref_dump_blowup_graph(G, comment=None):
     lines.extend(f"p {i} {j}" for i, j in sorted(pattern.edges))
     lines.extend(f"e {u} {v}" for u, v in G.sorted_edges())
     return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# sample graphs shared by the test modules
+
+
+def family_graphs():
+    """One or more graphs of every construction family, greedy fills and
+    an empty graph."""
+    P = PatternGraph
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", constructions.VerificationRangeWarning)
+        yield from (constructions.k4_construction(n) for n in (2, 3, 7))
+        yield from (constructions.star_construction(r, n) for r, n in ((2, 3), (4, 5)))
+        yield from (constructions.path_construction(r, n) for r, n in ((4, 8), (5, 7)))
+        yield from constructions.two_connected_stages(P.cycle(4), 5)
+        yield constructions.two_connected_upper(P.complete(3), 4, 7)
+        yield from (constructions.clique_exsat_construction(r, n) for r, n in ((3, 4), (4, 3)))
+        yield from (constructions.generic_exsat_construction(H, 4) for H in (P.cycle(5), P.path(4)))
+        yield from (constructions.tree_exsat_construction(H, 5) for H in (P.star(3), P.path(5)))
+    yield greedy_saturate(PartiteGraph(BlowupHost(P.cycle(5), 3)), 3)
+    yield PartiteGraph(BlowupHost(P(4, [(1, 3), (2, 3)]), 2))

@@ -27,6 +27,10 @@ from satblow import (
     is_two_connected,
     min_degree_per_part,
     selection_carries_pattern,
+    check_k4_lemmas,
+    dump_blowup_graph,
+    k4_construction,
+    parse_blowup_graph,
     tree_exsat_construction,
 )
 from satblow.core import _closes_copy, _extend, first_uncovered_slot
@@ -34,6 +38,7 @@ from oracles import (
     brute_count,
     brute_count_through,
     brute_find,
+    family_graphs,
     per_slot_first_uncovered,
     ref_edge_set,
     ref_masks,
@@ -188,6 +193,59 @@ def test_partite_graph_edge_interface():
     non_edges = list(g.allowed_non_edges())
     assert len(non_edges) == host.slot_count() - 1
     assert non_edges == sorted(non_edges)
+
+
+def test_masks_alone_carry_the_graph_through_parse_dump_and_verdicts():
+    """Parsing, dumping, equality, the edge count and the saturation and K4
+    lemma verdicts read the masks alone: none builds the edge frozenset."""
+    G = k4_construction(6)
+    text = dump_blowup_graph(G)
+    back = parse_blowup_graph(text)
+    assert back == G and back.edge_count() == G.edge_count() == 18 * 6 - 21
+    assert dump_blowup_graph(back) == text
+    assert is_partite_saturated(back).ok
+    assert all(c.status != "fail" for c in check_k4_lemmas(back))
+    assert G._edges is None and back._edges is None
+    assert repr(back) == f"PartiteGraph({back.host!r}, {18 * 6 - 21} edges)"
+    assert back._edges is None
+    assert len(back.edges) == back.edge_count()  # built on the first read
+    assert back._edges is not None
+
+
+def _edge_pairs(text, rng):
+    """The 'e' lines of a .pbg text as int pairs, each either end first."""
+    pairs = []
+    for line in text.splitlines():
+        if line.startswith("e "):
+            _, x, y = line.split()
+            u, w = (tuple(map(int, t.split("."))) for t in (x, y))
+            pairs.append((u, w) if rng.random() < 0.5 else (w, u))
+    return pairs
+
+
+def test_edge_reads_agree_between_built_and_parsed_graphs_on_every_family():
+    """On every family graph, the edge set, its sorted form, the non-edges,
+    has_edge and hash are the same for the graph built from its edges and
+    the graph parsed from its text, and the edge set is oracles.ref_edge_set."""
+    rng = random.Random(5)
+    for G in family_graphs():
+        host = G.host
+        text = dump_blowup_graph(G)
+        pairs = _edge_pairs(text, rng)
+        rng.shuffle(pairs)
+        built, parsed = PartiteGraph(host, pairs), parse_blowup_graph(text)
+        want = ref_edge_set(host, pairs)
+        assert built.edges == parsed.edges == G.edges == want
+        assert built.sorted_edges() == parsed.sorted_edges() == sorted(want)
+        non_edges = [s for s in host.slots() if s not in want]
+        assert list(built.allowed_non_edges()) == list(parsed.allowed_non_edges()) == non_edges
+        assert built == parsed and hash(built) == hash(parsed)
+        v, n = host.pattern.vertex_count, host.n
+        ends = [(p, a) for p in range(0, v + 2) for a in range(0, n + 2)]
+        for u, w in (rng.sample(ends, 2) for _ in range(200)):
+            x, y = sorted((PartiteVertex(*u), PartiteVertex(*w)))
+            assert built.has_edge(u, w) == parsed.has_edge(u, w) == ((x, y) in want)
+        assert all(parsed.has_edge(w, u) for u, w in want)
 
 
 def test_full_blow_up_copy_count_is_power():

@@ -1,6 +1,5 @@
 import random
 import time
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from satblow import (
     save_pattern,
 )
 from satblow import constructions as cons
-from oracles import ref_dump_blowup_graph, ref_parse_blowup_graph
+from oracles import family_graphs, ref_dump_blowup_graph, ref_parse_blowup_graph
 
 
 def test_pattern_round_trip():
@@ -162,26 +161,8 @@ def test_dump_is_deterministic_and_sorted():
     assert a == b
 
 
-def _family_graphs():
-    """One or more graphs of every construction family, greedy fills and
-    an empty graph."""
-    P = PatternGraph
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cons.VerificationRangeWarning)
-        yield from (cons.k4_construction(n) for n in (2, 3, 7))
-        yield from (cons.star_construction(r, n) for r, n in ((2, 3), (4, 5)))
-        yield from (cons.path_construction(r, n) for r, n in ((4, 8), (5, 7)))
-        yield from cons.two_connected_stages(P.cycle(4), 5)
-        yield cons.two_connected_upper(P.complete(3), 4, 7)
-        yield from (cons.clique_exsat_construction(r, n) for r, n in ((3, 4), (4, 3)))
-        yield from (cons.generic_exsat_construction(H, 4) for H in (P.cycle(5), P.path(4)))
-        yield from (cons.tree_exsat_construction(H, 5) for H in (P.star(3), P.path(5)))
-    yield greedy_saturate(PartiteGraph(BlowupHost(P.cycle(5), 3)), 3)
-    yield PartiteGraph(BlowupHost(P(4, [(1, 3), (2, 3)]), 2))
-
-
 def test_dump_matches_the_sorted_edges_form_on_every_family():
-    for G in _family_graphs():
+    for G in family_graphs():
         for comment in (None, "a note\nover two lines"):
             text = dump_blowup_graph(G, comment)
             assert text == ref_dump_blowup_graph(G, comment)
@@ -233,7 +214,7 @@ def test_parse_of_mutated_texts_matches_the_reference_parser(seed):
     and line, on .pbg texts with 'e' lines mutated, repeated, moved or
     dropped, and now and then a line of junk."""
     rng = random.Random(seed)
-    graphs = list(_family_graphs())
+    graphs = list(family_graphs())
     for _ in range(20):
         G = rng.choice(graphs)
         lines = dump_blowup_graph(G).splitlines()
@@ -257,6 +238,101 @@ def test_parse_of_mutated_texts_matches_the_reference_parser(seed):
             del body[rng.randrange(len(body))]
         text = "\n".join(lines[:head] + body) + "\n"
         assert _parse_outcome(parse_blowup_graph, text) == _parse_outcome(ref_parse_blowup_graph, text)
+
+
+def _respelled(rng, token):
+    """The endpoint token p.a written another way that int() reads alike:
+    a leading zero or plus sign on either field, or an underscore between
+    the digits of a field of two or more digits."""
+    fields = token.split(".")
+    k = rng.randrange(2)
+    field = fields[k]
+    ways = ["0" + field, "+" + field]
+    if len(field) > 1:
+        ways.append(field[0] + "_" + field[1:])
+    fields[k] = rng.choice(ways)
+    return ".".join(fields)
+
+
+def _two_fault_line(rng, line, v, n):
+    """An 'e' line with two faults, the first check to meet either deciding
+    the message: an end out of range beside a malformed end, either way
+    round, or both ends out of range."""
+    _, x, y = line.split()
+    far = rng.choice((f"{v + 1}.1", f"1.{n + 1}", "0.1", f"{v + 2}.{n + 2}"))
+    bad = rng.choice(("x.1", "1.x", "1", "1.2.3", "."))
+    return rng.choice((f"e {far} {bad}", f"e {bad} {far}", f"e {far} {far}", f"e {x} {far}", f"e {far} {y}"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parse_of_respelled_and_doubly_faulty_texts_matches_the_reference_parser(seed):
+    """As the test above, on texts whose endpoints are written several ways
+    (a vertex is checked once per spelling, and a duplicate is caught
+    across spellings), with a repeated edge in another spelling, lines with
+    two faults, and a disallowed line beside a duplicate, in either order."""
+    rng = random.Random(seed)
+    graphs = [*family_graphs(), cons.k4_construction(11), cons.star_construction(3, 12)]
+    for _ in range(15):
+        G = rng.choice(graphs)
+        lines = dump_blowup_graph(G).splitlines()
+        head = 1 + G.host.pattern.edge_count()
+        body = lines[head:]
+        v, n = G.host.pattern.vertex_count, G.host.n
+        if not body:
+            continue
+        for k, line in enumerate(body):
+            _, x, y = line.split()
+            if rng.random() < 0.3:
+                x = _respelled(rng, x)
+            if rng.random() < 0.3:
+                y = _respelled(rng, y)
+            body[k] = f"e {x} {y}"
+        _, x, y = rng.choice(lines[head:]).split()
+        x, y = _respelled(rng, x), _respelled(rng, y)
+        extra = [rng.choice((f"e {x} {y}", f"e {y} {x}"))]
+        faults = rng.randrange(3)
+        if faults == 1:
+            extra.append(_two_fault_line(rng, rng.choice(body), v, n))
+        elif faults == 2:
+            p = rng.randint(1, v)
+            extra.append(f"e {p}.1 {p}.{n}")  # two ends in one part
+        for line in extra:
+            body.insert(rng.randrange(len(body) + 1), line)
+        text = "\n".join(lines[:head] + body) + "\n"
+        got = _parse_outcome(parse_blowup_graph, text)
+        assert got == _parse_outcome(ref_parse_blowup_graph, text)
+        assert got[0] == "error"  # the repeat is always there
+
+
+def test_a_line_with_two_faults_reports_the_first_check_it_fails():
+    head = "blowup 3 2 12\np 1 2\np 2 3\n"
+    cases = [
+        # first end out of range, second malformed: both ends parse first
+        ("e 4.1 2.x\n", "line 4: endpoint index must be an integer, got 'x'"),
+        ("e 1.1 2.1\ne 4.1 2.x\n", "line 5: endpoint index must be an integer, got 'x'"),
+        # malformed first, out-of-range second
+        ("e 1.x 2.13\n", "line 4: endpoint index must be an integer, got 'x'"),
+        ("e 1 2.13\n", "line 4: endpoint '1' must look like <part>.<index>"),
+        # both out of range: the first is named
+        ("e 4.1 2.13\n", "line 4: endpoint 4.1 out of range (3 parts of size 12)"),
+        ("e 1.1 2.1\ne 2.1 4.1\n", "line 5: endpoint 4.1 out of range (3 parts of size 12)"),
+        # a disallowed line and a duplicate: the earlier line
+        (
+            "e 1.1 2.1\ne 1.1 3.1\ne 2.1 1.1\n",
+            "line 5: slot 1.1 3.1 is not allowed, parts 1 and 3 are not pattern-adjacent",
+        ),
+        ("e 1.1 2.1\ne 2.1 1.1\ne 1.1 3.1\n", "line 5: duplicate edge 2.1 1.1"),
+        # one vertex in other spellings, printed as ints
+        ("e 1.10 2.1\ne 01.1_0 +2.01\n", "line 5: duplicate edge 1.10 2.1"),
+        ("e 2.1 1.10\ne +1.010 2.1\n", "line 5: duplicate edge 1.10 2.1"),
+        ("e 01.1 +3.1\n", "line 4: slot 1.1 3.1 is not allowed, parts 1 and 3 are not pattern-adjacent"),
+        ("e 2.1_2 3.1\ne 2.01_3 3.1\n", "line 5: endpoint 2.13 out of range (3 parts of size 12)"),
+    ]
+    for body, message in cases:
+        for parse in (parse_blowup_graph, ref_parse_blowup_graph):
+            with pytest.raises(FormatError) as e:
+                parse(head + body)
+            assert str(e.value) == message, (parse.__name__, body)
 
 
 # ---------------------------------------------------------------------------

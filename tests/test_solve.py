@@ -962,6 +962,25 @@ def test_a_budget_spent_in_greedy_fill_skips_the_group_and_the_walk():
     assert r.stats["group"] == {"pool": None, "rows": 0}
 
 
+def test_a_budget_spent_in_the_group_build_skips_the_walk(monkeypatch):
+    budget = 0.2
+    build = solve._symmetry_group
+
+    def slow_group(host):
+        group = build(host)
+        time.sleep(budget + 0.1)
+        return group
+
+    monkeypatch.setattr(solve, "_symmetry_group", slow_group)
+    r = min_sat_exact(PatternGraph.complete(3), 3, budget=budget)
+    phases = r.stats["phases"]
+    assert r.value is None and r.exhausted_budget and r.nodes_explored == 1
+    assert phases["walk"] == 0 and phases["group"] > budget
+    assert r.lower_bound == r.stats["floor"]
+    assert r.upper_bound == r.witness.edge_count() == r.stats["improvements"][0]["size"]
+    assert is_partite_saturated(r.witness).ok
+
+
 @pytest.mark.parametrize(
     "H, n, pool, rows",
     [
