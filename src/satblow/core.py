@@ -421,7 +421,8 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 # in how many ways.
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
-# a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph.
+# a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph
+# (the verdicts of verify.py, and the unpruned reference walk of solve.py).
 # _extend places each step at its least candidate as it passes it, so a
 # component it places leaves a whole copy in its index list.  The scan goes
 # one row at a time, a row being the slots (p, a)-(q, b) of one vertex (p, a)
@@ -631,20 +632,18 @@ def _closes_copy(pattern: PatternGraph, n: int, masks, p: int, a: int, q: int, b
     return True
 
 
-def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -> Optional[int]:
-    """The least slot index k >= start, in the order of host.ends0() and
+def first_uncovered_slot(pattern: PatternGraph, n: int, masks) -> Optional[int]:
+    """The least slot index k, in the order of host.ends0() and
     host.slots(), whose slot is not an edge (its mask bit is clear) and
     closes no copy when added, or None if every such non-edge closes one.
-    Saturation and extra-saturation verdicts and the exact search's
-    validity test are all this one scan.
+    Saturation and extra-saturation verdicts are both this one scan.
 
     The slots (p, a)-(q, b), p < q, of one row (p, a, q) are contiguous in
-    slot order, and every row is walked; a slot below `start` is masked out
-    of its row.  The least non-edge b of a row not yet covered is searched
-    pinned; if that search fails, b is the answer.  Otherwise the copy
-    _extend leaves in `chosen` also runs through every b' that q's
-    neighbours other than p all meet in it, and those slots are covered
-    without a search.  So the scan runs at most one search per non-edge,
+    slot order, and every row is walked.  The least non-edge b of a row not
+    yet covered is searched pinned; if that search fails, b is the answer.
+    Otherwise the copy _extend leaves in `chosen` also runs through every
+    b' that q's neighbours other than p all meet in it, and those slots are
+    covered without a search.  So the scan runs at most one search per non-edge,
     and its answer is the one a per-slot scan gives."""
     full = (1 << n) - 1
     chosen = [0] * pattern.vertex_count
@@ -656,8 +655,6 @@ def first_uncovered_slot(pattern: PatternGraph, n: int, masks, start: int = 0) -
             chosen[p] = a
             for q in ups:
                 todo = full & ~row[q]
-                if k < start:
-                    todo &= -1 << min(start - k, n)
                 k += n
                 while todo:
                     components, others = pattern._plan(p, q)
@@ -914,12 +911,14 @@ def degree(G: PartiteGraph, v) -> int:
     return sum(m.bit_count() for m in G._masks[part - 1][index - 1])
 
 
+def _degrees(G: PartiteGraph) -> list[list[int]]:
+    """deg[p][a] is the degree of vertex (p+1, a+1), read off its mask row."""
+    return [[sum(m.bit_count() for m in row) for row in part] for part in G._masks]
+
+
 def min_degree_per_part(G: PartiteGraph) -> list[int]:
     """Minimum degree within each part; entry k is for part k+1."""
-    out = []
-    for p in range(G.host.pattern.vertex_count):
-        out.append(min(sum(m.bit_count() for m in G._masks[p][a]) for a in range(G.host.n)))
-    return out
+    return [min(part) for part in _degrees(G)]
 
 
 def cut_vertex_components(pattern: PatternGraph, v: int) -> int:

@@ -105,10 +105,9 @@ isolated in P with its last slot below s, and C = P + (s,).  Every slot y
 at v is settled for C.  No such y closes a copy in C + F + y: v has no
 edge in C + F, as F lies above s, and a copy through y needs two edges at
 v.  For the same reason no y closes a copy with P or with C, so each is in
-P's settled slots left uncovered or in its open slots, and so among the
-settled slots C leaves uncovered (see below).  So the uncoverable cut drops
-C, and its sibling-wide form every later sibling, since G holds no slot at
-v either.
+P's uncovered set, and so among the settled slots C leaves uncovered (see
+below).  So the uncoverable cut drops C, and its sibling-wide form every
+later sibling, since G holds no slot at v either.
 
 Each node of the walk holds the children it has not yet tried as one slot
 set, and tries them from its lowest slot up.  Expanding the node drops the
@@ -119,14 +118,20 @@ test, adding s, the validity test, and the child's own over-bound and
 uncoverable tests (_SlotSystem.cut), the second with its sibling-wide
 form.  A candidate dropped in bulk is charged to the cut that dropped it.
 
-The last three cuts are computed incrementally.  Each node of the walk
-carries its settled slots left uncovered and its open slots (those above
-its last slot that close no copy with it).  A child's settled, uncovered
-slots are its parent's plus the parent's open slots below s, less those
-the new slot s covers, and its open slots are the parent's above s, less
-those it covers.  A slot newly covered by C has a copy using both it and
+The validity test and the last three cuts read one slot set per node, its
+uncovered set: the node's non-edges that close no copy with it, the
+settled ones below its last slot and the open ones above it.  The root's
+is every slot that closes no copy on its own.  A child's set follows from
+its parent's by one rule (_SlotSystem.child_uncovered): the parent's set,
+less s, less the slots that s lets close a copy.  A slot covered by P stays
+covered in C, and a slot newly covered by C has a copy using both it and
 s, so only slots whose ends agree with s's (no part given two different
-indices) are searched again.
+indices) are searched again.  The part of the set below s is the child's
+settled slots left uncovered, and the part above s its open slots, which
+for saturation are its free children.  So the child is valid exactly when
+it has at least floor slots and its set is empty: every non-edge closes a
+copy, and for saturation the child is partite-free, as s passed the
+not-free test.  No scan of the whole graph is needed.
 
 The bundle-need bound is kept the same way.  Its sets lack[d] are unions
 over vertices, and a vertex's bits depend only on its own row of the graph
@@ -319,25 +324,24 @@ def _max_flow(size: int, arcs: list[tuple[int, int, int]], source: int, sink: in
 
 class _Frame:
     """A node P of the exact walk.  todo: the children not yet tried, as a
-    slot set; uncovered: P's settled slots left uncovered; open_: its open
-    slots (None with prune off); lack: the bundle-need sets (see
-    _SlotSystem.relack) of the graph P and of uncovered plus the open slots
-    below upto (None with prune off), and need their bound (None until it
-    is asked for, or when lack has changed since); leader: P's _Leader,
-    None until a child is tested."""
+    slot set; uncovered: P's non-edges that close no copy with it, the
+    settled ones below its last slot and the open ones above it (None with
+    prune off); lack: the bundle-need sets (see _SlotSystem.relack) of the
+    graph P and of the slots of uncovered below upto (None with prune off),
+    and need their bound (None until it is asked for, or when lack has
+    changed since); leader: P's _Leader, None until a child is tested."""
 
-    __slots__ = ("todo", "uncovered", "open_", "lack", "upto", "need", "leader")
+    __slots__ = ("todo", "uncovered", "lack", "upto", "need", "leader")
 
     def __init__(
         self,
-        uncovered: int,
-        open_: Optional[int],
+        uncovered: Optional[int],
         lack: Optional[list],
         upto: int,
         need: Optional[int] = None,
     ):
         self.todo = 0
-        self.uncovered, self.open_, self.lack, self.upto = uncovered, open_, lack, upto
+        self.uncovered, self.lack, self.upto = uncovered, lack, upto
         self.need = need
         self.leader: Optional[_Leader] = None
 
@@ -425,23 +429,22 @@ class _SlotSystem:
         stand[1] = graph
         return self.covered(stand[0], left, stop_at_miss=True) != left
 
-    def settled_uncovered(self, masks: list, frame: _Frame, s: int) -> int:
-        """The settled slots that child = P + (s,), held in masks, leaves
-        uncovered: P's (frame.uncovered), and its open slots below s, less
-        those s lets close a copy."""
-        left = frame.uncovered | frame.open_ & (1 << s) - 1
-        return left ^ self.covered(masks, left & ~self.clash(s))
+    def child_uncovered(self, masks: list, frame: _Frame, s: int) -> int:
+        """The uncovered set of child = P + (s,), held in masks: P's
+        (frame.uncovered) less s and less the slots that s lets close a
+        copy."""
+        rest = frame.uncovered & ~(1 << s)
+        return rest ^ self.covered(masks, rest & ~self.clash(s))
 
     def settle(self, masks: list, frame: _Frame, t: int) -> int:
         """The bundle-need bound of the slots settled for P's child t, P
         held in masks and t not below frame.upto: frame.lack is grown by
         the open slots settled since frame.upto, and moved up to t."""
-        fresh = frame.open_ & (1 << t) - (1 << frame.upto)
+        settled = frame.uncovered & (1 << t) - 1
+        fresh = settled >> frame.upto << frame.upto
         frame.upto = t
-        if fresh:
-            left = frame.uncovered | frame.open_ & (1 << t) - 1
-            if self.relack(masks, left, frame.lack, self.ends_of(fresh)):
-                frame.need = None
+        if fresh and self.relack(masks, settled, frame.lack, self.ends_of(fresh)):
+            frame.need = None
         if frame.need is None:
             frame.need = self.total(frame.lack)
         return frame.need
@@ -450,7 +453,7 @@ class _SlotSystem:
         """The frame of the empty set, held in masks: every slot is open,
         none is settled, and so no vertex needs an edge."""
         every = (1 << self.L) - 1
-        return _Frame(0, every ^ self.covered(masks, every), [0] * 2 * len(self.bundles), 0)
+        return _Frame(every ^ self.covered(masks, every), [0] * 2 * len(self.bundles), 0)
 
     def cut(
         self,
@@ -459,7 +462,7 @@ class _SlotSystem:
         require_free: bool,
         frame: _Frame,
         chosen: int,
-        left: int,
+        uncovered: int,
         s: int,
         ub: int,
     ) -> tuple[Optional[str], Optional[_Frame], bool]:
@@ -467,10 +470,11 @@ class _SlotSystem:
         of ub slots or fewer ("over_bound" or "uncoverable"), or None; the
         child's frame when it is not cut (its todo still 0); and whether
         every later sibling of the child is uncoverable too.  frame is P's,
-        chosen P as a slot set, left what settled_uncovered gives for the
-        child, and stand the graph of the uncoverable tests (see
-        uncoverable)."""
+        chosen P as a slot set, uncovered what child_uncovered gives for the
+        child (its settled slots left uncovered are the part below s), and
+        stand the graph of the uncoverable tests (see uncoverable)."""
         m = chosen.bit_count() + 1
+        left = uncovered & (1 << s) - 1
         lack = need = None
         if m >= ub:
             return "over_bound", None, False
@@ -479,27 +483,20 @@ class _SlotSystem:
             need = self.total(lack)
             if m + max(1, need) > ub:
                 return "over_bound", None, False
-        later = self.child_open(masks, frame, s)
         if left:
             # the graph of the slots a completion may still add; for
             # extra-saturation it is also what a later sibling may add, so
             # the child's verdict is theirs
             child = chosen | 1 << s
             if require_free:
-                if self.uncoverable(stand, left, child | later):
-                    siblings = self.uncoverable(stand, left, chosen | frame.open_ >> s << s)
+                if self.uncoverable(stand, left, child | uncovered ^ left):
+                    siblings = self.uncoverable(stand, left, chosen | frame.uncovered >> s << s)
                     return "uncoverable", None, siblings
             elif self.uncoverable(stand, left, child | (1 << self.L) - (1 << s + 1)):
                 return "uncoverable", None, True
         if lack is None:
             lack = self.child_lack(masks, frame, left, s)
-        return None, _Frame(left, later, lack, s + 1, need), False
-
-    def child_open(self, masks: list, frame: _Frame, s: int) -> int:
-        """The open slots of child = P + (s,), held in masks: P's above s,
-        less those s lets close a copy."""
-        later = frame.open_ >> s + 1 << s + 1
-        return later ^ self.covered(masks, later & ~self.clash(s))
+        return None, _Frame(uncovered, lack, s + 1, need), False
 
     def child_lack(self, masks: list, frame: _Frame, left: int, s: int) -> list[int]:
         """The bundle-need sets of child = P + (s,), held in masks, whose
@@ -507,7 +504,7 @@ class _SlotSystem:
         P's (frame.lack), with the ends recomputed of s and of the open
         slots settled since frame.upto that s leaves uncovered (see the
         module docstring)."""
-        fresh = frame.open_ & (1 << s) - (1 << frame.upto) & left
+        fresh = left >> frame.upto << frame.upto
         lack = frame.lack[:]
         self.relack(masks, left, lack, self.ends_of(fresh) | self.ends[s])
         return lack
@@ -657,8 +654,10 @@ def _exact_minimum(
     prune: bool = True,
 ) -> SolveResult:
     """The search behind min_sat_exact and min_exsat_exact.  prune=False
-    leaves out the over-bound and uncoverable cuts, a reference path for
-    tests: the answer is the same, with more nodes."""
+    leaves out the over-bound and uncoverable cuts and tests each child's
+    validity with first_uncovered_slot, the verdicts' scan, in place of its
+    uncovered set: a reference path for tests, with the same answer from
+    more nodes."""
     if pattern.edge_count() < 1:
         raise ValueError("exact search needs a pattern with at least one edge")
     if n < 1:
@@ -741,9 +740,10 @@ def _exact_minimum(
             levels.append(_level_stats(m + 1))
         todo = every ^ ((1 << top + 1) - 1)  # the slots above top
         if require_free:
-            open_ = frame.open_
-            if open_ is None:
+            if frame.uncovered is None:
                 open_ = todo ^ sys_.covered(masks, todo)
+            else:
+                open_ = frame.uncovered & todo
             levels[m + 1]["cuts"]["not_free"] += todo.bit_count() - open_.bit_count()
             todo = open_  # the open slots all lie above top
         frame.todo = todo
@@ -767,7 +767,7 @@ def _exact_minimum(
         levels[d + 1]["cuts"]["not_canonical"] += 1
         return False
 
-    expand(-1, sys_.root(masks) if prune else _Frame(0, None, None, 0))
+    expand(-1, sys_.root(masks) if prune else _Frame(None, None, 0))
     while stack:
         frame = stack[-1]
         todo = frame.todo
@@ -810,13 +810,11 @@ def _exact_minimum(
             continue
         sys_.flip(masks, 1 << s)
         if prune:
-            left = sys_.settled_uncovered(masks, frame, s)
-            # with every settled slot covered, the slots above s decide
-            scan_from = s + 1 if m >= floor and not left else None
+            uncovered = sys_.child_uncovered(masks, frame, s)
+            valid = m >= floor and not uncovered
         else:
-            left = 0
-            scan_from = 0 if m >= floor else None
-        if scan_from is not None and first_uncovered_slot(pattern, n, masks, scan_from) is None:
+            valid = m >= floor and first_uncovered_slot(pattern, n, masks) is None
+        if valid:
             row["admitted"] += 1
             sys_.flip(masks, 1 << s)
             best, bound = (*path, s), m - 1
@@ -828,10 +826,10 @@ def _exact_minimum(
             continue
         if prune:
             reason, child, siblings = sys_.cut(
-                masks, stand, require_free, frame, chosen, left, s, bound
+                masks, stand, require_free, frame, chosen, uncovered, s, bound
             )
         else:
-            reason, child, siblings = None, _Frame(0, None, None, s + 1), False
+            reason, child, siblings = None, _Frame(None, None, s + 1), False
         if reason is not None:
             sys_.flip(masks, 1 << s)
             if siblings:
@@ -860,14 +858,14 @@ def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[_Fr
     over the frames with a child left to try, of the frame's size plus
     max(1, its bundle-need bound at the next of those children, the lowest
     slot of its untried set; see _SlotSystem.settle); with prune off, whose
-    frames carry no open slots, the frame's size plus one.  The walk first
+    frames carry no uncovered set, the frame's size plus one.  The walk first
     moves each frame past the children the lex-leader test rejects.  Takes
     path out of masks."""
     least = math.inf
     for d in range(len(stack) - 1, -1, -1):
         frame = stack[d]
         if frame.todo:
-            if frame.open_ is None:
+            if frame.uncovered is None:
                 least = min(least, d + 1)
             else:
                 t = (frame.todo & -frame.todo).bit_length() - 1

@@ -299,8 +299,8 @@ class _Leader:
     tied row is still undecided, and admits only for the `even` rows."""
 
     __slots__ = (
-        "top", "thr", "cls", "fixed", "rows", "parent", "images", "above", "at", "high",
-        "even", "eqcls", "past", "upto",
+        "thr", "cls", "fixed", "rows", "parent", "images", "above", "at", "high", "even",
+        "eqcls", "past", "upto",
     )
 
     def __init__(
@@ -312,7 +312,7 @@ class _Leader:
         parent: Optional[_Leader],
     ):
         """chosen is P and parent the _Leader of P[:-1], None for the root."""
-        top = self.top = chosen[-1] if chosen else -1
+        top = chosen[-1] if chosen else -1
         self.parent, self.images = parent, group.maps[top] if chosen else {}
         # rows[y]: held(y) once it has been read
         rows = self.rows = [None if chosen else 0] * len(group.maps)

@@ -6,13 +6,12 @@ any allowed non-edge strictly increases the copy count.  Both verdicts
 localize the effect of an added slot: since a new copy must run through the
 new edge, it suffices to search for copies with both endpoints of that slot
 pinned.  So both are one question, "does every non-edge close a copy?", and
-both ask it of core.first_uncovered_slot, the scan that the exact search's
-validity test shares.  It runs an existence search compiled once per pattern
-edge, and it never counts.  It goes one row (p, a, q) of slots at a time: a
-copy found through one non-edge of the row covers every other non-edge of
-the row it also runs through, so those need no search.  Greedy fill asks
-the same question one slot at a time, of core._closes_copy, since each slot
-it adds changes the graph.
+both ask it of core.first_uncovered_slot.  It runs an existence search
+compiled once per pattern edge, and it never counts.  It goes one row (p,
+a, q) of slots at a time: a copy found through one non-edge of the row
+covers every other non-edge of the row it also runs through, so those need
+no search.  Greedy fill asks the same question one slot at a time, of
+core._closes_copy, since each slot it adds changes the graph.
 
 Verdicts are deterministic.  The scan takes the slots in the order of
 host.slots(): lexicographic on (part, index) endpoint pairs.  It skips the
@@ -32,6 +31,7 @@ from .core import (
     PartiteSelection,
     PartiteVertex,
     PatternGraph,
+    _degrees,
     count_partite_copies,
     find_partite_copy,
     first_uncovered_slot,
@@ -122,11 +122,6 @@ class LemmaCheck:
 
 def _is_k4(pattern: PatternGraph) -> bool:
     return pattern.vertex_count == 4 and pattern.edge_count() == 6
-
-
-def _degrees(G: PartiteGraph) -> list[list[int]]:
-    """deg[p][a] is the degree of vertex (p+1, a+1), read off its mask row."""
-    return [[sum(m.bit_count() for m in row) for row in part] for part in G._masks]
 
 
 def _degree4_profile_ok(G: PartiteGraph, v: PartiteVertex, deg: list[list[int]]) -> tuple[bool, str]:

@@ -438,8 +438,8 @@ def test_count_through_matches_brute_force_on_every_slot(G):
 
 
 def assert_scans_match_brute_force(G):
-    """The row scan and the per-slot scan, from every start, against the
-    non-edges brute force finds uncovered; and both verdicts' witnesses."""
+    """The row scan and the per-slot scan against the non-edges brute force
+    finds uncovered; and both verdicts' witnesses."""
     host = G.host
     pattern, n, masks = host.pattern, host.n, G._masks
     uncovered = [
@@ -447,10 +447,9 @@ def assert_scans_match_brute_force(G):
         for k, (u, v) in enumerate(host.slots())
         if not G.has_edge(u, v) and brute_count_through(G, u, v) == 0
     ]
-    for start in range(host.slot_count() + 1):
-        want = next((k for k in uncovered if k >= start), None)
-        assert per_slot_first_uncovered(pattern, n, masks, start) == want
-        assert first_uncovered_slot(pattern, n, masks, start) == want
+    want = uncovered[0] if uncovered else None
+    assert per_slot_first_uncovered(pattern, n, masks) == want
+    assert first_uncovered_slot(pattern, n, masks) == want
     least = host.slots()[uncovered[0]] if uncovered else None
     assert is_extra_saturated(G).witness == least
     if brute_count(G) == 0:

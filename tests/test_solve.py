@@ -24,7 +24,7 @@ from satblow import (
     star_saturation_edges,
     tree_exsat_edges,
 )
-from satblow import mvalue, solve, symmetry
+from satblow import core, mvalue, solve, symmetry
 from satblow.formats import parse_pattern
 from oracles import (
     brute_automorphisms,
@@ -709,12 +709,53 @@ def test_pruned_search_is_pinned(kind, H, n, value, nodes, witness):
 
 
 def test_exact_witness_is_rechecked_from_the_definition(monkeypatch):
-    # a coverage scan that calls every graph covered makes the search stop
-    # at its first candidate; the re-check runs the verdict's own scan
+    # a walk fooled into calling every child valid stops at its first
+    # candidate; the re-check runs the verdict's own scan.  The pruned walk
+    # reads validity from the child's uncovered set (made empty here, with a
+    # floor of one slot), the unpruned one from first_uncovered_slot
+    H = PatternGraph.complete(3)
+    with monkeypatch.context() as patch:
+        patch.setattr(solve._SlotSystem, "child_uncovered", lambda *args: 0)
+        patch.setattr(solve, "saturation_lower_bound", lambda *args: 1)
+        for solver in (min_sat_exact, min_exsat_exact):
+            with pytest.raises(RuntimeError, match="fails"):
+                solver(H, 2)
     monkeypatch.setattr(solve, "first_uncovered_slot", lambda *args: None)
-    for solver in (min_sat_exact, min_exsat_exact):
+    for require_free in (True, False):
         with pytest.raises(RuntimeError, match="fails"):
-            solver(PatternGraph.complete(3), 2)
+            solve._exact_minimum(H, 2, require_free, None, True, 0, prune=False)
+
+
+@pytest.mark.parametrize("require_free", [True, False])
+@pytest.mark.parametrize(
+    "H, n",
+    [
+        (PatternGraph.complete(3), 3),
+        (PatternGraph.path(4), 3),
+        (PatternGraph.complete(4), 2),
+        (PatternGraph.cycle(4), 3),
+    ],
+)
+def test_a_child_is_covered_exactly_when_its_uncovered_set_is_empty(
+    H, n, require_free, monkeypatch
+):
+    """The pruned walk reads a child's validity from the uncovered set it
+    derives for it: at every child of the real walk, that set is empty
+    exactly when the verdicts' scan finds every non-edge of the child
+    closing a copy, and both outcomes occur."""
+    derive = solve._SlotSystem.child_uncovered
+    seen = {True: 0, False: 0}
+
+    def checked(sys_, masks, frame, s):
+        uncovered = derive(sys_, masks, frame, s)
+        covered = core.first_uncovered_slot(H, n, masks) is None
+        assert (not uncovered) == covered, s
+        seen[covered] += 1
+        return uncovered
+
+    monkeypatch.setattr(solve._SlotSystem, "child_uncovered", checked)
+    solve._exact_minimum(H, n, require_free, None, True, 0)
+    assert seen[True] and seen[False], seen
 
 
 def test_lower_bound_of_exact_results_is_the_value():
@@ -1033,15 +1074,15 @@ def _descend(sys_, masks, frame, s):
     parent's with the walk's own pieces, as cut builds it when it keeps the
     child (a random prefix goes on through children the walk would cut)."""
     sys_.flip(masks, 1 << s)
-    left = sys_.settled_uncovered(masks, frame, s)
-    lack = sys_.child_lack(masks, frame, left, s)
-    return solve._Frame(left, sys_.child_open(masks, frame, s), lack, s + 1)
+    uncovered = sys_.child_uncovered(masks, frame, s)
+    lack = sys_.child_lack(masks, frame, uncovered & (1 << s) - 1, s)
+    return solve._Frame(uncovered, lack, s + 1)
 
 
 def _probe(frame):
     """A copy of a frame, to ask about children past the next one the walk
     takes: a frame is only ever moved up."""
-    return solve._Frame(frame.uncovered, frame.open_, frame.lack[:], frame.upto)
+    return solve._Frame(frame.uncovered, frame.lack[:], frame.upto)
 
 
 def _start(sys_, H, n):
@@ -1080,7 +1121,9 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
         chosen = 0
         for m, s in enumerate(prefix, 1):
             child = _descend(sys_, masks, frame, s)
-            left, later = child.uncovered, child.open_
+            uncovered = child.uncovered
+            left, later = uncovered & (1 << s) - 1, uncovered >> s + 1 << s + 1
+            assert uncovered == left | later
             parent, chosen = chosen, chosen | 1 << s
             assert left == sum(
                 1 << y
@@ -1095,16 +1138,20 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
             if least is not None and not done:
                 assert max(1, sys_.total(child.lack)) <= least, prefix[:m]
                 # a bound that admits the least completion keeps the prefix
-                verdict = sys_.cut(masks, stand, require_free, frame, parent, left, s, m + least)
+                verdict = sys_.cut(
+                    masks, stand, require_free, frame, parent, uncovered, s, m + least
+                )
                 assert verdict[0] is None
                 kept = verdict[1]
-                assert (kept.uncovered, kept.open_, kept.lack) == (left, later, child.lack)
+                assert (kept.uncovered, kept.lack) == (uncovered, child.lack)
             for ub in range(m, m + 6):
-                reason = sys_.cut(masks, stand, require_free, frame, parent, left, s, ub)[0]
+                reason = sys_.cut(masks, stand, require_free, frame, parent, uncovered, s, ub)[0]
                 if reason is not None:
                     fired[reason] += 1
                     assert done or least is None or m + least > ub, (prefix[:m], reason, ub)
-            reason, _, siblings = sys_.cut(masks, stand, require_free, frame, parent, left, s, L + m)
+            reason, _, siblings = sys_.cut(
+                masks, stand, require_free, frame, parent, uncovered, s, L + m
+            )
             if siblings:
                 # the sibling-wide cut: no later sibling completes either
                 fired["siblings"] += 1
@@ -1150,12 +1197,12 @@ def test_uncoverable_cut_drops_every_child_past_an_isolated_needy_vertex(H, requ
                 isolated = [k for (p, a), k in last.items() if not any(masks[p][a])]
                 if isolated:
                     for t in range(max(top, min(isolated)) + 1, L):
-                        if require_free and not frame.open_ >> t & 1:
+                        if require_free and not frame.uncovered >> t & 1:
                             continue  # not free: the walk never makes this child
                         sys_.flip(masks, 1 << t)
-                        left = sys_.settled_uncovered(masks, frame, t)
+                        uncovered = sys_.child_uncovered(masks, frame, t)
                         verdict = sys_.cut(
-                            masks, stand, require_free, frame, chosen, left, t, L + m
+                            masks, stand, require_free, frame, chosen, uncovered, t, L + m
                         )
                         sys_.flip(masks, 1 << t)
                         assert verdict[0] == "uncoverable" and verdict[2], (prefix[: m - 1], t)
@@ -1192,7 +1239,9 @@ def test_reach_never_passes_a_completion(H, require_free):
             probe = _probe(frame)
             for t in range(top + 1, L):
                 reach = m + max(1, sys_.settle(masks, probe, t))
-                assert reach == brute_reach(host, masks, frame.uncovered, frame.open_, t, m)
+                assert reach == brute_reach(
+                    host, masks, frame.uncovered & low, frame.uncovered & ~low, t, m
+                )
                 sizes = [D.bit_count() for D in above if (D ^ chosen) & (1 << t) - 1 == 0]
                 if sizes:
                     assert reach <= min(sizes), (prefix[:m], t)
@@ -1237,22 +1286,23 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
         for m, s in enumerate(prefix, 1):
             probe = _probe(frame)
             for t in range(frame.upto, L):
-                if require_free and not frame.open_ >> t & 1:
+                if require_free and not frame.uncovered >> t & 1:
                     continue
-                settled = frame.uncovered | frame.open_ & (1 << t) - 1
+                settled = frame.uncovered & (1 << t) - 1
                 # the frame moved up to t, and the child derived from it
                 # before or after the move
                 assert sys_.settle(masks, probe, t) == brute_need(host, masks, settled)
                 assert probe.lack == every_vertex(masks, settled)
                 sys_.flip(masks, 1 << t)
-                left = sys_.settled_uncovered(masks, frame, t)
+                uncovered = sys_.child_uncovered(masks, frame, t)
+                left = uncovered & (1 << t) - 1
                 lack = sys_.child_lack(masks, frame, left, t)
                 assert lack == sys_.child_lack(masks, probe, left, t)
                 assert lack == every_vertex(masks, left)
                 assert sys_.total(lack) == brute_need(host, masks, left)
                 was = stand[1]
                 reason, _, siblings = sys_.cut(
-                    masks, stand, require_free, frame, chosen, left, t, L + m
+                    masks, stand, require_free, frame, chosen, uncovered, t, L + m
                 )
                 # the graph of the last uncoverable test: P + (t,) and the
                 # child's open slots, or, for the sibling-wide test of
@@ -1263,16 +1313,16 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
                 elif not require_free:
                     assert stand[1] == chosen | (1 << L) - (1 << t)
                 elif reason == "uncoverable":
-                    assert stand[1] == chosen | frame.open_ >> t << t
+                    assert stand[1] == chosen | frame.uncovered >> t << t
                 else:
-                    assert stand[1] == chosen | 1 << t | sys_.child_open(masks, frame, t)
+                    assert stand[1] == chosen | 1 << t | uncovered ^ left
                 assert stand[0] == graph(stand[1])
                 sys_.flip(masks, 1 << t)
                 checked += 1
             frame = _descend(sys_, masks, frame, s)
             chosen |= 1 << s
     # saturation leaves no child when every slot closes a copy on its own
-    assert checked > 0 or require_free and not _start(sys_, H, n)[1].open_
+    assert checked > 0 or require_free and not _start(sys_, H, n)[1].uncovered
 
     group = symmetry._symmetry_group(host)
     if group is None:
