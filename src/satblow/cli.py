@@ -2,9 +2,11 @@
 
 One JSON document per invocation on stdout (the table subcommand can emit
 aligned text instead).  Exit codes: 0 when a verdict or value was computed,
-even a failing verdict; 2 on malformed input or bad arguments; 3 when a
-search gave UNKNOWN because its wall-clock budget ran out.  An error,
-bad arguments included, is one line on stderr, and so is each warning.
+even a failing verdict; 2 on malformed input or bad arguments; 3 on every
+UNKNOWN: the wall-clock budget ran out, the exact walk's copy table would
+pass its cap (see solve.SolveResult), or an m-value search reached
+max_vertices without a witness.  An error, bad arguments included, is one
+line on stderr, and so is each warning.
 Copy counts are printed as decimal strings so that arbitrarily large
 values survive JSON.
 """
@@ -187,7 +189,7 @@ def _cmd_solve(args) -> int:
             "stats": result.stats,
         }
     )
-    return 3 if result.exhausted_budget else 0
+    return 3 if result.value is None else 0
 
 
 def _cmd_mvalue(args) -> int:
@@ -211,7 +213,7 @@ def _cmd_mvalue(args) -> int:
             "stats": result.stats,
         }
     )
-    return 3 if result.exhausted_budget else 0
+    return 3 if result.value is None else 0
 
 
 def _cmd_bounds(args) -> int:
@@ -228,8 +230,7 @@ def _cmd_bounds(args) -> int:
             "m_upper": "UNKNOWN" if result.m_upper.value is None else result.m_upper.value,
         }
     )
-    exhausted = result.m_lower.exhausted_budget or result.m_upper.exhausted_budget
-    return 3 if exhausted else 0
+    return 3 if result.m_lower.value is None or result.m_upper.value is None else 0
 
 
 def _parse_n_range(text: str) -> range:

@@ -118,17 +118,24 @@ test, adding s, the validity test, and the child's own over-bound and
 uncoverable tests (_SlotSystem.cut), the second with its sibling-wide
 form.  A candidate dropped in bulk is charged to the cut that dropped it.
 
+The walk holds each slot set as one int, a bit per slot, and asks every
+copy question of one table (_SlotSystem.copies): for each slot k, the sets
+of the other slots of the partite copies through k.  Slot k closes a copy
+in a set G exactly when one of those sets lies inside G, so a coverage
+test is a few int operations, and the walk holds no graph in masks.
+
 The validity test and the last three cuts read one slot set per node, its
 uncovered set: the node's non-edges that close no copy with it, the
 settled ones below its last slot and the open ones above it.  The root's
 is every slot that closes no copy on its own.  A child's set follows from
 its parent's by one rule (_SlotSystem.child_uncovered): the parent's set,
 less s, less the slots that s lets close a copy.  A slot covered by P stays
-covered in C, and a slot newly covered by C has a copy using both it and
-s, so only slots whose ends agree with s's (no part given two different
-indices) are searched again.  The part of the set below s is the child's
-settled slots left uncovered, and the part above s its open slots, which
-for saturation are its free children.  So the child is valid exactly when
+covered in C, and a slot t newly covered by C has a copy through t and s
+whose other slots all lie in C, so t is the one slot outside C of a set
+listed for s: one pass over the copies through s finds every such t.  The
+part of the set below s is the child's settled slots left uncovered, and
+the part above s its open slots, which for saturation are its free
+children.  So the child is valid exactly when
 it has at least floor slots and its set is empty: every non-edge closes a
 copy, and for saturation the child is partite-free, as s passed the
 not-free test.  No scan of the whole graph is needed.
@@ -145,12 +152,18 @@ the child's own.  A slot y = (u, w) that s covers changes no bit: the copy
 through y in C + y gives u an edge of C toward every pattern neighbour
 part of u's but w's, and one of P too unless that edge is s (u is then an
 end of s), so no check of u that y can answer ever asks for an edge,
-before s or after; likewise for w.  The graphs the uncoverable tests ask
-about, C + F and G, are held in a second set of masks that is moved from
-one test's graph to the next by toggling only the slots in which the two
-differ: for extra-saturation, from P + {s, s + 1, ...} to the next
-sibling's it drops the slots passed over, and a child's first child asks
-about the very graph its parent was tested on.
+before s or after; likewise for w.  Whether a vertex has an edge toward a
+part is one AND of the graph with the slots between them.  The graphs the
+uncoverable tests ask about, C + F and G, are slot sets built as ints, and
+each test reads the table for the settled slots left uncovered.
+
+The table lists n^v' copies (v' the pattern vertices of degree at least
+one), each under every pattern edge, so it grows as a power of n.  Its
+bytes are counted before it is built, against the cap the group maps
+share (symmetry._GROUP_MAP_BYTES_CAP), and a host past it gets UNKNOWN
+with no walk: sat K3[4] has 64 copies (192 entries, under 0.1 MiB), while
+C6[8] has 262 144 (126 MiB) and P5[12] 248 832 (106 MiB).  Hosts that
+large take their upper bounds from the construction families.
 
 When the budget runs out, the walk answers UNKNOWN with the incumbent and
 a proven lower bound.  If the optimum is below the incumbent's size, the
@@ -168,8 +181,10 @@ lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -179,11 +194,17 @@ from .core import (
     PartiteGraph,
     PatternGraph,
     _closes_copy,
-    _empty_masks,
     first_uncovered_slot,
     has_partite_copy,
 )
-from .symmetry import _Leader, _SlotGroup, _child_leader, _root_leader, _symmetry_group
+from .symmetry import (
+    _GROUP_MAP_BYTES_CAP,
+    _Leader,
+    _SlotGroup,
+    _child_leader,
+    _root_leader,
+    _symmetry_group,
+)
 from .verify import is_extra_saturated, is_partite_saturated
 
 # --------------------------------------------------------------------------
@@ -347,43 +368,62 @@ class _Frame:
 
 
 class _SlotSystem:
+    """The exact walk's view of H[n]: its slots, as bits of one int per slot
+    set, and what the coverage tests and the bundle-need bound read.
+
+    copies[k] lists, for each partite copy through slot k, the set of the
+    copy's other slots.  So slot k closes a copy in a slot set G exactly
+    when some c of copies[k] has c & ~G == 0, and the walk's coverage tests
+    are int tests on this table, with no graph held in masks.  Copies are
+    listed over the parts that meet a pattern edge only: the parts of
+    isolated pattern vertices would only repeat sets.  The table takes one
+    int of up to L bits (L the slot count) and one list entry per copy and
+    pattern edge, counted before anything is built; past the map-bytes cap
+    of the symmetry group (symmetry._GROUP_MAP_BYTES_CAP), copies is None
+    and the walk does not run.  entries is that count of (copy, edge)
+    pairs."""
+
     def __init__(self, host: BlowupHost):
         pattern, n = host.pattern, host.n
         v = pattern.vertex_count
         self.host = host
-        self.pattern = pattern
-        self.n = n
         self.slots = host.slots()
         self.L = len(self.slots)
         self.ends0 = host.ends0()
-        # slot sets as ints, one bit per slot: elsewhere[p * n + a] holds the
-        # slots meeting part p at an index other than a
-        at_vertex = [0] * (v * n)
-        for k, (p, a, q, b) in enumerate(self.ends0):
-            at_vertex[p * n + a] |= 1 << k
-            at_vertex[q * n + b] |= 1 << k
-        self.elsewhere = []
-        for p in range(v):
-            in_part = 0
-            for a in range(n):
-                in_part |= at_vertex[p * n + a]
-            self.elsewhere += [in_part ^ at_vertex[p * n + a] for a in range(n)]
         self.bundles = [(p - 1, r - 1) for p, r in pattern.edges]
+        live = [p for p, adj in enumerate(pattern._adj0) if adj]
+        self.entries = n ** len(live) * len(self.bundles)
+        self.copies: Optional[list[list[int]]] = None
+        if self.entries * (8 + sys.getsizeof(1 << self.L)) <= _GROUP_MAP_BYTES_CAP:
+            slot_of = {ends: k for k, ends in enumerate(self.ends0)}
+            self.copies = [[] for _ in range(self.L)]
+            at = [0] * v  # the copy's index in each part
+            for indices in itertools.product(range(n), repeat=len(live)):
+                for p, a in zip(live, indices):
+                    at[p] = a
+                ks = [slot_of[p, at[p], r, at[r]] for p, r in self.bundles]
+                full = sum(1 << k for k in ks)
+                for k in ks:
+                    self.copies[k].append(full ^ 1 << k)
         self.most_need = len(self.bundles) * n  # no bundle-need bound exceeds it
-        # need_at[p * n + a]: (p, a, its bit in a part, checks), a check being
-        # (r, direction, slots at the vertex outside bundle {p, r}) for each
-        # pattern neighbour r of p; direction 2j is bundle j = (p, r) of
-        # self.bundles read from p, 2j + 1 from r.  ends[k]: the vertices
-        # p * n + a of slot k's two ends, as bits
+        # need_at[p * n + a]: (its bit in a part, checks), a check being
+        # (direction, slots at the vertex outside bundle {p, r}, slots from the
+        # vertex to part r) for each pattern neighbour r of p; direction 2j is
+        # bundle j = (p, r) of self.bundles read from p, 2j + 1 from r.
+        # ends[k]: the vertices p * n + a of slot k's two ends, as bits;
+        # at_vertex[p * n + a]: the slots at the vertex
+        at_vertex = [0] * (v * n)
         direction, toward = {}, {}
         for j, (p, r) in enumerate(self.bundles):
             direction[p, r], direction[r, p] = 2 * j, 2 * j + 1
         for k, (p, a, q, b) in enumerate(self.ends0):
+            at_vertex[p * n + a] |= 1 << k
+            at_vertex[q * n + b] |= 1 << k
             toward[p * n + a, q] = toward.get((p * n + a, q), 0) | 1 << k
             toward[q * n + b, p] = toward.get((q * n + b, p), 0) | 1 << k
         self.need_at = [
-            (p, a, 1 << a, tuple(
-                (r, direction[p, r], at_vertex[p * n + a] ^ toward[p * n + a, r])
+            (1 << a, tuple(
+                (direction[p, r], at_vertex[p * n + a] ^ toward[p * n + a, r], toward[p * n + a, r])
                 for r in pattern._adj0[p]
             ))
             for p in range(v)
@@ -391,74 +431,63 @@ class _SlotSystem:
         ]
         self.ends = [1 << p * n + a | 1 << q * n + b for p, a, q, b in self.ends0]
 
-    def flip(self, masks: list, slots: int) -> None:
-        """Toggle every slot of the set `slots` in masks."""
-        while slots:
-            bit = slots & -slots
-            slots ^= bit
-            p, a, q, b = self.ends0[bit.bit_length() - 1]
-            masks[p][a][q] ^= 1 << b
-            masks[q][b][p] ^= 1 << a
-
-    def clash(self, k: int) -> int:
-        """The slots that share no copy with slot k: they give one of its
-        parts another index."""
-        p, a, q, b = self.ends0[k]
-        return self.elsewhere[p * self.n + a] | self.elsewhere[q * self.n + b]
-
-    def covered(self, masks: list, slots: int, stop_at_miss: bool = False) -> int:
-        """The slots of the set `slots` that close a copy on masks; with
-        stop_at_miss, only those below the first slot that closes none."""
-        pattern, n = self.pattern, self.n
+    def covered(self, graph: int, slots: int, stop_at_miss: bool = False) -> int:
+        """The slots of the set `slots` that close a copy in the slot set
+        `graph`; with stop_at_miss, only those below the first slot that
+        closes none."""
+        copies, miss = self.copies, ~graph
         hit, rest = 0, slots
         while rest:
             bit = rest & -rest
             rest ^= bit
-            p, a, q, b = self.ends0[bit.bit_length() - 1]
-            if _closes_copy(pattern, n, masks, p, a, q, b):
-                hit |= bit
-            elif stop_at_miss:
-                break
+            for c in copies[bit.bit_length() - 1]:
+                if not c & miss:
+                    hit |= bit
+                    break
+            else:
+                if stop_at_miss:
+                    break
         return hit
 
-    def uncoverable(self, stand: list, left: int, graph: int) -> bool:
-        """Does some slot of `left` close no copy in the slot set `graph`?
-        stand is [masks, the slot set they hold], moved to graph by toggling
-        only the slots in which the two differ."""
-        self.flip(stand[0], stand[1] ^ graph)
-        stand[1] = graph
-        return self.covered(stand[0], left, stop_at_miss=True) != left
+    def uncoverable(self, left: int, graph: int) -> bool:
+        """Does some slot of `left` close no copy in the slot set `graph`?"""
+        return self.covered(graph, left, stop_at_miss=True) != left
 
-    def child_uncovered(self, masks: list, frame: _Frame, s: int) -> int:
-        """The uncovered set of child = P + (s,), held in masks: P's
-        (frame.uncovered) less s and less the slots that s lets close a
-        copy."""
-        rest = frame.uncovered & ~(1 << s)
-        return rest ^ self.covered(masks, rest & ~self.clash(s))
+    def child_uncovered(self, graph: int, frame: _Frame, s: int) -> int:
+        """The uncovered set of child = P + (s,), the slot set `graph`: P's
+        (frame.uncovered) less s and less every slot t that is the one slot
+        of c & ~graph for some c of copies[s].  Those are exactly the slots
+        the child newly covers: a slot t that P leaves uncovered and the
+        child covers has a copy through s (else P + t would hold it) whose
+        other slots all lie in graph + t."""
+        miss, newly = ~graph, 0
+        for c in self.copies[s]:
+            rest = c & miss
+            if not rest & rest - 1:
+                newly |= rest
+        return frame.uncovered & ~(1 << s | newly)
 
-    def settle(self, masks: list, frame: _Frame, t: int) -> int:
-        """The bundle-need bound of the slots settled for P's child t, P
-        held in masks and t not below frame.upto: frame.lack is grown by
+    def settle(self, graph: int, frame: _Frame, t: int) -> int:
+        """The bundle-need bound of the slots settled for P's child t, P the
+        slot set `graph` and t not below frame.upto: frame.lack is grown by
         the open slots settled since frame.upto, and moved up to t."""
         settled = frame.uncovered & (1 << t) - 1
         fresh = settled >> frame.upto << frame.upto
         frame.upto = t
-        if fresh and self.relack(masks, settled, frame.lack, self.ends_of(fresh)):
+        if fresh and self.relack(graph, settled, frame.lack, self.ends_of(fresh)):
             frame.need = None
         if frame.need is None:
             frame.need = self.total(frame.lack)
         return frame.need
 
-    def root(self, masks: list) -> _Frame:
-        """The frame of the empty set, held in masks: every slot is open,
-        none is settled, and so no vertex needs an edge."""
+    def root(self) -> _Frame:
+        """The frame of the empty set: every slot is open, none is settled,
+        and so no vertex needs an edge."""
         every = (1 << self.L) - 1
-        return _Frame(every ^ self.covered(masks, every), [0] * 2 * len(self.bundles), 0)
+        return _Frame(every ^ self.covered(0, every), [0] * 2 * len(self.bundles), 0)
 
     def cut(
         self,
-        masks: list,
-        stand: list,
         require_free: bool,
         frame: _Frame,
         chosen: int,
@@ -466,20 +495,20 @@ class _SlotSystem:
         s: int,
         ub: int,
     ) -> tuple[Optional[str], Optional[_Frame], bool]:
-        """Why child = P + (s,), held in masks, cannot lead to a valid graph
-        of ub slots or fewer ("over_bound" or "uncoverable"), or None; the
-        child's frame when it is not cut (its todo still 0); and whether
-        every later sibling of the child is uncoverable too.  frame is P's,
-        chosen P as a slot set, uncovered what child_uncovered gives for the
-        child (its settled slots left uncovered are the part below s), and
-        stand the graph of the uncoverable tests (see uncoverable)."""
+        """Why child = P + (s,) cannot lead to a valid graph of ub slots or
+        fewer ("over_bound" or "uncoverable"), or None; the child's frame
+        when it is not cut (its todo still 0); and whether every later
+        sibling of the child is uncoverable too.  frame is P's, chosen P as
+        a slot set, and uncovered what child_uncovered gives for the child
+        (its settled slots left uncovered are the part below s)."""
         m = chosen.bit_count() + 1
+        child = chosen | 1 << s
         left = uncovered & (1 << s) - 1
         lack = need = None
         if m >= ub:
             return "over_bound", None, False
         if m + self.most_need > ub:
-            lack = self.child_lack(masks, frame, left, s)
+            lack = self.child_lack(child, frame, left, s)
             need = self.total(lack)
             if m + max(1, need) > ub:
                 return "over_bound", None, False
@@ -487,26 +516,25 @@ class _SlotSystem:
             # the graph of the slots a completion may still add; for
             # extra-saturation it is also what a later sibling may add, so
             # the child's verdict is theirs
-            child = chosen | 1 << s
             if require_free:
-                if self.uncoverable(stand, left, child | uncovered ^ left):
-                    siblings = self.uncoverable(stand, left, chosen | frame.uncovered >> s << s)
+                if self.uncoverable(left, child | uncovered ^ left):
+                    siblings = self.uncoverable(left, chosen | frame.uncovered >> s << s)
                     return "uncoverable", None, siblings
-            elif self.uncoverable(stand, left, child | (1 << self.L) - (1 << s + 1)):
+            elif self.uncoverable(left, child | (1 << self.L) - (1 << s + 1)):
                 return "uncoverable", None, True
         if lack is None:
-            lack = self.child_lack(masks, frame, left, s)
+            lack = self.child_lack(child, frame, left, s)
         return None, _Frame(uncovered, lack, s + 1, need), False
 
-    def child_lack(self, masks: list, frame: _Frame, left: int, s: int) -> list[int]:
-        """The bundle-need sets of child = P + (s,), held in masks, whose
-        settled slots left uncovered are `left`, s not below frame.upto:
-        P's (frame.lack), with the ends recomputed of s and of the open
-        slots settled since frame.upto that s leaves uncovered (see the
-        module docstring)."""
+    def child_lack(self, graph: int, frame: _Frame, left: int, s: int) -> list[int]:
+        """The bundle-need sets of child = P + (s,), the slot set `graph`,
+        whose settled slots left uncovered are `left`, s not below
+        frame.upto: P's (frame.lack), with the ends recomputed of s and of
+        the open slots settled since frame.upto that s leaves uncovered (see
+        the module docstring)."""
         fresh = left >> frame.upto << frame.upto
         lack = frame.lack[:]
-        self.relack(masks, left, lack, self.ends_of(fresh) | self.ends[s])
+        self.relack(graph, left, lack, self.ends_of(fresh) | self.ends[s])
         return lack
 
     def ends_of(self, slots: int) -> int:
@@ -518,9 +546,9 @@ class _SlotSystem:
             out |= ends[bit.bit_length() - 1]
         return out
 
-    def relack(self, masks: list, uncovered: int, lack: list[int], vertices: int) -> bool:
+    def relack(self, graph: int, uncovered: int, lack: list[int], vertices: int) -> bool:
         """Set, in the bundle-need sets lack, the bits of the vertices of
-        `vertices` (see ends) for the graph in masks and the settled
+        `vertices` (see ends) for the slot set `graph` and the settled
         non-edges `uncovered`; is any bit changed?  lack[d] holds, per bundle
         direction p -> r, the indices of the vertices of part p that need an
         edge toward part r: they have none yet, and an uncovered slot from
@@ -529,10 +557,9 @@ class _SlotSystem:
         while vertices:
             bit = vertices & -vertices
             vertices ^= bit
-            p, a, at, checks = need_at[bit.bit_length() - 1]
-            row = masks[p][a]
-            for r, d, away in checks:
-                if uncovered & away and not row[r]:
+            at, checks = need_at[bit.bit_length() - 1]
+            for d, away, toward in checks:
+                if uncovered & away and not graph & toward:
                     if not lack[d] & at:
                         lack[d] |= at
                         changed = True
@@ -551,8 +578,10 @@ class _SlotSystem:
             total += a if a > b else b
         return total
 
-    def graph_for(self, slot_ids) -> PartiteGraph:
-        return PartiteGraph(self.host, (self.slots[k] for k in slot_ids))
+    def graph_for(self, chosen: int) -> PartiteGraph:
+        """The graph of the slot set `chosen`."""
+        slots = self.slots
+        return PartiteGraph(self.host, (slots[k] for k in range(self.L) if chosen >> k & 1))
 
 
 
@@ -611,17 +640,24 @@ class SolveResult:
     symmetry._slot_group) and its element count, or None and 0 when no test runs
     (use_symmetry off, a trivial search, or a group that acts trivially or
     does not fit the caps).  stats["leaders"] counts the _Leader
-    derivations, the root's included.  stats["floor"] is
+    derivations, the root's included.  stats["copies"] is the entry count
+    of the walk's copy table (see _SlotSystem), or None when no table was
+    built.  stats["floor"] is
     saturation_lower_bound, the proven bound the walk starts from: the walk
     stops as soon as it meets a valid set of that size (of one slot when
     it is 0), so an exact result whose value equals it may leave children
     untried.  stats["phases"] gives the seconds of each phase: "greedy"
     (the greedy fill that sets the first upper bound), "group" (building
     the symmetry group, 0 without one), "walk" (building the slot system
-    and walking) and "recheck" (re-checking the witness from the
-    definition); a search with an empty greedy graph, or one whose greedy
-    fill ends past the deadline, has no group or walk, and one whose group
-    build ends past it has no walk.
+    with its copy table, and walking) and "recheck" (re-checking the
+    witness from the definition); a search with an empty greedy graph, or
+    one whose greedy fill ends past the deadline, has no group or walk, and
+    one whose group build ends past it has no walk.
+
+    The result is also UNKNOWN, with the greedy graph, lower_bound the
+    floor, one node and no walk, when the copy table would pass its cap
+    (see the module docstring): exhausted_budget is then False, with or
+    without a budget.
 
     The budget is a deadline set when the search starts.  Greedy fill and
     the witness re-check always run to their end, so on a large host
@@ -629,9 +665,10 @@ class SolveResult:
     budget=0.5) spends about 1.1 s in greedy fill and 0.4 s in the
     re-check.  If greedy fill ends past the deadline, the result is UNKNOWN
     at once, with the greedy graph and lower_bound the floor.  Otherwise
-    the group is built to its end, and a group build that ends past the
-    deadline gives the same UNKNOWN, with no walk; else the walk reads the
-    deadline at each node.
+    the group build asks for the deadline before each slot's maps and stops
+    once it has passed, and a group build that ends past the deadline gives
+    the same UNKNOWN, with no walk; so does a copy table whose build ends
+    past it; else the walk reads the deadline at each node.
     """
 
     value: Optional[int]
@@ -674,6 +711,7 @@ def _exact_minimum(
     improvements = [{"size": ub, "nodes": 0}]
     group: Optional[_SlotGroup] = None
     leaders = 0  # _Leader objects built
+    entries: Optional[int] = None  # the size of the walk's copy table, once built
     walk_start: Optional[float] = None  # None while no walk has started
 
     def result(value, witness, exhausted, upper, lower) -> SolveResult:
@@ -699,6 +737,7 @@ def _exact_minimum(
                 "rows": 0 if group is None else group.everyone.bit_count(),
             },
             "leaders": leaders,
+            "copies": entries,
             "floor": lb,
             "phases": {name: round(t, 6) for name, t in phases.items()},
         }
@@ -712,24 +751,25 @@ def _exact_minimum(
         return result(None, ub_graph, True, ub, lb)
 
     group_start = time.monotonic()
-    group = _symmetry_group(host) if use_symmetry else None
+    expired = None if deadline is None else lambda: time.monotonic() > deadline
+    group = _symmetry_group(host, expired) if use_symmetry else None
     phases["group"] = time.monotonic() - group_start
     if deadline is not None and time.monotonic() > deadline:
         return result(None, ub_graph, True, ub, lb)
     walk_start = time.monotonic()
     sys_ = _SlotSystem(host)
+    if sys_.copies is None or deadline is not None and time.monotonic() > deadline:
+        return result(None, ub_graph, sys_.copies is not None, ub, lb)
+    entries = sys_.entries
     L = sys_.L
-    masks = _empty_masks(pattern.vertex_count, n)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
-    best: Optional[tuple[int, ...]] = None  # the walk's least valid set so far
-    # path is the set masks holds, and chosen the same set as one int;
-    # stack[d] is the _Frame of path[:d]; stand is the graph of the
-    # uncoverable tests, [masks, the slot set they hold]
+    best: Optional[int] = None  # the walk's least valid set so far
+    # path is the walk's set, and chosen the same set as one int; stack[d]
+    # is the _Frame of path[:d]
     path: list[int] = []
     chosen = 0
     stack: list[_Frame] = []
-    stand = [_empty_masks(pattern.vertex_count, n), 0]
     every = (1 << L) - 1
 
     def expand(top: int, frame: _Frame) -> None:
@@ -741,7 +781,12 @@ def _exact_minimum(
         todo = every ^ ((1 << top + 1) - 1)  # the slots above top
         if require_free:
             if frame.uncovered is None:
-                open_ = todo ^ sys_.covered(masks, todo)
+                masks = sys_.graph_for(chosen)._masks
+                open_ = sum(
+                    1 << t
+                    for t in range(top + 1, L)
+                    if not _closes_copy(pattern, n, masks, *sys_.ends0[t])
+                )
             else:
                 open_ = frame.uncovered & todo
             levels[m + 1]["cuts"]["not_free"] += todo.bit_count() - open_.bit_count()
@@ -767,16 +812,14 @@ def _exact_minimum(
         levels[d + 1]["cuts"]["not_canonical"] += 1
         return False
 
-    expand(-1, sys_.root(masks) if prune else _Frame(None, None, 0))
+    expand(-1, sys_.root() if prune else _Frame(None, None, 0))
     while stack:
         frame = stack[-1]
         todo = frame.todo
         if not todo:
             stack.pop()
             if path:
-                k = path.pop()
-                chosen ^= 1 << k
-                sys_.flip(masks, 1 << k)
+                chosen ^= 1 << path.pop()
             continue
         if deadline is not None and time.monotonic() > deadline:
             if group is not None:
@@ -787,19 +830,19 @@ def _exact_minimum(
                     while todo and not canonical(d, (todo & -todo).bit_length() - 1):
                         todo &= todo - 1
                     frame.todo = todo
-            upper = ub if best is None else len(best)
+            upper = ub if best is None else best.bit_count()
             return result(
                 None,
                 ub_graph if best is None else sys_.graph_for(best),
                 True,
                 upper,
-                max(lb, min(upper, _open_bound(sys_, masks, path, stack))),
+                max(lb, min(upper, _open_bound(sys_, path, stack))),
             )
         s = (todo & -todo).bit_length() - 1
         m = len(path) + 1
         row = levels[m]
         if prune and m - 1 + sys_.most_need > bound and m - 1 + max(
-            1, sys_.settle(masks, frame, s)
+            1, sys_.settle(chosen, frame, s)
         ) > bound:
             # the bound grows with s, so no later sibling can come in either
             row["cuts"]["over_bound"] += todo.bit_count()
@@ -808,16 +851,16 @@ def _exact_minimum(
         frame.todo = todo & todo - 1
         if group is not None and not canonical(m - 1, s):
             continue
-        sys_.flip(masks, 1 << s)
         if prune:
-            uncovered = sys_.child_uncovered(masks, frame, s)
+            uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
             valid = m >= floor and not uncovered
         else:
-            valid = m >= floor and first_uncovered_slot(pattern, n, masks) is None
+            valid = m >= floor and (
+                first_uncovered_slot(pattern, n, sys_.graph_for(chosen | 1 << s)._masks) is None
+            )
         if valid:
             row["admitted"] += 1
-            sys_.flip(masks, 1 << s)
-            best, bound = (*path, s), m - 1
+            best, bound = chosen | 1 << s, m - 1
             if m < improvements[-1]["size"]:
                 improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
             if bound < floor:
@@ -825,13 +868,10 @@ def _exact_minimum(
             frame.todo = 0  # later siblings are as large and lex-greater
             continue
         if prune:
-            reason, child, siblings = sys_.cut(
-                masks, stand, require_free, frame, chosen, uncovered, s, bound
-            )
+            reason, child, siblings = sys_.cut(require_free, frame, chosen, uncovered, s, bound)
         else:
             reason, child, siblings = None, _Frame(None, None, s + 1), False
         if reason is not None:
-            sys_.flip(masks, 1 << s)
             if siblings:
                 # no later sibling can be completed either
                 row["cuts"][reason] += todo.bit_count()
@@ -844,24 +884,23 @@ def _exact_minimum(
             path.append(s)
             chosen |= 1 << s
             expand(s, child)
-        else:
-            sys_.flip(masks, 1 << s)
     if best is None:
         # the canonical form of the greedy graph is a node of the walk, so
         # this only keeps a safe answer
         return result(ub, ub_graph, False, ub, ub)
-    return result(len(best), sys_.graph_for(best), False, len(best), len(best))
+    size = best.bit_count()
+    return result(size, sys_.graph_for(best), False, size, size)
 
 
-def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[_Frame]) -> int:
+def _open_bound(sys_: _SlotSystem, path: list[int], stack: list[_Frame]) -> int:
     """The least size a valid set the walk has not met can have: the least,
     over the frames with a child left to try, of the frame's size plus
     max(1, its bundle-need bound at the next of those children, the lowest
     slot of its untried set; see _SlotSystem.settle); with prune off, whose
     frames carry no uncovered set, the frame's size plus one.  The walk first
-    moves each frame past the children the lex-leader test rejects.  Takes
-    path out of masks."""
+    moves each frame past the children the lex-leader test rejects."""
     least = math.inf
+    chosen = sum(1 << y for y in path)
     for d in range(len(stack) - 1, -1, -1):
         frame = stack[d]
         if frame.todo:
@@ -869,9 +908,9 @@ def _open_bound(sys_: _SlotSystem, masks: list, path: list[int], stack: list[_Fr
                 least = min(least, d + 1)
             else:
                 t = (frame.todo & -frame.todo).bit_length() - 1
-                least = min(least, d + max(1, sys_.settle(masks, frame, t)))
+                least = min(least, d + max(1, sys_.settle(chosen, frame, t)))
         if d:
-            sys_.flip(masks, 1 << path.pop())
+            chosen ^= 1 << path[d - 1]
     return least
 
 

@@ -63,7 +63,7 @@ import bisect
 import collections
 import itertools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import BlowupHost, PatternGraph
 
@@ -179,7 +179,8 @@ def _slot_maps(
     pools: list[list[tuple[int, ...]]],
     auts: list[tuple[int, ...]],
     ends: Sequence[tuple[int, int, int, int]],
-) -> list[dict[int, int]]:
+    expired: Optional[Callable[[], bool]] = None,
+) -> Optional[list[dict[int, int]]]:
     """The maps of a _SlotGroup whose rows pair a part map g of auts with
     one index permutation per part, that of part t drawn from pools[t].
     ends lists the slots as (p, a, q, b), index a of part p to index b of
@@ -188,7 +189,8 @@ def _slot_maps(
     of the pool sizes, numbered within the block as in _index_rows; the
     rows sending slot (p, a)-(q, b) to (g(p), a2)-(g(q), b2) are the AND of
     two of its patterns shifted into block j.  Only the images the pools
-    can produce are visited."""
+    can produce are visited.  None once expired(), asked before each slot,
+    is true."""
     R = math.prod(map(len, pools))
     sends = _index_rows(pools)
     # vertices numbered part by part: index a of part t is first[t] + a
@@ -198,6 +200,8 @@ def _slot_maps(
         slot_of[first[p] + a, first[q] + b] = slot_of[first[q] + b, first[p] + a] = k
     maps = []
     for p, a, q, b in ends:
+        if expired is not None and expired():
+            return None
         to: dict[int, int] = {}
         for j, g in enumerate(auts):
             gp, gq, shift = g[p], g[q], j * R
@@ -223,13 +227,15 @@ def _slot_group(
     sizes: Sequence[int],
     auts: list[tuple[int, ...]],
     ends: Sequence[tuple[int, int, int, int]],
+    expired: Optional[Callable[[], bool]] = None,
 ) -> Optional[_SlotGroup]:
     """The group of slot permutations pairing a part map of auts with one
     index permutation per part, every part drawing on the same pool of
     _POOLS: the first whose rows, table entries (rows per slot) and map bytes
     fit the caps.  ends lists the slots as for _slot_maps, over parts of
     these sizes.  Returns None when the group is trivial (one row, or every
-    slot fixed) or not even the identity pool fits.
+    slot fixed), when not even the identity pool fits, or when expired()
+    turns true while the maps are built.
 
     The maps take the sum over slots x of |orbit(x)| ints of one bit per
     row, counted before anything is built.  A pool that moves every index
@@ -255,18 +261,21 @@ def _slot_group(
             break
     else:
         return None
-    maps = _slot_maps([make(k) for k in sizes], auts, ends)
-    if all(len(images) == 1 for images in maps):
+    maps = _slot_maps([make(k) for k in sizes], auts, ends, expired)
+    if maps is None or all(len(images) == 1 for images in maps):
         return None
     return _SlotGroup(maps, rows, "automorphisms" if rows == len(auts) else name)
 
 
-def _symmetry_group(host: BlowupHost) -> Optional[_SlotGroup]:
+def _symmetry_group(
+    host: BlowupHost, expired: Optional[Callable[[], bool]] = None
+) -> Optional[_SlotGroup]:
     """The slot permutations of the symmetry group of H[n] that fit the caps
-    (see _slot_group), or None.  n = 1, or an isolated vertex, can make the
+    (see _slot_group), or None, also once expired() is true (the exact
+    walk's deadline has passed).  n = 1, or an isolated vertex, can make the
     group act trivially."""
     auts = _pattern_automorphisms(host.pattern)
-    return _slot_group([host.n] * host.pattern.vertex_count, auts, host.ends0())
+    return _slot_group([host.n] * host.pattern.vertex_count, auts, host.ends0(), expired)
 
 
 class _Leader:

@@ -62,11 +62,11 @@ def brute_count_through(G, u, v):
     return total
 
 
-def per_slot_first_uncovered(pattern, n, masks, start=0):
-    """The least slot index k >= start whose slot is a non-edge closing no
-    copy, or None: one pinned search per non-edge, in slot order."""
+def per_slot_first_uncovered(pattern, n, masks):
+    """The least slot index k whose slot is a non-edge closing no copy, or
+    None: one pinned search per non-edge, in slot order."""
     for k, (p, a, q, b) in enumerate(BlowupHost(pattern, n).ends0()):
-        if k >= start and not masks[p][a][q] >> b & 1:
+        if not masks[p][a][q] >> b & 1:
             if not _closes_copy(pattern, n, masks, p, a, q, b):
                 return k
     return None
@@ -204,12 +204,12 @@ def brute_need(host, masks, uncovered):
     )
 
 
-def brute_reach(host, masks, uncovered, open_, t, m):
+def brute_reach(host, masks, uncovered, t, m):
     """The fewest slots of a valid set through a child P + (s,), s >= t, of
-    the set P of m slots held in masks, whose settled slots left uncovered
-    and open slots are `uncovered` and `open_`, by the bundle-need bound:
-    every slot below t that P lacks is settled for it."""
-    return m + max(1, brute_need(host, masks, uncovered | open_ & (1 << t) - 1))
+    the set P of m slots held in masks, whose non-edges that close no copy
+    are `uncovered`, by the bundle-need bound: every slot below t that P
+    lacks is settled for it."""
+    return m + max(1, brute_need(host, masks, uncovered & (1 << t) - 1))
 
 
 def brute_valid_sets(pattern, n, require_free):

@@ -306,6 +306,19 @@ def test_solve_budget_spent_in_greedy_fill_exits_3_without_a_walk(capsys):
     assert time.monotonic() - start < phases["greedy"] + phases["recheck"] + 0.5
 
 
+def test_solve_past_the_copy_table_cap_exits_3_without_a_budget(capsys):
+    code, doc, _ = run_json(capsys, "solve", "sat", "--pattern", "c6", "-n", "8")
+    assert code == 3 and doc["value"] == "UNKNOWN"
+    assert doc["nodes"] == 1 and doc["stats"]["copies"] is None
+    assert doc["lower_bound"] == doc["stats"]["floor"]
+    assert doc["upper_bound"] == doc["witness_edges"]
+
+
+def test_mvalue_unknown_at_max_vertices_exits_3(capsys):
+    code, doc, _ = run_json(capsys, "mvalue", "-r", "3", "-s", "3", "--max-vertices", "3")
+    assert code == 3 and doc["value"] == "UNKNOWN"
+
+
 def test_solve_exsat_mode(capsys):
     code, doc, _ = run_json(capsys, "solve", "exsat", "--pattern", "p3", "-n", "2")
     assert code == 0 and doc["value"] == 4

@@ -46,6 +46,7 @@ from oracles import (
     brute_slot_group,
     brute_threshold,
     brute_valid_sets,
+    ref_masks,
 )
 
 
@@ -746,9 +747,9 @@ def test_a_child_is_covered_exactly_when_its_uncovered_set_is_empty(
     derive = solve._SlotSystem.child_uncovered
     seen = {True: 0, False: 0}
 
-    def checked(sys_, masks, frame, s):
-        uncovered = derive(sys_, masks, frame, s)
-        covered = core.first_uncovered_slot(H, n, masks) is None
+    def checked(sys_, graph, frame, s):
+        uncovered = derive(sys_, graph, frame, s)
+        covered = core.first_uncovered_slot(H, n, _masks(sys_.host, graph)) is None
         assert (not uncovered) == covered, s
         seen[covered] += 1
         return uncovered
@@ -885,21 +886,19 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, 
 
 @pytest.mark.parametrize("prune", [True, False])
 def test_budget_is_kept_within_a_parent(prune, monkeypatch):
-    # Without symmetry the root has 9 children, each flipped in and out; at
-    # 60 ms per slot flipped in, expanding it takes over half a second.  The
+    # Without symmetry every slot is a child of the root, and each child's
+    # validity is tested (child_uncovered pruned, first_uncovered_slot
+    # unpruned); at 60 ms per test, expanding the root takes seconds.  The
     # deadline is checked before each child too, so the search stops within
-    # a child (60 ms) of it.  Flips that take slots out are left fast: the
-    # UNKNOWN's lower bound takes the path out of the masks after the
-    # deadline, one flip per slot.
-    flip = solve._SlotSystem.flip
+    # a child (60 ms) of it.
+    owner, name = (solve._SlotSystem, "child_uncovered") if prune else (solve, "first_uncovered_slot")
+    test = getattr(owner, name)
 
-    def slow_flip(self, masks, slots):
-        p, a, q, b = self.ends0[(slots & -slots).bit_length() - 1]
-        if slots and not masks[p][a][q] >> b & 1:
-            time.sleep(0.06)
-        flip(self, masks, slots)
+    def slow_test(*args):
+        time.sleep(0.06)
+        return test(*args)
 
-    monkeypatch.setattr(solve._SlotSystem, "flip", slow_flip)
+    monkeypatch.setattr(owner, name, slow_test)
     budget = 0.1
     start = time.monotonic()
     r = solve._exact_minimum(PatternGraph.complete(4), 3, True, budget, False, 0, prune=prune)
@@ -1007,8 +1006,8 @@ def test_a_budget_spent_in_the_group_build_skips_the_walk(monkeypatch):
     budget = 0.2
     build = solve._symmetry_group
 
-    def slow_group(host):
-        group = build(host)
+    def slow_group(host, expired):
+        group = build(host, expired)
         time.sleep(budget + 0.1)
         return group
 
@@ -1020,6 +1019,99 @@ def test_a_budget_spent_in_the_group_build_skips_the_walk(monkeypatch):
     assert r.lower_bound == r.stats["floor"]
     assert r.upper_bound == r.witness.edge_count() == r.stats["improvements"][0]["size"]
     assert is_partite_saturated(r.witness).ok
+
+
+def test_a_group_build_that_passes_the_deadline_stops_and_skips_the_walk(monkeypatch):
+    """The group build asks whether the deadline has passed before each
+    slot's maps: on a clock that ticks one second per reading, a budget
+    that runs out three readings into the build stops it there, long
+    before its 27 slots, and the search gives the UNKNOWN of a group build
+    that ends past the deadline."""
+    H, n = PatternGraph.complete(3), 3
+    host = BlowupHost(H, n)
+    asked = []
+
+    def expired():
+        asked.append(True)
+        return True
+
+    assert symmetry._symmetry_group(host, expired) is None and len(asked) == 1
+    assert symmetry._symmetry_group(host, lambda: False).maps == symmetry._symmetry_group(host).maps
+    clock = _TickClock()
+    monkeypatch.setattr(solve, "time", clock)
+    r = min_sat_exact(H, n, budget=5)
+    phases = r.stats["phases"]
+    assert r.value is None and r.exhausted_budget and r.nodes_explored == 1
+    assert phases["walk"] == 0 and phases["group"] > 0
+    assert r.stats["group"] == {"pool": None, "rows": 0}
+    assert r.lower_bound == r.stats["floor"]
+    assert clock.now < len(host.slots())
+
+
+@pytest.mark.parametrize("solver", [min_sat_exact, min_exsat_exact])
+def test_a_host_past_the_copy_table_cap_gives_unknown_without_a_walk(solver):
+    """C6[8] has 8^6 copies, six table entries each: past the cap, so the
+    search gives UNKNOWN at once, with or without a budget, with the
+    greedy graph and the floor, and no walk."""
+    H = PatternGraph.cycle(6)
+    for budget in (None, 60):
+        r = solver(H, 8, budget=budget)
+        assert r.value is None and not r.exhausted_budget
+        assert r.nodes_explored == 1 and r.stats["copies"] is None
+        assert r.lower_bound == r.stats["floor"]
+        assert r.upper_bound == r.witness.edge_count() == r.stats["improvements"][0]["size"]
+        assert r.elapsed < r.stats["phases"]["greedy"] + 1
+    assert solver(PatternGraph.complete(3), 3).stats["copies"] == 27 * 3
+
+
+# K3[3], P4[3], C4[3], K4[2], P3 with an isolated vertex, and two disjoint edges
+TABLE_CASES = [
+    (PatternGraph.complete(3), 3),
+    (PatternGraph.path(4), 3),
+    (PatternGraph.cycle(4), 3),
+    (PatternGraph.complete(4), 2),
+    (SMALL_PATTERNS["p3+k1"], 3),
+    (SMALL_PATTERNS["2k2"], 3),
+]
+
+
+@pytest.mark.parametrize("H, n", TABLE_CASES)
+def test_copy_table_agrees_with_the_copy_search(H, n):
+    """On random slot sets G of every density, the walk's table answers
+    what the copy search answers on masks of G: covered gives the slots
+    closing a copy (stopping at the first that closes none when asked),
+    and child_uncovered, for G = P + (s,) and each s of G, the non-edges of
+    G closing no copy, from P's."""
+    host = BlowupHost(H, n)
+    sys_ = solve._SlotSystem(host)
+    ends0 = host.ends0()
+    L = len(ends0)
+    every = (1 << L) - 1
+
+    def closing(graph):
+        masks = _masks(host, graph)
+        return sum(1 << k for k, ends in enumerate(ends0) if core._closes_copy(H, n, masks, *ends))
+
+    rng = random.Random(L)
+    seen = {"covered": 0, "uncovered": 0, "newly": 0}
+    for trial in range(40):
+        density = rng.random()
+        graph = sum(1 << k for k in range(L) if rng.random() < density)
+        closes = closing(graph)
+        assert sys_.covered(graph, every) == closes
+        misses = every ^ closes
+        below = (misses & -misses) - 1 if misses else every
+        assert sys_.covered(graph, every, stop_at_miss=True) == closes & below
+        seen["covered"] += bool(closes)
+        seen["uncovered"] += bool(misses & ~graph)
+        for s in range(L):
+            if graph >> s & 1:
+                parent = graph ^ 1 << s
+                frame = solve._Frame(every & ~parent & ~closing(parent), None, 0)
+                want = every & ~graph & ~closes
+                assert sys_.child_uncovered(graph, frame, s) == want, (graph, s)
+                seen["newly"] += frame.uncovered & ~(1 << s) != want
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize(
@@ -1069,13 +1161,13 @@ def _random_prefix(copies, L, require_free, rng):
     return tuple(y for y in range(L) if chosen >> y & 1)
 
 
-def _descend(sys_, masks, frame, s):
-    """Add s to the set masks holds, and build the child's frame from its
-    parent's with the walk's own pieces, as cut builds it when it keeps the
-    child (a random prefix goes on through children the walk would cut)."""
-    sys_.flip(masks, 1 << s)
-    uncovered = sys_.child_uncovered(masks, frame, s)
-    lack = sys_.child_lack(masks, frame, uncovered & (1 << s) - 1, s)
+def _descend(sys_, chosen, frame, s):
+    """The frame of the child chosen + (s,), chosen a slot set, built from
+    its parent's with the walk's own pieces, as cut builds it when it keeps
+    the child (a random prefix goes on through children the walk would
+    cut)."""
+    uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
+    lack = sys_.child_lack(chosen | 1 << s, frame, uncovered & (1 << s) - 1, s)
     return solve._Frame(uncovered, lack, s + 1)
 
 
@@ -1085,11 +1177,11 @@ def _probe(frame):
     return solve._Frame(frame.uncovered, frame.lack[:], frame.upto)
 
 
-def _start(sys_, H, n):
-    """The walk's state at its root: the graph, the root frame and the
-    graph of the uncoverable tests."""
-    masks = solve._empty_masks(H.vertex_count, n)
-    return masks, sys_.root(masks), [solve._empty_masks(H.vertex_count, n), 0]
+def _masks(host, chosen):
+    """The adjacency masks of the slot set `chosen`, built by the oracles'
+    reference, not by the walk."""
+    slots = host.slots()
+    return ref_masks(host, [slots[k] for k in range(len(slots)) if chosen >> k & 1])
 
 
 @pytest.mark.parametrize("require_free", [True, False])
@@ -1117,10 +1209,10 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
     fired = dict.fromkeys((*solve._CUT_REASONS, "siblings"), 0)
     for trial in range(150):
         prefix = _random_prefix(copies, L, require_free, rng)
-        masks, frame, stand = _start(sys_, H, n)
+        frame = sys_.root()
         chosen = 0
         for m, s in enumerate(prefix, 1):
-            child = _descend(sys_, masks, frame, s)
+            child = _descend(sys_, chosen, frame, s)
             uncovered = child.uncovered
             left, later = uncovered & (1 << s) - 1, uncovered >> s + 1 << s + 1
             assert uncovered == left | later
@@ -1138,20 +1230,16 @@ def test_cuts_never_drop_a_completable_prefix(H, require_free):
             if least is not None and not done:
                 assert max(1, sys_.total(child.lack)) <= least, prefix[:m]
                 # a bound that admits the least completion keeps the prefix
-                verdict = sys_.cut(
-                    masks, stand, require_free, frame, parent, uncovered, s, m + least
-                )
+                verdict = sys_.cut(require_free, frame, parent, uncovered, s, m + least)
                 assert verdict[0] is None
                 kept = verdict[1]
                 assert (kept.uncovered, kept.lack) == (uncovered, child.lack)
             for ub in range(m, m + 6):
-                reason = sys_.cut(masks, stand, require_free, frame, parent, uncovered, s, ub)[0]
+                reason = sys_.cut(require_free, frame, parent, uncovered, s, ub)[0]
                 if reason is not None:
                     fired[reason] += 1
                     assert done or least is None or m + least > ub, (prefix[:m], reason, ub)
-            reason, _, siblings = sys_.cut(
-                masks, stand, require_free, frame, parent, uncovered, s, L + m
-            )
+            reason, _, siblings = sys_.cut(require_free, frame, parent, uncovered, s, L + m)
             if siblings:
                 # the sibling-wide cut: no later sibling completes either
                 fired["siblings"] += 1
@@ -1191,23 +1279,20 @@ def test_uncoverable_cut_drops_every_child_past_an_isolated_needy_vertex(H, requ
         rng = random.Random(3 * L + require_free)
         for trial in range(40):
             prefix = _random_prefix(copies, L, require_free, rng)
-            masks, frame, stand = _start(sys_, H, n)
+            frame = sys_.root()
             chosen, top = 0, -1
             for m, s in enumerate(prefix, 1):
+                masks = _masks(host, chosen)
                 isolated = [k for (p, a), k in last.items() if not any(masks[p][a])]
                 if isolated:
                     for t in range(max(top, min(isolated)) + 1, L):
                         if require_free and not frame.uncovered >> t & 1:
                             continue  # not free: the walk never makes this child
-                        sys_.flip(masks, 1 << t)
-                        uncovered = sys_.child_uncovered(masks, frame, t)
-                        verdict = sys_.cut(
-                            masks, stand, require_free, frame, chosen, uncovered, t, L + m
-                        )
-                        sys_.flip(masks, 1 << t)
+                        uncovered = sys_.child_uncovered(chosen | 1 << t, frame, t)
+                        verdict = sys_.cut(require_free, frame, chosen, uncovered, t, L + m)
                         assert verdict[0] == "uncoverable" and verdict[2], (prefix[: m - 1], t)
                         checked += 1
-                frame = _descend(sys_, masks, frame, s)
+                frame = _descend(sys_, chosen, frame, s)
                 chosen, top = chosen | 1 << s, s
     assert checked > 0
 
@@ -1231,23 +1316,22 @@ def test_reach_never_passes_a_completion(H, require_free):
     checked = beyond_one = 0
     for trial in range(100):
         prefix = _random_prefix(copies, L, require_free, rng)
-        masks, frame, _ = _start(sys_, H, n)
+        frame = sys_.root()
         chosen, top = 0, -1
         for m, s in enumerate(prefix):
             low = (1 << top + 1) - 1
             above = [D for D in valid if D & low == chosen and D != chosen]
             probe = _probe(frame)
+            masks = _masks(host, chosen)
             for t in range(top + 1, L):
-                reach = m + max(1, sys_.settle(masks, probe, t))
-                assert reach == brute_reach(
-                    host, masks, frame.uncovered & low, frame.uncovered & ~low, t, m
-                )
+                reach = m + max(1, sys_.settle(chosen, probe, t))
+                assert reach == brute_reach(host, masks, frame.uncovered, t, m)
                 sizes = [D.bit_count() for D in above if (D ^ chosen) & (1 << t) - 1 == 0]
                 if sizes:
                     assert reach <= min(sizes), (prefix[:m], t)
                     checked += 1
                     beyond_one += reach > m + 1
-            frame = _descend(sys_, masks, frame, s)
+            frame = _descend(sys_, chosen, frame, s)
             chosen, top = chosen | 1 << s, s
     assert checked > 0 and beyond_one > 0, (checked, beyond_one)
 
@@ -1266,63 +1350,63 @@ def test_walk_state_matches_its_definitions(name, n, require_free):
     copies = brute_copy_masks(H, n)
     sys_ = solve._SlotSystem(host)
     rng = random.Random(5 * L + require_free)
+    tested = []  # the graph of each uncoverable test, in order
+    uncoverable = sys_.uncoverable
 
-    def graph(slots):
-        masks = solve._empty_masks(H.vertex_count, n)
-        sys_.flip(masks, slots)
-        return masks
+    def recording(left, graph):
+        tested.append(graph)
+        return uncoverable(left, graph)
 
-    def every_vertex(masks, settled):
+    sys_.uncoverable = recording
+
+    def every_vertex(graph, settled):
         # the bundle-need sets with the rule run at every vertex
         lack = [0] * 2 * len(sys_.bundles)
-        sys_.relack(masks, settled, lack, (1 << len(sys_.need_at)) - 1)
+        sys_.relack(graph, settled, lack, (1 << len(sys_.need_at)) - 1)
         return lack
 
     checked = 0
     for trial in range(20):
         prefix = _random_prefix(copies, L, require_free, rng)
-        masks, frame, stand = _start(sys_, H, n)
+        frame = sys_.root()
         chosen = 0
         for m, s in enumerate(prefix, 1):
             probe = _probe(frame)
+            masks = _masks(host, chosen)
             for t in range(frame.upto, L):
                 if require_free and not frame.uncovered >> t & 1:
                     continue
                 settled = frame.uncovered & (1 << t) - 1
                 # the frame moved up to t, and the child derived from it
                 # before or after the move
-                assert sys_.settle(masks, probe, t) == brute_need(host, masks, settled)
-                assert probe.lack == every_vertex(masks, settled)
-                sys_.flip(masks, 1 << t)
-                uncovered = sys_.child_uncovered(masks, frame, t)
+                assert sys_.settle(chosen, probe, t) == brute_need(host, masks, settled)
+                assert probe.lack == every_vertex(chosen, settled)
+                child = chosen | 1 << t
+                uncovered = sys_.child_uncovered(child, frame, t)
                 left = uncovered & (1 << t) - 1
-                lack = sys_.child_lack(masks, frame, left, t)
-                assert lack == sys_.child_lack(masks, probe, left, t)
-                assert lack == every_vertex(masks, left)
-                assert sys_.total(lack) == brute_need(host, masks, left)
-                was = stand[1]
-                reason, _, siblings = sys_.cut(
-                    masks, stand, require_free, frame, chosen, uncovered, t, L + m
-                )
+                lack = sys_.child_lack(child, frame, left, t)
+                assert lack == sys_.child_lack(child, probe, left, t)
+                assert lack == every_vertex(child, left)
+                assert sys_.total(lack) == brute_need(host, _masks(host, child), left)
+                tested.clear()
+                reason, _, siblings = sys_.cut(require_free, frame, chosen, uncovered, t, L + m)
                 # the graph of the last uncoverable test: P + (t,) and the
                 # child's open slots, or, for the sibling-wide test of
                 # saturation, P and its open slots from t on; for
                 # extra-saturation, P and every slot from t on
                 if not left:
-                    assert stand[1] == was
+                    assert not tested
                 elif not require_free:
-                    assert stand[1] == chosen | (1 << L) - (1 << t)
+                    assert tested[-1] == chosen | (1 << L) - (1 << t)
                 elif reason == "uncoverable":
-                    assert stand[1] == chosen | frame.uncovered >> t << t
+                    assert tested[-1] == chosen | frame.uncovered >> t << t
                 else:
-                    assert stand[1] == chosen | 1 << t | uncovered ^ left
-                assert stand[0] == graph(stand[1])
-                sys_.flip(masks, 1 << t)
+                    assert tested[-1] == chosen | 1 << t | uncovered ^ left
                 checked += 1
-            frame = _descend(sys_, masks, frame, s)
+            frame = _descend(sys_, chosen, frame, s)
             chosen |= 1 << s
     # saturation leaves no child when every slot closes a copy on its own
-    assert checked > 0 or require_free and not _start(sys_, H, n)[1].uncovered
+    assert checked > 0 or require_free and not sys_.root().uncovered
 
     group = symmetry._symmetry_group(host)
     if group is None:
@@ -1370,11 +1454,10 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
         (D.bit_count(), tuple(y for y in range(L) if D >> y & 1))
         for D in brute_valid_sets(H, n, require_free)
     ]
-    sys_ = solve._SlotSystem(host)
     open_bound = solve._open_bound
     seen = []
 
-    def recording(walk_sys, masks, path, stack):
+    def recording(walk_sys, path, stack):
         want = math.inf
         for d, todo in enumerate(frame.todo for frame in stack):
             if todo:
@@ -1384,22 +1467,22 @@ def test_open_bound_never_passes_an_unmet_valid_set(H, require_free, seed, monke
                     for y in range(_lowest(todo))
                     if not chosen >> y & 1 and not brute_closes(copies, chosen, y)
                 )
-                graph = solve._empty_masks(H.vertex_count, n)
-                sys_.flip(graph, chosen)
-                want = min(want, d + max(1, brute_need(host, graph, settled)))
+                want = min(want, d + max(1, brute_need(host, _masks(host, chosen), settled)))
         seen.append(tuple(path) + (_lowest(stack[-1].todo),))
-        seen.append(open_bound(walk_sys, masks, path, stack))
+        seen.append(open_bound(walk_sys, path, stack))
         assert seen[-1] == want
         return seen[-1]
 
     monkeypatch.setattr(solve, "_open_bound", recording)
     monkeypatch.setattr(solve, "time", _TickClock())
     for k in itertools.count(0, 3):
+        stops = len(seen)
         r = solve._exact_minimum(H, n, require_free, k, False, seed)
         if r.value is not None:
             break
-        if not r.stats["phases"]["walk"]:
-            # the deadline passed during greedy fill, so no walk ran
+        if len(seen) == stops:
+            # the deadline passed during greedy fill or the copy table's
+            # build, so no walk ran
             assert r.lower_bound == saturation_lower_bound(H, n) and r.nodes_explored == 1
             continue
         position, bound = seen[-2:]
@@ -1426,11 +1509,11 @@ def test_open_bound_is_taken_at_canonical_children(require_free, H, n, monkeypat
     open_bound = solve._open_bound
     nexts = []
 
-    def recording(walk_sys, masks, path, stack):
+    def recording(walk_sys, path, stack):
         for d, frame in enumerate(stack):
             if frame.todo:
                 nexts.append(tuple(path[:d]) + (_lowest(frame.todo),))
-        return open_bound(walk_sys, masks, path, stack)
+        return open_bound(walk_sys, path, stack)
 
     monkeypatch.setattr(solve, "_open_bound", recording)
     monkeypatch.setattr(solve, "time", _TickClock())
