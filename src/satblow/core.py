@@ -422,7 +422,7 @@ def blow_up(pattern: PatternGraph, n: int) -> PartiteGraph:
 #
 # Existence, with the two ends of one slot pinned (does adding this slot close
 # a copy?): _closes_copy for one slot, first_uncovered_slot for a whole graph
-# (the verdicts of verify.py, and the unpruned reference walk of solve.py).
+# (the verdicts of verify.py, and the unpruned reference walk of the tests).
 # _extend places each step at its least candidate as it passes it, so a
 # component it places leaves a whole copy in its index list.  The scan goes
 # one row at a time, a row being the slots (p, a)-(q, b) of one vertex (p, a)

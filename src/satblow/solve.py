@@ -159,11 +159,12 @@ each test reads the table for the settled slots left uncovered.
 
 The table lists n^v' copies (v' the pattern vertices of degree at least
 one), each under every pattern edge, so it grows as a power of n.  Its
-bytes are counted before it is built, against the cap the group maps
-share (symmetry._GROUP_MAP_BYTES_CAP), and a host past it gets UNKNOWN
-with no walk: sat K3[4] has 64 copies (192 entries, under 0.1 MiB), while
-C6[8] has 262 144 (126 MiB) and P5[12] 248 832 (106 MiB).  Hosts that
-large take their upper bounds from the construction families.
+bytes are counted right after greedy fill (_table_entries), against the
+cap the group maps share (symmetry._GROUP_MAP_BYTES_CAP), and a host past
+it gets UNKNOWN with no group build and no walk: sat K3[4] has 64 copies
+(192 entries, under 0.1 MiB), while C6[8] has 262 144 (126 MiB) and
+P5[12] 248 832 (106 MiB).  Hosts that large take their upper bounds from
+the construction families.
 
 When the budget runs out, the walk answers UNKNOWN with the incumbent and
 a proven lower bound.  If the optimum is below the incumbent's size, the
@@ -194,7 +195,6 @@ from .core import (
     PartiteGraph,
     PatternGraph,
     _closes_copy,
-    first_uncovered_slot,
     has_partite_copy,
 )
 from .symmetry import (
@@ -346,25 +346,31 @@ def _max_flow(size: int, arcs: list[tuple[int, int, int]], source: int, sink: in
 class _Frame:
     """A node P of the exact walk.  todo: the children not yet tried, as a
     slot set; uncovered: P's non-edges that close no copy with it, the
-    settled ones below its last slot and the open ones above it (None with
-    prune off); lack: the bundle-need sets (see _SlotSystem.relack) of the
-    graph P and of the slots of uncovered below upto (None with prune off),
-    and need their bound (None until it is asked for, or when lack has
-    changed since); leader: P's _Leader, None until a child is tested."""
+    settled ones below its last slot and the open ones above it; lack: the
+    bundle-need sets (see _SlotSystem.relack) of the graph P and of the
+    slots of uncovered below upto, and need their bound (None until it is
+    asked for, or when lack has changed since); leader: P's _Leader, None
+    until a child is tested."""
 
     __slots__ = ("todo", "uncovered", "lack", "upto", "need", "leader")
 
-    def __init__(
-        self,
-        uncovered: Optional[int],
-        lack: Optional[list],
-        upto: int,
-        need: Optional[int] = None,
-    ):
+    def __init__(self, uncovered: int, lack: list[int], upto: int, need: Optional[int] = None):
         self.todo = 0
         self.uncovered, self.lack, self.upto = uncovered, lack, upto
         self.need = need
         self.leader: Optional[_Leader] = None
+
+
+def _table_entries(host: BlowupHost) -> Optional[int]:
+    """The entries of the exact walk's copy table (see _SlotSystem), one per
+    copy and pattern edge, or None when the table would pass the map-bytes
+    cap of the symmetry group (symmetry._GROUP_MAP_BYTES_CAP): each entry
+    takes a list slot and an int of up to L bits, L the slot count."""
+    pattern = host.pattern
+    live = sum(1 for adj in pattern._adj0 if adj)
+    entries = host.n**live * pattern.edge_count()
+    width = sys.getsizeof(1 << host.slot_count())
+    return entries if entries * (8 + width) <= _GROUP_MAP_BYTES_CAP else None
 
 
 class _SlotSystem:
@@ -376,12 +382,8 @@ class _SlotSystem:
     when some c of copies[k] has c & ~G == 0, and the walk's coverage tests
     are int tests on this table, with no graph held in masks.  Copies are
     listed over the parts that meet a pattern edge only: the parts of
-    isolated pattern vertices would only repeat sets.  The table takes one
-    int of up to L bits (L the slot count) and one list entry per copy and
-    pattern edge, counted before anything is built; past the map-bytes cap
-    of the symmetry group (symmetry._GROUP_MAP_BYTES_CAP), copies is None
-    and the walk does not run.  entries is that count of (copy, edge)
-    pairs."""
+    isolated pattern vertices would only repeat sets.  The walk builds the
+    table only once _table_entries has found it within its cap."""
 
     def __init__(self, host: BlowupHost):
         pattern, n = host.pattern, host.n
@@ -392,19 +394,16 @@ class _SlotSystem:
         self.ends0 = host.ends0()
         self.bundles = [(p - 1, r - 1) for p, r in pattern.edges]
         live = [p for p, adj in enumerate(pattern._adj0) if adj]
-        self.entries = n ** len(live) * len(self.bundles)
-        self.copies: Optional[list[list[int]]] = None
-        if self.entries * (8 + sys.getsizeof(1 << self.L)) <= _GROUP_MAP_BYTES_CAP:
-            slot_of = {ends: k for k, ends in enumerate(self.ends0)}
-            self.copies = [[] for _ in range(self.L)]
-            at = [0] * v  # the copy's index in each part
-            for indices in itertools.product(range(n), repeat=len(live)):
-                for p, a in zip(live, indices):
-                    at[p] = a
-                ks = [slot_of[p, at[p], r, at[r]] for p, r in self.bundles]
-                full = sum(1 << k for k in ks)
-                for k in ks:
-                    self.copies[k].append(full ^ 1 << k)
+        slot_of = {ends: k for k, ends in enumerate(self.ends0)}
+        self.copies: list[list[int]] = [[] for _ in range(self.L)]
+        at = [0] * v  # the copy's index in each part
+        for indices in itertools.product(range(n), repeat=len(live)):
+            for p, a in zip(live, indices):
+                at[p] = a
+            ks = [slot_of[p, at[p], r, at[r]] for p, r in self.bundles]
+            full = sum(1 << k for k in ks)
+            for k in ks:
+                self.copies[k].append(full ^ 1 << k)
         self.most_need = len(self.bundles) * n  # no bundle-need bound exceeds it
         # need_at[p * n + a]: (its bit in a part, checks), a check being
         # (direction, slots at the vertex outside bundle {p, r}, slots from the
@@ -584,7 +583,6 @@ class _SlotSystem:
         return PartiteGraph(self.host, (slots[k] for k in range(self.L) if chosen >> k & 1))
 
 
-
 # why an extension slot of an expanded set was dropped, in the order the
 # walk tests them
 _CUT_REASONS = ("not_free", "not_canonical", "over_bound", "uncoverable")
@@ -642,7 +640,7 @@ class SolveResult:
     does not fit the caps).  stats["leaders"] counts the _Leader
     derivations, the root's included.  stats["copies"] is the entry count
     of the walk's copy table (see _SlotSystem), or None when no table was
-    built.  stats["floor"] is
+    built (past its cap, or before its build).  stats["floor"] is
     saturation_lower_bound, the proven bound the walk starts from: the walk
     stops as soon as it meets a valid set of that size (of one slot when
     it is 0), so an exact result whose value equals it may leave children
@@ -650,14 +648,15 @@ class SolveResult:
     (the greedy fill that sets the first upper bound), "group" (building
     the symmetry group, 0 without one), "walk" (building the slot system
     with its copy table, and walking) and "recheck" (re-checking the
-    witness from the definition); a search with an empty greedy graph, or
-    one whose greedy fill ends past the deadline, has no group or walk, and
-    one whose group build ends past it has no walk.
+    witness from the definition); a search with an empty greedy graph, one
+    whose greedy fill ends past the deadline, or one whose copy table would
+    pass its cap, has no group or walk, and one whose group build ends past
+    the deadline has no walk.
 
     The result is also UNKNOWN, with the greedy graph, lower_bound the
-    floor, one node and no walk, when the copy table would pass its cap
-    (see the module docstring): exhausted_budget is then False, with or
-    without a budget.
+    floor, one node and no group build or walk, when the copy table would
+    pass its cap (see the module docstring): exhausted_budget is then
+    False, with or without a budget.
 
     The budget is a deadline set when the search starts.  Greedy fill and
     the witness re-check always run to their end, so on a large host
@@ -688,13 +687,12 @@ def _exact_minimum(
     budget: Optional[float],
     use_symmetry: bool,
     seed: int,
-    prune: bool = True,
 ) -> SolveResult:
-    """The search behind min_sat_exact and min_exsat_exact.  prune=False
-    leaves out the over-bound and uncoverable cuts and tests each child's
-    validity with first_uncovered_slot, the verdicts' scan, in place of its
-    uncovered set: a reference path for tests, with the same answer from
-    more nodes."""
+    """The search behind min_sat_exact and min_exsat_exact.  The tests check
+    it against reference_minimum in tests/oracles.py: the same walk with
+    none of the over-bound and uncoverable cuts, testing each child's
+    validity with first_uncovered_slot, the verdicts' scan, and so the same
+    answer from more nodes."""
     if pattern.edge_count() < 1:
         raise ValueError("exact search needs a pattern with at least one edge")
     if n < 1:
@@ -711,7 +709,7 @@ def _exact_minimum(
     improvements = [{"size": ub, "nodes": 0}]
     group: Optional[_SlotGroup] = None
     leaders = 0  # _Leader objects built
-    entries: Optional[int] = None  # the size of the walk's copy table, once built
+    entries: Optional[int] = None  # the size of the walk's copy table
     walk_start: Optional[float] = None  # None while no walk has started
 
     def result(value, witness, exhausted, upper, lower) -> SolveResult:
@@ -737,7 +735,7 @@ def _exact_minimum(
                 "rows": 0 if group is None else group.everyone.bit_count(),
             },
             "leaders": leaders,
-            "copies": entries,
+            "copies": None if walk_start is None else entries,
             "floor": lb,
             "phases": {name: round(t, 6) for name, t in phases.items()},
         }
@@ -749,6 +747,9 @@ def _exact_minimum(
         return result(0, ub_graph, False, 0, 0)
     if deadline is not None and time.monotonic() > deadline:
         return result(None, ub_graph, True, ub, lb)
+    entries = _table_entries(host)
+    if entries is None:
+        return result(None, ub_graph, False, ub, lb)
 
     group_start = time.monotonic()
     expired = None if deadline is None else lambda: time.monotonic() > deadline
@@ -758,10 +759,8 @@ def _exact_minimum(
         return result(None, ub_graph, True, ub, lb)
     walk_start = time.monotonic()
     sys_ = _SlotSystem(host)
-    if sys_.copies is None or deadline is not None and time.monotonic() > deadline:
-        return result(None, ub_graph, sys_.copies is not None, ub, lb)
-    entries = sys_.entries
-    L = sys_.L
+    if deadline is not None and time.monotonic() > deadline:
+        return result(None, ub_graph, True, ub, lb)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
     best: Optional[int] = None  # the walk's least valid set so far
@@ -770,7 +769,7 @@ def _exact_minimum(
     path: list[int] = []
     chosen = 0
     stack: list[_Frame] = []
-    every = (1 << L) - 1
+    every = (1 << sys_.L) - 1
 
     def expand(top: int, frame: _Frame) -> None:
         """Generate the children of path (last slot top) and push its frame."""
@@ -780,15 +779,7 @@ def _exact_minimum(
             levels.append(_level_stats(m + 1))
         todo = every ^ ((1 << top + 1) - 1)  # the slots above top
         if require_free:
-            if frame.uncovered is None:
-                masks = sys_.graph_for(chosen)._masks
-                open_ = sum(
-                    1 << t
-                    for t in range(top + 1, L)
-                    if not _closes_copy(pattern, n, masks, *sys_.ends0[t])
-                )
-            else:
-                open_ = frame.uncovered & todo
+            open_ = frame.uncovered & todo
             levels[m + 1]["cuts"]["not_free"] += todo.bit_count() - open_.bit_count()
             todo = open_  # the open slots all lie above top
         frame.todo = todo
@@ -812,7 +803,7 @@ def _exact_minimum(
         levels[d + 1]["cuts"]["not_canonical"] += 1
         return False
 
-    expand(-1, sys_.root() if prune else _Frame(None, None, 0))
+    expand(-1, sys_.root())
     while stack:
         frame = stack[-1]
         todo = frame.todo
@@ -841,9 +832,7 @@ def _exact_minimum(
         s = (todo & -todo).bit_length() - 1
         m = len(path) + 1
         row = levels[m]
-        if prune and m - 1 + sys_.most_need > bound and m - 1 + max(
-            1, sys_.settle(chosen, frame, s)
-        ) > bound:
+        if m - 1 + sys_.most_need > bound and m - 1 + max(1, sys_.settle(chosen, frame, s)) > bound:
             # the bound grows with s, so no later sibling can come in either
             row["cuts"]["over_bound"] += todo.bit_count()
             frame.todo = 0
@@ -851,14 +840,8 @@ def _exact_minimum(
         frame.todo = todo & todo - 1
         if group is not None and not canonical(m - 1, s):
             continue
-        if prune:
-            uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
-            valid = m >= floor and not uncovered
-        else:
-            valid = m >= floor and (
-                first_uncovered_slot(pattern, n, sys_.graph_for(chosen | 1 << s)._masks) is None
-            )
-        if valid:
+        uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
+        if m >= floor and not uncovered:
             row["admitted"] += 1
             best, bound = chosen | 1 << s, m - 1
             if m < improvements[-1]["size"]:
@@ -867,10 +850,7 @@ def _exact_minimum(
                 break
             frame.todo = 0  # later siblings are as large and lex-greater
             continue
-        if prune:
-            reason, child, siblings = sys_.cut(require_free, frame, chosen, uncovered, s, bound)
-        else:
-            reason, child, siblings = None, _Frame(None, None, s + 1), False
+        reason, child, siblings = sys_.cut(require_free, frame, chosen, uncovered, s, bound)
         if reason is not None:
             if siblings:
                 # no later sibling can be completed either
@@ -896,19 +876,15 @@ def _open_bound(sys_: _SlotSystem, path: list[int], stack: list[_Frame]) -> int:
     """The least size a valid set the walk has not met can have: the least,
     over the frames with a child left to try, of the frame's size plus
     max(1, its bundle-need bound at the next of those children, the lowest
-    slot of its untried set; see _SlotSystem.settle); with prune off, whose
-    frames carry no uncovered set, the frame's size plus one.  The walk first
-    moves each frame past the children the lex-leader test rejects."""
+    slot of its untried set; see _SlotSystem.settle).  The walk first moves
+    each frame past the children the lex-leader test rejects."""
     least = math.inf
     chosen = sum(1 << y for y in path)
     for d in range(len(stack) - 1, -1, -1):
         frame = stack[d]
         if frame.todo:
-            if frame.uncovered is None:
-                least = min(least, d + 1)
-            else:
-                t = (frame.todo & -frame.todo).bit_length() - 1
-                least = min(least, d + max(1, sys_.settle(chosen, frame, t)))
+            t = (frame.todo & -frame.todo).bit_length() - 1
+            least = min(least, d + max(1, sys_.settle(chosen, frame, t)))
         if d:
             chosen ^= 1 << path[d - 1]
     return least

@@ -16,8 +16,11 @@ from satblow import (
     constructions,
     greedy_saturate,
     is_partite_saturated,
+    saturation_lower_bound,
 )
-from satblow.core import _closes_copy
+from satblow.core import _closes_copy, first_uncovered_slot
+from satblow.solve import _greedy_fill
+from satblow.symmetry import _child_leader, _root_leader, _symmetry_group
 
 
 def all_selections(pattern, n):
@@ -92,6 +95,68 @@ def brute_min_exsat(pattern, n):
     from satblow import is_extra_saturated
 
     return _brute_minimum(pattern, n, is_extra_saturated)
+
+
+def reference_minimum(pattern, n, require_free, use_symmetry=True, seed=0):
+    """(value, witness, nodes) of the exact search of solve.py, found by the
+    walk it prunes: the lex leaders of H[n] in preorder, each set trying the
+    slots above its last one in ascending order, with none of the search's
+    state or copy table.  It holds one mask set, toggling each slot in and
+    out; for saturation it drops the slots that close a copy (_closes_copy),
+    and it calls a child valid, from the definition, when it has at least
+    the floor's slots (saturation_lower_bound, and at least one) and
+    first_uncovered_slot finds no non-edge closing no copy.  It starts from
+    the size of the greedy graph, takes each valid child as the incumbent
+    and leaves its parent, expands a child only below the bound, and stops
+    at a valid set of the floor's size.  nodes counts the root and every
+    child that passes the lex-leader test."""
+    host = BlowupHost(pattern, n)
+    slots, ends0 = host.slots(), host.ends0()
+    v = pattern.vertex_count
+    masks = [[[0] * v for _ in range(n)] for _ in range(v)]
+    best = _greedy_fill(PartiteGraph(host), seed)
+    bound = best.edge_count()  # the walk looks for valid sets of at most this many slots
+    if not bound:
+        return 0, best, 1
+    floor = max(saturation_lower_bound(pattern, n), 1)
+    group = _symmetry_group(host) if use_symmetry else None
+    nodes = 1
+    path = []
+
+    def toggle(k):
+        p, a, q, b = ends0[k]
+        masks[p][a][q] ^= 1 << b
+        masks[q][b][p] ^= 1 << a
+
+    def walk(up):
+        """Try the children of path, whose parent has the _Leader up; True
+        once the walk is over."""
+        nonlocal best, bound, nodes
+        leader = None
+        m = len(path) + 1
+        for s in range(path[-1] + 1 if path else 0, len(slots)):
+            if require_free and _closes_copy(pattern, n, masks, *ends0[s]):
+                continue
+            if group is not None:
+                if leader is None:
+                    leader = _child_leader(group, up, tuple(path)) if path else _root_leader(group)
+                if not leader.admits(group, s):
+                    continue
+            nodes += 1
+            toggle(s)
+            path.append(s)
+            valid = m >= floor and first_uncovered_slot(pattern, n, masks) is None
+            if valid:
+                best, bound = PartiteGraph(host, [slots[k] for k in path]), m - 1
+            done = bound < floor if valid else m < bound and walk(leader)
+            path.pop()
+            toggle(s)
+            if valid or done:
+                return done
+        return False
+
+    walk(None)
+    return best.edge_count(), best, nodes
 
 
 def brute_degree_floor(pattern, n):

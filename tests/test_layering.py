@@ -3,7 +3,9 @@
 symmetry.py (the group and lex-leader layer) knows neither of its users,
 the exact walk (solve.py) and m_value (mvalue.py), and the walk does not
 know m_value.  m_value takes its groups from symmetry._slot_group, as the
-walk does, and names none of the pieces a group is built from.
+walk does, and names none of the pieces a group is built from.  The exact
+walk has one path, and the unpruned walk it is checked against lives in
+tests/oracles.py, apart from the walk's copy table.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "satblow"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "satblow"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
@@ -46,15 +49,38 @@ def test_layers_import_only_downward(module, forbidden):
     assert not _imports(module) & forbidden
 
 
-def test_m_value_builds_no_group_of_its_own():
-    tree = ast.parse((SRC / "mvalue.py").read_text())
+def _names(tree):
+    """The names a syntax tree uses: imported, read or written, attributes,
+    parameters and keyword arguments."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.alias):
+            names.add(node.name)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+    return names
+
+
+def test_m_value_builds_no_group_of_its_own():
+    names = _names(ast.parse((SRC / "mvalue.py").read_text()))
     assert "_slot_group" in names
     assert not names & {"_slot_maps", "_SlotGroup", "_index_rows"}
+
+
+def test_the_reference_walk_lives_apart_from_the_exact_walk():
+    """solve.py keeps no unpruned path and no whole-graph scan, and the
+    reference walk reads none of the exact walk's copy table."""
+    assert not _names(ast.parse((SRC / "solve.py").read_text())) & {"first_uncovered_slot", "prune"}
+    oracles = ast.parse((TESTS / "oracles.py").read_text())
+    (walk,) = [
+        node
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef) and node.name == "reference_minimum"
+    ]
+    names = _names(walk)
+    assert {"first_uncovered_slot", "_closes_copy", "admits"} <= names
+    assert not names & {"_SlotSystem", "child_uncovered", "copies"}

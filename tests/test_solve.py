@@ -47,6 +47,7 @@ from oracles import (
     brute_threshold,
     brute_valid_sets,
     ref_masks,
+    reference_minimum,
 )
 
 
@@ -269,10 +270,10 @@ def test_exact_matches_brute_force_on_small_patterns(name, n, require_free):
     H = SMALL_PATTERNS[name]
     want = (brute_min_sat if require_free else brute_min_exsat)(H, n)
     assert saturation_lower_bound(H, n) <= want
-    for prune in (True, False):
-        for use_symmetry in (True, False):
-            r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0, prune=prune)
-            assert r.value == want, (prune, use_symmetry)
+    for use_symmetry in (True, False):
+        r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0)
+        assert r.value == want, use_symmetry
+        assert reference_minimum(H, n, require_free, use_symmetry)[0] == want, use_symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +354,10 @@ def test_isomorph_rejection_changes_nothing(H):
 def test_pruning_changes_nothing(H, n):
     for require_free in (True, False):
         a = solve._exact_minimum(H, n, require_free, None, True, 0)
-        b = solve._exact_minimum(H, n, require_free, None, True, 0, prune=False)
-        assert a.value == b.value
-        assert a.witness == b.witness  # both are the least optimal witness
-        assert a.nodes_explored <= b.nodes_explored
+        value, witness, nodes = reference_minimum(H, n, require_free)
+        assert a.value == value
+        assert a.witness == witness  # both are the least optimal witness
+        assert a.nodes_explored <= nodes
 
 
 def _group(H, n):
@@ -650,12 +651,12 @@ def test_numpy_is_not_imported():
 )
 def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
     """The same canonical sets, hence the same node count and the same
-    least witness, whatever form the lex-leader test takes.  Run with the
-    over-bound and uncoverable cuts off, so that the node count is set by
-    the lex-leader filter and the walk's bound alone."""
-    r = solve._exact_minimum(H, n, kind == "sat", None, True, 0, prune=False)
-    assert (r.value, r.nodes_explored) == (value, nodes)
-    assert _edge_string(r.witness) == witness
+    least witness, whatever form the lex-leader test takes.  Run on the
+    reference walk, which has no over-bound or uncoverable cut, so that the
+    node count is set by the lex-leader filter and the walk's bound alone."""
+    got_value, got_witness, got_nodes = reference_minimum(H, n, kind == "sat")
+    assert (got_value, got_nodes) == (value, nodes)
+    assert _edge_string(got_witness) == witness
 
 
 @pytest.mark.parametrize(
@@ -701,8 +702,8 @@ def test_exact_search_is_pinned(kind, H, n, value, nodes, witness):
 )
 def test_pruned_search_is_pinned(kind, H, n, value, nodes, witness):
     """The default search, with every cut on: the witnesses are the ones the
-    unpruned search finds (the first four are pinned above with prune off),
-    from far fewer nodes."""
+    unpruned search finds (the first four are pinned above on the reference
+    walk), from far fewer nodes."""
     solver = min_sat_exact if kind == "sat" else min_exsat_exact
     r = solver(H, n)
     assert (r.value, r.nodes_explored) == (value, nodes)
@@ -711,20 +712,15 @@ def test_pruned_search_is_pinned(kind, H, n, value, nodes, witness):
 
 def test_exact_witness_is_rechecked_from_the_definition(monkeypatch):
     # a walk fooled into calling every child valid stops at its first
-    # candidate; the re-check runs the verdict's own scan.  The pruned walk
-    # reads validity from the child's uncovered set (made empty here, with a
-    # floor of one slot), the unpruned one from first_uncovered_slot
+    # candidate; the re-check runs the verdict's own scan.  The walk reads
+    # validity from the child's uncovered set (made empty here, with a
+    # floor of one slot)
     H = PatternGraph.complete(3)
-    with monkeypatch.context() as patch:
-        patch.setattr(solve._SlotSystem, "child_uncovered", lambda *args: 0)
-        patch.setattr(solve, "saturation_lower_bound", lambda *args: 1)
-        for solver in (min_sat_exact, min_exsat_exact):
-            with pytest.raises(RuntimeError, match="fails"):
-                solver(H, 2)
-    monkeypatch.setattr(solve, "first_uncovered_slot", lambda *args: None)
-    for require_free in (True, False):
+    monkeypatch.setattr(solve._SlotSystem, "child_uncovered", lambda *args: 0)
+    monkeypatch.setattr(solve, "saturation_lower_bound", lambda *args: 1)
+    for solver in (min_sat_exact, min_exsat_exact):
         with pytest.raises(RuntimeError, match="fails"):
-            solve._exact_minimum(H, 2, require_free, None, True, 0, prune=False)
+            solver(H, 2)
 
 
 @pytest.mark.parametrize("require_free", [True, False])
@@ -740,7 +736,7 @@ def test_exact_witness_is_rechecked_from_the_definition(monkeypatch):
 def test_a_child_is_covered_exactly_when_its_uncovered_set_is_empty(
     H, n, require_free, monkeypatch
 ):
-    """The pruned walk reads a child's validity from the uncovered set it
+    """The walk reads a child's validity from the uncovered set it
     derives for it: at every child of the real walk, that set is empty
     exactly when the verdicts' scan finds every non-edge of the child
     closing a copy, and both outcomes occur."""
@@ -794,12 +790,12 @@ def test_witness_ignores_the_starting_incumbent(H, n):
     """The greedy seed sets the walk's first incumbent and so its first
     bound, never the value or the witness."""
     for require_free in (True, False):
-        want = solve._exact_minimum(H, n, require_free, None, True, 0, prune=False)
+        want = reference_minimum(H, n, require_free)[:2]
         for seed in (0, 7, 99):
-            for prune in (True, False):
-                r = solve._exact_minimum(H, n, require_free, None, True, seed, prune=prune)
-                assert (r.value, r.witness) == (want.value, want.witness), (seed, prune)
-                assert r.stats["improvements"][0]["size"] == _greedy_size(H, n, seed)
+            r = solve._exact_minimum(H, n, require_free, None, True, seed)
+            assert (r.value, r.witness) == want, seed
+            assert r.stats["improvements"][0]["size"] == _greedy_size(H, n, seed)
+            assert reference_minimum(H, n, require_free, seed=seed)[:2] == want, seed
 
 
 def _greedy_size(H, n, seed):
@@ -818,14 +814,13 @@ def test_budget_exhaustion_returns_upper_bound():
     assert is_partite_saturated(r.witness).ok
 
 
-@pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize(
     "H, n, value", [(PatternGraph.complete(3), 4, 18), (PatternGraph.cycle(4), 3, 15)]
 )
-def test_budgeted_solve_returns_on_time(prune, H, n, value):
+def test_budgeted_solve_returns_on_time(H, n, value):
     for budget in (0.05, 0.2, 0.5):
         start = time.monotonic()
-        r = solve._exact_minimum(H, n, True, budget, True, 0, prune=prune)
+        r = min_sat_exact(H, n, budget)
         assert time.monotonic() - start <= budget + 0.25
         if r.value is not None:  # a fast host may prove sat C4[3] in time
             assert r.value == r.lower_bound == value
@@ -859,8 +854,7 @@ class _TickClock:
         (False, PatternGraph.complete(3), 2),
     ],
 )
-@pytest.mark.parametrize("prune", [True, False])
-def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, monkeypatch):
+def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, monkeypatch):
     """Stop the walk before every third of its children in turn: each UNKNOWN
     brackets the optimum (checked against the subset-enumeration oracle by
     test_exact_matches_brute_force_on_small_patterns), its witness is the
@@ -870,7 +864,7 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, 
     monkeypatch.setattr(solve, "time", _TickClock())
     above_lb = 0
     for k in itertools.count(0, 3):
-        r = solve._exact_minimum(H, n, require_free, k, True, 0, prune=prune)
+        r = solve._exact_minimum(H, n, require_free, k, True, 0)
         _check_stats(r)
         if r.value is not None:
             assert r.value == want
@@ -880,28 +874,25 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, prune, 
         if lb == want:
             assert r.lower_bound == want  # the floor alone proves the optimum
         above_lb += r.lower_bound > max(lb, 1)
-    if prune and lb < want:
+    if lb < want:
         assert above_lb > 0  # the open frames' bound does more than the floor
 
 
-@pytest.mark.parametrize("prune", [True, False])
-def test_budget_is_kept_within_a_parent(prune, monkeypatch):
+def test_budget_is_kept_within_a_parent(monkeypatch):
     # Without symmetry every slot is a child of the root, and each child's
-    # validity is tested (child_uncovered pruned, first_uncovered_slot
-    # unpruned); at 60 ms per test, expanding the root takes seconds.  The
-    # deadline is checked before each child too, so the search stops within
-    # a child (60 ms) of it.
-    owner, name = (solve._SlotSystem, "child_uncovered") if prune else (solve, "first_uncovered_slot")
-    test = getattr(owner, name)
+    # validity is tested (child_uncovered); at 60 ms per test, expanding the
+    # root takes seconds.  The deadline is checked before each child too, so
+    # the search stops within a child (60 ms) of it.
+    test = solve._SlotSystem.child_uncovered
 
     def slow_test(*args):
         time.sleep(0.06)
         return test(*args)
 
-    monkeypatch.setattr(owner, name, slow_test)
+    monkeypatch.setattr(solve._SlotSystem, "child_uncovered", slow_test)
     budget = 0.1
     start = time.monotonic()
-    r = solve._exact_minimum(PatternGraph.complete(4), 3, True, budget, False, 0, prune=prune)
+    r = min_sat_exact(PatternGraph.complete(4), 3, budget, use_symmetry=False)
     assert time.monotonic() - start <= budget + 0.15
     assert r.value is None and r.exhausted_budget
     _check_stats(r)
@@ -947,10 +938,9 @@ def _check_stats(r):
         (False, PatternGraph.path(4), 2),
     ],
 )
-@pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("use_symmetry", [True, False])
-def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmetry):
-    r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0, prune=prune)
+def test_stats_account_for_every_candidate(require_free, H, n, use_symmetry):
+    r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0)
     _check_stats(r)
     levels, cuts = r.stats["levels"], r.stats["cuts"]
     L = len(BlowupHost(H, n).slots())
@@ -967,9 +957,7 @@ def test_stats_account_for_every_candidate(require_free, H, n, prune, use_symmet
         assert cuts["not_free"] == 0
     if not use_symmetry:
         assert cuts["not_canonical"] == 0
-    if not prune:
-        assert cuts["uncoverable"] == cuts["over_bound"] == 0
-    elif full:
+    if full:
         assert cuts["uncoverable"] > 0
 
 
@@ -1052,7 +1040,7 @@ def test_a_group_build_that_passes_the_deadline_stops_and_skips_the_walk(monkeyp
 def test_a_host_past_the_copy_table_cap_gives_unknown_without_a_walk(solver):
     """C6[8] has 8^6 copies, six table entries each: past the cap, so the
     search gives UNKNOWN at once, with or without a budget, with the
-    greedy graph and the floor, and no walk."""
+    greedy graph and the floor, and no group build or walk."""
     H = PatternGraph.cycle(6)
     for budget in (None, 60):
         r = solver(H, 8, budget=budget)
@@ -1061,6 +1049,9 @@ def test_a_host_past_the_copy_table_cap_gives_unknown_without_a_walk(solver):
         assert r.lower_bound == r.stats["floor"]
         assert r.upper_bound == r.witness.edge_count() == r.stats["improvements"][0]["size"]
         assert r.elapsed < r.stats["phases"]["greedy"] + 1
+        phases = r.stats["phases"]
+        assert phases["group"] == phases["walk"] == 0
+        assert r.stats["group"] == {"pool": None, "rows": 0}
     assert solver(PatternGraph.complete(3), 3).stats["copies"] == 27 * 3
 
 
@@ -1107,7 +1098,7 @@ def test_copy_table_agrees_with_the_copy_search(H, n):
         for s in range(L):
             if graph >> s & 1:
                 parent = graph ^ 1 << s
-                frame = solve._Frame(every & ~parent & ~closing(parent), None, 0)
+                frame = solve._Frame(every & ~parent & ~closing(parent), [], 0)
                 want = every & ~graph & ~closes
                 assert sys_.child_uncovered(graph, frame, s) == want, (graph, s)
                 seen["newly"] += frame.uncovered & ~(1 << s) != want
