@@ -814,15 +814,17 @@ def test_budget_exhaustion_returns_upper_bound():
     assert is_partite_saturated(r.witness).ok
 
 
+@pytest.mark.parametrize("solver", [min_sat_exact, min_exsat_exact])
 @pytest.mark.parametrize(
     "H, n, value", [(PatternGraph.complete(3), 4, 18), (PatternGraph.cycle(4), 3, 15)]
 )
-def test_budgeted_solve_returns_on_time(H, n, value):
+def test_budgeted_solve_returns_on_time(H, n, value, solver):
+    # sat and exsat share the value on both hosts
     for budget in (0.05, 0.2, 0.5):
         start = time.monotonic()
-        r = min_sat_exact(H, n, budget)
+        r = solver(H, n, budget)
         assert time.monotonic() - start <= budget + 0.25
-        if r.value is not None:  # a fast host may prove sat C4[3] in time
+        if r.value is not None:  # a fast host may prove C4[3] in time
             assert r.value == r.lower_bound == value
             continue
         assert r.exhausted_budget
@@ -854,17 +856,19 @@ class _TickClock:
         (False, PatternGraph.complete(3), 2),
     ],
 )
-def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, monkeypatch):
+@pytest.mark.parametrize("seed", [0, 14])
+def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, seed, monkeypatch):
     """Stop the walk before every third of its children in turn: each UNKNOWN
     brackets the optimum (checked against the subset-enumeration oracle by
     test_exact_matches_brute_force_on_small_patterns), its witness is the
-    incumbent, and its stats still account for every candidate."""
+    incumbent, and its stats still account for every candidate, whichever
+    greedy graph set the first bound."""
     want = solve._exact_minimum(H, n, require_free, None, True, 0).value
     lb = saturation_lower_bound(H, n)
     monkeypatch.setattr(solve, "time", _TickClock())
     above_lb = 0
     for k in itertools.count(0, 3):
-        r = solve._exact_minimum(H, n, require_free, k, True, 0)
+        r = solve._exact_minimum(H, n, require_free, k, True, seed)
         _check_stats(r)
         if r.value is not None:
             assert r.value == want
@@ -878,7 +882,8 @@ def test_unknown_bounds_hold_wherever_the_walk_stops(require_free, H, n, monkeyp
         assert above_lb > 0  # the open frames' bound does more than the floor
 
 
-def test_budget_is_kept_within_a_parent(monkeypatch):
+@pytest.mark.parametrize("solver", [min_sat_exact, min_exsat_exact])
+def test_budget_is_kept_within_a_parent(solver, monkeypatch):
     # Without symmetry every slot is a child of the root, and each child's
     # validity is tested (child_uncovered); at 60 ms per test, expanding the
     # root takes seconds.  The deadline is checked before each child too, so
@@ -892,7 +897,7 @@ def test_budget_is_kept_within_a_parent(monkeypatch):
     monkeypatch.setattr(solve._SlotSystem, "child_uncovered", slow_test)
     budget = 0.1
     start = time.monotonic()
-    r = min_sat_exact(PatternGraph.complete(4), 3, budget, use_symmetry=False)
+    r = solver(PatternGraph.complete(4), 3, budget, use_symmetry=False)
     assert time.monotonic() - start <= budget + 0.15
     assert r.value is None and r.exhausted_budget
     _check_stats(r)
@@ -938,9 +943,11 @@ def _check_stats(r):
         (False, PatternGraph.path(4), 2),
     ],
 )
+@pytest.mark.parametrize("seed", [0, 14])
 @pytest.mark.parametrize("use_symmetry", [True, False])
-def test_stats_account_for_every_candidate(require_free, H, n, use_symmetry):
-    r = solve._exact_minimum(H, n, require_free, None, use_symmetry, 0)
+def test_stats_account_for_every_candidate(require_free, H, n, use_symmetry, seed):
+    # the greedy seed moves the first bound, and with it the cut counts
+    r = solve._exact_minimum(H, n, require_free, None, use_symmetry, seed)
     _check_stats(r)
     levels, cuts = r.stats["levels"], r.stats["cuts"]
     L = len(BlowupHost(H, n).slots())
@@ -952,7 +959,7 @@ def test_stats_account_for_every_candidate(require_free, H, n, use_symmetry):
     if full:
         assert levels[1]["candidates"] == L  # every slot extends the root
     assert improvements[-1]["size"] == r.value
-    assert improvements[0]["size"] == _greedy_size(H, n, 0)
+    assert improvements[0]["size"] == _greedy_size(H, n, seed)
     if not require_free:
         assert cuts["not_free"] == 0
     if not use_symmetry:
