@@ -239,12 +239,12 @@ def _m_search_partition(
     s: int,
     deadline: Optional[float] = None,
     row: Optional[dict] = None,
-    prune: bool = True,
 ) -> Optional[frozenset]:
     """The first covered K_s-free lex leader on parts of these sizes, in
     depth-first preorder, as MultipartiteGraph edges, or None.  Counts go to
-    row, an _m_stats record.  prune=False leaves out the uncoverable cut, a
-    reference path for tests: the answer is the same, with more nodes."""
+    row, an _m_stats record.  The tests check it against
+    reference_m_partition in tests/oracles.py: the same search without the
+    uncoverable cut, so the same answer from more nodes."""
     if row is None:
         row = _m_stats(sum(sizes))
     cut = row["cuts"]
@@ -263,7 +263,7 @@ def _m_search_partition(
         if part.covered():
             return S
         later = L - 1 - (S[-1] if S else -1)
-        if prune and part.uncoverable(free):
+        if part.uncoverable(free):
             cut["uncoverable"] += later
             return None
         cut["clique"] += later - len(free)
@@ -285,56 +285,6 @@ def _m_search_partition(
     row["pools"]["none" if group is None else group.pool] += 1
     witness = dfs((), part.free_of(range(L)), None)
     return None if witness is None else part.edges(witness)
-
-
-def _m_search(
-    r: int, s: int, max_vertices: Optional[int], budget: Optional[float], prune: bool = True
-) -> MResult:
-    """The search behind m_value; prune=False is the reference path of
-    _m_search_partition."""
-    if s < 3:
-        raise ValueError("m_value needs s >= 3")
-    if r < s:
-        raise ValueError("m_value needs r >= s")
-    if r > 100:  # the clique tests recurse once per part of a clique
-        raise ValueError("m_value needs r <= 100")
-    if max_vertices is None:
-        max_vertices = 2 * r
-    deadline = _deadline(budget)
-    start = time.monotonic()
-    rows: list[dict] = []
-
-    def result(value, witness, exhausted) -> MResult:
-        # an independent path: the definition, on the witness's own edges
-        if witness is not None and (
-            witness.has_clique(s)
-            or not all(
-                witness.parts_have_transversal_clique(parts)
-                for parts in itertools.combinations(range(1, r + 1), s - 1)
-            )
-        ):
-            raise RuntimeError(
-                f"the m({r}, {s}) search returned a {value}-vertex witness that is not valid"
-            )
-        for row in rows:  # each candidate is a node or cut exactly once
-            row["candidates"] = row["nodes"] + sum(row["cuts"].values())
-        totals = {c: sum(row["cuts"][c] for row in rows) for c in _M_CUT_REASONS}
-        stats = {"vertex_counts": rows, "cuts": totals}
-        nodes = sum(row["nodes"] for row in rows)
-        return MResult(r, s, value, witness, nodes, time.monotonic() - start, exhausted, stats)
-
-    try:
-        for total in range(r, max_vertices + 1):
-            rows.append(_m_stats(total))
-            for sizes in _partitions(total, r):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise _BudgetExceeded
-                edges = _m_search_partition(sizes, s, deadline, rows[-1], prune)
-                if edges is not None:
-                    return result(total, MultipartiteGraph(sizes, edges), False)
-    except _BudgetExceeded:
-        return result(None, None, True)
-    return result(None, None, False)
 
 
 def m_value(
@@ -374,7 +324,49 @@ def m_value(
     choice of s - 1 parts (see _MPartition.covered).  More than 100 parts
     are refused before anything is built, as the clique tests recurse once
     per part of a clique."""
-    return _m_search(r, s, max_vertices, budget)
+    if s < 3:
+        raise ValueError("m_value needs s >= 3")
+    if r < s:
+        raise ValueError("m_value needs r >= s")
+    if r > 100:  # the clique tests recurse once per part of a clique
+        raise ValueError("m_value needs r <= 100")
+    if max_vertices is None:
+        max_vertices = 2 * r
+    deadline = _deadline(budget)
+    start = time.monotonic()
+    rows: list[dict] = []
+
+    def result(value, witness, exhausted) -> MResult:
+        # an independent path: the definition, on the witness's own edges
+        if witness is not None and (
+            witness.has_clique(s)
+            or not all(
+                witness.parts_have_transversal_clique(parts)
+                for parts in itertools.combinations(range(1, r + 1), s - 1)
+            )
+        ):
+            raise RuntimeError(
+                f"the m({r}, {s}) search returned a {value}-vertex witness that is not valid"
+            )
+        for row in rows:  # each candidate is a node or cut exactly once
+            row["candidates"] = row["nodes"] + sum(row["cuts"].values())
+        totals = {c: sum(row["cuts"][c] for row in rows) for c in _M_CUT_REASONS}
+        stats = {"vertex_counts": rows, "cuts": totals}
+        nodes = sum(row["nodes"] for row in rows)
+        return MResult(r, s, value, witness, nodes, time.monotonic() - start, exhausted, stats)
+
+    try:
+        for total in range(r, max_vertices + 1):
+            rows.append(_m_stats(total))
+            for sizes in _partitions(total, r):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _BudgetExceeded
+                edges = _m_search_partition(sizes, s, deadline, rows[-1])
+                if edges is not None:
+                    return result(total, MultipartiteGraph(sizes, edges), False)
+    except _BudgetExceeded:
+        return result(None, None, True)
+    return result(None, None, False)
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,28 @@ Each node of the walk holds the children it has not yet tried as one slot
 set, and tries them from its lowest slot up.  Expanding the node drops the
 not-free ones in bulk; each other child s then meets, in turn: the
 over-bound bound of the node at s (_SlotSystem.settle, which only grows
-with s, so it drops s and every later sibling at once), the lex-leader
-test, adding s, the validity test, and the child's own over-bound and
-uncoverable tests (_SlotSystem.cut), the second with its sibling-wide
-form.  A candidate dropped in bulk is charged to the cut that dropped it.
+with s, so it drops s and every later sibling at once) and the child's
+uncovered set (_SlotSystem.child_uncovered, below).  A child of at least
+floor slots whose set is empty is valid: it meets the lex-leader test and,
+passing it, becomes the incumbent.  Any other child meets its own
+over-bound and uncoverable tests (_SlotSystem.cut), the second with its
+sibling-wide form, and only a child they keep meets the lex-leader test
+and, passing it, is admitted.  A candidate dropped in bulk is charged to
+the cut that dropped it.
+
+Testing canonicity last, not first, changes no node and no witness.  The int tests
+do not read the group, and the lex-leader test reads nothing they set;
+the node state they read is moved by settle alone, which runs first
+either way, and the bound moves only when the walk takes an incumbent,
+after which it leaves the parent.  So a single child is admitted, or
+taken as the incumbent, exactly when it passes them all, whichever comes
+first.  The sibling-wide uncoverable cut may fire at a child the
+lex-leader test would reject, but its proof above reads only P and s, and
+every sibling it drops would fall to its own uncoverable test and is not
+valid (it leaves y uncovered).  So the walk meets the same nodes and the
+same valid sets, in the same order; only the cut a dropped child is
+charged to changes, and a node all of whose children fall to the int tests
+derives no lex-leader state (symmetry._Leader).
 
 The walk holds each slot set as one int, a bit per slot, and asks every
 copy question of one table (_SlotSystem.copies): for each slot k, the sets
@@ -585,7 +603,7 @@ class _SlotSystem:
 
 # why an extension slot of an expanded set was dropped, in the order the
 # walk tests them
-_CUT_REASONS = ("not_free", "not_canonical", "over_bound", "uncoverable")
+_CUT_REASONS = ("not_free", "over_bound", "uncoverable", "not_canonical")
 
 
 def _level_stats(level: int) -> dict:
@@ -620,15 +638,17 @@ class SolveResult:
     (the extension slots of each expanded set of m - 1 slots that the walk
     tried, or the root alone at size 0), "admitted" (sets kept as nodes),
     "expanded" (of those, the sets whose children were generated) and
-    "cuts", the candidates dropped by reason: "not_free", "not_canonical",
-    "over_bound", "uncoverable" (see the module docstring).  Each candidate
+    "cuts", the candidates dropped by reason: "not_free", "over_bound",
+    "uncoverable", "not_canonical" (see the module docstring).  Each candidate
     is admitted or cut exactly once, so candidates = admitted + the sum of
     the cuts on every record; slots a walk never reached (it left a set
     after meeting a valid child, or ran out of budget) are not candidates.
-    A candidate dropped in bulk, with every sibling after it (by the
-    over-bound bound of its parent, or by the sibling-wide uncoverable
-    cut), is charged to the cut that dropped it, whether or not the
-    lex-leader test, which it never met, would have rejected it.  stats["cuts"] holds each reason's total over the sizes.
+    A candidate meets the lex-leader test only once every other test has
+    kept it, so a candidate dropped by a cut, alone or in bulk with every
+    sibling after it (by the over-bound bound of its parent, or by the
+    sibling-wide uncoverable cut), is charged to that cut whether or not
+    the lex-leader test, which it never met, would have rejected it.
+    stats["cuts"] holds each reason's total over the sizes.
     stats["improvements"] lists the upper bounds in the order they were
     found, each as {"size", "nodes"} with nodes the count admitted by then:
     first the greedy graph (nodes 0), then each valid set smaller than the
@@ -638,7 +658,8 @@ class SolveResult:
     symmetry._slot_group) and its element count, or None and 0 when no test runs
     (use_symmetry off, a trivial search, or a group that acts trivially or
     does not fit the caps).  stats["leaders"] counts the _Leader
-    derivations, the root's included.  stats["copies"] is the entry count
+    derivations, the root's included: a set derives one only when one of
+    its children meets the lex-leader test.  stats["copies"] is the entry count
     of the walk's copy table (see _SlotSystem), or None when no table was
     built (past its cap, or before its build).  stats["floor"] is
     saturation_lower_bound, the proven bound the walk starts from: the walk
@@ -786,10 +807,13 @@ def _exact_minimum(
         stack.append(frame)
 
     def canonical(d: int, s: int) -> bool:
-        """Is path[:d] + (s,) a lex leader?  The slots asked about for one
-        frame ascend.  Derives the frame's _Leader on first use, from its
-        parent frame's, and charges a rejected slot to not_canonical."""
+        """Is path[:d] + (s,) a lex leader?  Always, with no group.  The
+        slots asked about for one frame ascend.  Derives the frame's _Leader
+        on first use, from its parent frame's, and charges a rejected slot
+        to not_canonical."""
         nonlocal leaders
+        if group is None:
+            return True
         frame = stack[d]
         if frame.leader is None:
             frame.leader = (
@@ -813,14 +837,13 @@ def _exact_minimum(
                 chosen ^= 1 << path.pop()
             continue
         if deadline is not None and time.monotonic() > deadline:
-            if group is not None:
-                # the bound grows with the next child, so move each frame to
-                # its next canonical one
-                for d, frame in enumerate(stack):
-                    todo = frame.todo
-                    while todo and not canonical(d, (todo & -todo).bit_length() - 1):
-                        todo &= todo - 1
-                    frame.todo = todo
+            # the bound grows with the next child, so move each frame to its
+            # next canonical one
+            for d, frame in enumerate(stack):
+                todo = frame.todo
+                while todo and not canonical(d, (todo & -todo).bit_length() - 1):
+                    todo &= todo - 1
+                frame.todo = todo
             upper = ub if best is None else best.bit_count()
             return result(
                 None,
@@ -838,10 +861,10 @@ def _exact_minimum(
             frame.todo = 0
             continue
         frame.todo = todo & todo - 1
-        if group is not None and not canonical(m - 1, s):
-            continue
         uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
         if m >= floor and not uncovered:
+            if not canonical(m - 1, s):
+                continue
             row["admitted"] += 1
             best, bound = chosen | 1 << s, m - 1
             if m < improvements[-1]["size"]:
@@ -858,6 +881,8 @@ def _exact_minimum(
                 frame.todo = 0
             else:
                 row["cuts"][reason] += 1
+            continue
+        if not canonical(m - 1, s):
             continue
         row["admitted"] += 1
         if m < bound:

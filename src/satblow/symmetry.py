@@ -42,9 +42,10 @@ held as one bit per element, per slot and image slot (a _SlotGroup), and
 each node of a walk with a slot to test derives its _Leader once, from its
 parent's: the elements of each threshold and the outcome of each tie, so
 testing an extension (_Leader.admits) is one walk over the images of s
-below s.  The exact search tests one child at a time, only when the walk
-reaches it, and derives a node's _Leader at its first tested child, so a
-node whose children all fall to a cut made before the test derives none.
+below s.  The exact search tests a child only when the walk reaches it
+and the child's int tests (solve._SlotSystem.cut, or the validity test)
+have kept it, and derives a node's _Leader at its first tested child, so a
+node whose children all fall to those tests derives none.
 m_value derives the _Leader of each node with free slots and tests each
 free slot as its loop reaches it.
 

@@ -6,6 +6,7 @@ these slow and obvious.
 """
 
 import itertools
+import time
 import warnings
 
 from satblow import (
@@ -19,6 +20,14 @@ from satblow import (
     saturation_lower_bound,
 )
 from satblow.core import _closes_copy, first_uncovered_slot
+from satblow.mvalue import (
+    _M_CUT_REASONS,
+    MResult,
+    MultipartiteGraph,
+    _m_stats,
+    _MPartition,
+    _partitions,
+)
 from satblow.solve import _greedy_fill
 from satblow.symmetry import _child_leader, _root_leader, _symmetry_group
 
@@ -157,6 +166,73 @@ def reference_minimum(pattern, n, require_free, use_symmetry=True, seed=0):
 
     walk(None)
     return best.edge_count(), best, nodes
+
+
+def reference_m_partition(sizes, s, row=None):
+    """The edges of the first covered K_s-free lex leader on parts of these
+    sizes, or None, as m_value's search finds it, by the walk it prunes:
+    the same depth-first preorder and lex-leader test, with no uncoverable
+    cut.  It reads only the free slots (free_of) and the cover test
+    (covered) of the search's _MPartition.  Counts go to row, an _m_stats
+    record."""
+    if row is None:
+        row = _m_stats(sum(sizes))
+    part = _MPartition(sizes, s)
+    group = part.group
+    row["partitions"] += 1
+    row["pools"]["none" if group is None else group.pool] += 1
+
+    def walk(S, free, up):
+        """The first covered set of the subtree of S, whose free slots are
+        free and whose parent has the _Leader up, or None."""
+        row["nodes"] += 1
+        if part.covered():
+            return S
+        row["cuts"]["clique"] += part.L - 1 - (S[-1] if S else -1) - len(free)
+        leader = None
+        if group is not None and free:
+            leader = _child_leader(group, up, S) if S else _root_leader(group)
+        for i, k in enumerate(free):
+            if leader is not None and not leader.admits(group, k):
+                row["cuts"]["not_canonical"] += 1
+                continue
+            part.toggle((k,))
+            got = walk(S + (k,), part.free_of(free[i + 1 :]), leader)
+            part.toggle((k,))
+            if got is not None:
+                return got
+        return None
+
+    witness = walk((), part.free_of(range(part.L)), None)
+    return None if witness is None else part.edges(witness)
+
+
+def reference_m_value(r, s):
+    """m_value(r, s) as an MResult, found by reference_m_partition on the
+    splits of r, r + 1, ..., 2r vertices in m_value's order: the first
+    witness met, with no budget and no re-check, and m_value's stats."""
+    rows = []
+
+    def first_witness():
+        for total in range(r, 2 * r + 1):
+            rows.append(_m_stats(total))
+            for sizes in _partitions(total, r):
+                edges = reference_m_partition(sizes, s, rows[-1])
+                if edges is not None:
+                    return MultipartiteGraph(sizes, edges)
+        return None
+
+    start = time.monotonic()
+    witness = first_witness()
+    for row in rows:
+        row["candidates"] = row["nodes"] + sum(row["cuts"].values())
+    stats = {
+        "vertex_counts": rows,
+        "cuts": {c: sum(row["cuts"][c] for row in rows) for c in _M_CUT_REASONS},
+    }
+    value = None if witness is None else sum(witness.part_sizes)
+    nodes = sum(row["nodes"] for row in rows)
+    return MResult(r, s, value, witness, nodes, time.monotonic() - start, False, stats)
 
 
 def brute_degree_floor(pattern, n):

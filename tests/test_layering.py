@@ -5,7 +5,8 @@ the exact walk (solve.py) and m_value (mvalue.py), and the walk does not
 know m_value.  m_value takes its groups from symmetry._slot_group, as the
 walk does, and names none of the pieces a group is built from.  The exact
 walk has one path, and the unpruned walk it is checked against lives in
-tests/oracles.py, apart from the walk's copy table.
+tests/oracles.py, apart from the walk's copy table; so does the search
+m_value is checked against, its own search without the uncoverable cut.
 """
 
 import ast
@@ -71,16 +72,28 @@ def test_m_value_builds_no_group_of_its_own():
     assert not names & {"_slot_maps", "_SlotGroup", "_index_rows"}
 
 
+def _function(tree, name):
+    (found,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return found
+
+
 def test_the_reference_walk_lives_apart_from_the_exact_walk():
     """solve.py keeps no unpruned path and no whole-graph scan, and the
     reference walk reads none of the exact walk's copy table."""
     assert not _names(ast.parse((SRC / "solve.py").read_text())) & {"first_uncovered_slot", "prune"}
     oracles = ast.parse((TESTS / "oracles.py").read_text())
-    (walk,) = [
-        node
-        for node in oracles.body
-        if isinstance(node, ast.FunctionDef) and node.name == "reference_minimum"
-    ]
-    names = _names(walk)
+    names = _names(_function(oracles, "reference_minimum"))
     assert {"first_uncovered_slot", "_closes_copy", "admits"} <= names
     assert not names & {"_SlotSystem", "child_uncovered", "copies"}
+
+
+def test_the_m_value_reference_lives_apart_from_m_value():
+    """mvalue.py keeps one search, with its cut always on; the search
+    without the cut is the tests' own and never asks for the cut."""
+    assert "prune" not in _names(ast.parse((SRC / "mvalue.py").read_text()))
+    oracles = ast.parse((TESTS / "oracles.py").read_text())
+    names = _names(_function(oracles, "reference_m_partition"))
+    assert {"covered", "free_of", "admits"} <= names
+    assert "uncoverable" not in names

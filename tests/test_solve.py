@@ -47,6 +47,8 @@ from oracles import (
     brute_threshold,
     brute_valid_sets,
     ref_masks,
+    reference_m_partition,
+    reference_m_value,
     reference_minimum,
 )
 
@@ -708,6 +710,90 @@ def test_pruned_search_is_pinned(kind, H, n, value, nodes, witness):
     r = solver(H, n)
     assert (r.value, r.nodes_explored) == (value, nodes)
     assert _edge_string(r.witness) == witness
+
+
+@pytest.mark.parametrize(
+    "require_free, H, n",
+    [
+        (True, PatternGraph.complete(3), 3),
+        (True, PatternGraph.complete(4), 2),
+        (False, PatternGraph.path(4), 3),
+    ],
+)
+def test_the_lex_leader_test_meets_only_children_the_cuts_keep(require_free, H, n, monkeypatch):
+    """The walk asks the lex-leader test about a child only after the
+    child's int tests: each child it asks about is valid, by the
+    definition, or passed _SlotSystem.cut.  (A walk out of budget also asks
+    about the children it moves its frames past; these walks have none.)"""
+    check = is_partite_saturated if require_free else is_extra_saturated
+    child_uncovered, cut, admits = (
+        solve._SlotSystem.child_uncovered,
+        solve._SlotSystem.cut,
+        symmetry._Leader.admits,
+    )
+    last = {}  # the child the walk tested last, and the cut's verdict on it
+    asked = []
+
+    def on_uncovered(self, graph, frame, s):
+        last.clear()
+        last.update(sys=self, graph=graph, s=s)
+        return child_uncovered(self, graph, frame, s)
+
+    def on_cut(self, *args):
+        got = cut(self, *args)
+        last["reason"] = got[0]
+        return got
+
+    def on_admits(self, group, s):
+        assert last.get("s") == s
+        if "reason" in last:
+            assert last["reason"] is None, (last["graph"], last["reason"])
+        else:
+            assert check(last["sys"].graph_for(last["graph"])).ok, last["graph"]
+        asked.append(s)
+        return admits(self, group, s)
+
+    monkeypatch.setattr(solve._SlotSystem, "child_uncovered", on_uncovered)
+    monkeypatch.setattr(solve._SlotSystem, "cut", on_cut)
+    monkeypatch.setattr(symmetry._Leader, "admits", on_admits)
+    r = solve._exact_minimum(H, n, require_free, None, True, 0)
+    _check_stats(r)
+    # every child asked about is admitted (the root is not asked about) or
+    # charged to not_canonical
+    assert len(asked) == r.nodes_explored - 1 + r.stats["cuts"]["not_canonical"]
+
+
+@pytest.mark.parametrize(
+    "kind, H, n, nodes, leaders, cuts",
+    [
+        (
+            "sat",
+            PatternGraph.complete(3),
+            3,
+            232,
+            194,
+            {"not_free": 766, "not_canonical": 153, "over_bound": 228, "uncoverable": 1464},
+        ),
+        (
+            "exsat",
+            PatternGraph.complete(3),
+            3,
+            729,
+            481,
+            {"not_free": 0, "not_canonical": 466, "over_bound": 2270, "uncoverable": 4085},
+        ),
+    ],
+)
+def test_lex_leader_work_is_pinned(kind, H, n, nodes, leaders, cuts):
+    """The lex-leader test comes after the int cuts, so a child they drop is
+    charged to them, and a node all of whose children they drop derives no
+    _Leader.  Where the test sits moves no node: exsat K3[3] keeps the 729
+    nodes pinned above."""
+    solver = min_sat_exact if kind == "sat" else min_exsat_exact
+    r = solver(H, n)
+    assert (r.value, r.nodes_explored) == (12, nodes)
+    assert r.stats["leaders"] == leaders
+    assert r.stats["cuts"] == cuts
 
 
 def test_exact_witness_is_rechecked_from_the_definition(monkeypatch):
@@ -1541,14 +1627,14 @@ def test_m_3_3():
 
 
 def test_m_4_3():
-    result = mvalue._m_search(4, 3, None, None, prune=False)
+    result = reference_m_value(4, 3)
     assert result.value == 6
     assert result.nodes_explored == 622
     _check_m_witness(result)
 
 
 def test_m_4_4():
-    result = mvalue._m_search(4, 4, None, None, prune=False)
+    result = reference_m_value(4, 4)
     assert result.value == 6
     assert result.nodes_explored == 387
     _check_m_witness(result)
@@ -1593,7 +1679,7 @@ def test_m_value_is_pinned(r, s, value, nodes, sizes, witness):
 
 @pytest.mark.parametrize("r, s, value, nodes, sizes, witness", M_PINS[:3])
 def test_m_value_reference_path_finds_the_same_witness(r, s, value, nodes, sizes, witness):
-    result = mvalue._m_search(r, s, None, None, prune=False)
+    result = reference_m_value(r, s)
     assert result.value == value and result.nodes_explored > nodes
     assert result.witness.part_sizes == sizes
     assert _m_edge_string(result.witness) == witness
@@ -1627,7 +1713,8 @@ def _small_partitions(r, most_slots=14):
 @pytest.mark.parametrize("prune", [True, False])
 def test_m_search_matches_brute_force(r, s, prune):
     for sizes in _small_partitions(r):
-        edges = mvalue._m_search_partition(sizes, s, prune=prune)
+        search = mvalue._m_search_partition if prune else reference_m_partition
+        edges = search(sizes, s)
         assert (edges is not None) == brute_m_feasible(sizes, s), sizes
         if edges is not None:
             w = mvalue.MultipartiteGraph(sizes, edges)
@@ -1693,7 +1780,7 @@ def _check_m_stats(result):
 @pytest.mark.parametrize("r, s", [(3, 3), (4, 3), (4, 4), (5, 3), (5, 5)])
 @pytest.mark.parametrize("prune", [True, False])
 def test_m_stats_account_for_every_candidate(r, s, prune):
-    result = mvalue._m_search(r, s, None, None, prune=prune)
+    result = m_value(r, s) if prune else reference_m_value(r, s)
     _check_m_stats(result)
     rows = result.stats["vertex_counts"]
     assert len(rows) == result.value - r + 1  # stops at the witness
