@@ -151,23 +151,11 @@ def path_saturation_edges(r: int, n: int) -> int:
 
 
 def _path_gate_sizes(r: int, n: int) -> list[int]:
-    """|A_i| for each part: the gate sets steering where edges may live."""
-    sizes = [0] * (r + 1)  # 1-based
-    sizes[1] = n
-    sizes[r] = 0
-    if r % 2 == 0:
-        for i in range(2, r - 1, 2):
-            sizes[i] = 1
-        for i in range(3, r):
-            if i % 2 == 1:
-                sizes[i] = n - 1
-    else:
+    """|A_i| for each part (1-based): n, then 1 and n - 1 in turn, with
+    n - 1 at part r - 1 when r is odd, and 0 at part r."""
+    sizes = [0, n] + [1 if i % 2 == 0 else n - 1 for i in range(2, r)] + [0]
+    if r % 2:
         sizes[r - 1] = n - 1
-        for i in range(2, r - 2, 2):
-            sizes[i] = 1
-        for i in range(3, r - 1):
-            if i % 2 == 1:
-                sizes[i] = n - 1
     return sizes
 
 

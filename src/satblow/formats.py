@@ -232,26 +232,20 @@ _BUILTIN_RANGES = {
     "k": (2, 6, PatternGraph.complete),
     "p": (3, 8, PatternGraph.path),
     "c": (4, 8, PatternGraph.cycle),
+    "star-": (2, 6, PatternGraph.star),
 }
 
 
 def builtin_pattern(name: str) -> PatternGraph:
     """Named patterns: k2..k6, p3..p8, c4..c8 and star-2..star-6."""
     name = name.strip().lower()
-    if name.startswith("star-"):
-        try:
-            r = int(name[5:])
-        except ValueError:
-            raise ValueError(f"unknown pattern name {name!r}") from None
-        if not (2 <= r <= 6):
-            raise ValueError(f"star-{r} is outside the built-in range star-2..star-6")
-        return PatternGraph.star(r)
-    if len(name) >= 2 and name[0] in _BUILTIN_RANGES and name[1:].isdigit():
-        lo, hi, make = _BUILTIN_RANGES[name[0]]
-        r = int(name[1:])
+    prefix = name.rstrip("0123456789")
+    if prefix in _BUILTIN_RANGES and prefix != name:
+        lo, hi, make = _BUILTIN_RANGES[prefix]
+        r = int(name[len(prefix) :])
         if lo <= r <= hi:
             return make(r)
-        raise ValueError(f"{name!r} is outside the built-in range {name[0]}{lo}..{name[0]}{hi}")
+        raise ValueError(f"{name!r} is outside the built-in range {prefix}{lo}..{prefix}{hi}")
     raise ValueError(f"unknown pattern name {name!r}")
 
 

@@ -6,6 +6,7 @@ proof of its one cut are given in its docstring.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -140,7 +141,7 @@ class _MPartition:
     part has size 1), and a graph held as one adjacency bitmask per
     vertex."""
 
-    def __init__(self, sizes: tuple[int, ...], s: int, deadline: Optional[float] = None):
+    def __init__(self, sizes: tuple[int, ...], s: int, deadline: float = math.inf):
         r = len(sizes)
         offsets = list(itertools.accumulate(sizes, initial=0))
         total = offsets[-1]
@@ -216,7 +217,7 @@ class _MPartition:
             if not grow(choice, 0, everything):
                 self.last_failed = choice
                 return False
-            if deadline is not None and not i & 4095 and time.monotonic() > deadline:
+            if not i & 4095 and time.monotonic() > deadline:
                 raise _BudgetExceeded
         return True
 
@@ -237,7 +238,7 @@ class _MPartition:
 def _m_search_partition(
     sizes: tuple[int, ...],
     s: int,
-    deadline: Optional[float] = None,
+    deadline: float = math.inf,
     row: Optional[dict] = None,
 ) -> Optional[frozenset]:
     """The first covered K_s-free lex leader on parts of these sizes, in
@@ -258,7 +259,7 @@ def _m_search_partition(
         # above max S that close no K_s with it, and parent is the _Leader
         # of S[:-1] (None at the root, or with no group)
         row["nodes"] += 1
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise _BudgetExceeded
         if part.covered():
             return S
@@ -359,7 +360,7 @@ def m_value(
         for total in range(r, max_vertices + 1):
             rows.append(_m_stats(total))
             for sizes in _partitions(total, r):
-                if deadline is not None and time.monotonic() > deadline:
+                if time.monotonic() > deadline:
                     raise _BudgetExceeded
                 edges = _m_search_partition(sizes, s, deadline, rows[-1])
                 if edges is not None:
@@ -405,7 +406,7 @@ def kr_sat_bounds(
         raise ValueError("kr_sat_bounds needs r <= 100")
     deadline = _deadline(budget)
     m_lower = m_value(r - 1, r - 1, max_vertices, budget)
-    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+    left = max(0.0, deadline - time.monotonic())
     m_upper = m_value(r, r - 1, max_vertices, left)
     lower = None if m_lower.value is None else (m_lower.value * r * n + 1) // 2
     upper = None if m_upper.value is None else m_upper.value * (r - 1) * n

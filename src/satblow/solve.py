@@ -115,12 +115,12 @@ not-free ones in bulk; each other child s then meets, in turn: the
 over-bound bound of the node at s (_SlotSystem.settle, which only grows
 with s, so it drops s and every later sibling at once) and the child's
 uncovered set (_SlotSystem.child_uncovered, below).  A child of at least
-floor slots whose set is empty is valid: it meets the lex-leader test and,
-passing it, becomes the incumbent.  Any other child meets its own
+floor slots whose set is empty is valid.  Any other child meets its own
 over-bound and uncoverable tests (_SlotSystem.cut), the second with its
-sibling-wide form, and only a child they keep meets the lex-leader test
-and, passing it, is admitted.  A candidate dropped in bulk is charged to
-the cut that dropped it.
+sibling-wide form.  Every child they keep, and every valid one, then meets
+the lex-leader test and, passing it, is admitted: a valid child becomes the
+incumbent, and any other is expanded.  A candidate dropped in bulk is
+charged to the cut that dropped it.
 
 Testing canonicity last, not first, changes no node and no witness.  The int tests
 do not read the group, and the lex-leader test reads nothing they set;
@@ -184,18 +184,19 @@ it gets UNKNOWN with no group build and no walk: sat K3[4] has 64 copies
 P5[12] 248 832 (106 MiB).  Hosts that large take their upper bounds from
 the construction families.
 
-When the budget runs out, the walk answers UNKNOWN with the incumbent and
-a proven lower bound.  If the optimum is below the incumbent's size, the
-walk has not met the canonical form D of an optimal set (it would be the
-incumbent), and no cut or early leave removed it (the argument above, with
-bound >= |D| throughout).  So D lies in the subtree of an untried child
-P + (s,) of a set P on the walk's stack, s at least the next child t of P
-to try that is a lex leader (each frame is first moved past the children
-the lex-leader test rejects, since D and its prefixes are lex leaders).
-Every slot below t that P lacks is settled for D, so |D| is at least
-|P| + max(1, the bundle-need bound of those slots left uncovered by P).
-The least of these over the stack, capped at the incumbent's size, is the
-lower bound.
+A search without a budget runs to a deadline of math.inf, which no clock
+reading passes.  When the budget runs out, the walk answers UNKNOWN with
+the incumbent and a proven lower bound.  If the optimum is below the
+incumbent's size, the walk has not met the canonical form D of an optimal
+set (it would be the incumbent), and no cut or early leave removed it (the
+argument above, with bound >= |D| throughout).  So D lies in the subtree of
+an untried child P + (s,) of a set P on the walk's stack, s at least the
+next child t of P to try that is a lex leader (each frame is first moved
+past the children the lex-leader test rejects, since D and its prefixes are
+lex leaders).  Every slot below t that P lacks is settled for D, so |D| is
+at least |P| + max(1, the bundle-need bound of those slots left uncovered
+by P).  The least of these over the stack, capped at the incumbent's size,
+is the lower bound.
 """
 
 from __future__ import annotations
@@ -265,11 +266,11 @@ def greedy_extra_saturate(G: PartiteGraph, seed: int) -> PartiteGraph:
     return _greedy_fill(G, seed)
 
 
-def _deadline(budget: Optional[float]) -> Optional[float]:
+def _deadline(budget: Optional[float]) -> float:
     """The clock reading at which a search of `budget` seconds stops, or
-    None for no budget."""
+    math.inf for no budget."""
     if budget is None:
-        return None
+        return math.inf
     # a NaN deadline compares false with every clock reading, so the search
     # would never stop
     if math.isnan(budget):
@@ -448,27 +449,18 @@ class _SlotSystem:
         ]
         self.ends = [1 << p * n + a | 1 << q * n + b for p, a, q, b in self.ends0]
 
-    def covered(self, graph: int, slots: int, stop_at_miss: bool = False) -> int:
-        """The slots of the set `slots` that close a copy in the slot set
-        `graph`; with stop_at_miss, only those below the first slot that
-        closes none."""
-        copies, miss = self.copies, ~graph
-        hit, rest = 0, slots
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            for c in copies[bit.bit_length() - 1]:
-                if not c & miss:
-                    hit |= bit
-                    break
-            else:
-                if stop_at_miss:
-                    break
-        return hit
-
     def uncoverable(self, left: int, graph: int) -> bool:
         """Does some slot of `left` close no copy in the slot set `graph`?"""
-        return self.covered(graph, left, stop_at_miss=True) != left
+        copies, miss = self.copies, ~graph
+        while left:
+            bit = left & -left
+            left ^= bit
+            for c in copies[bit.bit_length() - 1]:
+                if not c & miss:
+                    break
+            else:
+                return True
+        return False
 
     def child_uncovered(self, graph: int, frame: _Frame, s: int) -> int:
         """The uncovered set of child = P + (s,), the slot set `graph`: P's
@@ -499,9 +491,11 @@ class _SlotSystem:
 
     def root(self) -> _Frame:
         """The frame of the empty set: every slot is open, none is settled,
-        and so no vertex needs an edge."""
-        every = (1 << self.L) - 1
-        return _Frame(every ^ self.covered(0, every), [0] * 2 * len(self.bundles), 0)
+        and so no vertex needs an edge.  A copy holds one slot per pattern
+        edge, so a slot closes one on its own only when the pattern has a
+        single edge, and then every slot does."""
+        uncovered = (1 << self.L) - 1 if len(self.bundles) > 1 else 0
+        return _Frame(uncovered, [0] * 2 * len(self.bundles), 0)
 
     def cut(
         self,
@@ -679,16 +673,18 @@ class SolveResult:
     pass its cap (see the module docstring): exhausted_budget is then
     False, with or without a budget.
 
-    The budget is a deadline set when the search starts.  Greedy fill and
-    the witness re-check always run to their end, so on a large host
-    elapsed can pass the budget by seconds: min_sat_exact(C6, 60,
-    budget=0.5) spends about 1.1 s in greedy fill and 0.4 s in the
+    The budget is a deadline set when the search starts; with no budget
+    the deadline is math.inf, which the clock readings below never pass.
+    Greedy fill and the witness re-check always run to their end, so on a
+    large host elapsed can pass the budget by seconds: min_sat_exact(C6,
+    60, budget=0.5) spends about 1.1 s in greedy fill and 0.4 s in the
     re-check.  If greedy fill ends past the deadline, the result is UNKNOWN
     at once, with the greedy graph and lower_bound the floor.  Otherwise
-    the group build asks for the deadline before each slot's maps and stops
-    once it has passed, and a group build that ends past the deadline gives
-    the same UNKNOWN, with no walk; so does a copy table whose build ends
-    past it; else the walk reads the deadline at each node.
+    the group build asks for the deadline while it lists the pattern
+    automorphisms and before each slot's maps, and stops once it has
+    passed, and a group build that ends past the deadline gives the same
+    UNKNOWN, with no walk; so does a copy table whose build ends past it;
+    else the walk reads the deadline at each node.
     """
 
     value: Optional[int]
@@ -766,21 +762,20 @@ def _exact_minimum(
 
     if ub == 0:
         return result(0, ub_graph, False, 0, 0)
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return result(None, ub_graph, True, ub, lb)
     entries = _table_entries(host)
     if entries is None:
         return result(None, ub_graph, False, ub, lb)
 
     group_start = time.monotonic()
-    expired = None if deadline is None else lambda: time.monotonic() > deadline
-    group = _symmetry_group(host, expired) if use_symmetry else None
+    group = _symmetry_group(host, lambda: time.monotonic() > deadline) if use_symmetry else None
     phases["group"] = time.monotonic() - group_start
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return result(None, ub_graph, True, ub, lb)
     walk_start = time.monotonic()
     sys_ = _SlotSystem(host)
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return result(None, ub_graph, True, ub, lb)
     floor = max(lb, 1)  # no smaller set is valid; the root is not
     bound = ub  # the walk looks for valid sets of at most this many slots
@@ -836,7 +831,7 @@ def _exact_minimum(
             if path:
                 chosen ^= 1 << path.pop()
             continue
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             # the bound grows with the next child, so move each frame to its
             # next canonical one
             for d, frame in enumerate(stack):
@@ -862,30 +857,28 @@ def _exact_minimum(
             continue
         frame.todo = todo & todo - 1
         uncovered = sys_.child_uncovered(chosen | 1 << s, frame, s)
-        if m >= floor and not uncovered:
-            if not canonical(m - 1, s):
+        valid = m >= floor and not uncovered
+        if not valid:
+            reason, child, siblings = sys_.cut(require_free, frame, chosen, uncovered, s, bound)
+            if reason is not None:
+                if siblings:
+                    # no later sibling can be completed either
+                    row["cuts"][reason] += todo.bit_count()
+                    frame.todo = 0
+                else:
+                    row["cuts"][reason] += 1
                 continue
-            row["admitted"] += 1
+        if not canonical(m - 1, s):
+            continue
+        row["admitted"] += 1
+        if valid:
             best, bound = chosen | 1 << s, m - 1
             if m < improvements[-1]["size"]:
                 improvements.append({"size": m, "nodes": sum(r["admitted"] for r in levels)})
             if bound < floor:
                 break
             frame.todo = 0  # later siblings are as large and lex-greater
-            continue
-        reason, child, siblings = sys_.cut(require_free, frame, chosen, uncovered, s, bound)
-        if reason is not None:
-            if siblings:
-                # no later sibling can be completed either
-                row["cuts"][reason] += todo.bit_count()
-                frame.todo = 0
-            else:
-                row["cuts"][reason] += 1
-            continue
-        if not canonical(m - 1, s):
-            continue
-        row["admitted"] += 1
-        if m < bound:
+        else:  # cut drops every child of bound slots or more
             path.append(s)
             chosen |= 1 << s
             expand(s, child)

@@ -8,8 +8,10 @@ set is kept only when it is the lexicographically least member of its
 orbit (its lex leader).  Removing the last slot of a lex leader leaves a
 lex leader, so a tree whose children append one slot above the last one
 holds exactly one node of each orbit.  The exact walk (solve.py) runs on
-index permutations within each part of H[n] combined with automorphisms
-of the pattern; m_value (mvalue.py) on index permutations within each part.
+index permutations within each part of H[n] that carries slots, combined
+with the automorphisms of the pattern that fix its isolated vertices (the
+part of an isolated vertex carries no slot, so it stays fixed); m_value
+(mvalue.py) on index permutations within each part.
 
 The Delta rule.  For a group element g and a slot set C, let d be the least
 slot of the symmetric difference g(C) Delta C.  Then sorted(g(C)) < C
@@ -53,7 +55,9 @@ Both searches take their group from _slot_group, under one set of caps on
 its rows, table entries and map bytes.  Every part draws on one pool of
 index permutations: the full symmetric group if the group fits, else
 cyclic shifts, else the identity alone, which leaves the walk its pattern
-automorphisms and m_value no group.  Under a subgroup a search revisits
+automorphisms and m_value no group; the walk lists those automorphisms
+only up to the row cap, since each is a row of every pool, so a pattern
+with more gets no group.  Under a subgroup a search revisits
 some orbits but stays complete; m(10, 3) reaches splits such as
 (1 x 9, 9), whose 9! rows pass the cap, and runs them on 9 shifts.
 """
@@ -69,13 +73,25 @@ from typing import Callable, Iterator, Optional, Sequence
 from .core import BlowupHost, PatternGraph
 
 
-def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
-    """Every automorphism of the pattern as a 0-based vertex map, in
-    lexicographic order, found by backtracking over partial maps.  Vertices
-    are mapped in breadth-first order, so a vertex with a neighbour mapped
-    earlier may only go to a neighbour of that neighbour's image; each
-    choice must also match degrees and agree on adjacency with every vertex
-    mapped before it."""
+_GROUP_ROW_CAP = 200_000
+_GROUP_ENTRY_CAP = 8_000_000
+# the maps hold one int of `rows` bits per slot and image slot
+_GROUP_MAP_BYTES_CAP = 32 << 20
+
+
+def _pattern_automorphisms(
+    pattern: PatternGraph, expired: Optional[Callable[[], bool]] = None
+) -> Optional[list[tuple[int, ...]]]:
+    """Every automorphism of the pattern that fixes each isolated vertex, as
+    a 0-based vertex map, in lexicographic order, found by backtracking over
+    partial maps; an isolated vertex carries no slot, so moving it would
+    only repeat slot permutations.  Vertices are mapped in breadth-first
+    order, so a vertex with a neighbour mapped earlier may only go to a
+    neighbour of that neighbour's image; each choice must also match
+    degrees and agree on adjacency with every vertex mapped before it.
+    None once more than _GROUP_ROW_CAP are found (each is a row of every
+    group built on them, so none would fit), or once expired(), asked
+    every 1024th choice, is true."""
     v = pattern.vertex_count
     adj = [frozenset(a) for a in pattern._adj0]
     order: list[int] = []
@@ -99,7 +115,10 @@ def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
         # lazy: each candidate is checked against the map as it stands when
         # drawn, which is the map above this depth once deeper ones unwind
         x = order[depth]
-        pool = adj[image[anchor[x]]] if anchor[x] >= 0 else range(v)
+        if anchor[x] >= 0:
+            pool = adj[image[anchor[x]]]
+        else:
+            pool = range(v) if adj[x] else (x,)
         return (
             t
             for t in pool
@@ -110,6 +129,7 @@ def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
 
     auts: list[tuple[int, ...]] = []
     stack = [choices(0)]
+    steps = 0
     while stack:
         x = order[len(stack) - 1]
         if image[x] >= 0:
@@ -119,19 +139,18 @@ def _pattern_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
         if t is None:
             stack.pop()
             continue
+        steps += 1
+        if not steps & 1023 and expired is not None and expired():
+            return None
         image[x] = t
         used[t] = True
-        if len(stack) == v:
-            auts.append(tuple(image))
-        else:
+        if len(stack) < v:
             stack.append(choices(len(stack)))
+        elif len(auts) == _GROUP_ROW_CAP:
+            return None
+        else:
+            auts.append(tuple(image))
     return sorted(auts)
-
-
-_GROUP_ROW_CAP = 200_000
-_GROUP_ENTRY_CAP = 8_000_000
-# the maps hold one int of `rows` bits per slot and image slot
-_GROUP_MAP_BYTES_CAP = 32 << 20
 
 
 class _SlotGroup:
@@ -273,10 +292,15 @@ def _symmetry_group(
 ) -> Optional[_SlotGroup]:
     """The slot permutations of the symmetry group of H[n] that fit the caps
     (see _slot_group), or None, also once expired() is true (the exact
-    walk's deadline has passed).  n = 1, or an isolated vertex, can make the
-    group act trivially."""
-    auts = _pattern_automorphisms(host.pattern)
-    return _slot_group([host.n] * host.pattern.vertex_count, auts, host.ends0(), expired)
+    walk's deadline has passed).  The group acts on the parts that carry
+    slots: an isolated pattern vertex stays fixed and its part gets a
+    one-index pool, so no slot permutation is held twice.  n = 1 can make
+    the group act trivially."""
+    auts = _pattern_automorphisms(host.pattern, expired)
+    if auts is None:
+        return None
+    sizes = [host.n if adj else 1 for adj in host.pattern._adj0]
+    return _slot_group(sizes, auts, host.ends0(), expired)
 
 
 class _Leader:

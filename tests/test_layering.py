@@ -89,6 +89,14 @@ def test_the_reference_walk_lives_apart_from_the_exact_walk():
     assert not names & {"_SlotSystem", "child_uncovered", "copies"}
 
 
+def test_the_exact_walk_has_one_coverage_test():
+    """solve.py asks whether a settled slot stays uncovered through
+    _SlotSystem.uncoverable alone, with no subset scan beside it."""
+    names = _names(ast.parse((SRC / "solve.py").read_text()))
+    assert "uncoverable" in names
+    assert not names & {"covered", "stop_at_miss"}
+
+
 def test_the_m_value_reference_lives_apart_from_m_value():
     """mvalue.py keeps one search, with its cut always on; the search
     without the cut is the tests' own and never asks for the cut."""

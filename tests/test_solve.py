@@ -413,9 +413,12 @@ def test_group_table_is_the_symmetry_group(H, n, pool):
     rows = _rows(group)
     assert all(sorted(row) == list(range(len(row))) for row in rows)
     assert set(rows) == want
-    assert len(rows) == len(brute_automorphisms(H)) * (
+    # each row is held once: the automorphisms fix the isolated vertices,
+    # whose parts carry no slot and draw on no index permutation
+    live = sum(1 for adj in H._adj0 if adj)
+    assert len(rows) == len(_fixing_isolated(H)) * (
         len(list(itertools.permutations(range(n)))) if pool == "full" else n
-    ) ** H.vertex_count
+    ) ** live
 
 
 def test_group_maps_of_a_large_host():
@@ -428,20 +431,13 @@ def test_group_maps_of_a_large_host():
     assert max(len(images) for images in group.maps) == 2
 
 
-def _host_group(H, n):
-    """_slot_group called as _symmetry_group calls it."""
-    host = BlowupHost(H, n)
-    auts = symmetry._pattern_automorphisms(H)
-    return symmetry._slot_group([n] * H.vertex_count, auts, host.ends0())
-
-
 def test_slot_group_keeps_the_maps_under_the_byte_cap():
     # C4[7]: the cyclic group's maps would take 196 * 196 * 19 208 bits
     # (88 MiB), so only the pattern automorphisms are held
-    group = _host_group(PatternGraph.cycle(4), 7)
+    group = _group(PatternGraph.cycle(4), 7)
     assert (group.pool, group.everyone.bit_count()) == ("automorphisms", 8)
     # K3[4] keeps the full group: 48 * 48 * 82 944 bits (22.8 MiB)
-    group = _host_group(PatternGraph.complete(3), 4)
+    group = _group(PatternGraph.complete(3), 4)
     assert (group.pool, group.everyone.bit_count()) == ("full", 82_944)
 
 
@@ -1162,10 +1158,11 @@ TABLE_CASES = [
 @pytest.mark.parametrize("H, n", TABLE_CASES)
 def test_copy_table_agrees_with_the_copy_search(H, n):
     """On random slot sets G of every density, the walk's table answers
-    what the copy search answers on masks of G: covered gives the slots
-    closing a copy (stopping at the first that closes none when asked),
-    and child_uncovered, for G = P + (s,) and each s of G, the non-edges of
-    G closing no copy, from P's."""
+    what the copy search answers on masks of G: uncoverable finds a slot
+    closing no copy among all slots, each single slot and the slots that
+    close one; the root's uncovered set holds the slots that close no copy
+    on their own; and child_uncovered, for G = P + (s,) and each s of G,
+    gives the non-edges of G closing no copy, from P's."""
     host = BlowupHost(H, n)
     sys_ = solve._SlotSystem(host)
     ends0 = host.ends0()
@@ -1176,16 +1173,18 @@ def test_copy_table_agrees_with_the_copy_search(H, n):
         masks = _masks(host, graph)
         return sum(1 << k for k, ends in enumerate(ends0) if core._closes_copy(H, n, masks, *ends))
 
+    assert sys_.root().uncovered == every ^ closing(0)
     rng = random.Random(L)
     seen = {"covered": 0, "uncovered": 0, "newly": 0}
     for trial in range(40):
         density = rng.random()
         graph = sum(1 << k for k in range(L) if rng.random() < density)
         closes = closing(graph)
-        assert sys_.covered(graph, every) == closes
         misses = every ^ closes
-        below = (misses & -misses) - 1 if misses else every
-        assert sys_.covered(graph, every, stop_at_miss=True) == closes & below
+        assert sys_.uncoverable(every, graph) == bool(misses)
+        assert not sys_.uncoverable(closes, graph)
+        for k in range(L):
+            assert sys_.uncoverable(1 << k, graph) == bool(misses >> k & 1), (graph, k)
         seen["covered"] += bool(closes)
         seen["uncovered"] += bool(misses & ~graph)
         for s in range(L):
@@ -1196,6 +1195,14 @@ def test_copy_table_agrees_with_the_copy_search(H, n):
                 assert sys_.child_uncovered(graph, frame, s) == want, (graph, s)
                 seen["newly"] += frame.uncovered & ~(1 << s) != want
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("H", [PatternGraph.complete(2), PatternGraph(3, [(1, 2)])])
+def test_the_root_of_a_one_edge_pattern_leaves_no_slot_uncovered(H):
+    # each slot is a copy on its own, so every slot closes one in the
+    # empty graph
+    sys_ = solve._SlotSystem(BlowupHost(H, 3))
+    assert sys_.root().uncovered == 0
 
 
 @pytest.mark.parametrize(
@@ -1219,6 +1226,20 @@ def test_stats_name_the_group(H, n, pool, rows):
         assert r.stats["group"] == {"pool": pool, "rows": rows}
         expanded = sum(row["expanded"] for row in r.stats["levels"])
         assert 1 <= r.stats["leaders"] <= expanded
+
+
+@pytest.mark.parametrize("H", [SMALL_PATTERNS["k3+k1"], PatternGraph(5, [(1, 2), (1, 3), (2, 3)])])
+def test_isolated_vertices_leave_the_group_and_the_walk_of_k3(H):
+    """(K3+K1)[4] and (K3+2K1)[4] run on the group of K3[4], each row held
+    once: an isolated vertex's part carries no slot, so the walk meets the
+    3 725 nodes of K3[4] and its witness."""
+    r = min_sat_exact(H, 4)
+    assert (r.value, r.nodes_explored) == (18, 3725)
+    assert r.stats["group"] == {"pool": "full", "rows": 82944}
+    assert _edge_string(r.witness) == (
+        "11-21 11-22 11-23 11-31 11-32 11-33 12-24 12-34 13-24 13-34 14-24 14-34"
+        " 21-34 22-34 23-34 24-31 24-32 24-33"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1978,7 +1999,36 @@ def test_kr_sat_bounds_validation():
     ],
 )
 def test_pattern_automorphisms_match_brute_force(H):
-    assert symmetry._pattern_automorphisms(H) == brute_automorphisms(H)
+    assert symmetry._pattern_automorphisms(H) == _fixing_isolated(H)
+
+
+def _fixing_isolated(H):
+    """The brute-force automorphisms of H that fix each isolated vertex."""
+    isolated = [x for x, adj in enumerate(H._adj0) if not adj]
+    return [g for g in brute_automorphisms(H) if all(g[x] == x for x in isolated)]
+
+
+def test_pattern_automorphisms_stop_past_the_row_cap():
+    # star(9) has 9! = 362 880 automorphisms, more than any group may hold
+    # rows, so the listing stops and reports too many; star(8) has 8!
+    assert symmetry._pattern_automorphisms(PatternGraph.star(9)) is None
+    assert len(symmetry._pattern_automorphisms(PatternGraph.star(8))) == 40_320
+    asked = []
+
+    def expired():
+        asked.append(True)
+        return True
+
+    assert symmetry._pattern_automorphisms(PatternGraph.star(8), expired) is None
+    assert len(asked) == 1
+
+
+def test_a_budget_spent_listing_automorphisms_stops_the_search():
+    start = time.monotonic()
+    r = min_sat_exact(PatternGraph.star(9), 1, budget=0.2)
+    assert time.monotonic() - start < 0.5
+    assert r.value is None and r.exhausted_budget and r.nodes_explored == 1
+    assert r.stats["group"] == {"pool": None, "rows": 0}
 
 
 @pytest.mark.parametrize("shape, count", [("path", 2), ("cycle", 20)])
