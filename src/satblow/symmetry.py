@@ -42,14 +42,18 @@ it when e == s.
 Both searches apply the rule to every group element at once: the group is
 held as one bit per element, per slot and image slot (a _SlotGroup), and
 each node of a walk with a slot to test derives its _Leader once, from its
-parent's: the elements of each threshold and the outcome of each tie, so
-testing an extension (_Leader.admits) is one walk over the images of s
-below s.  The exact search tests a child only when the walk reaches it
-and the child's int tests (solve._SlotSystem.cut, or the validity test)
-have kept it, and derives a node's _Leader at its first tested child, so a
-node whose children all fall to those tests derives none.
-m_value derives the _Leader of each node with free slots and tests each
-free slot as its loop reaches it.
+parent's: the elements of each threshold and the fixed elements.  Testing
+an extension s (_Leader.admits) is one walk over the images of s below s,
+which rejects or keeps every element but the tied ones, and one scan of
+the slots above the least tied threshold for the tied elements alone, so
+the outcome of a tie is worked out only for an s that meets it.  The test
+sorts every element by its threshold in the child as it goes, and the
+child's derivation (_child_leader) reuses that split.  The exact search
+tests a child only when the walk reaches it and the child's int tests
+(solve._SlotSystem.cut, or the validity test) have kept it, and derives a
+node's _Leader at its first tested child, so a node whose children all
+fall to those tests derives none.  m_value derives the _Leader of each
+node with free slots and tests each free slot as its loop reaches it.
 
 Both searches take their group from _slot_group, under one set of caps on
 its rows, table entries and map bytes.  Every part draws on one pool of
@@ -64,7 +68,6 @@ some orbits but stays complete; m(10, 3) reaches splits such as
 
 from __future__ import annotations
 
-import bisect
 import collections
 import itertools
 import math
@@ -91,9 +94,25 @@ def _pattern_automorphisms(
     degrees and agree on adjacency with every vertex mapped before it.
     None once more than _GROUP_ROW_CAP are found (each is a row of every
     group built on them, so none would fit), or once expired(), asked
-    every 1024th choice, is true."""
+    every 1024th choice, is true.
+
+    Twins are counted before anything is listed.  Vertices with one open
+    neighbourhood, or one closed neighbourhood, can be permuted among
+    themselves at will, and no vertex with an edge has twins of both kinds
+    (were u, v false twins and v, w true twins, w would be a neighbour of
+    u and u then one of v), so the twin classes of the vertices with an
+    edge move disjoint sets and the product of their factorials is the
+    order of a group of automorphisms.  When it passes _GROUP_ROW_CAP the
+    answer is None at once: star(9) has nine leaves with one open
+    neighbourhood, and 9! automorphisms."""
     v = pattern.vertex_count
     adj = [frozenset(a) for a in pattern._adj0]
+    twins = itertools.chain(
+        collections.Counter(a for a in adj if a).values(),
+        collections.Counter(a | {x} for x, a in enumerate(adj) if a).values(),
+    )
+    if math.prod(map(math.factorial, twins)) > _GROUP_ROW_CAP:
+        return None
     order: list[int] = []
     anchor = [-1] * v
     seen: set[int] = set()
@@ -306,35 +325,46 @@ def _symmetry_group(
 class _Leader:
     """What the lex-leader test needs to know of a lex leader P, one bit per
     group row.  For each row g, t_g is the first slot of P missing from
-    g(P); the row is fixed when g(P) = P.
+    g(P); the row is fixed when g(P) = P, and then t_g counts as the slot
+    tested next.
 
     * thr, cls: the thresholds in ascending order and the rows of each;
-      fixed: the fixed rows; held(y): the rows with y in g(P).
-    * A row rejects P + (s,) when g(s) < t_g (t_g = s for fixed rows), so
-      above[i] holds the rows with t_g > y for y in [thr[i-1], thr[i]).
-    * For a tied row (g(s) = t_g), g(child) and child agree up to t_g, so
-      the comparison goes on between g(P) and P above t_g, where g(P) has
-      one slot more.  If they first differ at a slot of g(P), the row
-      rejects whatever s is: at[i] adds those rows of class i to above[i+1],
-      as what rejects when g(s) = thr[i].  If at a slot u of P, it accepts,
-      and u becomes its threshold: high[u].  Otherwise g(P) is
-      P - {t_g} + {e} with e > max P, and the row is in `even`: it rejects
-      when e < s and fixes the child when e == s.  eqcls lists the
-      (t, rows of class t in even) pairs.
-    * past, upto: the cursor of admits, past holding the rows with a slot
-      of g(P) in (max P, upto).
+      fixed: the fixed rows; above[i]: the rows with t_g >= thr[i] (the
+      fixed rows among them), above[len(thr)] the fixed rows alone;
+      held(y): the rows with y in g(P).
+    * admits(s) sorts each image x < s of s, with the rows g that send s
+      there, into one of three cases.  If x is not in P, then t_g != x, and
+      the rows with t_g > x reject (g(s) < t_g), those of above[i] for the
+      least thr[i] > x, while the others keep t_g.  If x is in P, no row
+      with t_g > x sends s there: g(P) holds every slot of P below t_g,
+      each the image of a slot of P, so g(s) = x would make s a slot of P.
+      So if x is a threshold, its rows in cls are tied (g(s) = t_g) and
+      the others keep t_g; if x is a member of P that is no row's
+      threshold, every row sending s there keeps t_g.
+    * Only the tied rows go on, to the scan of the threshold rule over the
+      slots above t_g up to max P, one pass for all of them that starts at
+      the least tied threshold and takes each row in at its own: a slot of
+      g(P) not in P rejects, a slot u of P missing from g(P) accepts and
+      becomes the row's threshold, and a row left at max P (even: g(P) is
+      P - {t_g} + {e}, e > max P) rejects when e < s, is fixed when
+      e == s, and takes threshold s otherwise, as does a fixed row with
+      g(s) != s.  past, upto: the cursor for e < s, past holding the rows
+      with a slot of g(P) in (max P, upto), so the slots admits is asked
+      about must ascend.
+    * key, child: the last s whose child (P + (s,)) admits accepted or
+      _child_leader derived, and that child's classes and fixed rows, which
+      _child_leader reuses.
 
     The rows of held(y) are the parent's held(y) or group.maps[max P][y],
     so a _Leader keeps its parent and materialises a row set only when it
     is read: a read walks up the parents to the nearest one that holds
     that slot's row set (the root holds every one, as 0), then ORs the
     maps back down, keeping the row set at every _Leader it passes.  Most
-    row sets are never read: the derivation reads them only while some
-    tied row is still undecided, and admits only for the `even` rows."""
+    row sets are never read: only the scan of tied rows reads them."""
 
     __slots__ = (
-        "thr", "cls", "fixed", "rows", "parent", "images", "above", "at", "high", "even",
-        "eqcls", "past", "upto",
+        "top", "members", "thr", "cls", "above", "fixed", "rows", "parent", "images",
+        "past", "upto", "key", "child",
     )
 
     def __init__(
@@ -345,47 +375,22 @@ class _Leader:
         fixed: int,
         parent: Optional[_Leader],
     ):
-        """chosen is P and parent the _Leader of P[:-1], None for the root."""
-        top = chosen[-1] if chosen else -1
-        self.parent, self.images = parent, group.maps[top] if chosen else {}
+        """chosen is P and parent the _Leader of P[:-1], None for the root;
+        classes maps each threshold to its rows."""
+        top = self.top = chosen[-1] if chosen else -1
+        self.parent = parent
+        self.members = parent.members | 1 << top if chosen else 0
+        self.images = group.maps[top] if chosen else {}
         # rows[y]: held(y) once it has been read
-        rows = self.rows = [None if chosen else 0] * len(group.maps)
-        thr = sorted(classes)
-        cls = [classes[t] for t in thr]
-        k = len(thr)
-        low, high, alive = 0, {}, 0
-        if thr:  # so P is not the root
-            # each read of held(z) below is done inline, from the parent's row
-            # set: held() itself is called only when the parent lacks it
-            up, image = parent.rows, self.images.get
-            alive, i, prev = cls[0], 1, thr[0]
-            for y in chosen[bisect.bisect_right(chosen, prev) :]:
-                if alive:
-                    for z in range(prev + 1, y):  # the slots between members
-                        got = up[z]
-                        got = rows[z] = (parent.held(z) if got is None else got) | image(z, 0)
-                        hit = alive & got
-                        if hit:
-                            low |= hit
-                            alive ^= hit
-                    got = up[y]
-                    got = rows[y] = (parent.held(y) if got is None else got) | image(y, 0)
-                    kept = alive & got
-                    if kept != alive:
-                        high[y] = alive ^ kept
-                    alive = kept
-                if i < k and y == thr[i]:
-                    alive |= cls[i]
-                    i += 1
-                prev = y
-        above = [fixed] * (k + 1)
-        for i in range(k - 1, -1, -1):
+        self.rows = [None if chosen else 0] * len(group.maps)
+        thr = self.thr = sorted(classes)
+        cls = self.cls = [classes[t] for t in thr]
+        above = self.above = [fixed] * (len(thr) + 1)
+        for i in range(len(thr) - 1, -1, -1):
             above[i] = above[i + 1] | cls[i]
-        self.thr, self.cls, self.fixed = thr, cls, fixed
-        self.above, self.at = above, [above[i + 1] | cls[i] & low for i in range(k)]
-        self.high, self.even = high, alive
-        self.eqcls = [(t, c & alive) for t, c in zip(thr, cls) if c & alive]
+        self.fixed = fixed
         self.past, self.upto = 0, top + 1
+        self.key, self.child = -1, None
 
     def held(self, y: int) -> int:
         """The rows with y in g(P)."""
@@ -401,28 +406,81 @@ class _Leader:
 
     def admits(self, group: _SlotGroup, s: int) -> bool:
         """Is P + (s,) still the lex leader of its orbit?  s exceeds max P,
-        and the slots one _Leader is asked about must ascend.  A walk over
-        the images of s below s rejects s on any row with g(s) < t_g, or
-        with g(s) == t_g and a comparison above t_g that goes below; the
-        `even` rows also need to know whether they hold a slot between
-        max P and s, which `past` gathers as the slots ascend."""
-        thr, above, at = self.thr, self.above, self.at
+        and the slots one _Leader is asked about must ascend.  A child it
+        admits keeps its split (see _split) for _child_leader."""
+        return self._split(group, s, True)
+
+    def _split(self, group: _SlotGroup, s: int, test: bool) -> bool:
+        """Sort the rows by their outcome on P + (s,), keeping the child's
+        classes and fixed rows as child and s as key; False when a row
+        rejects the child.  With test false the child must be a lex leader:
+        the rows the walk over the images would reject are not looked for,
+        nor the even rows with e < s, so the cursor stays and s need not
+        ascend."""
+        thr, cls, above, members = self.thr, self.cls, self.above, self.members
         k, i = len(thr), 0
+        ties = []  # (t, the rows of class t with g(s) = t), t ascending
         for x, rows in group.below[s]:
             while i < k and thr[i] < x:
                 i += 1
-            if rows & (at[i] if i < k and thr[i] == x else above[i]):
+            if i < k and thr[i] == x:
+                tie = rows & cls[i]
+                if tie:
+                    ties.append((x, tie))
+            elif test and not members >> x & 1 and rows & above[i]:
                 return False
-        if not self.eqcls:
-            return True
-        past, y, rows = self.past, self.upto, self.rows
-        while y < s:
-            got = rows[y]
-            past |= self.held(y) if got is None else got
-            y += 1
-        self.past, self.upto = past, y
-        into = group.maps[s]
-        return not (past and any(into.get(t, 0) & rows & past for t, rows in self.eqcls))
+        classes = dict(zip(thr, cls))
+        stay = self.fixed & group.maps[s].get(s, 0)
+        move = self.fixed ^ stay
+        if ties:
+            for t, tie in ties:
+                rest = classes[t] ^ tie
+                if rest:
+                    classes[t] = rest
+                else:
+                    del classes[t]
+            # the scan of the threshold rule, for every tied row at once:
+            # alive holds the tied rows whose scan has reached y undecided
+            rows_, parent, image = self.rows, self.parent, self.images.get
+            y, alive = ties[0]
+            j = 1
+            for y in range(y + 1, self.top + 1):
+                if alive:
+                    # held(y), read from the parent's row set where it has one
+                    got = rows_[y]
+                    if got is None:
+                        up = parent.rows[y]
+                        got = rows_[y] = (parent.held(y) if up is None else up) | image(y, 0)
+                    if members >> y & 1:
+                        kept = alive & got
+                        if kept != alive:
+                            classes[y] = classes.get(y, 0) | alive ^ kept
+                            alive = kept
+                    elif alive & got:
+                        return False
+                if j < len(ties) and ties[j][0] == y:
+                    alive |= ties[j][1]
+                    j += 1
+                elif not alive and j == len(ties):
+                    break
+            if alive and test:
+                past, y = self.past, self.upto
+                while y < s:
+                    got = rows_[y]
+                    past |= self.held(y) if got is None else got
+                    y += 1
+                self.past, self.upto = past, y
+                if alive & past:
+                    return False
+            if alive:
+                got = rows_[s]
+                even = alive & (self.held(s) if got is None else got)
+                stay |= even
+                move |= alive ^ even
+        if move:
+            classes[s] = move
+        self.key, self.child = s, (classes, stay)
+        return True
 
 
 def _root_leader(group: _SlotGroup) -> _Leader:
@@ -430,24 +488,10 @@ def _root_leader(group: _SlotGroup) -> _Leader:
 
 
 def _child_leader(group: _SlotGroup, state: _Leader, child: tuple[int, ...]) -> _Leader:
-    """The _Leader of child = parent + (s,), a lex leader, from its parent's."""
+    """The _Leader of child = parent + (s,), a lex leader, from its parent's:
+    the classes state.admits(s) kept, or, when it was last asked about
+    another slot or never, those of the same split run afresh."""
     s = child[-1]
-    into = group.maps[s]
-    tie = 0
-    for t, c in zip(state.thr, state.cls):
-        tie |= into.get(t, 0) & c
-    classes = {}
-    for t, c in zip(state.thr, state.cls):
-        c ^= c & tie
-        if c:
-            classes[t] = c
-    for u, rows in state.high.items():
-        if rows & tie:
-            classes[u] = classes.get(u, 0) | rows & tie
-    fix = into.get(s, 0)
-    held = state.held(s) if tie & state.even else 0
-    stay = state.fixed & fix | tie & state.even & held
-    move = state.fixed & ~fix | tie & state.even & ~held
-    if move:
-        classes[s] = move
-    return _Leader(group, child, classes, stay, state)
+    if state.key != s:
+        state._split(group, s, False)
+    return _Leader(group, child, *state.child, state)

@@ -519,11 +519,16 @@ def test_admits_matches_brute_force(H, n, pool):
                 assert leader.admits(group, s) == want, (parent, s)
 
 
+@pytest.mark.parametrize("asked", ["the child", "a later sibling", "nothing"])
 @pytest.mark.parametrize("H, n, pool", LEX_CASES)
-def test_leader_classes_match_brute_thresholds(H, n, pool):
-    """Each row sits in the class of its threshold, or among the fixed rows,
-    at every depth of a lex leader built slot by slot, so every tie outcome
-    handed from parent to child is checked too."""
+def test_leader_classes_match_brute_thresholds(H, n, pool, asked):
+    """At every depth of a lex leader built slot by slot, the classes hold
+    the rows of each brute-force threshold, the fixed rows the others, and
+    held(y) the rows with y in g(P), so every tie outcome handed from
+    parent to child is checked too.  Before each derivation the parent's
+    admits last accepted that child (whose split _child_leader reuses),
+    was last asked about a later sibling (as on the walk's deadline path),
+    or was never asked."""
     group, want = _lex_group(H, n, pool)
     rows = _rows(group)
     assert set(rows) == want and len(rows) == len(want)
@@ -533,16 +538,24 @@ def test_leader_classes_match_brute_thresholds(H, n, pool):
         leader = _random_lex_leader(rows, L, rng.randrange(1, min(L, 10)), rng)
         state = symmetry._root_leader(group)
         for d in range(1, len(leader) + 1):
-            chosen = leader[:d]
+            chosen, s = leader[:d], leader[d - 1]
+            if asked == "the child":
+                assert state.admits(group, s)
+            elif asked == "a later sibling" and s + 1 < L:
+                state.admits(group, rng.randrange(s + 1, L))
             state = symmetry._child_leader(group, state, chosen)
-            classes = dict(zip(state.thr, state.cls))
+            classes, fixed, held = {}, 0, [0] * L
             for r, g in enumerate(rows):
                 t = brute_threshold(g, chosen)
-                bits = state.fixed if t is None else classes.get(t, 0)
-                assert bits >> r & 1, (chosen, r)
-                images = {g[x] for x in chosen}
-                assert all((state.held(y) >> r & 1) == (y in images) for y in range(L))
-            assert sum(c.bit_count() for c in state.cls) + state.fixed.bit_count() == len(rows)
+                if t is None:
+                    fixed |= 1 << r
+                else:
+                    classes[t] = classes.get(t, 0) | 1 << r
+                for x in chosen:
+                    held[g[x]] |= 1 << r
+            assert state.thr == sorted(classes) and state.fixed == fixed, chosen
+            assert state.cls == [classes[t] for t in state.thr], chosen
+            assert [state.held(y) for y in range(L)] == held, chosen
 
 
 def _orbit_census(group, L, copies):
@@ -844,7 +857,8 @@ def test_lower_bound_of_exact_results_is_the_value():
 
 
 def test_lower_bound_of_an_unknown_is_proven_and_below_the_upper_bound():
-    H, n = PatternGraph.complete(3), 4
+    # sat K3[5] is still open after 60 s, so half a second leaves it UNKNOWN
+    H, n = PatternGraph.complete(3), 5
     r = min_sat_exact(H, n, budget=0.5)
     assert r.value is None
     assert saturation_lower_bound(H, n) <= r.lower_bound <= r.upper_bound
@@ -2023,9 +2037,40 @@ def test_pattern_automorphisms_stop_past_the_row_cap():
     assert len(asked) == 1
 
 
+def test_pattern_automorphisms_count_twins_before_listing():
+    # nine leaves with one open neighbourhood, nine clique vertices with one
+    # closed neighbourhood: 9! automorphisms each, refused unlisted
+    for H in (PatternGraph.star(9), PatternGraph.star(40), PatternGraph.complete(9)):
+        start = time.perf_counter()
+        assert symmetry._pattern_automorphisms(H) is None
+        assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("cap", [1, 5, 23])
+def test_pattern_automorphisms_under_the_cap_keep_their_list(monkeypatch, cap):
+    """Every pattern on at most five vertices, under a row cap small enough
+    that the twin count refuses some: a pattern keeps its list exactly when
+    it has no more automorphisms (fixing its isolated vertices) than the
+    cap, so the twin count refuses no pattern the listing would keep."""
+    monkeypatch.setattr(symmetry, "_GROUP_ROW_CAP", cap)
+    refused = 0
+    for v in range(2, 6):
+        pairs = list(itertools.combinations(range(1, v + 1), 2))
+        for bits in range(1, 1 << len(pairs)):
+            H = PatternGraph(v, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            want = _fixing_isolated(H)
+            got = symmetry._pattern_automorphisms(H)
+            assert got == (want if len(want) <= cap else None), H.edges
+            refused += got is None
+    assert refused
+
+
 def test_a_budget_spent_listing_automorphisms_stops_the_search():
+    # seven disjoint edges: 2^7 7! automorphisms, past the row cap, but
+    # twin classes of two vertices each, so the listing runs until stopped
+    H = PatternGraph(14, [(2 * i + 1, 2 * i + 2) for i in range(7)])
     start = time.monotonic()
-    r = min_sat_exact(PatternGraph.star(9), 1, budget=0.2)
+    r = min_sat_exact(H, 1, budget=0.2)
     assert time.monotonic() - start < 0.5
     assert r.value is None and r.exhausted_budget and r.nodes_explored == 1
     assert r.stats["group"] == {"pool": None, "rows": 0}
